@@ -33,14 +33,13 @@ run over the same chunks.
 from __future__ import annotations
 
 import multiprocessing
-import queue
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.farm.config import FarmConfig, SessionSpec
 from repro.farm.ring import ShmRing
-from repro.farm.worker import HealthHistory, Record, WorkerCore, worker_main
+from repro.farm.worker import HealthHistory, Record, WorkerCore, poll_get, worker_main
 from repro.obs.taxonomy import C, G
 from repro.obs.tracer import as_tracer
 from repro.receiver.streaming import StreamFrame
@@ -52,11 +51,6 @@ _BACKENDS = ("process", "inline")
 #: An idle farm whose worker takes longer than this to answer is
 #: declared dead rather than hanging the parent forever.
 _HARVEST_TIMEOUT_S = 120.0
-
-#: Poll granularity while blocked on the result queue: between polls
-#: the parent checks worker liveness so a dead worker surfaces as
-#: :class:`WorkerCrash` instead of a silent wait.
-_DEATH_POLL_S = 1.0
 
 
 class WorkerCrash(RuntimeError):
@@ -163,9 +157,6 @@ class DecodeFarm:
         self.slot_waits = 0
         self._fresh: Dict[int, List[StreamFrame]] = {}
         self._drained: Dict[int, List[Record]] = {}
-        self._inflight_slots: Dict[int, Set[int]] = {
-            w: set() for w in range(self.config.n_workers)
-        }
         self._stopped_workers: Set[int] = set()
         self._dead_workers: Set[int] = set()
 
@@ -262,11 +253,14 @@ class DecodeFarm:
     def worker_of(self, session_id: int) -> int:
         return self._placement[session_id]
 
+    @property
+    def live_workers(self) -> List[int]:
+        """Workers that have not died (sorted)."""
+        return [w for w in range(self.config.n_workers) if w not in self._dead_workers]
+
     def _pick_worker(self) -> int:
         """Least-loaded live worker (lowest index on ties)."""
-        live = [
-            w for w in range(self.config.n_workers) if w not in self._dead_workers
-        ]
+        live = self.live_workers
         if not live:
             raise RuntimeError("no live workers left in the farm")
         loads = {w: 0 for w in live}
@@ -330,7 +324,7 @@ class DecodeFarm:
         else:
             self._cmd_queues[worker].put(("finish", session_id))
             while not self._finished.get(session_id):
-                self._harvest(block=True)
+                self._harvest()
         del self._placement[session_id]
         self._count(C.FARM_SESSIONS_CLOSED)
         self._gauge(G.FARM_SESSIONS_LIVE, len(self._placement))
@@ -364,11 +358,9 @@ class DecodeFarm:
                 while ring.free_slots == 0:
                     self.slot_waits += 1
                     self._count(C.FARM_SLOT_WAITS)
-                    self._harvest(block=True)
-                slot = ring.claim()
-                n = ring.write(slot, piece)
-                self._inflight_slots[worker].add(slot)
-                self._cmd_queues[worker].put(("feed", session_id, slot, n))
+                    self._harvest()
+                slot = ring.put(piece)
+                self._cmd_queues[worker].put(("feed", session_id, slot, piece.size))
             self._gauge(G.FARM_RING_OCCUPANCY, ring.occupancy)
         self._dirty_workers.add(worker)
 
@@ -402,7 +394,7 @@ class DecodeFarm:
         )
         if wait:
             while any(self._outstanding_pumps.values()):
-                self._harvest(block=True)
+                self._harvest()
         else:
             self._harvest_available()
         return self._take_fresh()
@@ -446,7 +438,7 @@ class DecodeFarm:
         for sid in pending:
             self._cmd_queues[self._placement[sid]].put(("finish", sid))
         while not all(self._finished.get(sid) for sid in pending):
-            self._harvest(block=True)
+            self._harvest()
         for sid in pending:
             tails[sid] = self._fresh.pop(sid, [])
             del self._placement[sid]
@@ -476,7 +468,7 @@ class DecodeFarm:
         else:
             self._cmd_queues[worker].put(("drain", session_id))
             while session_id not in self._drained:
-                self._harvest(block=True)
+                self._harvest()
             records = self._drained.pop(session_id)
         del self._placement[session_id]
         self._count(C.FARM_SESSIONS_CLOSED)
@@ -536,7 +528,6 @@ class DecodeFarm:
                 proc.join(timeout=5.0)
             for ring in getattr(self, "_rings", []):
                 ring.close()
-                ring.unlink()
 
     def __enter__(self) -> "DecodeFarm":
         return self
@@ -577,32 +568,20 @@ class DecodeFarm:
                 return
             self._dispatch(msg)
 
-    def _harvest(self, block: bool) -> None:
-        if not block:
-            self._dispatch(self._result_queue.get(timeout=0.0))
-            return
-        waited = 0.0
-        while True:
-            try:
-                msg = self._result_queue.get(timeout=_DEATH_POLL_S)
-            except queue.Empty:
-                self._check_worker_liveness()
-                waited += _DEATH_POLL_S
-                if waited >= _HARVEST_TIMEOUT_S:
-                    raise RuntimeError(
-                        f"farm workers produced no result for {_HARVEST_TIMEOUT_S}s"
-                    )
-                continue
-            self._dispatch(msg)
-            return
+    def _harvest(self) -> None:
+        """Block until one worker reply arrives, then dispatch it."""
+        msg = poll_get(self._result_queue, self._workers_alive, _HARVEST_TIMEOUT_S)
+        assert msg is not None  # a dead worker raises WorkerCrash instead
+        self._dispatch(msg)
 
-    def _check_worker_liveness(self) -> None:
+    def _workers_alive(self) -> bool:
         """Surface dead workers as :class:`WorkerCrash` (slots reclaimed).
 
         Only consulted once the result queue has drained empty, so a
         worker that exited normally has had its ``stopped`` reply
         dispatched (the queue feeder flushes before process exit) and
-        is skipped here.
+        is skipped here.  Returns ``True`` when every running worker
+        is alive.
         """
         for w, proc in enumerate(self._procs):
             if w in self._stopped_workers or w in self._dead_workers:
@@ -614,13 +593,11 @@ class DecodeFarm:
             if w in self._stopped_workers:
                 continue
             self._recover_worker(w, proc.exitcode)
+        return True
 
     def _recover_worker(self, worker: int, exitcode: Optional[int]) -> None:
         ring = self._rings[worker]
-        leaked = sorted(self._inflight_slots[worker])
-        for slot in leaked:
-            ring.release(slot)
-        self._inflight_slots[worker].clear()
+        leaked = ring.reclaim()
         lost = sorted(
             sid for sid, placed in self._placement.items() if placed == worker
         )
@@ -637,7 +614,6 @@ class DecodeFarm:
     def _dispatch(self, msg: Tuple[object, ...]) -> None:
         worker, tag = msg[0], msg[1]
         if tag == "free":
-            self._inflight_slots[worker].discard(msg[2])
             self._rings[worker].release(msg[2])
         elif tag == "pumped":
             _seq, results, batched = msg[2], msg[3], msg[4]
@@ -670,12 +646,11 @@ class DecodeFarm:
                 cmd_q.put(("stop",))
         expected = len(self._procs) - len(self._dead_workers)
         while len(self._stopped_workers) < expected:
-            self._harvest(block=True)
+            self._harvest()
         for proc in self._procs:
             proc.join(timeout=5.0)
         for ring in self._rings:
             ring.close()
-            ring.unlink()
 
     def _count(self, counter: str, n: int = 1) -> None:
         if self.tracer.enabled:

@@ -10,23 +10,28 @@ maps the same slab and hands the session a numpy **view** of the slot.
 documented contract), so the slot is free for reuse the moment the
 worker acknowledges the feed.
 
-Slot lifecycle (parent-owned free list, no shared locks):
+Slot lifecycle (the parent's ring owns the claimed set; no shared
+locks):
 
-1. parent: ``claim()`` a free slot index, ``write(slot, chunk)``;
+1. parent: ``put(chunk)`` validates the chunk, claims a free slot and
+   writes it -- an oversized chunk claims nothing;
 2. parent -> worker: ``("feed", sid, slot, n)`` over the command queue;
 3. worker: ``view(slot, n)`` -> ``session.ingest`` (copies);
 4. worker -> parent: ``("free", slot)`` over the result queue;
-5. parent: ``release(slot)`` returns it to the free list.
+5. parent: ``release(slot)`` returns it to the free list -- releasing
+   a slot that is not claimed (twice, or a foreign index) raises;
+6. crash recovery: ``reclaim()`` frees every in-flight slot at once.
 
 When no slot is free the parent blocks harvesting worker results
 (that is the farm's ingest backpressure, counted under
-``farm.slot_waits``).
+``farm.slot_waits``).  Teardown is one :meth:`ShmRing.close`, which
+also unlinks the segment on the owning side.
 """
 
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import List
+from typing import List, Set
 
 import numpy as np
 
@@ -36,22 +41,43 @@ __all__ = ["ShmRing"]
 class ShmRing:
     """One worker's shared-memory slot ring.
 
-    Create in the parent (allocates the segment), :meth:`attach` in
-    the worker (maps the same segment by name).  Only the parent may
-    :meth:`unlink`; workers just :meth:`close` their mapping.
+    Create in the parent (allocates the segment and owns the slots),
+    :meth:`attach` in the worker (maps the same segment by name and
+    only reads views).  :meth:`close` unmaps; on the owner it also
+    removes the segment.
     """
 
     def __init__(self, slots: int, slot_samples: int, dtype: "np.typing.DTypeLike") -> None:
+        nbytes = int(slots) * int(slot_samples) * np.dtype(dtype).itemsize
+        self._map(slots, slot_samples, dtype, shared_memory.SharedMemory(create=True, size=nbytes))
+        self._owner = True
+        self._free: List[int] = list(range(self.slots))
+
+    @classmethod
+    def attach(cls, name: str, slots: int, slot_samples: int, dtype: "np.typing.DTypeLike") -> "ShmRing":
+        """Map an existing ring by name (worker side)."""
+        ring = cls.__new__(cls)
+        ring._map(slots, slot_samples, dtype, shared_memory.SharedMemory(name=name))
+        ring._owner = False
+        ring._free = []
+        return ring
+
+    def _map(
+        self,
+        slots: int,
+        slot_samples: int,
+        dtype: "np.typing.DTypeLike",
+        shm: shared_memory.SharedMemory,
+    ) -> None:
         self.slots = int(slots)
         self.slot_samples = int(slot_samples)
         self.dtype = np.dtype(dtype)
-        nbytes = self.slots * self.slot_samples * self.dtype.itemsize
-        self._shm = shared_memory.SharedMemory(create=True, size=nbytes)
-        self._owner = True
+        self._shm = shm
         self._grid = np.ndarray(
-            (self.slots, self.slot_samples), dtype=self.dtype, buffer=self._shm.buf
+            (self.slots, self.slot_samples), dtype=self.dtype, buffer=shm.buf
         )
-        self._free: List[int] = list(range(self.slots))
+        self._claimed: Set[int] = set()
+        self._closed = False
 
     @property
     def name(self) -> str:
@@ -65,44 +91,47 @@ class ShmRing:
     @property
     def occupancy(self) -> int:
         """Slots currently claimed (in flight to a worker)."""
-        return self.slots - len(self._free)
-
-    @classmethod
-    def attach(cls, name: str, slots: int, slot_samples: int, dtype: "np.typing.DTypeLike") -> "ShmRing":
-        """Map an existing ring by name (worker side)."""
-        ring = cls.__new__(cls)
-        ring.slots = int(slots)
-        ring.slot_samples = int(slot_samples)
-        ring.dtype = np.dtype(dtype)
-        ring._shm = shared_memory.SharedMemory(name=name)
-        ring._owner = False
-        ring._grid = np.ndarray(
-            (ring.slots, ring.slot_samples), dtype=ring.dtype, buffer=ring._shm.buf
-        )
-        ring._free = []
-        return ring
+        return len(self._claimed)
 
     # --- parent side ----------------------------------------------------
 
-    def claim(self) -> int:
-        """Take a free slot index; raises if none (caller harvests first)."""
-        if not self._free:
-            raise RuntimeError("no free ring slot (harvest worker results first)")
-        return self._free.pop()
+    def put(self, chunk: np.ndarray) -> int:
+        """Copy *chunk* (1-D, <= slot_samples) into a free slot; returns it.
 
-    def write(self, slot: int, chunk: np.ndarray) -> int:
-        """Copy *chunk* (1-D, <= slot_samples) into *slot*; returns n."""
+        Raises ``ValueError`` for an oversized chunk and
+        ``RuntimeError`` when no slot is free (the caller harvests
+        first); either way no slot is claimed.
+        """
         n = int(chunk.size)
         if n > self.slot_samples:
             raise ValueError(
                 f"chunk of {n} samples exceeds slot size {self.slot_samples}"
             )
+        if not self._free:
+            raise RuntimeError("no free ring slot (harvest worker results first)")
+        slot = self._free.pop()
+        self._claimed.add(slot)
         self._grid[slot, :n] = chunk
-        return n
+        return slot
 
     def release(self, slot: int) -> None:
-        """Return a worker-acknowledged slot to the free list."""
-        self._free.append(int(slot))
+        """Return a worker-acknowledged slot to the free list.
+
+        Raises ``ValueError`` when *slot* is not claimed -- a double
+        release or an index this ring never handed out.
+        """
+        slot = int(slot)
+        if slot not in self._claimed:
+            raise ValueError(f"ring slot {slot} is not claimed (double release?)")
+        self._claimed.remove(slot)
+        self._free.append(slot)
+
+    def reclaim(self) -> List[int]:
+        """Free every in-flight slot (crash recovery); returns them sorted."""
+        slots = sorted(self._claimed)
+        for slot in slots:
+            self.release(slot)
+        return slots
 
     # --- worker side ----------------------------------------------------
 
@@ -117,13 +146,14 @@ class ShmRing:
     # --- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        self._grid = None
-        self._shm.close()
+        """Unmap the segment; the owner also removes it (idempotent).
 
-    def unlink(self) -> None:
-        """Remove the segment (parent only, after workers exited)."""
+        The owner must call this only after its workers exited.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        self._grid = np.empty((0, 0), dtype=self.dtype)  # drop the buffer export
+        self._shm.close()
         if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - double close
-                pass
+            self._shm.unlink()

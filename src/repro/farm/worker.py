@@ -39,7 +39,7 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from repro.farm.ring import ShmRing
 from repro.receiver.session import SessionSupervisor
 from repro.receiver.streaming import StreamFrame, StreamingReceiver
 
-__all__ = ["WorkerCore", "worker_main", "Record"]
+__all__ = ["WorkerCore", "worker_main", "poll_get", "Record"]
 
 #: One checkpoint record, as produced by
 #: :meth:`SessionSupervisor.checkpoint_records` -- the migration
@@ -58,10 +58,40 @@ Record = Dict[str, object]
 #: ``(window_index, health state)`` entries of a session's history.
 HealthHistory = List[Tuple[int, str]]
 
-#: Command-poll interval of :func:`worker_main`.  The loop never blocks
-#: longer than this: on every Empty it re-checks that the parent is
-#: still alive, so a crashed farm cannot strand its workers forever.
-_CMD_POLL_S = 1.0
+#: Poll interval of every blocking farm wait (:func:`poll_get`): the
+#: worker's command wait and the parent's result wait.  Neither side
+#: blocks longer than this without re-checking that its peer is alive,
+#: so a crash on either end surfaces instead of hanging the other.
+_POLL_S = 1.0
+
+
+def poll_get(
+    q: "multiprocessing.queues.Queue[Tuple[object, ...]]",
+    peer_alive: Callable[[], bool],
+    patience_s: Optional[float] = None,
+) -> Optional[Tuple[object, ...]]:
+    """Next message from *q*, re-checking the peer on every Empty.
+
+    Waits in :data:`_POLL_S` slices; after each empty slice calls
+    *peer_alive* (which may also raise) and returns ``None`` once it
+    reports the peer gone.  With *patience_s*, a peer that stays alive
+    but silent that long raises ``RuntimeError``.
+    """
+    waited = 0.0
+    while True:
+        try:
+            return q.get(timeout=_POLL_S)
+        except queue.Empty:
+            if not peer_alive():
+                return None
+            waited += _POLL_S
+            if patience_s is not None and waited >= patience_s:
+                raise RuntimeError(f"farm peer sent nothing for {patience_s}s") from None
+
+
+def _parent_alive() -> bool:
+    parent = multiprocessing.parent_process()
+    return parent is None or parent.is_alive()
 
 
 class WorkerCore:
@@ -191,12 +221,12 @@ def worker_main(
     Commands arrive as tagged tuples; every feed is acknowledged with
     ``("free", slot)`` the moment the session copied the slot, and any
     exception is reported as ``("error", repr)`` before the worker
-    exits -- a farm never hangs on a dead worker silently.  The queue
-    is polled with a :data:`_CMD_POLL_S` timeout rather than blocked on
-    forever: each idle tick re-checks the parent process, so a worker
-    orphaned by a crashed farm shuts itself down instead of waiting on
-    a queue nobody will ever fill again (the symmetric guarantee --
-    a dead farm never strands a live worker).
+    exits -- a farm never hangs on a dead worker silently.  Commands
+    are awaited through :func:`poll_get`, which re-checks the parent
+    process on each idle tick, so a worker orphaned by a crashed farm
+    shuts itself down instead of waiting on a queue nobody will ever
+    fill again (the symmetric guarantee -- a dead farm never strands a
+    live worker).
 
     Replies per command (all tagged with *worker_id*):
 
@@ -213,13 +243,9 @@ def worker_main(
     busy = 0.0
     try:
         while True:
-            try:
-                cmd = cmd_queue.get(timeout=_CMD_POLL_S)
-            except queue.Empty:
-                parent = multiprocessing.parent_process()
-                if parent is not None and not parent.is_alive():
-                    break  # orphaned: the farm died without sending "stop"
-                continue
+            cmd = poll_get(cmd_queue, _parent_alive)
+            if cmd is None:
+                break  # orphaned: the farm died without sending "stop"
             t0 = time.perf_counter()
             op = cmd[0]
             if op == "stop":

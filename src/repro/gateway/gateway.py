@@ -487,11 +487,10 @@ class Gateway:
 
         The ladder is forced to DRAINING for the duration (admission
         pauses; nothing already admitted is touched), each resident
-        session is checkpoint-drained, restored on the least-loaded
-        other worker, and its fed-but-unprocessed sample gap is re-fed
-        from the gateway's retention buffers -- the same records
-        idiom as :meth:`DecodeFarm.migrate`, so continuation is
-        bit-identical to never having moved.
+        session moves to the least-loaded other worker through
+        :meth:`DecodeFarm.migrate`, and its fed-but-unprocessed sample
+        gap is re-fed from the gateway's retention buffers, so
+        continuation is bit-identical to never having moved.
         """
         self._check_open()
         if self.farm is None:
@@ -502,19 +501,15 @@ class Gateway:
         self.ladder.force(GatewayState.DRAINING)
         self._sync_ladder()
         try:
-            if self.farm._dirty_workers:
-                fresh = self.farm.pump(wait=True)
-                for sid, frames in fresh.items():
-                    self._deliver(sid, frames)
+            for sid, frames in self.farm.pump(wait=True).items():
+                self._deliver(sid, frames)
             moved = [
                 sid
                 for sid in self.farm.session_ids
                 if self.farm.worker_of(sid) == worker
             ]
             for sid in moved:
-                records = self.farm.drain(sid)
-                target = self._pick_target(worker)
-                self.farm.restore(sid, records, worker=target)
+                records = self.farm.migrate(sid, self._pick_target(worker))
                 gap = self._retained_gap(sid, records)
                 if gap.size:
                     self.farm.feed(sid, gap)
@@ -526,11 +521,7 @@ class Gateway:
             self._sync_ladder()
 
     def _pick_target(self, excluded: int) -> int:
-        loads = {
-            w: 0
-            for w in range(self.farm_config.n_workers)
-            if w != excluded and w not in self.farm._dead_workers
-        }
+        loads = {w: 0 for w in self.farm.live_workers if w != excluded}
         if not loads:
             raise RuntimeError("no other live worker to migrate to")
         for sid in self.farm.session_ids:

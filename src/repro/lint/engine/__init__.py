@@ -1,17 +1,12 @@
 """Project-wide analysis engine under ``repro.lint``.
 
 The per-file AST rules of LNT001..LNT006 see one module at a time; the
-concurrency and lifecycle invariants introduced with the decode farm
-(fork safety, shared-memory slot lifecycles, checkpoint schema
-symmetry) span modules and control-flow paths.  This package supplies
-the machinery those rules (LNT007..LNT012) are written against:
+invariants introduced with the decode farm (fork safety of the worker
+import closure, checkpoint schema symmetry, taxonomy coverage, dtype
+flow across calls) span modules.  This package supplies the machinery
+those project rules (LNT007, LNT009, LNT010, LNT012) are written
+against:
 
-- :mod:`repro.lint.engine.cfg` -- an intraprocedural control-flow
-  graph over function ASTs;
-- :mod:`repro.lint.engine.dataflow` -- a generic forward worklist
-  solver plus reaching definitions on top of the CFG;
-- :mod:`repro.lint.engine.typestate` -- a small typestate framework
-  (state machines over tracked values, checked on all CFG paths);
 - :mod:`repro.lint.engine.symbols` -- the cross-module project index:
   import graph, symbol table (classes, methods, functions,
   ``__all__``), an approximate call graph and entry-point
@@ -23,27 +18,16 @@ passes -- the fixture tests re-lint constantly -- only re-derive what
 changed.
 """
 
-from repro.lint.engine.cfg import CFG, Block, build_cfg
-from repro.lint.engine.dataflow import ForwardAnalysis, ReachingDefinitions
 from repro.lint.engine.symbols import (
     FunctionInfo,
     ModuleSummary,
     ProjectIndex,
     summarize,
 )
-from repro.lint.engine.typestate import StateMachine, TypestateChecker, TypestateIssue
 
 __all__ = [
-    "CFG",
-    "Block",
-    "build_cfg",
-    "ForwardAnalysis",
-    "ReachingDefinitions",
     "FunctionInfo",
     "ModuleSummary",
     "ProjectIndex",
     "summarize",
-    "StateMachine",
-    "TypestateChecker",
-    "TypestateIssue",
 ]

@@ -12,16 +12,16 @@ LNT004    ``dtype``              no widening of @array_contract buffers
 LNT005    ``api``                __all__ and documented factories are real
 LNT006    ``excepts``            no blanket exception swallowing
 LNT007    ``forksafety``         no fork-unsafe module state in worker closure
-LNT008    ``shmring``            ShmRing slot lifecycle typestate on all paths
 LNT009    ``checkpoint``         serializer/deserializer schema symmetry
 LNT010    ``taxonomy_coverage``  every constant emitted; every emission a constant
-LNT011    ``queues``             no unbounded blocking get() in worker loops
 LNT012    ``dtypeflow``          contracted buffers stay narrow across calls
 ========  =====================  ==========================================
 
-LNT001-LNT006 are per-file AST rules; LNT007-LNT012 run in the
-project-wide ``finalize`` phase on the cross-module engine
-(:mod:`repro.lint.engine`).
+LNT001-LNT006 are per-file AST rules; LNT007, LNT009, LNT010 and
+LNT012 run in the project-wide ``finalize`` phase on the cross-module
+project index (:mod:`repro.lint.engine`).  LNT008 and LNT011 are
+unassigned: the farm API itself enforces the ``ShmRing`` slot
+lifecycle and timed queue waits they used to check.
 """
 
 from repro.lint.rules import (
@@ -32,9 +32,7 @@ from repro.lint.rules import (
     excepts,
     floateq,
     forksafety,
-    queues,
     rng,
-    shmring,
     taxonomy,
     taxonomy_coverage,
 )
@@ -47,9 +45,7 @@ __all__ = [
     "excepts",
     "floateq",
     "forksafety",
-    "queues",
     "rng",
-    "shmring",
     "taxonomy",
     "taxonomy_coverage",
 ]

@@ -71,7 +71,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -688,15 +688,24 @@ class SessionSupervisor:
     def checkpoint(self, path) -> Path:
         """Write :meth:`checkpoint_records` as header-validated JSONL.
 
-        The write is atomic (temp file + rename), so a kill
-        mid-checkpoint leaves the previous checkpoint intact.
+        The write is atomic and durable: the temp file is fsynced
+        before the rename and the directory after it, so neither a
+        kill nor a power loss mid-checkpoint leaves anything but the
+        previous checkpoint or the complete new one.
         """
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
         with open(tmp, "w") as fh:
             for rec in self.checkpoint_records():
                 fh.write(json.dumps(rec) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
         return path
 
     @classmethod
@@ -715,8 +724,20 @@ class SessionSupervisor:
         restoring onto a receiver with a different window/hop/code-book
         shape (or buffer dtype) is a :class:`ValueError`, exactly like
         resuming a mismatched sweep checkpoint.  Resume by re-feeding
-        the capture from :attr:`position`.
+        the capture from :attr:`position`.  Every field
+        :meth:`checkpoint_records` writes is required: a missing one
+        (a truncated or foreign record) is a :class:`ValueError`
+        naming the field and *source*, never a silent default.
         """
+
+        def field(rec: dict, key: str) -> Any:
+            if key not in rec:
+                raise ValueError(
+                    f"{source} {rec.get('type', 'untyped')} record is missing "
+                    f"field {key!r}; refusing to restore"
+                )
+            return rec[key]
+
         if not records or records[0].get("type") != "header":
             raise ValueError(f"{source} has no header line; refusing to restore")
         header = records[0]
@@ -733,7 +754,7 @@ class SessionSupervisor:
         session = cls(streaming, config=config, tracer=tracer, clock=clock)
         geometry = session._geometry()
         for key, expected in geometry.items():
-            got = header.get(key)
+            got = field(header, key)
             if got != expected:
                 raise ValueError(
                     f"{source} belongs to a different session geometry "
@@ -744,37 +765,41 @@ class SessionSupervisor:
         if len(states) != 1:
             raise ValueError(f"{source} has {len(states)} state records, expected 1")
         state = states[0]
-        session._pos = int(state["pos"])
+        session._pos = int(field(state, "pos"))
         session._base = session._pos
-        session._fed = int(state["samples_fed"])
-        session._window_index = int(state["window_index"])
-        session._state = HealthState(state["health"])
+        session._fed = int(field(state, "samples_fed"))
+        session._window_index = int(field(state, "window_index"))
+        session._state = HealthState(field(state, "health"))
         session._recent = deque(
-            (bool(v) for v in state.get("recent", [])),
+            (bool(v) for v in field(state, "recent")),
             maxlen=session.config.health_window,
         )
-        session._nodecode_streak = int(state.get("nodecode_streak", 0))
-        session._resync_attempts = int(state.get("resync_attempts", 0))
-        session.stats.update({k: int(v) for k, v in state.get("stats", {}).items()})
-        session.peak_backlog_windows = int(state.get("peak_backlog_windows", 0))
+        session._nodecode_streak = int(field(state, "nodecode_streak"))
+        session._resync_attempts = int(field(state, "resync_attempts"))
+        session.stats.update({k: int(v) for k, v in field(state, "stats").items()})
+        session.peak_backlog_windows = int(field(state, "peak_backlog_windows"))
 
         session.dedup = DedupTable.from_records(
             streaming.frame_samples // 2,
-            (rec for rec in records if rec.get("type") == "dedup"),
-            evictions=int(state.get("dedup_evictions", 0)),
-            peak_size=int(state.get("peak_dedup", 0)),
+            (
+                {key: field(rec, key) for key in ("user", "payload", "start")}
+                for rec in records
+                if rec.get("type") == "dedup"
+            ),
+            evictions=int(field(state, "dedup_evictions")),
+            peak_size=int(field(state, "peak_dedup")),
         )
         session._pending = [
             StreamFrame(
-                user_id=int(rec["user"]),
-                payload=bytes.fromhex(rec["payload"]),
-                start_sample=int(rec["start"]),
+                user_id=int(field(rec, "user")),
+                payload=bytes.fromhex(field(rec, "payload")),
+                start_sample=int(field(rec, "start")),
             )
             for rec in records
             if rec.get("type") == "pending"
         ]
         session.health_history = [
-            (int(rec["window"]), str(rec["state"]))
+            (int(field(rec, "window")), str(field(rec, "state")))
             for rec in records
             if rec.get("type") == "history"
         ] or [(0, HealthState.HEALTHY.value)]
@@ -794,8 +819,18 @@ class SessionSupervisor:
     ) -> "SessionSupervisor":
         """Rebuild a supervisor from a :meth:`checkpoint` file."""
         path = Path(path)
+        records = []
         with open(path, "r") as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    records.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"checkpoint {path} line {lineno} is not a JSON record "
+                        f"(torn or corrupt write: {exc.msg}); refusing to restore"
+                    ) from None
         return cls.from_checkpoint_records(
             records,
             streaming,

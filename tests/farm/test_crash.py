@@ -8,7 +8,7 @@ to the free list, evict the dead worker's sessions, and raise
 
 import pytest
 
-import repro.farm.farm as farm_mod
+import repro.farm.worker as worker_mod
 from repro.farm import DecodeFarm, FarmConfig, SessionSpec, WorkerCrash
 from tests.farm.conftest import run_sequential
 
@@ -16,7 +16,7 @@ from tests.farm.conftest import run_sequential
 @pytest.fixture(autouse=True)
 def fast_death_poll(monkeypatch):
     """Poll liveness every 50 ms so the tests stay quick."""
-    monkeypatch.setattr(farm_mod, "_DEATH_POLL_S", 0.05)
+    monkeypatch.setattr(worker_mod, "_POLL_S", 0.05)
 
 
 def _specs(net_config, n):
@@ -44,6 +44,8 @@ class TestWorkerCrashRecovery:
             assert crash.worker == victim
             assert crash.released_slots, "in-flight slots were not reclaimed"
             assert farm._rings[victim].free_slots == cfg.ring_slots
+            assert farm._rings[victim].occupancy == 0
+            assert farm.live_workers == [1 - victim]
             # The dead worker's sessions are gone; the others survive.
             assert all(farm.worker_of(sid) != victim for sid in farm.session_ids)
             assert crash.sessions == sorted(

@@ -1,4 +1,12 @@
-"""ShmRing: slot lifecycle, bounds, and cross-mapping visibility."""
+"""ShmRing: slot ownership, bounds, and cross-mapping visibility.
+
+The ring owns its claimed-slot set, so every misuse of the slot
+protocol -- a leak, a double or foreign release, an oversized chunk,
+unlinking before closing -- is either impossible through the API or
+raises at the call.
+"""
+
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -11,49 +19,90 @@ def ring():
     r = ShmRing(slots=4, slot_samples=16, dtype=np.complex128)
     yield r
     r.close()
-    r.unlink()
 
 
 class TestLifecycle:
     def test_claim_write_view_roundtrip(self, ring):
         chunk = np.arange(10, dtype=np.complex128) + 1j
-        slot = ring.claim()
-        n = ring.write(slot, chunk)
-        assert n == 10
-        np.testing.assert_array_equal(ring.view(slot, n), chunk)
+        slot = ring.put(chunk)
+        np.testing.assert_array_equal(ring.view(slot, chunk.size), chunk)
 
     def test_view_is_zero_copy(self, ring):
-        slot = ring.claim()
-        ring.write(slot, np.ones(4, dtype=np.complex128))
+        slot = ring.put(np.ones(4, dtype=np.complex128))
         view = ring.view(slot, 4)
         assert view.base is not None  # a view into the slab, not a copy
 
     def test_free_slot_accounting(self, ring):
         assert ring.free_slots == 4
         assert ring.occupancy == 0
-        slot = ring.claim()
+        slot = ring.put(np.zeros(1, dtype=np.complex128))
         assert ring.free_slots == 3
         assert ring.occupancy == 1
         ring.release(slot)
         assert ring.free_slots == 4
+        assert ring.occupancy == 0
 
     def test_claim_exhausted_raises(self, ring):
         for _ in range(4):
-            ring.claim()
+            ring.put(np.zeros(1, dtype=np.complex128))
         with pytest.raises(RuntimeError, match="no free ring slot"):
-            ring.claim()
+            ring.put(np.zeros(1, dtype=np.complex128))
+        assert ring.occupancy == 4
 
     def test_oversized_write_raises(self, ring):
-        slot = ring.claim()
         with pytest.raises(ValueError, match="exceeds slot size"):
-            ring.write(slot, np.zeros(17, dtype=np.complex128))
+            ring.put(np.zeros(17, dtype=np.complex128))
+        # Validation precedes the claim: nothing leaked.
+        assert ring.free_slots == 4
+        assert ring.occupancy == 0
+
+
+class TestOwnership:
+    def test_double_release_raises(self, ring):
+        slot = ring.put(np.zeros(1, dtype=np.complex128))
+        ring.release(slot)
+        with pytest.raises(ValueError, match="not claimed"):
+            ring.release(slot)
+        assert ring.free_slots == 4
+
+    def test_release_of_unclaimed_slot_raises(self, ring):
+        with pytest.raises(ValueError, match="not claimed"):
+            ring.release(2)
+        with pytest.raises(ValueError, match="not claimed"):
+            ring.release(99)  # an index this ring never had
+        assert ring.free_slots == 4
+
+    def test_reclaim_returns_exactly_the_inflight_slots(self, ring):
+        slots = [ring.put(np.zeros(1, dtype=np.complex128)) for _ in range(3)]
+        ring.release(slots[1])
+        assert ring.reclaim() == sorted([slots[0], slots[2]])
+        assert ring.free_slots == 4
+        assert ring.occupancy == 0
+        assert ring.reclaim() == []
+        # Reclaimed slots are claimable again, each exactly once.
+        again = {ring.put(np.zeros(1, dtype=np.complex128)) for _ in range(4)}
+        assert again == {0, 1, 2, 3}
+
+
+class TestTeardown:
+    def test_owner_close_removes_the_segment(self):
+        r = ShmRing(slots=2, slot_samples=8, dtype=np.complex128)
+        name = r.name
+        r.put(np.ones(3, dtype=np.complex128))  # in-flight slots do not block teardown
+        r.close()
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+
+    def test_close_is_idempotent(self):
+        r = ShmRing(slots=2, slot_samples=8, dtype=np.complex128)
+        r.close()
+        r.close()
 
 
 class TestAttach:
     def test_attached_mapping_sees_parent_writes(self, ring):
         chunk = np.linspace(0, 1, 8).astype(np.complex128) * (1 - 2j)
-        slot = ring.claim()
-        ring.write(slot, chunk)
+        slot = ring.put(chunk)
         other = ShmRing.attach(ring.name, 4, 16, np.complex128)
         try:
             np.testing.assert_array_equal(other.view(slot, 8), chunk)
@@ -62,20 +111,26 @@ class TestAttach:
 
     def test_attached_ring_does_not_unlink(self, ring):
         other = ShmRing.attach(ring.name, 4, 16, np.complex128)
-        other.close()
-        other.unlink()  # non-owner: must be a no-op
+        other.close()  # non-owner: unmaps only
         # The segment must still be writable through the owner.
-        slot = ring.claim()
-        assert ring.write(slot, np.zeros(1, dtype=np.complex128)) == 1
+        slot = ring.put(np.ones(1, dtype=np.complex128))
+        np.testing.assert_array_equal(ring.view(slot, 1), np.ones(1))
+
+    def test_attached_ring_owns_no_slots(self, ring):
+        other = ShmRing.attach(ring.name, 4, 16, np.complex128)
+        try:
+            assert other.free_slots == 0
+            with pytest.raises(RuntimeError, match="no free ring slot"):
+                other.put(np.zeros(1, dtype=np.complex128))
+        finally:
+            other.close()
 
 
 class TestDtype:
     def test_complex64_slots(self):
         r = ShmRing(slots=2, slot_samples=8, dtype=np.complex64)
         try:
-            slot = r.claim()
-            r.write(slot, np.ones(3, dtype=np.complex64))
+            slot = r.put(np.ones(3, dtype=np.complex64))
             assert r.view(slot, 3).dtype == np.dtype(np.complex64)
         finally:
             r.close()
-            r.unlink()

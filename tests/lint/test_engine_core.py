@@ -1,318 +1,10 @@
 """Unit tests for the analysis engine underneath the project rules:
-CFG construction, scope-limited node iteration, the dataflow solver,
-the typestate checker, and the project index."""
+the project index (import closure, call graph, cross-module MRO and
+the content-hash summary cache)."""
 
-import ast
 from pathlib import Path
 
-from repro.lint.engine import (
-    CFG,
-    ForwardAnalysis,
-    ProjectIndex,
-    ReachingDefinitions,
-    StateMachine,
-    TypestateChecker,
-    build_cfg,
-    summarize,
-)
-from repro.lint.engine.cfg import scope_nodes
-
-
-def fn_cfg(source):
-    tree = ast.parse(source)
-    fn = tree.body[0]
-    return fn, build_cfg(fn)
-
-
-# ----------------------------------------------------------------------
-# CFG shapes
-# ----------------------------------------------------------------------
-
-
-def test_straight_line_is_one_block_into_exit():
-    _fn, cfg = fn_cfg("def f():\n    a = 1\n    b = a\n    return b\n")
-    entry = cfg.block(cfg.entry)
-    assert len(entry.statements) == 3
-    assert entry.successors == {cfg.exit}
-
-
-def test_if_without_else_has_fall_through_edge():
-    _fn, cfg = fn_cfg(
-        "def f(x):\n"
-        "    a = 1\n"
-        "    if x:\n"
-        "        a = 2\n"
-        "    return a\n"
-    )
-    entry = cfg.block(cfg.entry)
-    # Entry holds `a = 1` and the If header, and branches both ways.
-    assert [type(s).__name__ for s in entry.statements] == ["Assign", "If"]
-    assert len(entry.successors) == 2
-
-
-def test_while_loop_has_back_edge_and_zero_iteration_exit():
-    _fn, cfg = fn_cfg(
-        "def f(n):\n"
-        "    total = 0\n"
-        "    while n:\n"
-        "        n = n - 1\n"
-        "        total = total + n\n"
-        "    return total\n"
-    )
-    heads = [b for b in cfg if b.statements and isinstance(b.statements[0], ast.While)]
-    assert len(heads) == 1
-    head = heads[0]
-    assert len(head.successors) == 2  # body entry + loop-done exit
-    assert any(head.block_id in cfg.block(s).successors for s in head.successors)
-
-
-def test_while_true_without_break_never_reaches_following_code():
-    _fn, cfg = fn_cfg(
-        "def f(q):\n"
-        "    while True:\n"
-        "        q.get()\n"
-    )
-    heads = [b for b in cfg if b.statements and isinstance(b.statements[0], ast.While)]
-    assert cfg.exit not in heads[0].successors
-
-
-def test_break_edges_to_after_loop_block():
-    _fn, cfg = fn_cfg(
-        "def f(q):\n"
-        "    while True:\n"
-        "        if q.done():\n"
-        "            break\n"
-        "    return 1\n"
-    )
-    returns = [
-        b.block_id for b in cfg if any(isinstance(s, ast.Return) for s in b.statements)
-    ]
-    assert len(returns) == 1  # break path reaches the return
-
-
-def test_try_body_edges_into_handler():
-    _fn, cfg = fn_cfg(
-        "def f(q):\n"
-        "    try:\n"
-        "        x = q.get()\n"
-        "    except KeyError:\n"
-        "        x = None\n"
-        "    return x\n"
-    )
-    handler_blocks = [
-        b for b in cfg if any(isinstance(s, ast.ExceptHandler) for s in b.statements)
-    ]
-    assert len(handler_blocks) == 1
-    assert handler_blocks[0].predecessors  # reachable from the body
-
-
-def test_return_terminates_the_path():
-    _fn, cfg = fn_cfg(
-        "def f(x):\n"
-        "    if x:\n"
-        "        return 1\n"
-        "    return 2\n"
-    )
-    for block in cfg:
-        for stmt in block.statements:
-            if isinstance(stmt, ast.Return):
-                assert cfg.exit in block.successors
-
-
-def test_reverse_postorder_starts_at_entry_and_covers_reachable():
-    _fn, cfg = fn_cfg(
-        "def f(x):\n"
-        "    if x:\n"
-        "        a = 1\n"
-        "    else:\n"
-        "        a = 2\n"
-        "    return a\n"
-    )
-    order = cfg.reverse_postorder()
-    assert order[0] == cfg.entry
-    assert set(order) >= {cfg.entry, cfg.exit}
-
-
-# ----------------------------------------------------------------------
-# scope_nodes: header-only iteration of compound statements
-# ----------------------------------------------------------------------
-
-
-def test_scope_nodes_yields_only_the_if_test():
-    stmt = ast.parse("if ring.claim():\n    ring.release(s)\n").body[0]
-    calls = [n for n in scope_nodes(stmt) if isinstance(n, ast.Call)]
-    assert len(calls) == 1
-    assert calls[0].func.attr == "claim"  # the body's release is elsewhere
-
-
-def test_scope_nodes_yields_for_target_and_iter_not_body():
-    stmt = ast.parse("for x in items():\n    handle(x)\n").body[0]
-    calls = [n for n in scope_nodes(stmt) if isinstance(n, ast.Call)]
-    assert [c.func.id for c in calls] == ["items"]
-
-
-def test_scope_nodes_skips_nested_function_bodies():
-    stmt = ast.parse("cb = lambda: leak(slot)\n").body[0]
-    names = {n.id for n in scope_nodes(stmt) if isinstance(n, ast.Name)}
-    assert "slot" not in names  # lambda body executes later, if ever
-
-
-def test_scope_nodes_plain_statement_is_full_subtree():
-    stmt = ast.parse("q.put((tag, slot))\n").body[0]
-    names = {n.id for n in scope_nodes(stmt) if isinstance(n, ast.Name)}
-    assert {"q", "tag", "slot"} <= names
-
-
-# ----------------------------------------------------------------------
-# Reaching definitions
-# ----------------------------------------------------------------------
-
-
-def reaching_at_exit(source, name):
-    _fn, cfg = fn_cfg(source)
-    rd = ReachingDefinitions(cfg)
-    return rd.definitions_of(cfg.exit, name)
-
-
-def test_reaching_defs_straight_line_kills_prior_definition():
-    defs = reaching_at_exit("def f():\n    a = 1\n    a = 2\n    return a\n", "a")
-    assert len(defs) == 1
-    assert defs[0].value.value == 2
-
-
-def test_reaching_defs_merge_at_branch_join():
-    defs = reaching_at_exit(
-        "def f(x):\n"
-        "    if x:\n"
-        "        a = 1\n"
-        "    else:\n"
-        "        a = 2\n"
-        "    return a\n",
-        "a",
-    )
-    assert sorted(d.value.value for d in defs) == [1, 2]
-
-
-def test_reaching_defs_loop_carries_both_initial_and_updated():
-    defs = reaching_at_exit(
-        "def f(n):\n"
-        "    a = 0\n"
-        "    while n:\n"
-        "        a = a + 1\n"
-        "        n = n - 1\n"
-        "    return a\n",
-        "a",
-    )
-    assert len(defs) == 2  # the pre-loop 0 and the in-loop update
-
-
-# ----------------------------------------------------------------------
-# Typestate checker
-# ----------------------------------------------------------------------
-
-MACHINE = StateMachine(
-    initial="open",
-    transitions={
-        ("open", "use"): "open",
-        ("open", "close"): "closed",
-    },
-    accepting=frozenset({"closed"}),
-)
-
-
-def run_machine(source):
-    tree = ast.parse(source)
-    fn = tree.body[0]
-
-    def births(stmt):
-        if (
-            isinstance(stmt, ast.Assign)
-            and isinstance(stmt.value, ast.Call)
-            and isinstance(stmt.value.func, ast.Name)
-            and stmt.value.func.id == "acquire"
-        ):
-            return [stmt.targets[0].id]
-        return []
-
-    def events(stmt):
-        out = []
-        for node in scope_nodes(stmt):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-                if node.func.id in ("use", "close") and node.args:
-                    arg = node.args[0]
-                    if isinstance(arg, ast.Name):
-                        out.append((arg.id, node.func.id, node))
-        return out
-
-    checker = TypestateChecker(MACHINE, births, events)
-    return checker.check(build_cfg(fn), fn)
-
-
-def test_typestate_clean_lifecycle_has_no_issues():
-    assert run_machine("def f():\n    h = acquire()\n    use(h)\n    close(h)\n") == []
-
-
-def test_typestate_leak_at_function_exit():
-    issues = run_machine("def f():\n    h = acquire()\n    use(h)\n")
-    assert [i.kind for i in issues] == ["leak"]
-    assert issues[0].name == "h"
-    assert issues[0].state == "open"
-    assert issues[0].line == 1  # anchored at the def
-
-
-def test_typestate_leak_only_on_one_branch_is_still_reported():
-    issues = run_machine(
-        "def f(x):\n"
-        "    h = acquire()\n"
-        "    if x:\n"
-        "        close(h)\n"
-    )
-    assert [i.kind for i in issues] == ["leak"]
-
-
-def test_typestate_bad_transition_use_after_close():
-    issues = run_machine(
-        "def f():\n"
-        "    h = acquire()\n"
-        "    close(h)\n"
-        "    use(h)\n"
-    )
-    assert [(i.kind, i.event, i.state) for i in issues] == [
-        ("bad-transition", "use", "closed")
-    ]
-    assert issues[0].line == 4
-
-
-def test_typestate_rebind_of_open_value_is_a_leak_at_that_line():
-    issues = run_machine(
-        "def f():\n"
-        "    h = acquire()\n"
-        "    h = make_other()\n"
-        "    close(h)\n"
-    )
-    assert [i.kind for i in issues] == ["leak"]
-    assert issues[0].line == 3
-
-
-def test_typestate_rename_transfers_tracking():
-    issues = run_machine(
-        "def f():\n"
-        "    h = acquire()\n"
-        "    g = h\n"
-        "    close(g)\n"
-    )
-    assert issues == []
-
-
-def test_typestate_loop_close_inside_loop_is_clean():
-    issues = run_machine(
-        "def f(items):\n"
-        "    for _ in items:\n"
-        "        h = acquire()\n"
-        "        use(h)\n"
-        "        close(h)\n"
-    )
-    assert issues == []
+from repro.lint.engine import ProjectIndex, summarize
 
 
 # ----------------------------------------------------------------------
@@ -390,43 +82,3 @@ def test_summaries_are_cached_by_content_hash():
     assert first is second  # same content: cache hit
     third = summarize(path, source + "\n# changed\n", "pkg.mod")
     assert third is not first
-
-
-# ----------------------------------------------------------------------
-# The solver itself, on a custom lattice
-# ----------------------------------------------------------------------
-
-
-class SeenNames(ForwardAnalysis):
-    """Set-union lattice: names assigned on some path so far."""
-
-    def initial(self):
-        return frozenset()
-
-    def join(self, states):
-        merged = frozenset()
-        for s in states:
-            merged |= s
-        return merged
-
-    def transfer(self, block, state):
-        out = set(state)
-        for s in block.statements:
-            if isinstance(s, ast.Assign):
-                out.update(t.id for t in s.targets if isinstance(t, ast.Name))
-        return frozenset(out)
-
-
-def test_forward_solver_reaches_fixpoint_on_loops():
-    _fn, cfg = fn_cfg(
-        "def f(n):\n"
-        "    a = 0\n"
-        "    while n:\n"
-        "        b = a\n"
-        "        n = n - 1\n"
-        "    return a\n"
-    )
-    in_states, out_states = SeenNames().solve(cfg)
-    assert set(in_states) == set(out_states)
-    # The loop's in-loop definitions flow around the back edge and out.
-    assert out_states[cfg.exit] == frozenset({"a", "b", "n"})

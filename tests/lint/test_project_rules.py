@@ -1,10 +1,10 @@
-"""Mini-project fixtures for the cross-module rules (LNT007-LNT012).
+"""Mini-project fixtures for the cross-module rules (LNT007, LNT009,
+LNT010, LNT012).
 
 Each project under ``tests/lint/fixtures/projects/`` is a tiny
-``src/repro/...`` tree whose violations span two modules (or a
-lifecycle path) -- none of them is detectable by a per-file pass, so
-these tests fail if the project index / typestate engine stops
-resolving across files.  The trees are copied to ``tmp_path`` before
+``src/repro/...`` tree whose violations span two modules -- none of
+them is detectable by a per-file pass, so these tests fail if the
+project index stops resolving across files.  The trees are copied to ``tmp_path`` before
 linting: under ``tests/`` they would be classified as test files,
 which every one of these rules exempts.
 """
@@ -58,30 +58,6 @@ def test_lnt007_suppression_and_local_shadow_are_respected(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# LNT008 ShmRing slot typestate
-# ----------------------------------------------------------------------
-
-
-def test_lnt008_tracks_slots_through_the_imported_ring_class(tmp_path):
-    violations = lint_project("shmring", tmp_path, select=["LNT008"])
-    by_msg = {v.message: v for v in violations}
-    leaks = [m for m in by_msg if "can leave `leaky`" in m]
-    assert leaks and "'written'" in leaks[0]
-    assert any("already be released" in m for m in by_msg)
-    assert any("used ('write') after release" in m for m in by_msg)
-    assert any("unlink()` before" in m for m in by_msg)
-    assert len(violations) == 4
-
-
-def test_lnt008_accepts_release_handoff_and_suppression(tmp_path):
-    violations = lint_project("shmring", tmp_path, select=["LNT008"])
-    messages = " ".join(v.message for v in violations)
-    for clean_fn in ("clean_release", "clean_handoff", "clean_branches", "good_order"):
-        assert clean_fn not in messages
-    assert "tolerated" not in messages  # leak suppressed on the def line
-
-
-# ----------------------------------------------------------------------
 # LNT009 checkpoint symmetry
 # ----------------------------------------------------------------------
 
@@ -131,35 +107,6 @@ def test_lnt010_referenced_constants_and_foreign_literals_are_quiet(tmp_path):
     messages = " ".join(v.message for v in violations)
     assert "G.BACKLOG" not in messages  # referenced + suppressed literal
     assert "decode.other" not in messages  # matches no constant
-
-
-# ----------------------------------------------------------------------
-# LNT011 queue discipline
-# ----------------------------------------------------------------------
-
-
-def test_lnt011_reaches_the_helper_through_the_call_graph(tmp_path):
-    violations = lint_project("queues", tmp_path, select=["LNT011"])
-    found = by_file_line(violations)
-    assert any(
-        f == "pump.py" and "next_command" in msg and "reachable" in msg
-        for f, _line, msg in found
-    )
-    assert any(
-        f == "telemetry.py" and "forward" in msg and "while True" in msg
-        for f, _line, msg in found
-    )
-    assert len(found) == 2
-
-
-def test_lnt011_polled_nowait_shutdown_and_suppressed_are_quiet(tmp_path):
-    violations = lint_project("queues", tmp_path, select=["LNT011"])
-    messages = " ".join(v.message for v in violations)
-    assert "next_command_polled" not in messages
-    assert "peek_command" not in messages
-    assert "stop_pump" not in messages  # shutdown path: blocking is fine
-    assert "collect_once" not in messages  # neither reachable nor looping
-    assert "forward_tolerated" not in messages  # line suppression
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,9 @@ chaos-soak tests in ``tests/sim/test_soak.py``.
 
 import itertools
 import json
+import os
+import stat
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -289,3 +292,92 @@ class TestCheckpoint:
         path.write_text("\n".join(lines + [state]) + "\n")
         with pytest.raises(ValueError, match="state records"):
             SessionSupervisor.restore(path, ScriptedStream())
+
+    def test_every_state_field_is_required(self, tmp_path):
+        _, _, path = self._run_and_checkpoint(tmp_path)
+        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        state_at = next(i for i, rec in enumerate(lines) if rec["type"] == "state")
+        fields = sorted(set(lines[state_at]) - {"type"})
+        assert len(fields) == 11
+        for key in fields:
+            broken = [dict(rec) for rec in lines]
+            del broken[state_at][key]
+            path.write_text("".join(json.dumps(rec) + "\n" for rec in broken))
+            with pytest.raises(ValueError, match=f"missing field '{key}'") as exc:
+                SessionSupervisor.restore(path, ScriptedStream())
+            assert str(path) in str(exc.value)
+
+    def test_every_frame_and_history_field_is_required(self, tmp_path):
+        _, _, path = self._run_and_checkpoint(tmp_path)
+        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        # A held-back frame record has the dedup record's fields.
+        lines.append(dict(next(r for r in lines if r["type"] == "dedup"), type="pending"))
+        checked = set()
+        for at, rec in enumerate(lines):
+            if rec["type"] in ("header", "state") or rec["type"] in checked:
+                continue
+            checked.add(rec["type"])
+            for key in sorted(set(rec) - {"type"}):
+                broken = [dict(r) for r in lines]
+                del broken[at][key]
+                with pytest.raises(ValueError, match=f"missing field '{key}'") as exc:
+                    SessionSupervisor.from_checkpoint_records(
+                        broken, ScriptedStream(), source="migration payload"
+                    )
+                assert "migration payload" in str(exc.value)
+        assert checked == {"dedup", "pending", "history"}
+
+    def test_missing_geometry_field_rejected(self, tmp_path):
+        _, _, path = self._run_and_checkpoint(tmp_path)
+        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        del lines[0]["hop_samples"]
+        with pytest.raises(ValueError, match="missing field 'hop_samples'"):
+            SessionSupervisor.from_checkpoint_records(lines, ScriptedStream())
+
+    def test_torn_last_line_rejected(self, tmp_path):
+        _, _, path = self._run_and_checkpoint(tmp_path)
+        text = path.read_text()
+        last = text.rstrip("\n").rsplit("\n", 1)[1]
+        path.write_text(text[: len(text) - len(last) // 2 - 1])  # kill mid-line
+        with pytest.raises(ValueError, match="not a JSON record") as exc:
+            SessionSupervisor.restore(path, ScriptedStream())
+        assert str(path) in str(exc.value)
+
+    def test_corrupt_line_rejected(self, tmp_path):
+        _, _, path = self._run_and_checkpoint(tmp_path)
+        lines = path.read_text().splitlines()
+        lines[1] = "\x00\x00garbage" + lines[1][9:]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match="line 2 is not a JSON record") as exc:
+            SessionSupervisor.restore(path, ScriptedStream())
+        assert str(path) in str(exc.value)
+
+    def test_truncated_after_header_rejected(self, tmp_path):
+        _, _, path = self._run_and_checkpoint(tmp_path)
+        header = path.read_text().splitlines()[0]
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match="0 state records") as exc:
+            SessionSupervisor.restore(path, ScriptedStream())
+        assert str(path) in str(exc.value)
+
+    def test_checkpoint_fsyncs_file_before_rename_and_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        session, _, _ = self._run_and_checkpoint(tmp_path)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            events.append(("fsync", kind))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", Path(dst).name))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        path = session.checkpoint(tmp_path / "durable.jsonl")
+        assert events == [("fsync", "file"), ("replace", "durable.jsonl"), ("fsync", "dir")]
+        assert SessionSupervisor.restore(path, ScriptedStream()).position == session.position
