@@ -304,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gsoak.add_argument(
         "--plan",
         metavar="PATH",
-        help="gateway fault plan JSON (default: one spike overlapping one brownout)",
+        help="gateway fault plan JSON, or a soak --artifact file to replay its plan "
+        "(default: one spike overlapping one brownout)",
     )
     gsoak.add_argument(
         "--random-plan",
@@ -824,7 +825,11 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     if args.plan is not None:
         try:
             with open(args.plan) as fh:
-                plan = GatewayFaultPlan.from_dict(json.load(fh))
+                data = json.load(fh)
+            # A soak artifact nests the reproducing plan under "plan".
+            if isinstance(data, dict) and "plan" in data:
+                data = data["plan"]
+            plan = GatewayFaultPlan.from_dict(data)
         except (OSError, ValueError, TypeError, KeyError) as exc:
             print(f"error: unusable fault plan {args.plan}: {exc}", file=sys.stderr)
             return 2

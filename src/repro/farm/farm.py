@@ -33,13 +33,21 @@ run over the same chunks.
 from __future__ import annotations
 
 import multiprocessing
+import queue
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.farm.config import FarmConfig, SessionSpec
 from repro.farm.ring import ShmRing
-from repro.farm.worker import HealthHistory, Record, WorkerCore, poll_get, worker_main
+from repro.farm.worker import (
+    HealthHistory,
+    Record,
+    ReplyPipes,
+    WorkerCore,
+    poll_get,
+    worker_main,
+)
 from repro.obs.taxonomy import C, G
 from repro.obs.tracer import as_tracer
 from repro.receiver.streaming import StreamFrame
@@ -171,7 +179,7 @@ class DecodeFarm:
             ctx = multiprocessing.get_context("fork")
             self._rings: List[ShmRing] = []
             self._cmd_queues = []
-            self._result_queue = ctx.Queue()
+            self._replies = ReplyPipes()
             self._procs = []
             try:
                 for w in range(self.config.n_workers):
@@ -183,12 +191,14 @@ class DecodeFarm:
                     self._rings.append(ring)
                     cmd_q = ctx.Queue()
                     self._cmd_queues.append(cmd_q)
+                    reader, writer = ctx.Pipe(duplex=False)
+                    self._replies.add(reader)
                     proc = ctx.Process(
                         target=worker_main,
                         args=(
                             w,
                             cmd_q,
-                            self._result_queue,
+                            writer,
                             ring.name,
                             self.config.ring_slots,
                             self.config.ring_slot_samples,
@@ -198,6 +208,9 @@ class DecodeFarm:
                         daemon=True,
                     )
                     proc.start()
+                    # Only the worker may hold the write end: a dead
+                    # worker's pipe then reads as EOF, never blocks.
+                    writer.close()
                     self._procs.append(proc)
                 for spec in specs:
                     self._cmd_queues[self._placement[spec.session_id]].put(("add", spec))
@@ -528,6 +541,7 @@ class DecodeFarm:
                 proc.join(timeout=5.0)
             for ring in getattr(self, "_rings", []):
                 ring.close()
+            self._replies.close()
 
     def __enter__(self) -> "DecodeFarm":
         return self
@@ -563,24 +577,24 @@ class DecodeFarm:
     def _harvest_available(self) -> None:
         while True:
             try:
-                msg = self._result_queue.get_nowait()
-            except Exception:
+                msg = self._replies.get_nowait()
+            except queue.Empty:
                 return
             self._dispatch(msg)
 
     def _harvest(self) -> None:
         """Block until one worker reply arrives, then dispatch it."""
-        msg = poll_get(self._result_queue, self._workers_alive, _HARVEST_TIMEOUT_S)
+        msg = poll_get(self._replies, self._workers_alive, _HARVEST_TIMEOUT_S)
         assert msg is not None  # a dead worker raises WorkerCrash instead
         self._dispatch(msg)
 
     def _workers_alive(self) -> bool:
         """Surface dead workers as :class:`WorkerCrash` (slots reclaimed).
 
-        Only consulted once the result queue has drained empty, so a
+        Only consulted once the reply pipes have drained empty, so a
         worker that exited normally has had its ``stopped`` reply
-        dispatched (the queue feeder flushes before process exit) and
-        is skipped here.  Returns ``True`` when every running worker
+        dispatched (it is written before the worker exits) and is
+        skipped here.  Returns ``True`` when every running worker
         is alive.
         """
         for w, proc in enumerate(self._procs):
@@ -651,6 +665,7 @@ class DecodeFarm:
             proc.join(timeout=5.0)
         for ring in self._rings:
             ring.close()
+        self._replies.close()
 
     def _count(self, counter: str, n: int = 1) -> None:
         if self.tracer.enabled:

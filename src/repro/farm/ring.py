@@ -17,7 +17,7 @@ locks):
    writes it -- an oversized chunk claims nothing;
 2. parent -> worker: ``("feed", sid, slot, n)`` over the command queue;
 3. worker: ``view(slot, n)`` -> ``session.ingest`` (copies);
-4. worker -> parent: ``("free", slot)`` over the result queue;
+4. worker -> parent: ``("free", slot)`` over its reply pipe;
 5. parent: ``release(slot)`` returns it to the free list -- releasing
    a slot that is not claimed (twice, or a foreign index) raises;
 6. crash recovery: ``reclaim()`` frees every in-flight slot at once.

@@ -39,7 +39,8 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import time
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from multiprocessing.connection import Connection, wait
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -59,14 +60,14 @@ Record = Dict[str, object]
 HealthHistory = List[Tuple[int, str]]
 
 #: Poll interval of every blocking farm wait (:func:`poll_get`): the
-#: worker's command wait and the parent's result wait.  Neither side
+#: worker's command wait and the parent's reply wait.  Neither side
 #: blocks longer than this without re-checking that its peer is alive,
 #: so a crash on either end surfaces instead of hanging the other.
 _POLL_S = 1.0
 
 
 def poll_get(
-    q: "multiprocessing.queues.Queue[Tuple[object, ...]]",
+    q: Union["multiprocessing.queues.Queue[Tuple[object, ...]]", "ReplyPipes"],
     peer_alive: Callable[[], bool],
     patience_s: Optional[float] = None,
 ) -> Optional[Tuple[object, ...]]:
@@ -87,6 +88,50 @@ def poll_get(
             waited += _POLL_S
             if patience_s is not None and waited >= patience_s:
                 raise RuntimeError(f"farm peer sent nothing for {patience_s}s") from None
+
+
+class ReplyPipes:
+    """The parent's ends of the workers' reply pipes, read as one queue.
+
+    Each worker writes its replies into a pipe of its own, so every
+    pipe has one writer and needs no lock.  A shared
+    ``multiprocessing.Queue`` would not do: a worker SIGKILLed in the
+    middle of a reply could die holding the queue's writer lock and
+    silence every other worker.  A pipe can only be torn by its own
+    writer; it then reads as EOF and is dropped.  :meth:`get` raises
+    ``queue.Empty`` like ``Queue.get``, so :func:`poll_get` serves both
+    ends of the farm.
+    """
+
+    def __init__(self) -> None:
+        self._conns: List[Connection] = []
+
+    def add(self, conn: Connection) -> None:
+        self._conns.append(conn)
+
+    def get(self, timeout: float = 0.0) -> Tuple[object, ...]:
+        """Next reply from any worker, waiting up to *timeout* seconds."""
+        ready = wait(self._conns, timeout)
+        for conn in [c for c in self._conns if c in ready]:
+            try:
+                msg: Tuple[object, ...] = conn.recv()
+                return msg
+            except (EOFError, OSError):
+                # The writer exited (a torn last reply is dropped with
+                # it); liveness checks attribute the death.
+                self._drop(conn)
+        raise queue.Empty
+
+    def get_nowait(self) -> Tuple[object, ...]:
+        return self.get(0.0)
+
+    def close(self) -> None:
+        for conn in list(self._conns):
+            self._drop(conn)
+
+    def _drop(self, conn: Connection) -> None:
+        conn.close()
+        self._conns.remove(conn)
 
 
 def _parent_alive() -> bool:
@@ -209,7 +254,7 @@ class WorkerCore:
 def worker_main(
     worker_id: int,
     cmd_queue: "multiprocessing.queues.Queue[Tuple[object, ...]]",
-    result_queue: "multiprocessing.queues.Queue[Tuple[object, ...]]",
+    replies: Connection,
     ring_name: str,
     ring_slots: int,
     ring_slot_samples: int,
@@ -218,7 +263,9 @@ def worker_main(
 ) -> None:
     """Process entry point: drive a :class:`WorkerCore` from a queue.
 
-    Commands arrive as tagged tuples; every feed is acknowledged with
+    Commands arrive as tagged tuples; replies go out on *replies*, the
+    write end of this worker's own pipe (:class:`ReplyPipes`).  Every
+    feed is acknowledged with
     ``("free", slot)`` the moment the session copied the slot, and any
     exception is reported as ``("error", repr)`` before the worker
     exits -- a farm never hangs on a dead worker silently.  Commands
@@ -251,7 +298,7 @@ def worker_main(
             if op == "stop":
                 busy += time.perf_counter() - t0
                 wall = time.perf_counter() - started
-                result_queue.put((worker_id, "stopped", busy, wall))
+                replies.send((worker_id, "stopped", busy, wall))
                 break
             elif op == "add":
                 core.add(cmd[1])
@@ -260,22 +307,22 @@ def worker_main(
             elif op == "feed":
                 _op, sid, slot, n = cmd
                 core.ingest(sid, ring.view(slot, n))
-                result_queue.put((worker_id, "free", slot))
+                replies.send((worker_id, "free", slot))
             elif op == "pump":
                 before = core.batched_windows
                 results = core.pump()
-                result_queue.put(
+                replies.send(
                     (worker_id, "pumped", cmd[1], results, core.batched_windows - before)
                 )
             elif op == "finish":
                 frames, stats, history = core.finish(cmd[1])
-                result_queue.put((worker_id, "finished", cmd[1], frames, stats, history))
+                replies.send((worker_id, "finished", cmd[1], frames, stats, history))
             elif op == "drain":
-                result_queue.put((worker_id, "drained", cmd[1], core.drain(cmd[1])))
+                replies.send((worker_id, "drained", cmd[1], core.drain(cmd[1])))
             else:
                 raise ValueError(f"unknown farm worker command {op!r}")
             busy += time.perf_counter() - t0
     except Exception as exc:  # pragma: no cover - exercised via process backend
-        result_queue.put((worker_id, "error", repr(exc)))
+        replies.send((worker_id, "error", repr(exc)))
     finally:
         ring.close()

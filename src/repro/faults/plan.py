@@ -259,10 +259,18 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`; unknown kinds raise ValueError."""
+        """Inverse of :meth:`to_dict`.  Strict: a missing ``faults``,
+        ``seed``, ``kind`` or ``params`` key raises ValueError naming
+        it, and so does an unknown kind."""
+        for key in ("faults", "seed"):
+            if key not in data:
+                raise ValueError(f"fault plan has no {key!r} key")
         faults = []
-        for rec in data.get("faults", []):
-            kind = rec.get("kind")
+        for rec in data["faults"]:
+            for key in ("kind", "params"):
+                if key not in rec:
+                    raise ValueError(f"fault record {rec!r} has no {key!r} key")
+            kind = rec["kind"]
             model = _MODEL_REGISTRY.get(kind)
             if model is None:
                 raise ValueError(
@@ -270,10 +278,10 @@ class FaultPlan:
                 )
             params = {
                 key: tuple(value) if isinstance(value, list) else value
-                for key, value in rec.get("params", {}).items()
+                for key, value in rec["params"].items()
             }
             faults.append(model(**params))
-        return cls(faults, seed=int(data.get("seed", 0)))
+        return cls(faults, seed=int(data["seed"]))
 
     # ------------------------------------------------------------------
 

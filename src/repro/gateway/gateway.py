@@ -44,7 +44,7 @@ from typing import (
 import numpy as np
 
 from repro.farm.config import FarmConfig, SessionSpec
-from repro.farm.farm import DecodeFarm
+from repro.farm.farm import DecodeFarm, WorkerCrash
 from repro.gateway.admission import RetryPolicy, TokenBucket
 from repro.gateway.config import GatewayConfig
 from repro.gateway.ladder import DegradationLadder, GatewayState
@@ -72,6 +72,9 @@ class _StreamState:
     shed: int = 0
     rejected: int = 0
     samples_fed: int = 0
+    #: Set when the stream's farm worker died: admission refuses it
+    #: and dispatch never feeds it again.
+    lost: bool = False
     #: ``(absolute_offset, chunk)`` of recently fed chunks, oldest
     #: first -- the migration re-feed source.
     retained: Deque[Tuple[int, np.ndarray]] = field(default_factory=deque)
@@ -295,6 +298,11 @@ class Gateway:
         """
         self._check_open()
         st = self._streams[stream_id]
+        if st.lost:
+            st.rejected += 1
+            self.rejected += 1
+            self._count(C.GATEWAY_REJECTED)
+            return False
         budget = deadline_s if deadline_s is not None else self.config.deadline_s
         deadline = self._clock() + budget
         x = np.asarray(chunk)
@@ -344,12 +352,7 @@ class Gateway:
             while st.intake:
                 await self.step()
         else:
-            n = st.intake_depth
-            if n:
-                st.intake.clear()
-                st.shed += n
-                self.shed += n
-                self._count(C.GATEWAY_SHED, n)
+            self._shed_intake(st)
         stats: Dict[str, int] = {}
         if self.farm is not None and stream_id in self.farm.session_ids:
             tail = self.farm.finish_session(stream_id)
@@ -388,8 +391,20 @@ class Gateway:
         queues -- highest priority first -- into the farm, run one
         co-scheduled pump, route the decoded frames back to their
         streams, and refresh every gauge.
+
+        A farm worker death propagates as
+        :class:`~repro.farm.WorkerCrash` after its streams are marked
+        lost and their queued intake is counted as shed; the other
+        streams keep their intake and decode on the next step.
         """
         self._check_open()
+        try:
+            return self._step(budget)
+        except WorkerCrash as crash:
+            self._lose_streams(crash.sessions)
+            raise
+
+    def _step(self, budget: Optional[int]) -> int:
         with self.tracer.span("gateway_step"):
             depth = self.queue_depth
             self.peak_queue_depth = max(self.peak_queue_depth, depth)
@@ -405,8 +420,9 @@ class Gateway:
             )
             for st in order:
                 while st.intake and dispatched < limit:
-                    chunk = st.intake.popleft()
+                    chunk = st.intake[0]
                     self.farm.feed(st.stream_id, chunk)
+                    st.intake.popleft()
                     st.retained.append((st.samples_fed, chunk))
                     while len(st.retained) > self.config.retain_chunks:
                         st.retained.popleft()
@@ -466,6 +482,25 @@ class Gateway:
             st.shed += n
             self.shed += n
             depth -= n
+            self._count(C.GATEWAY_SHED, n)
+
+    def _lose_streams(self, stream_ids: List[int]) -> None:
+        """Retire the streams of a dead worker: their queued intake is
+        shed (counted) and admission refuses them from now on, so each
+        keeps ``admitted == fed + shed`` up to :meth:`close_stream`."""
+        for sid in stream_ids:
+            st = self._streams.get(sid)
+            if st is not None:
+                st.lost = True
+                self._shed_intake(st)
+
+    def _shed_intake(self, st: _StreamState) -> None:
+        """Drop all of *st*'s queued intake, counted as shed."""
+        n = st.intake_depth
+        if n:
+            st.intake.clear()
+            st.shed += n
+            self.shed += n
             self._count(C.GATEWAY_SHED, n)
 
     def _deliver(self, stream_id: int, frames: List[StreamFrame]) -> None:

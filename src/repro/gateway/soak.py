@@ -167,16 +167,25 @@ class GatewayFaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "GatewayFaultPlan":
+        """Inverse of :meth:`to_dict`.  Strict: a missing ``faults``,
+        ``seed`` or ``kind`` raises ValueError naming the key, so a
+        foreign document (say a whole soak artifact) cannot replay as an
+        empty plan."""
+        for key in ("faults", "seed"):
+            if key not in data:
+                raise ValueError(f"gateway fault plan has no {key!r} key")
         faults = []
-        for item in data.get("faults", []):
+        for item in data["faults"]:
             params = dict(item)
+            if "kind" not in params:
+                raise ValueError(f"gateway fault {item!r} has no 'kind' key")
             kind = params.pop("kind")
             try:
                 model = _GATEWAY_MODEL_REGISTRY[kind]
             except KeyError:
                 raise ValueError(f"unknown gateway fault kind {kind!r}") from None
             faults.append(model(**params))
-        return cls(faults, seed=int(data.get("seed", 0)))
+        return cls(faults, seed=int(data["seed"]))
 
     def __repr__(self) -> str:
         return f"GatewayFaultPlan({list(self.faults)!r}, seed={self.seed})"

@@ -1,8 +1,12 @@
 """Unit tests for repro.codes.twonc and repro.codes.walsh."""
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.codes import twonc
 from repro.codes.properties import analyze_family, balance
 from repro.codes.twonc import TwoNCFamily, twonc_codes
 from repro.codes.walsh import WalshFamily, hadamard_matrix, walsh_codes
@@ -57,6 +61,84 @@ class TestTwoNC:
 
     def test_len(self):
         assert len(TwoNCFamily(3, 16)) == 3
+
+
+def _score_matrix_by_rows(bipolar: np.ndarray) -> float:
+    """Reference objective: one inverse FFT per row, as first written."""
+    length = bipolar.shape[1]
+    spec = np.fft.fft(bipolar, axis=1)
+    worst_cross = worst_zero = worst_auto = 0.0
+    for i in range(bipolar.shape[0]):
+        mags = np.abs(np.fft.ifft(spec * np.conj(spec[i]), axis=1).real / length)
+        ac = mags[i].copy()
+        ac[0] = 0.0
+        worst_auto = max(worst_auto, float(ac.max()))
+        mags[i] = 0.0
+        if bipolar.shape[0] > 1:
+            worst_cross = max(worst_cross, float(mags.max()))
+            worst_zero = max(worst_zero, float(mags[:, 0].max()))
+    return worst_cross + 0.5 * worst_zero + 0.25 * worst_auto
+
+
+class TestScoreMatrix:
+    """The anneal's accept/reject decisions read these exact floats, so
+    the batched objective must equal the per-row loop bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(n=1, length=8, seed=0)
+    @example(n=1, length=128, seed=1)
+    @given(
+        n=st.integers(1, 11),
+        length=st.integers(8, 128),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_row_loop(self, n, length, seed):
+        bipolar = np.random.default_rng(seed).choice([-1.0, 1.0], size=(n, length))
+        batched = twonc._score_matrix(bipolar.copy())
+        assert batched == _score_matrix_by_rows(bipolar)  # repro-lint: disable=LNT003
+
+    def test_single_code_scores_autocorrelation_only(self):
+        code = np.array([[1.0, 1.0, -1.0, 1.0, -1.0, -1.0, -1.0, 1.0]])
+        expected = 0.25 * twonc._max_offpeak_autocorr(code[0])
+        assert twonc._score_matrix(code) == pytest.approx(expected)
+
+
+def _call_with_timeout(fn, timeout_s: float):
+    """Run *fn* on a daemon thread; fail the test if it does not return."""
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:  # handed back to the test thread
+            box["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout_s)
+    assert not worker.is_alive(), f"no return within {timeout_s}s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class TestShortLengths:
+    """Below length 12 there are fewer balanced patterns than the
+    candidate pool; the search must shrink the pool, not spin."""
+
+    @pytest.mark.parametrize(
+        "count,length",
+        [(1, 4), (2, 4), (1, 6), (3, 6), (2, 8), (4, 8), (2, 10), (5, 10)],
+    )
+    def test_returns_distinct_balanced_codes(self, count, length):
+        codes = _call_with_timeout(lambda: twonc_codes(count, length), 20.0)
+        assert len(codes) == count
+        assert all(c.size == length and int(c.sum()) == length // 2 for c in codes)
+        assert len({c.tobytes() for c in codes}) == count
+
+    def test_more_codes_than_balanced_patterns_rejected(self):
+        with pytest.raises(ValueError, match="only 70 balanced codes of length 8"):
+            _call_with_timeout(lambda: twonc_codes(71, 8), 20.0)
 
 
 class TestHadamard:

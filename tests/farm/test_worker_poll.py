@@ -4,8 +4,9 @@ An unbounded ``cmd_queue.get()`` meant a worker orphaned by a crashed
 farm waited forever on a queue nobody would fill.  Every blocking farm
 wait now goes through :func:`repro.farm.worker.poll_get`, which polls
 in :data:`repro.farm.worker._POLL_S` slices and re-checks the peer on
-every Empty.  The thread tests drive :func:`worker_main` with plain
-queues -- in the test process ``multiprocessing.parent_process()`` is
+every Empty.  The thread tests drive :func:`worker_main` with a plain
+command queue and a reply pipe -- in the test process
+``multiprocessing.parent_process()`` is
 ``None``, exercising exactly the idle-timeout -> liveness-check ->
 continue path; the process test kills a real parent.
 """
@@ -24,7 +25,7 @@ import pytest
 
 from repro.farm import ShmRing
 from repro.farm import worker as worker_mod
-from repro.farm.worker import poll_get, worker_main
+from repro.farm.worker import ReplyPipes, poll_get, worker_main
 
 
 @pytest.fixture()
@@ -34,25 +35,32 @@ def ring():
     r.close()
 
 
-def start_worker(ring, cmd_q, result_q):
+def start_worker(ring, cmd_q):
+    """Run a worker loop on a thread; returns it and its reply reader."""
+    replies, writer = multiprocessing.Pipe(duplex=False)
     thread = threading.Thread(
         target=worker_main,
-        args=(0, cmd_q, result_q, ring.name, 4, 16, "complex128", True),
+        args=(0, cmd_q, writer, ring.name, 4, 16, "complex128", True),
         daemon=True,
     )
     thread.start()
-    return thread
+    return thread, replies
+
+
+def next_reply(replies, timeout=5.0):
+    assert replies.poll(timeout), "worker sent no reply"
+    return replies.recv()
 
 
 def test_idle_polls_survive_until_stop(ring, monkeypatch):
     monkeypatch.setattr(worker_mod, "_POLL_S", 0.02)
-    cmd_q, result_q = queue.Queue(), queue.Queue()
-    thread = start_worker(ring, cmd_q, result_q)
+    cmd_q = queue.Queue()
+    thread, replies = start_worker(ring, cmd_q)
     # Let the loop hit queue.Empty several times before any command.
     deadline_polls = threading.Event()
     deadline_polls.wait(0.15)
     cmd_q.put(("stop",))
-    worker_id, tag, busy, wall = result_q.get(timeout=5.0)
+    worker_id, tag, busy, wall = next_reply(replies)
     thread.join(timeout=5.0)
     assert not thread.is_alive()
     assert (worker_id, tag) == (0, "stopped")
@@ -62,13 +70,13 @@ def test_idle_polls_survive_until_stop(ring, monkeypatch):
 
 def test_commands_after_idle_window_still_processed(ring, monkeypatch):
     monkeypatch.setattr(worker_mod, "_POLL_S", 0.02)
-    cmd_q, result_q = queue.Queue(), queue.Queue()
-    thread = start_worker(ring, cmd_q, result_q)
+    cmd_q = queue.Queue()
+    thread, replies = start_worker(ring, cmd_q)
     threading.Event().wait(0.1)  # several empty polls first
     chunk = np.arange(8, dtype=np.complex128)
     slot = ring.put(chunk)
     cmd_q.put(("feed", 1, slot, 8))  # unknown session would raise KeyError...
-    msg = result_q.get(timeout=5.0)
+    msg = next_reply(replies)
     # ...which the loop reports as an error instead of hanging.
     assert msg[1] in ("free", "error")
     cmd_q.put(("stop",))
@@ -101,6 +109,48 @@ def test_poll_get_gives_up_on_a_silent_live_peer(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# Reply pipes: one writer each, so a torn reply silences nobody else
+# ----------------------------------------------------------------------
+
+
+def test_reply_pipes_drop_a_torn_pipe_and_keep_the_others():
+    pipes = ReplyPipes()
+    torn_reader, torn_writer = multiprocessing.Pipe(duplex=False)
+    live_reader, live_writer = multiprocessing.Pipe(duplex=False)
+    pipes.add(torn_reader)
+    pipes.add(live_reader)
+    # A writer killed mid-reply: a length header promising 1000 bytes,
+    # 3 bytes of payload, then the write end closes.
+    os.write(torn_writer.fileno(), (1000).to_bytes(4, "big") + b"abc")
+    torn_writer.close()
+    live_writer.send((1, "free", 2))
+    replies = []
+    for _ in range(3):
+        try:
+            replies.append(pipes.get(0.5))
+        except queue.Empty:
+            pass
+    assert replies == [(1, "free", 2)]
+    assert torn_reader.closed
+    with pytest.raises(queue.Empty):
+        pipes.get_nowait()
+    pipes.close()
+    assert live_reader.closed
+
+
+def test_reply_pipes_deliver_the_last_reply_before_eof():
+    pipes = ReplyPipes()
+    reader, writer = multiprocessing.Pipe(duplex=False)
+    pipes.add(reader)
+    writer.send((0, "stopped", 0.0, 1.0))
+    writer.close()
+    assert pipes.get(1.0) == (0, "stopped", 0.0, 1.0)
+    with pytest.raises(queue.Empty):
+        pipes.get(0.05)
+    assert reader.closed
+
+
+# ----------------------------------------------------------------------
 # A real orphan: the worker's parent process is SIGKILLed
 # ----------------------------------------------------------------------
 
@@ -109,14 +159,16 @@ def _start_worker_then_idle(ring_name, report):
     """Forked stand-in for a farm: start one worker, prove its command
     loop answers, report the worker's pid, then wait to be killed."""
     ctx = multiprocessing.get_context("fork")
-    cmd_q, result_q = ctx.Queue(), ctx.Queue()
+    cmd_q = ctx.Queue()
+    replies, writer = ctx.Pipe(duplex=False)
     worker = ctx.Process(
         target=worker_main,
-        args=(0, cmd_q, result_q, ring_name, 4, 16, "complex128", True),
+        args=(0, cmd_q, writer, ring_name, 4, 16, "complex128", True),
     )
     worker.start()
     cmd_q.put(("pump", 1))
-    reply = result_q.get(timeout=30.0)
+    assert replies.poll(30.0)
+    reply = replies.recv()
     report.send((worker.pid, reply[1]))
     time.sleep(60.0)
 

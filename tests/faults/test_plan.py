@@ -178,6 +178,19 @@ class TestSerialization:
                 {"seed": 0, "faults": [{"kind": "EvilFault", "params": {}}]}
             )
 
+    @pytest.mark.parametrize(
+        "data,key",
+        [
+            ({"seed": 0}, "'faults'"),
+            ({"faults": []}, "'seed'"),
+            ({"seed": 0, "faults": [{"params": {}}]}, "'kind'"),
+            ({"seed": 0, "faults": [{"kind": "TagDropout"}]}, "'params'"),
+        ],
+    )
+    def test_missing_key_rejected(self, data, key):
+        with pytest.raises(ValueError, match=key):
+            FaultPlan.from_dict(data)
+
     def test_empty_plan_round_trip(self):
         back = FaultPlan.from_dict(FaultPlan().to_dict())
         assert back.empty

@@ -88,6 +88,23 @@ class TestFaultPlan:
         with pytest.raises(TypeError):
             GatewayFaultPlan([object()])
 
+    @pytest.mark.parametrize(
+        "data,key",
+        [
+            ({"seed": 0}, "'faults'"),
+            ({"faults": []}, "'seed'"),
+            ({"faults": [{"factor": 2.0}], "seed": 0}, "'kind'"),
+        ],
+    )
+    def test_missing_key_rejected(self, data, key):
+        with pytest.raises(ValueError, match=key):
+            GatewayFaultPlan.from_dict(data)
+
+    def test_artifact_wrapper_is_not_a_plan(self):
+        artifact = {"config": {}, "violations": [], "plan": harsh_plan(3).to_dict()}
+        with pytest.raises(ValueError, match="'faults'"):
+            GatewayFaultPlan.from_dict(artifact)
+
     def test_model_validation(self):
         with pytest.raises(ValueError):
             TrafficSpike(factor=0.5)

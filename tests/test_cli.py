@@ -186,12 +186,45 @@ class TestGatewayCommand:
         assert payload["violations"][0]["name"] == "silent_drop"
         assert payload["plan"]["faults"]
 
+    def test_soak_replays_artifact_plan(self, monkeypatch, tmp_path, capsys):
+        """``--plan`` on a written artifact runs the faults that failed,
+        not the empty plan a lenient read of the wrapper would give."""
+        from repro.gateway import soak as gwsoak
+        from repro.sim.experiments.soak import InvariantViolation
+
+        ran = []
+
+        def fake(cfg, plan=None, tracer=None):
+            ran.append(plan)
+            return gwsoak.GatewaySoakResult(
+                config=cfg, plan=plan, reports={}, offered={},
+                round_states=["full"], transitions=[],
+                admitted=0, rejected=0, shed=0, deadline_misses=0,
+                migrations=0, moved_sessions=[], peak_queue_depth=0,
+                peak_retained_samples=0,
+                violations=[InvariantViolation("silent_drop", "synthetic")],
+            )
+
+        monkeypatch.setattr(gwsoak, "run_gateway_soak", fake)
+        artifact = tmp_path / "plan.json"
+        args = ["gateway", "soak", "--streams", "4", "--rounds", "9", "--no-shrink"]
+        assert main(args + ["--random-plan", "--seed", "5", "--artifact", str(artifact)]) == 1
+        assert main(args + ["--plan", str(artifact)]) == 1
+        original, replayed = ran
+        assert original.faults
+        assert replayed.faults == original.faults
+        assert replayed.seed == original.seed == 5
+        capsys.readouterr()
+
     def test_soak_exit_2_on_unreadable_plan(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["gateway", "soak", "--plan", str(missing)]) == 2
         bad = tmp_path / "bad.json"
         bad.write_text('{"faults": [{"kind": "meteor_strike"}]}')
         assert main(["gateway", "soak", "--plan", str(bad)]) == 2
+        wrapped = tmp_path / "wrapped.json"
+        wrapped.write_text('{"config": {}, "violations": []}')
+        assert main(["gateway", "soak", "--plan", str(wrapped)]) == 2
         err = capsys.readouterr().err
         assert "unusable fault plan" in err
 

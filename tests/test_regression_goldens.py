@@ -13,6 +13,7 @@ each test's docstring and mention the change in CHANGELOG.md.
 import hashlib
 
 import numpy as np
+import pytest
 
 from repro.channel.geometry import Deployment
 from repro.codes import make_codes
@@ -38,6 +39,37 @@ class TestCodeGoldens:
 
     def test_twonc_family_digest(self):
         assert _digest(make_codes("2nc", 5, 64)) == "3591e7b66926732b"
+
+    @pytest.mark.parametrize(
+        "size,length,digest",
+        [
+            (1, 32, "f709cf9ee35f8a19"),
+            (2, 32, "153782184c66c916"),
+            (3, 32, "0810c0f1f58c1e92"),
+            (4, 32, "f97b6619dacd7872"),
+            (5, 32, "5fa22cde4e4d9b88"),
+            (6, 32, "52698a3b64e5f321"),
+            (7, 32, "3f78580417ce785d"),
+            (8, 32, "d6421d5358fc628c"),
+            (9, 32, "abba81101ed4c8a9"),
+            (10, 32, "85f0613d2f855b1a"),
+            (11, 32, "5da3a16be9b82426"),
+            (12, 32, "c8d1c235e5c4b2e9"),
+            (13, 32, "53ddfd193b64c915"),
+            (14, 32, "333d60629b97f0be"),
+            (15, 32, "9039476e7cf5f5a1"),
+            (16, 32, "4c0e02d0873b9f6a"),
+            (3, 64, "ebc9504d6f24f132"),
+            (8, 128, "abc5ffb4fb459044"),
+            (20, 40, "9c94d1184514e879"),
+            (4, 16, "936000c310c84a87"),
+            (2, 12, "6d10184614812d9f"),
+        ],
+    )
+    def test_twonc_search_digests(self, size, length, digest):
+        """The 2NC search (greedy pick plus anneal) is pinned family by
+        family: a change to its scoring or RNG use moves these bytes."""
+        assert _digest(make_codes("2nc", size, length)) == digest
 
     def test_kasami_family_digest(self):
         assert _digest(make_codes("kasami", 5, 63)) == "b1230befa9ef0df1"
