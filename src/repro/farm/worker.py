@@ -237,8 +237,6 @@ class WorkerCore:
         groups: Dict[Tuple[int, int, float], List[Tuple[int, np.ndarray]]] = {}
         for sid, window in ready:
             detector = self.sessions[sid].streaming.receiver.user_detector
-            if detector.bank is None:
-                continue  # ragged code book: per-window gate
             key = (id(detector.bank), window.size, detector.threshold)
             groups.setdefault(key, []).append((sid, window))
         for group in groups.values():

@@ -41,8 +41,8 @@ _STREAM_DTYPES = (np.dtype(np.complex128), np.dtype(np.complex64))
 #: Live-window pre-gate margin: a window is handed to the full
 #: pipeline when any user's batched correlation reaches this fraction
 #: of the detection threshold.  Kept fractionally below 1.0 so FFT
-#: rounding (~1e-12 relative) can never gate out a window the direct
-#: per-user path would have decoded.
+#: rounding (~1e-12 relative) can never gate out a window the
+#: reference per-user correlation would have decoded.
 _PREGATE_MARGIN = 0.999
 
 
@@ -246,9 +246,6 @@ class StreamingReceiver:
                 return True
         return False
 
-    # Backwards-compatible private alias (pre-session internal name).
-    _window_is_live = window_is_live
-
     def windows_are_live(self, windows: np.ndarray) -> np.ndarray:
         """Vectorised pre-gate over a stack of equal-length windows.
 
@@ -257,17 +254,13 @@ class StreamingReceiver:
         -- the stacked FFT kernel computes each row independently
         (:func:`repro.utils.correlation_batch.sliding_correlation_many`),
         so the farm's cross-session batched gating can never flip a
-        decision the per-window gate would have made.  Falls back to
-        the per-window gate when the detector has no stacked bank
-        (ragged code book).
+        decision the per-window gate would have made.
         """
         windows = np.asarray(windows)
         if windows.ndim != 2:
             raise ValueError(f"windows must be a 2-D stack, got shape {windows.shape}")
         detector = self.receiver.user_detector
         bank = detector.bank
-        if bank is None:
-            return np.array([self.window_is_live(w) for w in windows], dtype=bool)
         if windows.shape[0] == 0:
             return np.zeros(0, dtype=bool)
         if windows.shape[1] < bank.template_samples:

@@ -13,6 +13,11 @@ declares the user present when the normalised correlation peak clears
 the threshold.  The peak position doubles as the tag's timing estimate
 and the complex projection at the peak as its channel estimate -- both
 consumed by the decoder.
+
+Every template is correlated in one batched FFT pass over the code
+book's cached :class:`~repro.utils.correlation_batch.TemplateBank`, so
+the code book must stack: an empty or mixed-length book raises
+:class:`ValueError` at construction.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from repro.tag.framing import FrameFormat
 from repro.utils.contracts import array_contract
-from repro.utils.correlation import correlation_peaks, sliding_correlation
+from repro.utils.correlation import correlation_peaks
 from repro.utils.correlation_batch import TemplateBank, template_bank
 
 __all__ = ["UserDetector", "UserDetection"]
@@ -97,65 +102,37 @@ class UserDetector:
         # correlation rejects the DC offset contributed by other tags'
         # unipolar chip activity.  The stacked bank is memoised per
         # (format, codes, oversampling) and feeds the batched FFT
-        # kernel; a ragged code book (no supported family produces one)
-        # falls back to the per-user direct loop.
-        self._bank: Optional[TemplateBank] = None
-        try:
-            self._bank = template_bank(self.fmt, self.codes, samples_per_chip)
-        except ValueError:
-            self._bank = None
-        if self._bank is not None:
-            self._templates: Dict[int, np.ndarray] = {
-                uid: self._bank.template(uid) for uid in self.codes
-            }
-        else:
-            from repro.phy.modulation import spread_bits, upsample_chips
-            from repro.utils.bits import bits_to_bipolar
-
-            self._templates = {
-                uid: upsample_chips(
-                    bits_to_bipolar(spread_bits(self.fmt.preamble, code)), samples_per_chip
-                )
-                for uid, code in self.codes.items()
-            }
+        # kernel; an empty or mixed-length code book raises ValueError.
+        self._bank = template_bank(self.fmt, self.codes, samples_per_chip)
+        # Bank rows in this detector's code order (the cached bank may
+        # have been built by a detector with another dict order).
+        row_of = {uid: row for row, uid in enumerate(self._bank.user_ids)}
+        self._rows: Tuple[Tuple[int, int], ...] = tuple(
+            (uid, row_of[uid]) for uid in self.codes
+        )
 
     @property
-    def bank(self) -> Optional[TemplateBank]:
-        """The stacked template bank (``None`` for a ragged code book)."""
+    def bank(self) -> TemplateBank:
+        """The stacked template bank of this detector's code book."""
         return self._bank
 
     def template(self, user_id: int) -> np.ndarray:
         """The spread-preamble template for *user_id* (bipolar, upsampled)."""
-        return self._templates[int(user_id)]
+        return self._bank.template(user_id)
 
-    def template_length(self, user_id: int) -> int:
-        return self._templates[int(user_id)].size
-
-    def correlation_rows(
-        self, window: np.ndarray, backend: Optional[str] = None
-    ) -> Iterable[Tuple[int, np.ndarray]]:
+    def correlation_rows(self, window: np.ndarray) -> Iterable[Tuple[int, np.ndarray]]:
         """``(user_id, normalised sliding correlation)`` per user.
 
-        One batched FFT pass over the stacked bank when available (the
-        hot path: shared window FFT + shared window-energy cumsum),
-        otherwise the legacy per-user direct loop.  Users whose
-        template is longer than the window yield nothing.
+        One batched FFT pass over the stacked bank: shared window FFT
+        plus shared window-energy cumsum.  A window shorter than the
+        templates yields nothing.
         """
         x = np.asarray(window)
-        if self._bank is not None:
-            if x.size < self._bank.template_samples:
-                return
-            corr = self._bank.correlate(x, backend=backend)
-            # Emit in this detector's code order (the cached bank may
-            # have been built by a detector with another dict order).
-            row_of = {uid: row for row, uid in enumerate(self._bank.user_ids)}
-            for uid in self.codes:
-                yield uid, corr[row_of[uid]]
+        if x.size < self._bank.template_samples:
             return
-        for uid, template in self._templates.items():
-            if x.size < template.size:
-                continue
-            yield uid, sliding_correlation(x, template, normalize=True)
+        corr = self._bank.correlate(x)
+        for uid, row in self._rows:
+            yield uid, corr[row]
 
     @array_contract(window="(n) complex128")
     def detect(self, window: np.ndarray, max_users: Optional[int] = None) -> List[UserDetection]:
@@ -169,7 +146,7 @@ class UserDetector:
         x = np.asarray(window)
         out: List[UserDetection] = []
         for uid, corr in self.correlation_rows(x):
-            template = self._templates[uid]
+            template = self._bank.template(uid)
             if corr.size == 0:
                 continue
             best = int(np.argmax(corr))

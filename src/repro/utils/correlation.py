@@ -15,8 +15,6 @@ chips as well as complex baseband samples.
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.utils.contracts import array_contract
@@ -27,7 +25,6 @@ __all__ = [
     "normalized_correlation",
     "sliding_correlation",
     "correlation_peaks",
-    "best_alignment",
 ]
 
 #: Smallest denominator treated as carrying signal: the smallest
@@ -46,7 +43,7 @@ def guard_denominator(denom, floor: float = DENOM_FLOOR):
     zero/near-zero-energy handling routes through here instead of
     ad-hoc ``== 0`` sentinel tests or magic clamps, so the degenerate
     behaviour (zero numerator over floored denominator -> exactly 0) is
-    uniform across the direct and batched kernels.  Also repairs tiny
+    uniform across the reference and batched kernels.  Also repairs tiny
     *negative* energies produced by cumulative-sum cancellation, which
     would otherwise turn into NaN under ``sqrt``.
 
@@ -83,6 +80,9 @@ def sliding_correlation(signal: np.ndarray, template: np.ndarray, normalize: boo
     The un-normalised path is a plain FFT-free vectorised dot product via
     :func:`numpy.convolve`; the normalised path divides by the local
     signal energy so that strong interferers do not masquerade as peaks.
+
+    This one-template loop is the reference the batched FFT kernel
+    (:mod:`repro.utils.correlation_batch`) is tested and benched against.
     """
     signal = np.asarray(signal)
     template = np.asarray(template)
@@ -143,12 +143,3 @@ def correlation_peaks(corr: np.ndarray, threshold: float, min_spacing: int = 1) 
         hi = int(np.searchsorted(candidates, candidates[i] + min_spacing, side="left"))
         alive[lo:hi] = False
     return candidates[accepted].astype(np.int64)
-
-
-def best_alignment(signal: np.ndarray, template: np.ndarray) -> Tuple[int, float]:
-    """Offset and score of the best template alignment within *signal*."""
-    corr = sliding_correlation(signal, template, normalize=True)
-    if corr.size == 0:
-        return 0, 0.0
-    idx = int(np.argmax(corr))
-    return idx, float(corr[idx])

@@ -14,12 +14,11 @@ module does all *U* templates in one vectorised pass:
 - long windows fall back to **overlap-save** blocks so memory stays
   bounded by the block size, not the buffer length.
 
-The kernel is numerically interchangeable with the direct path: same
-normalisation, same :func:`~repro.utils.correlation.guard_denominator`
-epsilon policy, agreement to ~1e-12 relative (FFT rounding only).  The
-environment variable ``REPRO_CORR_BACKEND`` (``fft`` | ``direct``)
-forces a backend globally -- the escape hatch if an FFT library ever
-misbehaves -- and every caller also accepts an explicit ``backend=``.
+This is the only production correlation kernel.
+:func:`repro.utils.correlation.sliding_correlation` is the reference it
+is tested and benched against: same normalisation, same
+:func:`~repro.utils.correlation.guard_denominator` epsilon policy,
+agreement to ~1e-12 relative (FFT rounding only).
 
 Template construction is cached: :func:`template_bank` memoises the
 stacked spread-preamble matrix per ``(FrameFormat, codes,
@@ -29,8 +28,7 @@ samples_per_chip)``, so constructing many receivers over one code book
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
@@ -41,8 +39,6 @@ from repro.utils.contracts import array_contract
 from repro.utils.correlation import guard_denominator
 
 __all__ = [
-    "BACKEND_ENV",
-    "corr_backend",
     "sliding_correlation_batch",
     "sliding_correlation_many",
     "TemplateBank",
@@ -50,33 +46,10 @@ __all__ = [
     "clear_template_cache",
 ]
 
-#: Environment variable selecting the sliding-correlation backend.
-BACKEND_ENV = "REPRO_CORR_BACKEND"
-
-_BACKENDS = ("fft", "direct")
-
 #: Overlap-save engages above this many signal samples: one giant FFT
 #: of a multi-second capture would allocate U full-length spectra,
 #: while blocks keep the working set at a few hundred KiB per template.
 _OVERLAP_SAVE_THRESHOLD = 1 << 17
-
-
-def corr_backend(override: Optional[str] = None) -> str:
-    """The active sliding-correlation backend (``fft`` or ``direct``).
-
-    *override* (a caller's explicit ``backend=`` argument) wins over the
-    ``REPRO_CORR_BACKEND`` environment variable, which wins over the
-    default (``fft``).  Unknown names raise immediately rather than
-    silently running the wrong kernel.
-    """
-    value = override or os.environ.get(BACKEND_ENV, "") or "fft"
-    value = value.strip().lower()
-    if value not in _BACKENDS:
-        raise ValueError(
-            f"unknown correlation backend {value!r} "
-            f"(allowed: {', '.join(_BACKENDS)}; set {BACKEND_ENV} or pass backend=)"
-        )
-    return value
 
 
 def _next_fast_len(n: int) -> int:
@@ -153,12 +126,7 @@ def _overlap_save_correlation(signal: np.ndarray, templates: np.ndarray) -> np.n
 
 
 @array_contract(signal="(n) any", templates="(u, m) any")
-def sliding_correlation_batch(
-    signal: np.ndarray,
-    templates: np.ndarray,
-    normalize: bool = True,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def sliding_correlation_batch(signal: np.ndarray, templates: np.ndarray) -> np.ndarray:
     """Correlate every row of *templates* against every alignment of
     *signal* in one batched pass.
 
@@ -168,20 +136,15 @@ def sliding_correlation_batch(
         1-D sample buffer (real or complex).
     templates:
         2-D stack ``(U, m)`` of equal-length templates.
-    normalize:
-        Divide each alignment by the local window energy (shared cumsum
-        across all rows) times the row's template norm -- identical to
-        :func:`repro.utils.correlation.sliding_correlation`.
-    backend:
-        ``"fft"`` | ``"direct"`` | ``None`` (defer to
-        ``REPRO_CORR_BACKEND``, default ``fft``).  The direct backend
-        reproduces the legacy per-template ``np.convolve`` loop
-        bit-for-bit; the fft backend matches it to FFT rounding
-        (~1e-12 relative).
+
+    Each alignment is divided by the local window energy (one cumsum
+    shared by all rows) times the row's template norm -- the
+    normalisation of :func:`repro.utils.correlation.sliding_correlation`,
+    which this matches to FFT rounding (~1e-12 relative).
 
     Returns
     -------
-    ``(U, n - m + 1)`` float64 array of correlation magnitudes.
+    ``(U, n - m + 1)`` float64 array of normalised correlation magnitudes.
     """
     signal = np.asarray(signal)
     templates = np.asarray(templates)
@@ -194,18 +157,11 @@ def sliding_correlation_batch(
     if n < m:
         return np.zeros((n_templates, 0), dtype=np.float64)
 
-    mode = corr_backend(backend)
-    if mode == "direct":
-        mags = np.empty((n_templates, n - m + 1), dtype=np.float64)
-        for row, template in enumerate(templates):
-            mags[row] = np.abs(np.convolve(signal, np.conj(template[::-1]), mode="valid"))
-    elif n > _OVERLAP_SAVE_THRESHOLD:
+    if n > _OVERLAP_SAVE_THRESHOLD:
         mags = _overlap_save_correlation(signal, templates)
     else:
         mags = _fft_valid_correlation(signal, templates)
 
-    if not normalize:
-        return mags
     # One shared window-energy cumsum normalises every template row.
     power = np.abs(signal) ** 2
     csum = np.concatenate(([0.0], np.cumsum(power)))
@@ -216,12 +172,7 @@ def sliding_correlation_batch(
 
 
 @array_contract(signals="(s, n) any", templates="(u, m) any")
-def sliding_correlation_many(
-    signals: np.ndarray,
-    templates: np.ndarray,
-    normalize: bool = True,
-    backend: Optional[str] = None,
-) -> np.ndarray:
+def sliding_correlation_many(signals: np.ndarray, templates: np.ndarray) -> np.ndarray:
     """Correlate every template row against every alignment of a whole
     *stack* of equal-length windows in one pass.
 
@@ -230,10 +181,10 @@ def sliding_correlation_many(
     that share one :class:`TemplateBank`, stacks their pending windows
     into ``signals`` of shape ``(S, n)``, and gates them all with a
     single batched FFT.  Each output row ``out[s]`` is **bit-identical**
-    to ``sliding_correlation_batch(signals[s], templates, ...)`` with
-    the same backend: the FFT, the cumulative-sum normalisation and the
-    epsilon guard are all computed row-independently, so batching
-    windows together never changes any single window's scores.
+    to ``sliding_correlation_batch(signals[s], templates)``: the FFT,
+    the cumulative-sum normalisation and the epsilon guard are all
+    computed row-independently, so batching windows together never
+    changes any single window's scores.
 
     Returns
     -------
@@ -252,19 +203,13 @@ def sliding_correlation_many(
     if n < m:
         return np.zeros((n_signals, n_templates, 0), dtype=np.float64)
 
-    mode = corr_backend(backend)
-    if mode == "direct" or n > _OVERLAP_SAVE_THRESHOLD:
-        # The direct backend and the overlap-save regime stay per-row
-        # loops through the single-window kernel -- equivalence with
-        # the oracle is then true by construction.
-        return np.stack(
-            [
-                sliding_correlation_batch(
-                    row, templates, normalize=normalize, backend=mode
-                )
-                for row in signals
-            ]
-        )
+    if n > _OVERLAP_SAVE_THRESHOLD:
+        # The overlap-save regime stays a per-row loop through the
+        # single-window kernel, so equivalence holds by construction.
+        out = np.empty((n_signals, n_templates, n - m + 1), dtype=np.float64)
+        for s, row in enumerate(signals):
+            out[s] = sliding_correlation_batch(row, templates)
+        return out
 
     nfft = _next_fast_len(n)
     kernels = np.conj(templates[:, ::-1])
@@ -278,8 +223,6 @@ def sliding_correlation_many(
         full = np.fft.ifft(spec[:, None, :] * kspec[None, :, :], axis=2)
     mags = np.abs(full[:, :, m - 1 : n])
 
-    if not normalize:
-        return mags
     # Row-wise cumsum reproduces each window's shared-energy
     # normalisation exactly as the single-window kernel computes it.
     power = np.abs(signals) ** 2
@@ -326,28 +269,14 @@ class TemplateBank:
         """The template row for *user_id*."""
         return self._rows[int(user_id)]
 
-    def correlate(
-        self,
-        window: np.ndarray,
-        normalize: bool = True,
-        backend: Optional[str] = None,
-    ) -> np.ndarray:
+    def correlate(self, window: np.ndarray) -> np.ndarray:
         """Batched sliding correlation of every user template."""
-        return sliding_correlation_batch(
-            window, self.matrix, normalize=normalize, backend=backend
-        )
+        return sliding_correlation_batch(window, self.matrix)
 
-    def correlate_many(
-        self,
-        windows: np.ndarray,
-        normalize: bool = True,
-        backend: Optional[str] = None,
-    ) -> np.ndarray:
+    def correlate_many(self, windows: np.ndarray) -> np.ndarray:
         """Sliding correlation of every user template against a stack
         of equal-length windows (one ``(U, n-m+1)`` plane per window)."""
-        return sliding_correlation_many(
-            windows, self.matrix, normalize=normalize, backend=backend
-        )
+        return sliding_correlation_many(windows, self.matrix)
 
 
 _BANK_CACHE: Dict[tuple, TemplateBank] = {}
@@ -368,11 +297,10 @@ def template_bank(
 
     *codes* maps user id -> 0/1 PN chip array; all codes must share one
     length (a mixed-length book cannot stack, and no supported code
-    family produces one -- callers should fall back to the per-user
-    path if they ever need ragged codes).  The cache key fingerprints
-    the preamble bits, the code bits and the oversampling factor, so
-    logically identical inputs hit the same bank regardless of object
-    identity.
+    family produces one), else :class:`ValueError` names the lengths.
+    The cache key fingerprints the preamble bits, the code bits and the
+    oversampling factor, so logically identical inputs hit the same bank
+    regardless of object identity.
     """
     from repro.phy.modulation import spread_bits, upsample_chips
     from repro.utils.bits import bits_to_bipolar

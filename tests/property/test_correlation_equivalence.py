@@ -1,23 +1,19 @@
-"""Property-based equivalence: batched FFT kernel vs. the direct loop.
+"""Property-based equivalence: batched FFT kernel vs. the direct reference.
 
 The batched kernel (:mod:`repro.utils.correlation_batch`) promises to be
-*numerically interchangeable* with the legacy per-template path -- same
-scores to FFT rounding, same detections, same candidate alignments.
-These properties pin that promise over generated input spaces instead
-of hand-picked examples:
+*numerically interchangeable* with the direct per-template reference,
+:func:`repro.utils.correlation.sliding_correlation` -- same scores to
+FFT rounding, same detections, same candidate alignments.  These
+properties pin that promise over generated input spaces instead of
+hand-picked examples:
 
-- raw kernel scores agree within 1e-9 for float64 and complex128
-  signals, normalised and not, 1-10 stacked templates;
-- the direct backend reproduces the legacy single-template
-  ``sliding_correlation`` bit-for-bit;
+- kernel scores agree within 1e-9 for float64 and complex128 signals,
+  1-10 stacked templates;
 - on synthesized collisions (1-10 tags, samples_per_chip in {1, 2, 4})
   :class:`UserDetector` reports identical user sets, identical offsets
-  and identical candidate-alignment sets under either backend.
+  and identical candidate-alignment sets when its bank correlates with
+  the reference loop instead of the kernel.
 """
-
-import os
-from contextlib import contextmanager
-from typing import Iterator
 
 import numpy as np
 import pytest
@@ -29,22 +25,14 @@ from repro.sim.collision import CollisionScenario, simulate_round
 from repro.tag.framing import FrameFormat
 from repro.tag.tag import Tag
 from repro.utils.correlation import sliding_correlation
-from repro.utils.correlation_batch import BACKEND_ENV, sliding_correlation_batch
+from repro.utils.correlation_batch import TemplateBank, sliding_correlation_batch
 
 SCORE_TOL = 1e-9
 
 
-@contextmanager
-def _forced_backend(name: str) -> Iterator[None]:
-    old = os.environ.get(BACKEND_ENV)
-    os.environ[BACKEND_ENV] = name
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = old
+def _direct(signal, templates):
+    """The direct reference: one ``sliding_correlation`` per template."""
+    return np.stack([sliding_correlation(signal, t) for t in templates])
 
 
 def _collision(n_tags: int, samples_per_chip: int, seed: int):
@@ -67,13 +55,9 @@ def _collision(n_tags: int, samples_per_chip: int, seed: int):
 
 class TestKernelEquivalence:
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n_templates=st.integers(1, 10),
-        normalize=st.booleans(),
-    )
+    @given(seed=st.integers(0, 2**32 - 1), n_templates=st.integers(1, 10))
     @settings(max_examples=25, deadline=None)
-    def test_fft_scores_match_direct(self, dtype, seed, n_templates, normalize):
+    def test_fft_scores_match_direct(self, dtype, seed, n_templates):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(8, 96))
         n = int(rng.integers(m, 2048))
@@ -82,34 +66,18 @@ class TestKernelEquivalence:
             signal = signal + 1j * rng.normal(size=n)
         assert np.asarray(signal).dtype == dtype
         templates = np.sign(rng.normal(size=(n_templates, m))) + 0.0
-        direct = sliding_correlation_batch(signal, templates, normalize=normalize, backend="direct")
-        fft = sliding_correlation_batch(signal, templates, normalize=normalize, backend="fft")
+        direct = _direct(signal, templates)
+        fft = sliding_correlation_batch(signal, templates)
         assert fft.shape == direct.shape
-        if normalize:
-            # Normalised scores live in [0, ~1]: absolute tolerance.
-            assert float(np.abs(fft - direct).max()) < SCORE_TOL
-        else:
-            scale = max(float(np.abs(direct).max()), 1.0)
-            assert float(np.abs(fft - direct).max()) / scale < SCORE_TOL
-
-    @given(seed=st.integers(0, 2**32 - 1), n_templates=st.integers(1, 10))
-    @settings(max_examples=25, deadline=None)
-    def test_direct_backend_is_bitwise_legacy(self, seed, n_templates):
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(4, 64))
-        n = int(rng.integers(m, 1024))
-        signal = rng.normal(size=n) + 1j * rng.normal(size=n)
-        templates = np.sign(rng.normal(size=(n_templates, m))) + 0.0
-        batch = sliding_correlation_batch(signal, templates, backend="direct")
-        for row, template in enumerate(templates):
-            assert np.array_equal(batch[row], sliding_correlation(signal, template))
+        # Normalised scores live in [0, ~1]: absolute tolerance.
+        assert float(np.abs(fft - direct).max()) < SCORE_TOL
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=10, deadline=None)
     def test_argmax_offsets_agree(self, seed):
-        """The peak alignment of every row is the same under either
-        backend (a 1e-9 score agreement is useless if the *offset*
-        moved)."""
+        """The peak alignment of every row is the same under the kernel
+        and the reference (a 1e-9 score agreement is useless if the
+        *offset* moved)."""
         rng = np.random.default_rng(seed)
         m = 32
         templates = np.sign(rng.normal(size=(5, m))) + 0.0
@@ -120,8 +88,8 @@ class TestKernelEquivalence:
         offsets = rng.permutation(5) * 300 + rng.integers(0, 300 - m, size=5)
         for row, k in enumerate(offsets):
             signal[k : k + m] += templates[row]
-        direct = sliding_correlation_batch(signal, templates, backend="direct")
-        fft = sliding_correlation_batch(signal, templates, backend="fft")
+        direct = _direct(signal, templates)
+        fft = sliding_correlation_batch(signal, templates)
         assert np.array_equal(np.argmax(direct, axis=1), np.argmax(fft, axis=1))
         assert np.array_equal(np.argmax(direct, axis=1), np.asarray(offsets))
 
@@ -134,16 +102,16 @@ class TestDetectorEquivalence:
         iq, code_map, fmt = _collision(n_tags, samples_per_chip, seed)
         detector = UserDetector(code_map, fmt, samples_per_chip=samples_per_chip)
 
-        rows_direct = dict(detector.correlation_rows(iq, backend="direct"))
-        rows_fft = dict(detector.correlation_rows(iq, backend="fft"))
-        assert rows_direct.keys() == rows_fft.keys() == code_map.keys()
-        for uid in rows_direct:
-            assert float(np.abs(rows_direct[uid] - rows_fft[uid]).max()) < SCORE_TOL
+        rows_fft = dict(detector.correlation_rows(iq))
+        assert rows_fft.keys() == code_map.keys()
+        for uid, row in rows_fft.items():
+            direct = sliding_correlation(iq, detector.template(uid))
+            assert float(np.abs(direct - row).max()) < SCORE_TOL
 
-        with _forced_backend("direct"):
+        by_fft = {d.user_id: d for d in detector.detect(iq)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TemplateBank, "correlate", lambda bank, x: _direct(x, bank.matrix))
             by_direct = {d.user_id: d for d in detector.detect(iq)}
-        with _forced_backend("fft"):
-            by_fft = {d.user_id: d for d in detector.detect(iq)}
         assert by_direct.keys() == by_fft.keys()
         for uid, a in by_direct.items():
             b = by_fft[uid]

@@ -6,9 +6,11 @@ import pytest
 from repro.codes import twonc_codes
 from repro.phy.modulation import fractional_delay, ook_baseband, upsample_chips
 from repro.receiver.decoder import ChipDecoder
+from repro.receiver.receiver import CbmaReceiver
 from repro.receiver.user_detection import UserDetector
 from repro.tag.framing import FrameFormat
 from repro.tag.tag import Tag
+from repro.utils.correlation import sliding_correlation
 
 
 def _make_signal(tag, payload, amp, offset_samples, spc, total=None, noise=1e-6, seed=0):
@@ -79,6 +81,27 @@ class TestUserDetector:
     def test_bad_spc_rejected(self):
         with pytest.raises(ValueError):
             UserDetector({0: self.codes[0]}, samples_per_chip=0)
+
+    @pytest.mark.parametrize("build", [UserDetector, CbmaReceiver])
+    def test_mixed_length_code_book_rejected(self, build):
+        codes = {0: self.codes[0], 1: twonc_codes(1, 16)[0]}
+        with pytest.raises(ValueError, match=r"lengths \[16, 32\]"):
+            build(codes, self.fmt)
+
+    def test_bank_serves_templates_in_code_order(self):
+        first = UserDetector(
+            {0: self.codes[0], 2: self.codes[2]}, self.fmt, samples_per_chip=self.spc
+        )
+        codes = {2: self.codes[2], 0: self.codes[0]}
+        det = UserDetector(codes, self.fmt, samples_per_chip=self.spc)
+        # The cached bank keeps the first detector's row order.
+        assert det.bank is first.bank
+        sig = _make_signal(self.tags[0], b"abc", 1.0, 10, self.spc)
+        rows = list(det.correlation_rows(sig))
+        assert [uid for uid, _corr in rows] == [2, 0]
+        for uid, corr in rows:
+            assert np.array_equal(det.template(uid), det.bank.template(uid))
+            assert np.allclose(corr, sliding_correlation(sig, det.template(uid)), atol=1e-9)
 
 
 class TestChipDecoder:

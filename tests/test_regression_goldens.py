@@ -16,8 +16,14 @@ import numpy as np
 import pytest
 
 from repro.channel.geometry import Deployment
-from repro.codes import make_codes
+from repro.codes import make_codes, twonc_codes
+from repro.receiver.user_detection import UserDetector
+from repro.sim.collision import CollisionScenario, simulate_round
+from repro.sim.experiments.soak import SoakConfig, build_soak_stack, build_soak_stream
 from repro.sim.network import CbmaConfig, CbmaNetwork
+from repro.tag.framing import FrameFormat
+from repro.tag.tag import Tag
+from repro.utils.correlation_batch import sliding_correlation_batch
 
 
 def _digest(arrays) -> str:
@@ -94,3 +100,85 @@ class TestEndToEndGoldens:
         metrics = net.run_rounds(15)
         assert metrics.frames_correct == 58
         assert metrics.frames_detected == 59
+
+
+def _detection_digest(detections) -> str:
+    """Every field of a detection list, as exact bytes."""
+    arrays = []
+    for d in detections:
+        arrays.append(np.array([d.user_id, d.offset], dtype=np.int64))
+        arrays.append(np.array([d.score, d.channel.real, d.channel.imag], dtype=np.float64))
+        for offset, score, channel in d.candidates:
+            arrays.append(np.array([offset], dtype=np.int64))
+            arrays.append(np.array([score, channel.real, channel.imag], dtype=np.float64))
+    return _digest(arrays)
+
+
+class TestDetectionGoldens:
+    """The correlation kernel and the detector on top of it are pinned
+    to the byte: user ids, offsets, candidate offsets, and the float64
+    bytes of every score and channel estimate.
+
+    Regenerate: ``_detection_digest(UserDetector(...).detect(iq))`` on
+    the collision built below, ``_digest([stream.windows_are_live(w)])``
+    and ``_digest([sliding_correlation_batch(signal, templates)])``.
+    """
+
+    @staticmethod
+    def _collision(n_tags: int, samples_per_chip: int, seed: int):
+        rng = np.random.default_rng(seed)
+        fmt = FrameFormat()
+        codes = twonc_codes(n_tags, 64)
+        tags = [Tag(i, codes[i], fmt=fmt) for i in range(n_tags)]
+        scenario = CollisionScenario(
+            tags=tags,
+            amplitudes=[1.0 + 0.0j] * n_tags,
+            samples_per_chip=samples_per_chip,
+        )
+        payloads = {
+            i: rng.integers(0, 256, size=2).astype(np.uint8).tobytes() for i in range(n_tags)
+        }
+        iq, _truth = simulate_round(scenario, payloads, rng=rng)
+        return np.asarray(iq), {i: codes[i] for i in range(n_tags)}, fmt
+
+    @pytest.mark.parametrize(
+        "n_tags,samples_per_chip,digest",
+        [
+            (1, 1, "f8ed042610045882"),
+            (1, 2, "a64c9b8db8590d30"),
+            (1, 4, "210dbb6125aa8517"),
+            (4, 1, "ce3bb4f88df52d59"),
+            (4, 2, "38d66ac13d090585"),
+            (4, 4, "c3ec142f1b218a3a"),
+            (10, 1, "9e19427303c4a982"),
+            (10, 2, "612edc4971b5a41b"),
+            (10, 4, "99a2b2f75860d77a"),
+        ],
+    )
+    def test_detect_digest(self, n_tags, samples_per_chip, digest):
+        iq, codes, fmt = self._collision(n_tags, samples_per_chip, seed=100 + n_tags)
+        # A low threshold keeps every user of the 10-tag collision (and
+        # more candidate alignments) inside the pinned bytes.
+        detector = UserDetector(codes, fmt, samples_per_chip=samples_per_chip, threshold=0.05)
+        detections = detector.detect(iq)
+        assert len(detections) == n_tags
+        assert _detection_digest(detections) == digest
+
+    def test_windows_are_live_digest(self):
+        cfg = SoakConfig(n_windows=24, n_tags=4, seed=7, traffic_rate=0.05)
+        tags, stream = build_soak_stack(cfg)
+        buffer, _offered = build_soak_stream(cfg, None, stream, tags)
+        w = stream.window_samples
+        windows = np.stack([buffer[i * w : (i + 1) * w] for i in range(buffer.size // w)])
+        live = stream.windows_are_live(windows)
+        assert live.any() and not live.all()
+        assert _digest([live]) == "362c3f037057d6a5"
+
+    @pytest.mark.parametrize("complex_signal,digest", [(False, "6b692086c23516ef"), (True, "18b1df2d213825a3")])
+    def test_sliding_correlation_batch_digest(self, complex_signal, digest):
+        rng = np.random.default_rng(23)
+        signal = rng.normal(size=700)
+        if complex_signal:
+            signal = signal + 1j * rng.normal(size=700)
+        templates = np.sign(rng.normal(size=(5, 48))) + 0.0
+        assert _digest([sliding_correlation_batch(signal, templates)]) == digest

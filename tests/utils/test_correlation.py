@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.utils.correlation import (
     DENOM_FLOOR,
-    best_alignment,
     correlation_peaks,
     guard_denominator,
     normalized_correlation,
@@ -201,17 +200,3 @@ class TestCorrelationPeaks:
         corr = np.full(20000, 0.9)
         peaks = correlation_peaks(corr, threshold=0.5, min_spacing=100)
         assert peaks.tolist() == list(range(0, 20000, 100))
-
-
-class TestBestAlignment:
-    def test_returns_offset_and_score(self):
-        rng = np.random.default_rng(9)
-        template = np.sign(rng.normal(size=24))
-        signal = np.concatenate([0.05 * rng.normal(size=13), template])
-        offset, score = best_alignment(signal, template)
-        assert offset == 13
-        assert score > 0.9
-
-    def test_degenerate(self):
-        offset, score = best_alignment(np.zeros(3), np.ones(8))
-        assert (offset, score) == (0, 0.0)

@@ -6,10 +6,8 @@ import pytest
 from repro.tag.framing import FrameFormat
 from repro.utils.correlation import sliding_correlation
 from repro.utils.correlation_batch import (
-    BACKEND_ENV,
     TemplateBank,
     clear_template_cache,
-    corr_backend,
     sliding_correlation_batch,
     template_bank,
 )
@@ -19,57 +17,34 @@ def _random_stack(rng, n_templates, m):
     return np.sign(rng.normal(size=(n_templates, m))) + 0.0
 
 
-class TestBackendSelection:
-    def test_default_is_fft(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert corr_backend() == "fft"
-
-    def test_env_var_selects_direct(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "direct")
-        assert corr_backend() == "direct"
-
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "direct")
-        assert corr_backend("fft") == "fft"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "quantum")
-        with pytest.raises(ValueError, match="quantum"):
-            corr_backend()
-
-    def test_case_and_whitespace_normalised(self):
-        assert corr_backend(" FFT ") == "fft"
+def _direct(signal, templates):
+    """The direct reference: one ``sliding_correlation`` per template."""
+    return np.stack([sliding_correlation(signal, t) for t in templates])
 
 
 class TestSlidingCorrelationBatch:
-    def test_direct_backend_matches_legacy_bitwise(self):
-        rng = np.random.default_rng(0)
-        sig = rng.normal(size=300) + 1j * rng.normal(size=300)
-        templates = _random_stack(rng, 4, 32)
-        batch = sliding_correlation_batch(sig, templates, backend="direct")
-        for row, template in enumerate(templates):
-            assert np.array_equal(batch[row], sliding_correlation(sig, template))
-
-    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("complex_signal", [False, True])
-    def test_fft_matches_direct(self, normalize, complex_signal):
+    def test_fft_matches_direct(self, complex_signal):
         rng = np.random.default_rng(1)
         sig = rng.normal(size=500)
         if complex_signal:
             sig = sig + 1j * rng.normal(size=500)
         templates = _random_stack(rng, 6, 64)
-        direct = sliding_correlation_batch(sig, templates, normalize=normalize, backend="direct")
-        fft = sliding_correlation_batch(sig, templates, normalize=normalize, backend="fft")
+        direct = _direct(sig, templates)
+        fft = sliding_correlation_batch(sig, templates)
         scale = max(float(np.abs(direct).max()), 1e-12)
         assert np.abs(fft - direct).max() / scale < 1e-10
 
-    def test_overlap_save_long_signal_matches_direct(self):
+    @pytest.mark.parametrize("complex_signal", [False, True])
+    def test_overlap_save_long_signal_matches_direct(self, complex_signal):
         rng = np.random.default_rng(2)
         n = (1 << 17) + 12345  # over the overlap-save threshold
-        sig = rng.normal(size=n) + 1j * rng.normal(size=n)
+        sig = rng.normal(size=n)
+        if complex_signal:
+            sig = sig + 1j * rng.normal(size=n)
         templates = _random_stack(rng, 2, 257)
-        direct = sliding_correlation_batch(sig, templates, backend="direct")
-        fft = sliding_correlation_batch(sig, templates, backend="fft")
+        direct = _direct(sig, templates)
+        fft = sliding_correlation_batch(sig, templates)
         assert fft.shape == direct.shape
         assert np.abs(fft - direct).max() / float(direct.max()) < 1e-10
 
@@ -92,16 +67,6 @@ class TestSlidingCorrelationBatch:
     def test_zero_signal_scores_zero_not_nan(self):
         out = sliding_correlation_batch(np.zeros(64), np.ones((2, 8)))
         assert np.array_equal(out, np.zeros((2, 57)))
-
-    def test_env_var_escape_hatch_applies(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        sig = rng.normal(size=128)
-        templates = _random_stack(rng, 2, 16)
-        monkeypatch.setenv(BACKEND_ENV, "direct")
-        via_env = sliding_correlation_batch(sig, templates)
-        explicit = sliding_correlation_batch(sig, templates, backend="direct")
-        assert np.array_equal(via_env, explicit)
-
 
 class TestTemplateBank:
     def setup_method(self):
@@ -159,6 +124,5 @@ class TestTemplateBank:
         bank = template_bank(fmt, codes, samples_per_chip=1)
         sig = rng.normal(size=bank.template_samples * 3)
         assert np.array_equal(
-            bank.correlate(sig, backend="direct"),
-            sliding_correlation_batch(sig, bank.matrix, backend="direct"),
+            bank.correlate(sig), sliding_correlation_batch(sig, bank.matrix)
         )
