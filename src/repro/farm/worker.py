@@ -19,7 +19,8 @@ pump cycle:
 3. each group of >= 2 windows runs **one** stacked pre-gate FFT
    (:meth:`StreamingReceiver.windows_are_live`, bit-identical per row
    to the per-window gate) and primes each session's gate with its
-   row's decision;
+   row's decision and, for a live row, its correlation plane, which
+   the session's detector then uses instead of correlating again;
 4. sessions then pump exactly one window each, in session-id order,
    and the cycle repeats until no session has a complete window (or
    every session hit its ``max_windows_per_feed`` budget);
@@ -243,9 +244,10 @@ class WorkerCore:
             if len(group) < 2:
                 continue
             stack = np.stack([window for _sid, window in group])
-            live = self.sessions[group[0][0]].streaming.windows_are_live(stack)
-            for (sid, _window), decision in zip(group, live):
-                self.sessions[sid].prime_gate(bool(decision))
+            planes: List[Optional[np.ndarray]] = []
+            live = self.sessions[group[0][0]].streaming.windows_are_live(stack, planes=planes)
+            for (sid, _window), decision, plane in zip(group, live, planes):
+                self.sessions[sid].prime_gate(bool(decision), plane)
             self.batched_windows += len(group)
 
 

@@ -48,14 +48,16 @@ class PhaseTrackingReceiver(CbmaReceiver):
     # The base class's process() calls each decoder's decode_frame; we
     # intercept at that granularity by overriding the decode call.
 
-    def process(self, iq, round_index: int = 0, skip_energy_gate: bool = False):
+    def process(self, iq, round_index: int = 0, skip_energy_gate: bool = False, corr=None):
         # Reuse the whole base pipeline but swap the decode function.
         original_decoders = self._decoders
         try:
             self._decoders = {
                 uid: _TrackingAdapter(dec, self.alpha) for uid, dec in original_decoders.items()
             }
-            return super().process(iq, round_index=round_index, skip_energy_gate=skip_energy_gate)
+            return super().process(
+                iq, round_index=round_index, skip_energy_gate=skip_energy_gate, corr=corr
+            )
         finally:
             self._decoders = original_decoders
 

@@ -16,7 +16,7 @@ near-far) the paper sets out to fix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -162,8 +162,16 @@ class CbmaReceiver:
         if self.tracer.enabled:
             self.tracer.count(failure.counter)
 
-    def _front_end(self, iq, report_failures: List[DecodeFailure]) -> np.ndarray:
-        """Input hygiene shared with :class:`~repro.receiver.sic.SicReceiver`."""
+    def _front_end(
+        self, iq, report_failures: List[DecodeFailure], corr: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Input hygiene shared with :class:`~repro.receiver.sic.SicReceiver`.
+
+        Returns the cleaned samples, and *corr* (the caller's
+        correlation plane of *iq*) only if it still describes them:
+        widened, repaired or DC-blocked samples are a new array, whose
+        plane must be computed afresh.
+        """
         x, failures = sanitize_buffer(iq)
         for failure in failures:
             report_failures.append(failure)
@@ -174,15 +182,27 @@ class CbmaReceiver:
             # swamp the energy detector's baseline and the correlators'
             # local energy normalisation.
             x = x - np.mean(x)
-        return x
+        return x, (corr if x is iq else None)
 
-    def process(self, iq: np.ndarray, round_index: int = 0, skip_energy_gate: bool = False) -> ReceptionReport:
+    def process(
+        self,
+        iq: np.ndarray,
+        round_index: int = 0,
+        skip_energy_gate: bool = False,
+        corr: Optional[np.ndarray] = None,
+    ) -> ReceptionReport:
         """Run the full pipeline over a complex sample buffer.
 
         When *skip_energy_gate* is set the user detector scans the
         whole buffer even without an energy detection -- used by
         experiments that isolate later stages (paper Sec. VII-B2
         "adopt the best parameters obtained in the above section").
+
+        *corr* is the template bank's correlation plane of *iq*, when
+        the caller already computed it (the streaming pre-gate).  It
+        reaches the user detector only when the front end hands *iq*
+        through untouched; widened, repaired or DC-blocked samples are
+        correlated afresh.
 
         Degradation contract: this method never raises on malformed or
         pathological input.  Bad samples are sanitised at the front
@@ -193,7 +213,7 @@ class CbmaReceiver:
         """
         tracer = self.tracer
         report = ReceptionReport(sync=FrameSyncResult(detections=[]))
-        x = self._front_end(iq, report.failures)
+        x, corr = self._front_end(iq, report.failures, corr)
         try:
             with tracer.span("frame_sync"):
                 report.sync = self.energy_detector.detect(x)
@@ -207,7 +227,7 @@ class CbmaReceiver:
 
         try:
             with tracer.span("detect"):
-                report.detections = self.user_detector.detect(x)
+                report.detections = self.user_detector.detect(x, corr=corr)
         except Exception as exc:
             self._contain(report, DecodeFailure("user_detection", "exception", detail=str(exc)))
         if tracer.enabled:

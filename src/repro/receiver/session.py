@@ -218,7 +218,9 @@ class SessionSupervisor:
         self._pos = 0  # absolute sample index of the next window
         self._fed = 0  # absolute samples ingested so far
         self._finished = False
-        self._gate_primed: Optional[bool] = None
+        #: ``(live, plane)`` pre-supplied by :meth:`prime_gate` for the
+        #: next window only.
+        self._primed: Optional[Tuple[bool, Optional[np.ndarray]]] = None
 
         self.dedup = streaming.make_dedup()
         self._pending: List[StreamFrame] = []
@@ -393,16 +395,22 @@ class SessionSupervisor:
         lo = self._pos - self._base
         return self._buf[lo : lo + self._required_samples()]
 
-    def prime_gate(self, live: bool) -> None:
-        """Pre-supply the next window's pre-gate decision.
+    def prime_gate(self, live: bool, corr: Optional[np.ndarray] = None) -> None:
+        """Pre-supply the next window's pre-gate decision and plane.
 
         The next window processed consumes *live* instead of calling
-        ``streaming.window_is_live`` -- one-shot, cleared on use.  Only
-        correct when the caller computed the decision over exactly the
-        window :meth:`peek_window` returned (the farm's batched gate is
-        bit-identical per row, so priming never changes output).
+        ``streaming.window_is_live``, and hands *corr* (the gate's
+        correlation plane of a live window, see
+        :meth:`StreamingReceiver.windows_are_live`) to
+        ``streaming.decode_window`` so the detector does not correlate
+        the window again.  One-shot: both are cleared on use, live or
+        not, so a plane is held only from its gate to its window's
+        decode.  Only correct when the caller computed both over
+        exactly the window :meth:`peek_window` returned (the farm's
+        batched gate is bit-identical per row, so priming never changes
+        output).
         """
-        self._gate_primed = bool(live)
+        self._primed = (bool(live), corr if live else None)
 
     def finish(self) -> List[StreamFrame]:
         """End of capture: process the truncated tail window (if any)
@@ -458,17 +466,21 @@ class SessionSupervisor:
         window = self._buf[lo : lo + self._required_samples()]
         self._count("windows", C.SESSION_WINDOWS)
         t0 = self.clock()
-        if self._gate_primed is not None:
-            live = self._gate_primed
-            self._gate_primed = None
+        if self._primed is not None:
+            live, corr = self._primed
+            self._primed = None
         else:
-            live = self.streaming.window_is_live(window)
+            planes: List[Optional[np.ndarray]] = []
+            live = self.streaming.window_is_live(window, planes=planes)
+            corr = planes[0] if planes else None
         decoded_any = False
         attempted = False
         if live:
             self._count("windows_live", C.SESSION_WINDOWS_LIVE)
             with self.tracer.span("session_window", index=self._window_index):
-                new_frames, report = self.streaming.decode_window(window, self._pos, self.dedup)
+                new_frames, report = self.streaming.decode_window(
+                    window, self._pos, self.dedup, corr=corr
+                )
             # Health judges the *pipeline*, not emission novelty: a
             # window that re-decodes a frame already emitted through
             # the previous (overlapping) window decoded fine -- the

@@ -17,7 +17,7 @@ the orchestration differs from :class:`repro.receiver.receiver.CbmaReceiver`.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -49,18 +49,25 @@ class SicReceiver(CbmaReceiver):
             raise ValueError("max_passes must be >= 1")
         self.max_passes = max_passes
 
-    def process(self, iq: np.ndarray, round_index: int = 0, skip_energy_gate: bool = False) -> ReceptionReport:
+    def process(
+        self,
+        iq: np.ndarray,
+        round_index: int = 0,
+        skip_energy_gate: bool = False,
+        corr: Optional[np.ndarray] = None,
+    ) -> ReceptionReport:
         """Iteratively decode and cancel until no new tag decodes.
 
         Honours the same degradation contract as
         :meth:`CbmaReceiver.process`: malformed input is sanitised, and
         a pass that blows up mid-cancellation is contained into a
         ``DecodeFailure`` while the frames already decoded stay on the
-        report.
+        report.  *corr* is used as in :meth:`CbmaReceiver.process`, by
+        the first pass only: later passes detect on the residual.
         """
         tracer = self.tracer
         report = ReceptionReport(sync=FrameSyncResult(detections=[]))
-        x = self._front_end(iq, report.failures)
+        x, corr = self._front_end(iq, report.failures, corr)
         try:
             with tracer.span("frame_sync"):
                 report.sync = self.energy_detector.detect(x)
@@ -78,7 +85,8 @@ class SicReceiver(CbmaReceiver):
         for _pass in range(self.max_passes):
             try:
                 residual, progressed = self._run_pass(
-                    _pass, residual, succeeded, failed, best_detections, report
+                    _pass, residual, succeeded, failed, best_detections, report,
+                    corr if _pass == 0 else None,
                 )
             except Exception as exc:
                 # A failed pass ends cancellation but keeps everything
@@ -114,13 +122,14 @@ class SicReceiver(CbmaReceiver):
         failed: Dict[int, DecodedFrame],
         best_detections: Dict[int, object],
         report: ReceptionReport,
+        corr: Optional[np.ndarray] = None,
     ) -> tuple:
         """One detect-decode-cancel pass; returns ``(residual, progressed)``."""
         tracer = self.tracer
         with tracer.span("sic", sic_pass=_pass):
             tracer.count(C.SIC_PASSES)
             with tracer.span("detect"):
-                detections = self.user_detector.detect(residual)
+                detections = self.user_detector.detect(residual, corr=corr)
             for det in detections:
                 if det.user_id not in succeeded:
                     best_detections[det.user_id] = det

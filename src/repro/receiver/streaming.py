@@ -229,7 +229,9 @@ class StreamingReceiver:
         """A dedup table with this receiver's duplicate tolerance."""
         return DedupTable(tolerance=self._frame_samples // 2)
 
-    def window_is_live(self, window: np.ndarray) -> bool:
+    def window_is_live(
+        self, window: np.ndarray, planes: Optional[List[Optional[np.ndarray]]] = None
+    ) -> bool:
         """Cheap batched pre-gate: could any user clear the detection
         threshold inside *window*?
 
@@ -239,14 +241,26 @@ class StreamingReceiver:
         same kernel and normalisation as the detector itself (margin
         :data:`_PREGATE_MARGIN` below threshold), so a window it skips
         is one the detector would have returned no users for.
-        """
-        threshold = self.receiver.user_detector.threshold * _PREGATE_MARGIN
-        for _uid, corr in self.receiver.user_detector.correlation_rows(window):
-            if corr.size and float(corr.max()) >= threshold:
-                return True
-        return False
 
-    def windows_are_live(self, windows: np.ndarray) -> np.ndarray:
+        When *planes* is given, the gate appends the correlation plane
+        it computed for a live window (``None`` for a gated-out one).
+        That plane is exactly what the detector would compute over the
+        same samples, so the caller hands it to :meth:`decode_window`
+        and each live window is correlated once.
+        """
+        detector = self.receiver.user_detector
+        x = np.asarray(window)
+        corr = None
+        if x.size >= detector.bank.template_samples:
+            corr = detector.bank.correlate(x)
+        live = corr is not None and float(corr.max()) >= detector.threshold * _PREGATE_MARGIN
+        if planes is not None:
+            planes.append(corr if live else None)
+        return live
+
+    def windows_are_live(
+        self, windows: np.ndarray, planes: Optional[List[Optional[np.ndarray]]] = None
+    ) -> np.ndarray:
         """Vectorised pre-gate over a stack of equal-length windows.
 
         *windows* is ``(S, n)``; returns a boolean ``(S,)`` array where
@@ -255,25 +269,33 @@ class StreamingReceiver:
         (:func:`repro.utils.correlation_batch.sliding_correlation_many`),
         so the farm's cross-session batched gating can never flip a
         decision the per-window gate would have made.
+
+        When *planes* is given it is extended with one entry per
+        window: the ``(U, n - m + 1)`` correlation plane of each live
+        window (a row of the stacked result, equal to the per-window
+        plane) and ``None`` for each gated-out one.  The farm primes
+        each session with its row (:meth:`SessionSupervisor.prime_gate`),
+        so the detector does not correlate the window again.
         """
         windows = np.asarray(windows)
         if windows.ndim != 2:
             raise ValueError(f"windows must be a 2-D stack, got shape {windows.shape}")
         detector = self.receiver.user_detector
         bank = detector.bank
-        if windows.shape[0] == 0:
-            return np.zeros(0, dtype=bool)
-        if windows.shape[1] < bank.template_samples:
-            # correlation_rows yields nothing for sub-template windows.
-            return np.zeros(windows.shape[0], dtype=bool)
-        threshold = detector.threshold * _PREGATE_MARGIN
-        corr = bank.correlate_many(windows)
-        if corr.shape[2] == 0:
-            return np.zeros(windows.shape[0], dtype=bool)
-        return corr.max(axis=(1, 2)) >= threshold
+        live = np.zeros(windows.shape[0], dtype=bool)
+        if windows.shape[0] and windows.shape[1] >= bank.template_samples:
+            corr = bank.correlate_many(windows)
+            live = corr.max(axis=(1, 2)) >= detector.threshold * _PREGATE_MARGIN
+        if planes is not None:
+            planes.extend(corr[s] if is_live else None for s, is_live in enumerate(live))
+        return live
 
     def decode_window(
-        self, window: np.ndarray, pos: int, dedup: DedupTable
+        self,
+        window: np.ndarray,
+        pos: int,
+        dedup: DedupTable,
+        corr: Optional[np.ndarray] = None,
     ) -> Tuple[List[StreamFrame], ReceptionReport]:
         """Full-pipeline decode of one live window starting at absolute
         sample *pos*.
@@ -283,9 +305,11 @@ class StreamingReceiver:
         every accepted frame in *dedup*.  Shared by the batch walk
         (:meth:`process_stream`) and the supervised session
         (:class:`repro.receiver.session.SessionSupervisor`) so the two
-        paths can never drift apart.
+        paths can never drift apart.  *corr* is the pre-gate's plane
+        for *window* (see :meth:`window_is_live`), passed through to
+        :meth:`CbmaReceiver.process`.
         """
-        report = self.receiver.process(window, skip_energy_gate=True)
+        report = self.receiver.process(window, skip_energy_gate=True, corr=corr)
         det_offsets = {d.user_id: d.offset for d in report.detections}
         frames: List[StreamFrame] = []
         for frame in report.frames:
@@ -324,9 +348,12 @@ class StreamingReceiver:
         pos = 0
         while pos < x.size:
             window = x[pos : pos + self.window_samples]
-            if self.window_is_live(window):
+            planes: List[Optional[np.ndarray]] = []
+            if self.window_is_live(window, planes=planes):
                 with tracer.span("stream_decode"):
-                    new_frames, _report = self.decode_window(window, pos, dedup)
+                    new_frames, _report = self.decode_window(
+                        window, pos, dedup, corr=planes[0] if planes else None
+                    )
                 frames.extend(new_frames)
             pos += self.hop_samples
             # No future decode can start before pos, so entries more

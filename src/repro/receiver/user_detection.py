@@ -17,7 +17,9 @@ consumed by the decoder.
 Every template is correlated in one batched FFT pass over the code
 book's cached :class:`~repro.utils.correlation_batch.TemplateBank`, so
 the code book must stack: an empty or mixed-length book raises
-:class:`ValueError` at construction.
+:class:`ValueError` at construction.  A caller that already holds that
+pass's output for the same samples (the streaming pre-gate) hands it to
+:meth:`UserDetector.detect` as *corr* instead of paying for it twice.
 """
 
 from __future__ import annotations
@@ -135,22 +137,41 @@ class UserDetector:
             yield uid, corr[row]
 
     @array_contract(window="(n) complex128")
-    def detect(self, window: np.ndarray, max_users: Optional[int] = None) -> List[UserDetection]:
+    def detect(
+        self,
+        window: np.ndarray,
+        max_users: Optional[int] = None,
+        corr: Optional[np.ndarray] = None,
+    ) -> List[UserDetection]:
         """Detect users inside *window* (complex samples).
 
         The window should start at (or slightly before) the energy
         detection and span at least one spread preamble plus the
         largest expected inter-tag offset.  Returns detections sorted
         by descending score, truncated to *max_users* when given.
+
+        *corr*, when given, is ``self.bank.correlate(window)`` computed
+        earlier over these very samples (a stacked ``correlate_many``
+        row is bit-identical to it); the detector then skips its own
+        correlation pass.
         """
         x = np.asarray(window)
         out: List[UserDetection] = []
-        for uid, corr in self.correlation_rows(x):
+        n_valid = x.size - self._bank.template_samples + 1
+        if n_valid <= 0:
+            return out
+        if corr is None:
+            corr = self._bank.correlate(x)
+        elif corr.shape != (self._bank.n_users, n_valid):
+            raise ValueError(
+                f"correlation plane of shape {corr.shape} does not match a "
+                f"{x.size}-sample window of this bank"
+            )
+        for uid, bank_row in self._rows:
             template = self._bank.template(uid)
-            if corr.size == 0:
-                continue
-            best = int(np.argmax(corr))
-            score = float(corr[best])
+            corr_u = corr[bank_row]
+            best = int(np.argmax(corr_u))
+            score = float(corr_u[best])
             if score < self.threshold:
                 continue
             # Near-maximal alternative alignments: the +/-k-bit
@@ -164,7 +185,7 @@ class UserDetector:
             # CRC and falls through to the next candidate.
             block = self.samples_per_chip * int(self.codes[uid].size)
             peaks = correlation_peaks(
-                corr, threshold=max(self.threshold, 0.5 * score), min_spacing=max(block // 2, 1)
+                corr_u, threshold=max(self.threshold, 0.5 * score), min_spacing=max(block // 2, 1)
             )
             ranked = sorted(int(k) for k in peaks)[: self.max_hypotheses - 1]
             # The global maximum is always kept as a hypothesis even
@@ -178,7 +199,7 @@ class UserDetector:
                 # Least-squares complex gain of a unit-amplitude chip:
                 # h = <x, t> / ||t||^2 with t the bipolar template.
                 h = complex(np.vdot(template, segment) / float(np.vdot(template, template).real))
-                candidates.append((int(k), float(corr[k]), h))
+                candidates.append((int(k), float(corr_u[k]), h))
             if not candidates:
                 segment = x[best : best + template.size]
                 h = complex(np.vdot(template, segment) / float(np.vdot(template, template).real))

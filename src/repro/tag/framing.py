@@ -42,7 +42,7 @@ def _alternating_preamble(n_bits: int) -> np.ndarray:
     return np.array([(i + 1) % 2 for i in range(n_bits)], dtype=np.uint8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameFormat:
     """Frame geometry shared by tags and the receiver.
 
@@ -50,13 +50,34 @@ class FrameFormat:
     ----------
     preamble:
         The known preamble bit pattern (default: the paper's
-        ``10101010``).
+        ``10101010``).  Stored as a read-only ``uint8`` copy of what
+        was passed, so the format never aliases the caller's array.
     crc:
         CRC implementation covering the length byte and payload.
+
+    Two formats are equal, and hash alike, when their preamble bits and
+    CRC parameters (polynomial, init, reflection, final XOR) match.
     """
 
     preamble: np.ndarray = field(default_factory=lambda: as_bit_array(DEFAULT_PREAMBLE))
     crc: Crc16 = CRC16_CCITT
+
+    def __post_init__(self) -> None:
+        preamble = as_bit_array(self.preamble)
+        preamble.flags.writeable = False
+        object.__setattr__(self, "preamble", preamble)
+
+    def _key(self) -> tuple:
+        crc = self.crc
+        return (self.preamble.tobytes(), crc.poly, crc.init, crc.reflect, crc.xor_out)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, FrameFormat):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def with_preamble_bits(cls, n_bits: int) -> "FrameFormat":

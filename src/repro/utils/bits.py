@@ -7,6 +7,13 @@ array* as a one-dimensional :class:`numpy.ndarray` of dtype ``uint8``
 containing only the values 0 and 1.  Using a single canonical
 representation keeps every layer of the stack (framing, coding,
 modulation) interoperable without ad-hoc conversions.
+
+Every function that takes bits validates them through
+:func:`as_bit_array` on every call: there is no unchecked twin.  The
+check is a comparison, not a set-membership sort (``max() <= 1`` for
+``uint8`` input, ``(a == 0) | (a == 1)`` otherwise), so it stays cheap
+on the receiver's per-attempt decode path, which reaches it several
+times per candidate frame.
 """
 
 from __future__ import annotations
@@ -37,6 +44,9 @@ def as_bit_array(bits: Union[Iterable[int], str, np.ndarray]) -> BitArray:
 
     Accepts any iterable of integers, a numpy array, or a string such as
     ``"10110"``.  Raises :class:`ValueError` when any element is not 0/1.
+    The result is always a fresh array: mutating it never touches the
+    caller's input (:attr:`repro.tag.framing.FrameFormat.preamble`
+    relies on that).
     """
     if isinstance(bits, str):
         if not all(ch in "01" for ch in bits):
@@ -45,7 +55,11 @@ def as_bit_array(bits: Union[Iterable[int], str, np.ndarray]) -> BitArray:
     arr = np.asarray(bits)
     if arr.ndim != 1:
         arr = arr.ravel()
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.dtype == np.uint8:
+        valid = not arr.size or arr.max() <= 1
+    else:
+        valid = bool(((arr == 0) | (arr == 1)).all())
+    if not valid:
         raise ValueError("bit array may contain only 0 and 1")
     return arr.astype(np.uint8)
 

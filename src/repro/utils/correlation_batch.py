@@ -23,12 +23,16 @@ agreement to ~1e-12 relative (FFT rounding only).
 Template construction is cached: :func:`template_bank` memoises the
 stacked spread-preamble matrix per ``(FrameFormat, codes,
 samples_per_chip)``, so constructing many receivers over one code book
-(sweeps, streaming, SIC passes) builds the templates once.
+(sweeps, streaming, SIC passes) builds the templates once.  Each
+:class:`TemplateBank` also keeps the templates' spectra per FFT length,
+so a window walk transforms only its windows, never the templates
+again.  A cached spectrum is the very array the free functions compute
+per call, so the bank's results are bit-identical to theirs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Tuple
 
 import numpy as np
 
@@ -72,28 +76,49 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _fft_valid_correlation(signal: np.ndarray, templates: np.ndarray) -> np.ndarray:
+#: ``spectrum(nfft, real)`` -> the templates' kernel spectrum at that
+#: FFT length (see :func:`_kernel_spectrum`).
+SpectrumFn = Callable[[int, bool], np.ndarray]
+
+
+def _kernel_spectrum(templates: np.ndarray, nfft: int, real: bool) -> np.ndarray:
+    """Spectrum of every conjugate-reversed template row, zero-padded to
+    *nfft*: cross-correlation is convolution with that kernel.  *real*
+    selects the half-spectrum (``rfft``) used when signal and templates
+    are both real."""
+    kernels = np.conj(templates[:, ::-1])
+    if real:
+        return np.fft.rfft(kernels.real, nfft, axis=1)
+    return np.fft.fft(kernels, nfft, axis=1)
+
+
+def _is_real(signal: np.ndarray, templates: np.ndarray) -> bool:
+    return not np.iscomplexobj(signal) and not np.iscomplexobj(templates)
+
+
+def _fft_valid_correlation(
+    signal: np.ndarray, templates: np.ndarray, spectrum: SpectrumFn
+) -> np.ndarray:
     """``|valid cross-correlation|`` of every template row, via one
     shared signal FFT (callers guarantee ``n >= m``)."""
     n = signal.size
     m = templates.shape[1]
     nfft = _next_fast_len(n)
-    # Cross-correlation == convolution with the conjugate-reversed
-    # template; real inputs take the half-spectrum (rfft) fast path.
-    kernels = np.conj(templates[:, ::-1])
-    if not np.iscomplexobj(signal) and not np.iscomplexobj(kernels):
+    real = _is_real(signal, templates)
+    kspec = spectrum(nfft, real)
+    if real:
         spec = np.fft.rfft(signal, nfft)
-        kspec = np.fft.rfft(kernels.real, nfft, axis=1)
         full = np.fft.irfft(spec[None, :] * kspec, nfft, axis=1)
     else:
         spec = np.fft.fft(signal, nfft)
-        kspec = np.fft.fft(kernels, nfft, axis=1)
         full = np.fft.ifft(spec[None, :] * kspec, axis=1)
     # "valid" slice of the full linear convolution.
     return np.abs(full[:, m - 1 : n])
 
 
-def _overlap_save_correlation(signal: np.ndarray, templates: np.ndarray) -> np.ndarray:
+def _overlap_save_correlation(
+    signal: np.ndarray, templates: np.ndarray, spectrum: SpectrumFn
+) -> np.ndarray:
     """Overlap-save variant: process *signal* in blocks sharing one
     kernel-spectrum computation, bounding memory on long captures."""
     n = signal.size
@@ -102,12 +127,8 @@ def _overlap_save_correlation(signal: np.ndarray, templates: np.ndarray) -> np.n
     block = _next_fast_len(max(4 * m, 1 << 14))
     step = block - (m - 1)
     out = np.empty((templates.shape[0], n_valid), dtype=np.float64)
-    kernels = np.conj(templates[:, ::-1])
-    real = not np.iscomplexobj(signal) and not np.iscomplexobj(kernels)
-    if real:
-        kspec = np.fft.rfft(kernels.real, block, axis=1)
-    else:
-        kspec = np.fft.fft(kernels, block, axis=1)
+    real = _is_real(signal, templates)
+    kspec = spectrum(block, real)
     pos = 0
     while pos < n_valid:
         chunk = signal[pos : pos + block]
@@ -123,6 +144,11 @@ def _overlap_save_correlation(signal: np.ndarray, templates: np.ndarray) -> np.n
         out[:, pos : pos + take] = np.abs(full[:, m - 1 : m - 1 + take])
         pos += take
     return out
+
+
+def _spectrum_of(templates: np.ndarray) -> SpectrumFn:
+    """An uncached spectrum source: transform *templates* on every call."""
+    return lambda nfft, real: _kernel_spectrum(templates, nfft, real)
 
 
 @array_contract(signal="(n) any", templates="(u, m) any")
@@ -146,8 +172,13 @@ def sliding_correlation_batch(signal: np.ndarray, templates: np.ndarray) -> np.n
     -------
     ``(U, n - m + 1)`` float64 array of normalised correlation magnitudes.
     """
-    signal = np.asarray(signal)
     templates = np.asarray(templates)
+    return _correlate_one(np.asarray(signal), templates, _spectrum_of(templates))
+
+
+def _correlate_one(signal: np.ndarray, templates: np.ndarray, spectrum: SpectrumFn) -> np.ndarray:
+    """:func:`sliding_correlation_batch` with the kernel spectra drawn
+    from *spectrum*."""
     if templates.ndim != 2:
         raise ValueError(f"templates must be a 2-D stack, got shape {templates.shape}")
     n = signal.size
@@ -158,9 +189,9 @@ def sliding_correlation_batch(signal: np.ndarray, templates: np.ndarray) -> np.n
         return np.zeros((n_templates, 0), dtype=np.float64)
 
     if n > _OVERLAP_SAVE_THRESHOLD:
-        mags = _overlap_save_correlation(signal, templates)
+        mags = _overlap_save_correlation(signal, templates, spectrum)
     else:
-        mags = _fft_valid_correlation(signal, templates)
+        mags = _fft_valid_correlation(signal, templates, spectrum)
 
     # One shared window-energy cumsum normalises every template row.
     power = np.abs(signal) ** 2
@@ -190,8 +221,15 @@ def sliding_correlation_many(signals: np.ndarray, templates: np.ndarray) -> np.n
     -------
     ``(S, U, n - m + 1)`` float64 array of correlation magnitudes.
     """
-    signals = np.asarray(signals)
     templates = np.asarray(templates)
+    return _correlate_stack(np.asarray(signals), templates, _spectrum_of(templates))
+
+
+def _correlate_stack(
+    signals: np.ndarray, templates: np.ndarray, spectrum: SpectrumFn
+) -> np.ndarray:
+    """:func:`sliding_correlation_many` with the kernel spectra drawn
+    from *spectrum*."""
     if signals.ndim != 2:
         raise ValueError(f"signals must be a 2-D stack, got shape {signals.shape}")
     if templates.ndim != 2:
@@ -208,18 +246,17 @@ def sliding_correlation_many(signals: np.ndarray, templates: np.ndarray) -> np.n
         # single-window kernel, so equivalence holds by construction.
         out = np.empty((n_signals, n_templates, n - m + 1), dtype=np.float64)
         for s, row in enumerate(signals):
-            out[s] = sliding_correlation_batch(row, templates)
+            out[s] = _correlate_one(row, templates, spectrum)
         return out
 
     nfft = _next_fast_len(n)
-    kernels = np.conj(templates[:, ::-1])
-    if not np.iscomplexobj(signals) and not np.iscomplexobj(kernels):
+    real = _is_real(signals, templates)
+    kspec = spectrum(nfft, real)
+    if real:
         spec = np.fft.rfft(signals, nfft, axis=1)
-        kspec = np.fft.rfft(kernels.real, nfft, axis=1)
         full = np.fft.irfft(spec[:, None, :] * kspec[None, :, :], nfft, axis=2)
     else:
         spec = np.fft.fft(signals, nfft, axis=1)
-        kspec = np.fft.fft(kernels, nfft, axis=1)
         full = np.fft.ifft(spec[:, None, :] * kspec[None, :, :], axis=2)
     mags = np.abs(full[:, :, m - 1 : n])
 
@@ -237,6 +274,12 @@ def sliding_correlation_many(signals: np.ndarray, templates: np.ndarray) -> np.n
     return mags / denom
 
 
+#: Kernel spectra a bank keeps, least recently used evicted first.
+#: A stream needs one FFT length per window geometry (the hop window,
+#: the RESYNC-widened window) plus the odd lengths of tail windows.
+_SPECTRA_MAX = 4
+
+
 class TemplateBank:
     """The stacked spread-preamble templates of one receiver code book.
 
@@ -244,9 +287,14 @@ class TemplateBank:
     order -- ready to feed :func:`sliding_correlation_batch`.  Banks
     are built through :func:`template_bank`, which memoises them per
     ``(FrameFormat, codes, samples_per_chip)``.
+
+    :meth:`correlate` and :meth:`correlate_many` reuse the kernel
+    spectrum per ``(FFT length, real/complex)``, at most
+    :data:`_SPECTRA_MAX` of them (256 KiB per complex spectrum for 4
+    templates over 4,096-sample windows).
     """
 
-    __slots__ = ("user_ids", "matrix", "samples_per_chip", "_rows")
+    __slots__ = ("user_ids", "matrix", "samples_per_chip", "_rows", "_spectra")
 
     def __init__(
         self, user_ids: Tuple[int, ...], matrix: np.ndarray, samples_per_chip: int
@@ -255,6 +303,7 @@ class TemplateBank:
         self.matrix = matrix
         self.samples_per_chip = samples_per_chip
         self._rows = {uid: matrix[i] for i, uid in enumerate(user_ids)}
+        self._spectra: Dict[Tuple[int, bool], np.ndarray] = {}
 
     @property
     def n_users(self) -> int:
@@ -269,14 +318,28 @@ class TemplateBank:
         """The template row for *user_id*."""
         return self._rows[int(user_id)]
 
+    def _spectrum(self, nfft: int, real: bool) -> np.ndarray:
+        """The templates' kernel spectrum at *nfft*, computed once."""
+        key = (nfft, real)
+        spec = self._spectra.pop(key, None)
+        if spec is None:
+            spec = _kernel_spectrum(self.matrix, nfft, real)
+            spec.flags.writeable = False
+            if len(self._spectra) >= _SPECTRA_MAX:
+                self._spectra.pop(next(iter(self._spectra)))
+        self._spectra[key] = spec  # (re)insert as most recently used
+        return spec
+
     def correlate(self, window: np.ndarray) -> np.ndarray:
-        """Batched sliding correlation of every user template."""
-        return sliding_correlation_batch(window, self.matrix)
+        """Batched sliding correlation of every user template
+        (:func:`sliding_correlation_batch` over the cached spectra)."""
+        return _correlate_one(np.asarray(window), self.matrix, self._spectrum)
 
     def correlate_many(self, windows: np.ndarray) -> np.ndarray:
         """Sliding correlation of every user template against a stack
-        of equal-length windows (one ``(U, n-m+1)`` plane per window)."""
-        return sliding_correlation_many(windows, self.matrix)
+        of equal-length windows (one ``(U, n-m+1)`` plane per window;
+        :func:`sliding_correlation_many` over the cached spectra)."""
+        return _correlate_stack(np.asarray(windows), self.matrix, self._spectrum)
 
 
 _BANK_CACHE: Dict[tuple, TemplateBank] = {}

@@ -58,13 +58,13 @@ class ScriptedStream:
     def make_dedup(self):
         return DedupTable(tolerance=self.frame_samples // 2)
 
-    def window_is_live(self, window):
+    def window_is_live(self, window, planes=None):
         self._kind = self.outcomes[self._n] if self._n < len(self.outcomes) else "dark"
         self.windows_seen.append((self._kind, window.size))
         self._n += 1
         return self._kind != "dark"
 
-    def decode_window(self, window, pos, dedup):
+    def decode_window(self, window, pos, dedup, corr=None):
         if self._kind == "fail":
             report = SimpleNamespace(
                 frames=[],

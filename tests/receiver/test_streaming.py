@@ -143,14 +143,14 @@ class TestDedupTable:
         stream = StreamingReceiver(rx, max_frame_bits=4)
         decoded = {"n": 0}
 
-        def fake_decode(window, pos, dedup):
+        def fake_decode(window, pos, dedup, corr=None):
             decoded["n"] += 1
             payload = decoded["n"].to_bytes(4, "big")
             if dedup.seen(0, payload, pos):
                 return [], None
             return [StreamFrame(user_id=0, payload=payload, start_sample=pos)], None
 
-        monkeypatch.setattr(stream, "window_is_live", lambda window: True)
+        monkeypatch.setattr(stream, "window_is_live", lambda window, planes=None: True)
         monkeypatch.setattr(stream, "decode_window", fake_decode)
         frames = stream.process_stream(
             np.zeros(1000 * stream.hop_samples, dtype=complex)

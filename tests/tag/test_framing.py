@@ -12,6 +12,7 @@ from repro.tag.framing import (
     MAX_PAYLOAD_BYTES,
 )
 from repro.utils.bits import as_bit_array
+from repro.utils.crc import CRC16_CCITT, CRC16_IBM, Crc16
 
 
 class TestFrameFormat:
@@ -26,6 +27,51 @@ class TestFrameFormat:
     def test_with_preamble_bits_invalid(self):
         with pytest.raises(ValueError):
             FrameFormat.with_preamble_bits(0)
+
+    def test_equal_formats_compare_and_hash_alike(self):
+        a, b = FrameFormat(), FrameFormat()
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        # Same bits given another way: same format.
+        assert FrameFormat(preamble=np.array([1, 0] * 4, dtype=np.int64)) == a
+        assert FrameFormat(preamble=DEFAULT_PREAMBLE) == a
+        assert FrameFormat.with_preamble_bits(8) == a
+        # A CRC with the same parameters but another object is the same CRC.
+        same_crc = Crc16(CRC16_CCITT.poly, CRC16_CCITT.init, CRC16_CCITT.reflect, CRC16_CCITT.xor_out)
+        assert FrameFormat(crc=same_crc) == a
+        assert hash(FrameFormat(crc=same_crc)) == hash(a)
+
+    def test_different_formats_differ(self):
+        a = FrameFormat()
+        assert a != FrameFormat.with_preamble_bits(16)
+        assert a != FrameFormat(preamble="10101011")
+        assert a != FrameFormat(crc=CRC16_IBM)
+        # One CRC parameter apart is another CRC.
+        ccitt = CRC16_CCITT
+        for params in (
+            (ccitt.poly, 0x0000, ccitt.reflect, ccitt.xor_out),
+            (ccitt.poly, ccitt.init, not ccitt.reflect, ccitt.xor_out),
+            (ccitt.poly, ccitt.init, ccitt.reflect, 0xFFFF),
+        ):
+            assert a != FrameFormat(crc=Crc16(*params))
+        assert a != "10101010"
+
+    def test_frames_compare_by_format(self):
+        assert Frame(b"hi") == Frame(b"hi", fmt=FrameFormat())
+        assert Frame(b"hi") != Frame(b"hi", fmt=FrameFormat.with_preamble_bits(16))
+
+    def test_preamble_is_a_read_only_copy(self):
+        bits = np.array([1, 0, 1, 0], dtype=np.uint8)
+        fmt = FrameFormat(preamble=bits)
+        bits[0] = 0
+        assert fmt.preamble.tolist() == [1, 0, 1, 0]
+        with pytest.raises(ValueError):
+            fmt.preamble[0] = 0
+
+    def test_invalid_preamble_rejected(self):
+        with pytest.raises(ValueError):
+            FrameFormat(preamble=np.array([1, 2]))
 
     def test_overhead_bits(self):
         fmt = FrameFormat()

@@ -182,3 +182,116 @@ class TestDetectionGoldens:
             signal = signal + 1j * rng.normal(size=700)
         templates = np.sign(rng.normal(size=(5, 48))) + 0.0
         assert _digest([sliding_correlation_batch(signal, templates)]) == digest
+
+
+def _frames_digest(frames) -> str:
+    """``(user, payload, start)`` of every frame, in order, as bytes."""
+    m = hashlib.sha256()
+    for f in frames:
+        m.update(np.array([f.user_id, f.start_sample, len(f.payload)], dtype=np.int64).tobytes())
+        m.update(f.payload)
+    return m.hexdigest()[:16]
+
+
+#: The PHY config whose receiver decodes the soak captures below
+#: (the soak stack's code book, frame format and threshold).
+_SOAK_NET = dict(n_tags=4, payload_bytes=4, code_length=32, samples_per_chip=1, user_threshold=0.25)
+
+
+class TestStreamGoldens:
+    """The streaming entry layers are pinned to the frame: user id,
+    payload and absolute start of every frame each layer emits, so a
+    hot-path change that shifts a single detection shows up here.
+
+    Regenerate: ``_frames_digest(frames)`` over the frames each test
+    collects.
+    """
+
+    @staticmethod
+    def _capture(seed: int, traffic_rate: float, n_windows: int = 40, plan=None):
+        cfg = SoakConfig(n_windows=n_windows, n_tags=4, seed=seed, traffic_rate=traffic_rate)
+        tags, stream = build_soak_stack(cfg)
+        buffer, _offered = build_soak_stream(cfg, plan, stream, tags)
+        return cfg, stream, buffer
+
+    @pytest.mark.parametrize(
+        "traffic_rate,n_windows,n_frames,digest",
+        [(0.3, 40, 42, "aefa9ec690615a6f"), (0.02, 120, 17, "19ed49c4e6810a32")],
+    )
+    def test_process_stream_digest(self, traffic_rate, n_windows, n_frames, digest):
+        _cfg, stream, buffer = self._capture(31, traffic_rate, n_windows)
+        frames = stream.process_stream(buffer)
+        assert len(frames) == n_frames
+        assert _frames_digest(frames) == digest
+
+    @pytest.mark.parametrize("dtype,digest", [(np.complex128, "fbe651c3ef6f60b5"), (np.complex64, "fbe651c3ef6f60b5")])
+    def test_chunk_fed_session_digest(self, dtype, digest):
+        """A chunk-fed supervisor, through a drift fault that drives it
+        into RESYNC (widened windows), at both stream dtypes."""
+        from repro.faults.models import OscillatorDrift
+        from repro.faults.plan import FaultPlan
+        from repro.receiver.session import SessionSupervisor
+        from repro.receiver.streaming import StreamingReceiver
+
+        plan = FaultPlan(
+            [OscillatorDrift(probability=1.0, drift_ppm=4000.0, start_round=10, end_round=22)],
+            seed=5,
+        )
+        cfg, stream, buffer = self._capture(32, 0.3, n_windows=48, plan=plan)
+        stream = StreamingReceiver(stream.receiver, max_frame_bits=stream.max_frame_bits, dtype=dtype)
+        session = SessionSupervisor(stream)
+        chunk = cfg.chunk_hops * stream.hop_samples
+        frames = []
+        for lo in range(0, buffer.size, chunk):
+            frames.extend(session.feed(buffer[lo : lo + chunk]))
+        frames.extend(session.finish())
+        assert session.stats["resyncs"] > 0
+        assert _frames_digest(frames) == digest
+
+    def test_inline_farm_digest(self):
+        from repro.farm import DecodeFarm, FarmConfig
+        from repro.sim.network import CbmaConfig
+
+        captures = [self._capture(seed, rate)[2] for seed, rate in ((33, 0.3), (34, 0.1), (35, 0.02))]
+        _cfg, stream, _buffer = self._capture(33, 0.3, n_windows=1)
+        chunk = 3 * stream.hop_samples
+        farm = DecodeFarm.from_config(
+            CbmaConfig(seed=11, **_SOAK_NET),
+            n_sessions=len(captures),
+            farm=FarmConfig(n_workers=1, ring_slot_samples=chunk),
+            backend="inline",
+        )
+        try:
+            for lo in range(0, max(c.size for c in captures), chunk):
+                for sid, capture in enumerate(captures):
+                    if lo < capture.size:
+                        farm.feed(sid, capture[lo : lo + chunk])
+                farm.pump()
+            farm.finish()
+            frames = [f for sid in sorted(farm.frames) for f in farm.frames[sid]]
+        finally:
+            farm.close()
+        assert farm.batched_windows > 0
+        assert _frames_digest(frames) == "ea60933fe3cd50fa"
+
+    @pytest.mark.parametrize("samples_per_chip,digest", [(1, "78b6e93f01aab622"), (2, "79f526594259641e")])
+    def test_decode_frame_outcomes_digest(self, samples_per_chip, digest):
+        """Every candidate alignment of every detected user of a seeded
+        4-tag collision, decoded: reason, payload and raw bits."""
+        from repro.receiver.decoder import ChipDecoder
+
+        iq, codes, fmt = TestDetectionGoldens._collision(4, samples_per_chip, seed=200)
+        detector = UserDetector(codes, fmt, samples_per_chip=samples_per_chip, threshold=0.05)
+        m = hashlib.sha256()
+        reasons = []
+        for det in detector.detect(iq):
+            decoder = ChipDecoder(codes[det.user_id], fmt, samples_per_chip)
+            for offset, _score, channel in det.candidates:
+                frame = decoder.decode_frame(iq, offset, channel, user_id=det.user_id)
+                reasons.append(frame.reason)
+                m.update(f"{det.user_id}:{offset}:{frame.reason}:".encode())
+                m.update(frame.payload or b"-")
+                raw = frame.raw_bits if frame.raw_bits is not None else np.zeros(0, np.uint8)
+                m.update(np.ascontiguousarray(raw).tobytes())
+        assert "ok" in reasons and len(set(reasons)) > 1
+        assert m.hexdigest()[:16] == digest

@@ -17,6 +17,7 @@ from repro.utils.bits import (
     random_bits,
     unpack_bits,
 )
+from repro.tag.framing import FrameFormat
 
 
 class TestAsBitArray:
@@ -39,6 +40,77 @@ class TestAsBitArray:
 
     def test_flattens(self):
         assert as_bit_array(np.array([[1, 0], [0, 1]])).shape == (4,)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64, bool])
+    def test_result_is_a_fresh_copy(self, dtype):
+        bits = np.array([0, 1, 1, 0], dtype=dtype)
+        out = as_bit_array(bits)
+        assert out.dtype == np.uint8
+        assert not np.shares_memory(out, bits)
+        out[:] = 1
+        assert bits.tolist() == [0, 1, 1, 0]
+
+    def test_copy_leaves_frame_preamble_untouched(self):
+        fmt = FrameFormat()
+        out = as_bit_array(fmt.preamble)
+        out[:] = 0
+        assert fmt.preamble.tolist() == FrameFormat().preamble.tolist() == [1, 0] * 4
+
+
+#: A valid 64-bit frame (4-byte payload), so every entry point below,
+#: including ``FrameFormat.parse``, accepts it as is.
+_FRAME = FrameFormat().build(b"\x5a\x00\xff\x81")
+
+#: Every public entry point that takes bits, called on one bit array.
+_BIT_ENTRY_POINTS = {
+    "as_bit_array": as_bit_array,
+    "bits_to_bytes": bits_to_bytes,
+    "pack_bits": pack_bits,
+    "unpack_bits": lambda bits: unpack_bits(bits, 8, -1),
+    "bits_to_int": bits_to_int,
+    "hamming_distance": lambda bits: hamming_distance(bits, _FRAME),
+    "FrameFormat.parse": lambda bits: FrameFormat().parse(bits),
+}
+
+
+class TestValidationAtEveryEntryPoint:
+    """Bit validation is a comparison, not ``np.isin``; it must reject
+    and accept exactly what the set-membership test did, at every
+    entry point that takes bits."""
+
+    @pytest.mark.parametrize("entry", sorted(_BIT_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "dtype,bad",
+        [(np.uint8, 2), (np.uint8, 255), (np.int64, -1), (np.float64, 0.5), (np.complex128, 1 + 1j)],
+    )
+    def test_rejects_non_bits(self, entry, dtype, bad):
+        bits = _FRAME.astype(dtype)
+        bits[5] = bad
+        with pytest.raises(ValueError, match="0 and 1"):
+            _BIT_ENTRY_POINTS[entry](bits)
+
+    @pytest.mark.parametrize("entry", sorted(_BIT_ENTRY_POINTS))
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda b: b.astype(bool),
+            lambda b: b.astype(np.float64),
+            lambda b: "".join(str(int(v)) for v in b),
+        ],
+        ids=["bool", "float", "str"],
+    )
+    def test_accepts_bits_in_any_form(self, entry, form):
+        fn = _BIT_ENTRY_POINTS[entry]
+        expected = fn(_FRAME)
+        got = fn(form(_FRAME))
+        if entry == "FrameFormat.parse":
+            assert got.payload == expected.payload
+        elif isinstance(expected, list):
+            assert [g.tolist() for g in got] == [e.tolist() for e in expected]
+        elif isinstance(expected, np.ndarray):
+            np.testing.assert_array_equal(got, expected)
+        else:
+            assert got == expected
 
 
 class TestBytesBits:
