@@ -790,22 +790,24 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         if o.shrunken is not None:
             print("minimal reproducing fault plan:")
             print(o.shrunken.describe())
-            if args.artifact:
-                payload = {
-                    "config": {
-                        "n_windows": args.windows,
-                        "n_tags": args.tags,
-                        "seed": args.seed,
-                    },
-                    "campaign": o.campaign,
-                    "violations": [
-                        {"name": v.name, "detail": v.detail} for v in o.result.violations
-                    ],
-                    "plan": o.shrunken.to_dict(),
-                }
-                with open(args.artifact, "w") as fh:
-                    json.dump(payload, fh, indent=2)
-                print(f"shrunken plan written to {args.artifact}")
+    if args.artifact:
+        first = failed[0]
+        plan = first.shrunken if first.shrunken is not None else first.plan
+        payload = {
+            "config": {
+                "n_windows": args.windows,
+                "n_tags": args.tags,
+                "seed": args.seed,
+            },
+            "campaign": first.campaign,
+            "violations": [
+                {"name": v.name, "detail": v.detail} for v in first.result.violations
+            ],
+            "plan": plan.to_dict(),
+        }
+        with open(args.artifact, "w") as fh:
+            json.dump(payload, fh, indent=2)
+        print(f"reproducing plan of campaign {first.campaign} written to {args.artifact}")
     return 1
 
 

@@ -2,10 +2,9 @@
 
 The per-file AST rules of LNT001..LNT006 see one module at a time; the
 invariants introduced with the decode farm (fork safety of the worker
-import closure, checkpoint schema symmetry, taxonomy coverage, dtype
-flow across calls) span modules.  This package supplies the machinery
-those project rules (LNT007, LNT009, LNT010, LNT012) are written
-against:
+import closure, taxonomy coverage, dtype flow across calls) span
+modules.  This package supplies the machinery those project rules
+(LNT007, LNT010, LNT012) are written against:
 
 - :mod:`repro.lint.engine.symbols` -- the cross-module project index:
   import graph, symbol table (classes, methods, functions,

@@ -430,10 +430,6 @@ class ProjectIndex:
 
     # -- import graph --------------------------------------------------
 
-    def imported_modules(self, module: str) -> Set[str]:
-        summary = self.by_module.get(module)
-        return set(summary.imports) if summary is not None else set()
-
     def reachable_modules(self, roots: Iterable[str]) -> Set[str]:
         """Transitive import closure of *roots* (includes the roots).
 

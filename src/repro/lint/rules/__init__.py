@@ -12,21 +12,20 @@ LNT004    ``dtype``              no widening of @array_contract buffers
 LNT005    ``api``                __all__ and documented factories are real
 LNT006    ``excepts``            no blanket exception swallowing
 LNT007    ``forksafety``         no fork-unsafe module state in worker closure
-LNT009    ``checkpoint``         serializer/deserializer schema symmetry
 LNT010    ``taxonomy_coverage``  every constant emitted; every emission a constant
 LNT012    ``dtypeflow``          contracted buffers stay narrow across calls
 ========  =====================  ==========================================
 
-LNT001-LNT006 are per-file AST rules; LNT007, LNT009, LNT010 and
-LNT012 run in the project-wide ``finalize`` phase on the cross-module
-project index (:mod:`repro.lint.engine`).  LNT008 and LNT011 are
-unassigned: the farm API itself enforces the ``ShmRing`` slot
-lifecycle and timed queue waits they used to check.
+LNT001-LNT006 are per-file AST rules; LNT007, LNT010 and LNT012 run
+in the project-wide ``finalize`` phase on the cross-module project
+index (:mod:`repro.lint.engine`).  Numbers missing from the table are
+retired, not reassigned: the farm API itself enforces the ``ShmRing``
+slot lifecycle and timed queue waits, and the session checkpoint
+schema is declared once as dataclasses in :mod:`repro.receiver.session`.
 """
 
 from repro.lint.rules import (
     api,
-    checkpoint,
     dtype,
     dtypeflow,
     excepts,
@@ -39,7 +38,6 @@ from repro.lint.rules import (
 
 __all__ = [
     "api",
-    "checkpoint",
     "dtype",
     "dtypeflow",
     "excepts",

@@ -68,17 +68,17 @@ import json
 import os
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.obs.taxonomy import C, G, session_transition
 from repro.obs.tracer import as_tracer
 from repro.receiver.failures import sanitize_buffer
-from repro.receiver.streaming import DedupTable, StreamFrame, StreamingReceiver
+from repro.receiver.streaming import StreamFrame, StreamingReceiver
 
 __all__ = ["HealthState", "SessionConfig", "SessionSupervisor", "CHECKPOINT_FORMAT"]
 
@@ -87,6 +87,94 @@ CHECKPOINT_FORMAT = "cbma-session"
 #: Version 2 added the buffer dtype to the geometry header (the
 #: complex64 fast path must not resume onto a complex128 stack).
 _CHECKPOINT_VERSION = 2
+
+
+# The checkpoint schema: one frozen dataclass per record type, written
+# as ``{"type": name, **fields}`` in declaration order and parsed back
+# through :func:`_parse_record`, which requires exactly these fields.
+
+@dataclass(frozen=True)
+class _HeaderRecord:
+    """First record: format, version and the receiver geometry."""
+
+    format: str
+    version: int
+    window_samples: int
+    hop_samples: int
+    max_frame_bits: int
+    n_users: int
+    dtype: str
+
+
+@dataclass(frozen=True)
+class _StateRecord:
+    """Walk position, health machine and counters (exactly one)."""
+
+    pos: int
+    window_index: int
+    samples_fed: int
+    health: str
+    recent: List[bool]
+    nodecode_streak: int
+    resync_attempts: int
+    stats: Dict[str, int]
+    peak_dedup: int
+    dedup_evictions: int
+    peak_backlog_windows: int
+
+
+@dataclass(frozen=True)
+class _FrameRecord:
+    """One frame: a live dedup entry or a frame held for ordered emission."""
+
+    user: int
+    payload: str  # hex
+    start: int
+
+    def frame(self) -> StreamFrame:
+        return StreamFrame(
+            user_id=int(self.user),
+            payload=bytes.fromhex(self.payload),
+            start_sample=int(self.start),
+        )
+
+
+@dataclass(frozen=True)
+class _HistoryRecord:
+    """One health transition (the writer always emits at least one)."""
+
+    window: int
+    state: str
+
+
+_RECORD_TYPES = {
+    "header": _HeaderRecord,
+    "state": _StateRecord,
+    "dedup": _FrameRecord,
+    "pending": _FrameRecord,
+    "history": _HistoryRecord,
+}
+
+
+def _parse_record(rec: dict, source: str) -> object:
+    """*rec* as its declared record type, or a :class:`ValueError`
+    naming the missing field, unknown field or unknown type."""
+    kind = rec.get("type", "untyped")
+    cls = _RECORD_TYPES.get(kind)
+    if cls is None:
+        raise ValueError(f"{source} has an unknown {kind!r} record; refusing to restore")
+    names = [f.name for f in fields(cls)]
+    for key in names:
+        if key not in rec:
+            raise ValueError(
+                f"{source} {kind} record is missing field {key!r}; refusing to restore"
+            )
+    for key in rec:
+        if key != "type" and key not in names:
+            raise ValueError(
+                f"{source} {kind} record has unknown field {key!r}; refusing to restore"
+            )
+    return cls(**{key: rec[key] for key in names})
 
 
 class HealthState(Enum):
@@ -635,67 +723,62 @@ class SessionSupervisor:
     # Checkpoint / restore
     # ------------------------------------------------------------------
 
-    def _geometry(self) -> Dict[str, object]:
-        return {
-            "window_samples": self.streaming.window_samples,
-            "hop_samples": self.streaming.hop_samples,
-            "max_frame_bits": self.streaming.max_frame_bits,
-            "n_users": len(self.streaming.receiver.codes),
-            "dtype": self._dtype.name,
-        }
+    def _header(self) -> _HeaderRecord:
+        return _HeaderRecord(
+            format=CHECKPOINT_FORMAT,
+            version=_CHECKPOINT_VERSION,
+            window_samples=self.streaming.window_samples,
+            hop_samples=self.streaming.hop_samples,
+            max_frame_bits=self.streaming.max_frame_bits,
+            n_users=len(self.streaming.receiver.codes),
+            dtype=self._dtype.name,
+        )
 
     def checkpoint_records(self) -> List[dict]:
         """The full session state as JSON-serialisable records.
 
-        Layout (same pattern as :mod:`repro.sim.sweep` checkpoints): a
-        ``header`` record pinning format, version and receiver
-        geometry; one ``state`` record with position, health machine
-        and counters; one ``dedup`` record per live dedup entry; one
-        ``pending`` record per frame held for ordered emission; one
-        ``history`` record per health transition.  This is the
-        farm's migration payload -- records travel over a queue and
+        One ``header``, one ``state``, a ``dedup`` record per live dedup
+        entry, a ``pending`` record per frame held for ordered emission
+        and a ``history`` record per health transition -- the record
+        dataclasses at the top of this module are the schema.  This is
+        the farm's migration payload: records travel over a queue and
         rebuild bit-identically on another worker through
         :meth:`from_checkpoint_records` without touching disk;
         :meth:`checkpoint` is the same records written to a file.
         """
-        lines: List[dict] = [
-            {
-                "type": "header",
-                "format": CHECKPOINT_FORMAT,
-                "version": _CHECKPOINT_VERSION,
-                **self._geometry(),
-            },
-            {
-                "type": "state",
-                "pos": self._pos,
-                "window_index": self._window_index,
-                "samples_fed": self._fed,
-                "health": self._state.value,
-                "recent": [bool(v) for v in self._recent],
-                "nodecode_streak": self._nodecode_streak,
-                "resync_attempts": self._resync_attempts,
-                "stats": dict(self.stats),
-                "peak_dedup": self.dedup.peak_size,
-                "dedup_evictions": self.dedup.evictions,
-                "peak_backlog_windows": self.peak_backlog_windows,
-            },
+        records = [
+            ("header", self._header()),
+            (
+                "state",
+                _StateRecord(
+                    pos=self._pos,
+                    window_index=self._window_index,
+                    samples_fed=self._fed,
+                    health=self._state.value,
+                    recent=[bool(v) for v in self._recent],
+                    nodecode_streak=self._nodecode_streak,
+                    resync_attempts=self._resync_attempts,
+                    stats=dict(self.stats),
+                    peak_dedup=self.dedup.peak_size,
+                    dedup_evictions=self.dedup.evictions,
+                    peak_backlog_windows=self.peak_backlog_windows,
+                ),
+            ),
         ]
-        lines.extend({"type": "dedup", **rec} for rec in self.dedup.to_records())
-        lines.extend(
-            {
-                "type": "pending",
-                "user": f.user_id,
-                "payload": f.payload.hex(),
-                "start": f.start_sample,
-            }
+        records.extend(
+            ("dedup", _FrameRecord(user, payload.hex(), start))
+            for (user, payload), start in sorted(self.dedup.entries.items())
+        )
+        records.extend(
+            ("pending", _FrameRecord(f.user_id, f.payload.hex(), f.start_sample))
             for f in self._pending
         )
-        lines.extend(
-            {"type": "history", "window": w, "state": s} for w, s in self.health_history
+        records.extend(
+            ("history", _HistoryRecord(*entry)) for entry in self.health_history
         )
         if self.tracer.enabled:
             self.tracer.count(C.SESSION_CHECKPOINTS)
-        return lines
+        return [{"type": kind, **vars(rec)} for kind, rec in records]
 
     def checkpoint(self, path) -> Path:
         """Write :meth:`checkpoint_records` as header-validated JSONL.
@@ -736,20 +819,12 @@ class SessionSupervisor:
         restoring onto a receiver with a different window/hop/code-book
         shape (or buffer dtype) is a :class:`ValueError`, exactly like
         resuming a mismatched sweep checkpoint.  Resume by re-feeding
-        the capture from :attr:`position`.  Every field
-        :meth:`checkpoint_records` writes is required: a missing one
-        (a truncated or foreign record) is a :class:`ValueError`
-        naming the field and *source*, never a silent default.
+        the capture from :attr:`position`.  Records are parsed against
+        the record dataclasses: a missing or unknown field, an unknown
+        record type, ``stats`` counters that differ from this session's
+        or a checkpoint without ``history`` is a :class:`ValueError`
+        naming the culprit and *source*, never a silent default.
         """
-
-        def field(rec: dict, key: str) -> Any:
-            if key not in rec:
-                raise ValueError(
-                    f"{source} {rec.get('type', 'untyped')} record is missing "
-                    f"field {key!r}; refusing to restore"
-                )
-            return rec[key]
-
         if not records or records[0].get("type") != "header":
             raise ValueError(f"{source} has no header line; refusing to restore")
         header = records[0]
@@ -763,58 +838,58 @@ class SessionSupervisor:
                 f"{source} has version {header.get('version')}, "
                 f"expected {_CHECKPOINT_VERSION}"
             )
+        by_type: Dict[str, list] = {kind: [] for kind in _RECORD_TYPES}
+        for rec in records:
+            parsed = _parse_record(rec, source)
+            by_type[rec["type"]].append(parsed)
+        for kind in ("header", "state"):
+            if len(by_type[kind]) != 1:
+                raise ValueError(
+                    f"{source} has {len(by_type[kind])} {kind} records, expected 1"
+                )
+        if not by_type["history"]:
+            raise ValueError(f"{source} has no history records; refusing to restore")
+
         session = cls(streaming, config=config, tracer=tracer, clock=clock)
-        geometry = session._geometry()
-        for key, expected in geometry.items():
-            got = field(header, key)
-            if got != expected:
+        expected = vars(session._header())
+        for key, got in vars(by_type["header"][0]).items():
+            if got != expected[key]:
                 raise ValueError(
                     f"{source} belongs to a different session geometry "
-                    f"({key}={got}, this receiver has {key}={expected})"
+                    f"({key}={got}, this receiver has {key}={expected[key]})"
                 )
 
-        states = [rec for rec in records if rec.get("type") == "state"]
-        if len(states) != 1:
-            raise ValueError(f"{source} has {len(states)} state records, expected 1")
-        state = states[0]
-        session._pos = int(field(state, "pos"))
-        session._base = session._pos
-        session._fed = int(field(state, "samples_fed"))
-        session._window_index = int(field(state, "window_index"))
-        session._state = HealthState(field(state, "health"))
-        session._recent = deque(
-            (bool(v) for v in field(state, "recent")),
-            maxlen=session.config.health_window,
-        )
-        session._nodecode_streak = int(field(state, "nodecode_streak"))
-        session._resync_attempts = int(field(state, "resync_attempts"))
-        session.stats.update({k: int(v) for k, v in field(state, "stats").items()})
-        session.peak_backlog_windows = int(field(state, "peak_backlog_windows"))
-
-        session.dedup = DedupTable.from_records(
-            streaming.frame_samples // 2,
-            (
-                {key: field(rec, key) for key in ("user", "payload", "start")}
-                for rec in records
-                if rec.get("type") == "dedup"
-            ),
-            evictions=int(field(state, "dedup_evictions")),
-            peak_size=int(field(state, "peak_dedup")),
-        )
-        session._pending = [
-            StreamFrame(
-                user_id=int(field(rec, "user")),
-                payload=bytes.fromhex(field(rec, "payload")),
-                start_sample=int(field(rec, "start")),
+        state: _StateRecord = by_type["state"][0]
+        odd = sorted(set(state.stats) ^ set(session.stats))
+        if odd:
+            problem = "is missing" if odd[0] in session.stats else "has unknown"
+            raise ValueError(
+                f"{source} state record stats {problem} counter {odd[0]!r}; "
+                "refusing to restore"
             )
-            for rec in records
-            if rec.get("type") == "pending"
-        ]
+        session._pos = int(state.pos)
+        session._base = session._pos
+        session._fed = int(state.samples_fed)
+        session._window_index = int(state.window_index)
+        session._state = HealthState(state.health)
+        session._recent = deque(
+            (bool(v) for v in state.recent), maxlen=session.config.health_window
+        )
+        session._nodecode_streak = int(state.nodecode_streak)
+        session._resync_attempts = int(state.resync_attempts)
+        session.stats = {key: int(state.stats[key]) for key in session.stats}
+        session.peak_backlog_windows = int(state.peak_backlog_windows)
+
+        dedup = session.dedup
+        for rec in by_type["dedup"]:
+            f = rec.frame()
+            dedup.entries[(f.user_id, f.payload)] = f.start_sample
+        dedup.evictions = int(state.dedup_evictions)
+        dedup.peak_size = int(state.peak_dedup)
+        session._pending = [rec.frame() for rec in by_type["pending"]]
         session.health_history = [
-            (int(field(rec, "window")), str(field(rec, "state")))
-            for rec in records
-            if rec.get("type") == "history"
-        ] or [(0, HealthState.HEALTHY.value)]
+            (int(rec.window), str(rec.state)) for rec in by_type["history"]
+        ]
         tr = session.tracer
         if tr.enabled:
             tr.count(C.SESSION_RESTORES)

@@ -115,25 +115,6 @@ class DedupTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    # --- checkpoint plumbing (repro.receiver.session) -------------------
-
-    def to_records(self) -> List[dict]:
-        """JSON-serialisable entry records (payloads hex-encoded)."""
-        return [
-            {"user": user, "payload": payload.hex(), "start": start}
-            for (user, payload), start in sorted(self.entries.items())
-        ]
-
-    @classmethod
-    def from_records(
-        cls, tolerance: int, records, evictions: int = 0, peak_size: int = 0
-    ) -> "DedupTable":
-        table = cls(tolerance=int(tolerance), evictions=int(evictions), peak_size=int(peak_size))
-        for rec in records:
-            table.entries[(int(rec["user"]), bytes.fromhex(rec["payload"]))] = int(rec["start"])
-        table.peak_size = max(table.peak_size, len(table.entries))
-        return table
-
 
 @dataclass
 class StreamingReceiver:

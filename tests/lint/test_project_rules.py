@@ -1,5 +1,5 @@
-"""Mini-project fixtures for the cross-module rules (LNT007, LNT009,
-LNT010, LNT012).
+"""Mini-project fixtures for the cross-module rules (LNT007, LNT010,
+LNT012).
 
 Each project under ``tests/lint/fixtures/projects/`` is a tiny
 ``src/repro/...`` tree whose violations span two modules -- none of
@@ -55,32 +55,6 @@ def test_lnt007_suppression_and_local_shadow_are_respected(tmp_path):
     assert "_MEMO" not in messages  # line-suppressed handle
     assert "forget_local" not in messages  # local shadow, not the global
     assert "fresh_rng" not in messages  # per-call construction is safe
-
-
-# ----------------------------------------------------------------------
-# LNT009 checkpoint symmetry
-# ----------------------------------------------------------------------
-
-
-def test_lnt009_pairs_writer_and_reader_across_modules(tmp_path):
-    violations = lint_project("checkpoint", tmp_path, select=["LNT009"])
-    found = by_file_line(violations)
-    # Written-but-unread: flagged at the base-class writer.
-    assert any(
-        f == "base.py" and "debug_name" in msg and "from_dict" in msg
-        for f, _line, msg in found
-    )
-    # Read-but-unwritten: flagged at the reader.
-    assert any(f == "child.py" and "'rate'" in msg for f, _line, msg in found)
-    assert len(found) == 2
-
-
-def test_lnt009_envelope_dynamic_and_suppressed_sides_are_quiet(tmp_path):
-    violations = lint_project("checkpoint", tmp_path, select=["LNT009"])
-    messages = " ".join(v.message for v in violations)
-    assert "format" not in messages  # envelope key is exempt
-    assert "alpha" not in messages and "beta" not in messages  # dynamic reader
-    assert "zombie" not in messages  # suppressed writer
 
 
 # ----------------------------------------------------------------------

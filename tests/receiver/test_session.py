@@ -242,7 +242,7 @@ class TestCheckpoint:
         assert restored.stats == session.stats
         assert restored.health_history == session.health_history
         assert restored._recent == session._recent
-        assert restored.dedup.to_records() == session.dedup.to_records()
+        assert restored.dedup.entries == session.dedup.entries
         assert restored.dedup.peak_size == session.dedup.peak_size
         assert [f.payload for f in restored._pending] == [
             f.payload for f in session._pending
@@ -326,6 +326,44 @@ class TestCheckpoint:
                     )
                 assert "migration payload" in str(exc.value)
         assert checked == {"dedup", "pending", "history"}
+
+    def _records(self, tmp_path):
+        _, _, path = self._run_and_checkpoint(tmp_path)
+        return [json.loads(l) for l in path.read_text().splitlines()]
+
+    @pytest.mark.parametrize(
+        "edit,problem",
+        [
+            (lambda stats: stats.pop("resyncs"), "missing counter 'resyncs'"),
+            (lambda stats: stats.update(retries=3), "unknown counter 'retries'"),
+        ],
+        ids=["missing", "unknown"],
+    )
+    def test_stats_keys_must_match_the_counters(self, tmp_path, edit, problem):
+        lines = self._records(tmp_path)
+        edit(next(r for r in lines if r["type"] == "state")["stats"])
+        with pytest.raises(ValueError, match=problem) as exc:
+            SessionSupervisor.from_checkpoint_records(
+                lines, ScriptedStream(), source="migration payload"
+            )
+        assert "migration payload" in str(exc.value)
+
+    def test_missing_history_rejected(self, tmp_path):
+        lines = [r for r in self._records(tmp_path) if r["type"] != "history"]
+        with pytest.raises(ValueError, match="no history records"):
+            SessionSupervisor.from_checkpoint_records(lines, ScriptedStream())
+
+    @pytest.mark.parametrize("kind", ["header", "state", "dedup", "history"])
+    def test_unknown_field_rejected(self, tmp_path, kind):
+        lines = self._records(tmp_path)
+        next(r for r in lines if r["type"] == kind)["debug_name"] = "x"
+        with pytest.raises(ValueError, match=f"{kind} record has unknown field 'debug_name'"):
+            SessionSupervisor.from_checkpoint_records(lines, ScriptedStream())
+
+    def test_unknown_record_type_rejected(self, tmp_path):
+        lines = self._records(tmp_path) + [{"type": "trace", "window": 3}]
+        with pytest.raises(ValueError, match="unknown 'trace' record"):
+            SessionSupervisor.from_checkpoint_records(lines, ScriptedStream())
 
     def test_missing_geometry_field_rejected(self, tmp_path):
         _, _, path = self._run_and_checkpoint(tmp_path)

@@ -127,15 +127,6 @@ class TestDedupTable:
         assert not t.user_active_since(0, 500)
         assert not t.user_active_since(1, 0)
 
-    def test_records_round_trip(self):
-        t = DedupTable(tolerance=10)
-        t.seen(0, b"x", 500)
-        t.seen(1, b"y", 700)
-        back = DedupTable.from_records(10, t.to_records(), evictions=3, peak_size=4)
-        assert back.entries == t.entries
-        assert back.evictions == 3
-        assert back.peak_size == 4
-
     def test_long_stream_memory_stays_flat(self, stack, monkeypatch):
         """1000 frames through the walk: the bounded dedup table must
         evict behind the walk instead of growing without bound."""

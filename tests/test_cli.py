@@ -148,6 +148,38 @@ class TestSystemCommand:
         assert "Deployment summary" in capsys.readouterr().out
 
 
+class TestSoakCommand:
+    @pytest.mark.parametrize("shrink", [True, False], ids=["shrunk", "no-shrink"])
+    def test_artifact_holds_the_first_failing_campaign(
+        self, monkeypatch, tmp_path, capsys, shrink
+    ):
+        """Every campaign trips: the artifact is written once, for
+        campaign 0, with its shrunk plan -- or under ``--no-shrink``
+        its own plan."""
+        from repro.sim.experiments import soak
+        from repro.sim.experiments.soak import InvariantViolation, random_fault_plan
+
+        monkeypatch.setattr(
+            soak,
+            "check_invariants",
+            lambda *a: [InvariantViolation("ordering", "synthetic")],
+        )
+        artifact = tmp_path / "plan.json"
+        args = ["soak", "--windows", "30", "--campaigns", "2", "--seed", "7"]
+        args += ["--artifact", str(artifact)] + ([] if shrink else ["--no-shrink"])
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert out.count("written to") == 1
+        payload = json.loads(artifact.read_text())
+        assert payload["campaign"] == 0
+        assert payload["violations"] == [{"name": "ordering", "detail": "synthetic"}]
+        own = random_fault_plan(7, 30, 2)
+        if shrink:
+            assert len(payload["plan"]["faults"]) < len(own.faults)
+        else:
+            assert payload["plan"] == own.to_dict()
+
+
 class TestGatewayCommand:
     """Exit-code contract: 0 = invariants held, 1 = violations,
     2 = unusable input -- the same convention the lint CLI keeps."""

@@ -11,6 +11,7 @@ each test's docstring and mention the change in CHANGELOG.md.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -273,6 +274,36 @@ class TestStreamGoldens:
             farm.close()
         assert farm.batched_windows > 0
         assert _frames_digest(frames) == "ea60933fe3cd50fa"
+
+    @pytest.mark.parametrize("dtype,digest", [(np.complex128, "c3181b57d9252608"), (np.complex64, "bcf39ebe13c5a2ba")])
+    def test_session_checkpoint_digest(self, tmp_path, dtype, digest):
+        """The checkpoint JSONL bytes of a session stopped mid-stream
+        just after it recovered from RESYNC: header, state, dedup,
+        pending and history records all present, at both stream dtypes.
+        The watchdog clock is frozen so the counters are seed-only."""
+        from repro.faults.models import OscillatorDrift
+        from repro.faults.plan import FaultPlan
+        from repro.receiver.session import HealthState, SessionSupervisor
+        from repro.receiver.streaming import StreamingReceiver
+
+        plan = FaultPlan(
+            [OscillatorDrift(probability=1.0, drift_ppm=4000.0, start_round=10, end_round=14)],
+            seed=5,
+        )
+        cfg, stream, buffer = self._capture(31, 0.3, plan=plan)
+        stream = StreamingReceiver(stream.receiver, max_frame_bits=stream.max_frame_bits, dtype=dtype)
+        session = SessionSupervisor(stream, clock=lambda: 0.0)
+        chunk = cfg.chunk_hops * stream.hop_samples
+        for lo in range(0, 8 * chunk, chunk):
+            session.feed(buffer[lo : lo + chunk])
+        path = session.checkpoint(tmp_path / "session.jsonl")
+        kinds = [json.loads(line)["type"] for line in path.read_text().splitlines()]
+        assert session.stats["resyncs"] == 1 and session.state is HealthState.HEALTHY
+        assert kinds.count("history") == 3 and "dedup" in kinds and "pending" in kinds
+        assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
+        # Restore drops nothing: the restored session checkpoints the same records.
+        restored = SessionSupervisor.restore(path, stream)
+        assert restored.checkpoint_records() == session.checkpoint_records()
 
     @pytest.mark.parametrize("samples_per_chip,digest", [(1, "78b6e93f01aab622"), (2, "79f526594259641e")])
     def test_decode_frame_outcomes_digest(self, samples_per_chip, digest):
