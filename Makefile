@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint bench bench-quick bench-perf farm-bench gateway-bench gateway-soak macro-bench macro-validate examples report clean
+.PHONY: install test lint bench bench-quick bench-perf perf-pairs farm-bench gateway-bench gateway-soak macro-bench macro-validate examples report clean
 
 install:
 	pip install -e .
@@ -30,6 +30,16 @@ bench-quick:
 bench-perf:
 	$(PY) -m repro bench --quick --output BENCH_0008.json \
 		--baseline benchmarks/BENCH_0008.json
+
+# Alternating parent/change pairs of perfbench (docs/performance.md).
+# BASE is a checkout of the parent commit, e.g. `git worktree add ../base HEAD~1`.
+BASE ?= ../base
+PAIRS ?= 10
+SEED ?= 1001
+WORKLOADS ?= stream_dense stream_sparse gateway_spike
+perf-pairs:
+	$(PY) scripts/perf_pairs.py --base $(BASE) --change . --pairs $(PAIRS) --seed $(SEED) \
+		$(foreach w,$(WORKLOADS),--workload $(w))
 
 # Parallel decode farm only: sessions-per-core / real-time factor.
 farm-bench:

@@ -21,6 +21,7 @@ codes, as required for a distributed system.
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import lru_cache
 from typing import List, Tuple
@@ -111,16 +112,17 @@ def _search_family(size: int, length: int) -> Tuple[Tuple[int, ...], ...]:
     bipolar = np.array([bits_to_bipolar(c) for c in candidates])
     auto = np.array([_max_offpeak_autocorr(b) for b in bipolar])
 
-    # Full pairwise worst-cyclic-cross matrix via batched FFTs.
     spec = np.fft.fft(bipolar, axis=1)
-    cross = np.zeros((pool, pool))
-    for i in range(pool):
-        corr = np.fft.ifft(spec * np.conj(spec[i]), axis=1).real
-        cross[i] = np.max(np.abs(corr), axis=1) / length
-    np.fill_diagonal(cross, np.inf)
 
+    def cross_row(i: int) -> np.ndarray:
+        """Worst cyclic cross-correlation of candidate *i* against every
+        candidate (the greedy phase masks the selected ones itself)."""
+        corr = np.fft.ifft(spec * np.conj(spec[i]), axis=1).real
+        return np.max(np.abs(corr), axis=1) / length
+
+    # The greedy phase reads only the rows of the codes it selects.
     selected: List[int] = [int(np.argmin(auto))]
-    worst = cross[selected[0]].copy()
+    worst = cross_row(selected[0])
     while len(selected) < size:
         score = worst + 0.25 * auto
         score[selected] = np.inf
@@ -128,7 +130,8 @@ def _search_family(size: int, length: int) -> Tuple[Tuple[int, ...], ...]:
         if not np.isfinite(score[nxt]):
             raise ValueError(f"candidate pool exhausted at {len(selected)} codes")
         selected.append(nxt)
-        worst = np.maximum(worst, cross[nxt])
+        if len(selected) < size:
+            worst = np.maximum(worst, cross_row(nxt))
 
     family = [candidates[i].copy() for i in selected]
     family = _anneal(family, rng)
@@ -174,6 +177,10 @@ def _anneal(family: List[np.ndarray], rng: np.random.Generator, iterations: int 
     """
     codes = [c.copy() for c in family]
     bipolar = np.array([bits_to_bipolar(c) for c in codes])
+    # Each code's one and zero chip positions, ascending -- the order
+    # ``np.flatnonzero`` gives, so the same draw picks the same chip.
+    ones = [np.flatnonzero(c == 1).tolist() for c in codes]
+    zeros = [np.flatnonzero(c == 0).tolist() for c in codes]
     best_codes = [c.copy() for c in codes]
     current = _score_matrix(bipolar)
     best = current
@@ -181,15 +188,17 @@ def _anneal(family: List[np.ndarray], rng: np.random.Generator, iterations: int 
     for it in range(iterations):
         temp = t0 * (t1 / t0) ** (it / max(iterations - 1, 1))
         k = int(rng.integers(len(codes)))
-        ones = np.flatnonzero(codes[k] == 1)
-        zeros = np.flatnonzero(codes[k] == 0)
-        i1 = int(ones[rng.integers(ones.size)])
-        i0 = int(zeros[rng.integers(zeros.size)])
+        j1 = int(rng.integers(len(ones[k])))
+        j0 = int(rng.integers(len(zeros[k])))
+        i1, i0 = ones[k][j1], zeros[k][j0]
         codes[k][i1], codes[k][i0] = 0, 1
         bipolar[k, i1], bipolar[k, i0] = -1.0, 1.0
         trial = _score_matrix(bipolar)
         if trial < current or rng.random() < np.exp((current - trial) / max(temp, 1e-9)):
             current = trial
+            del ones[k][j1], zeros[k][j0]
+            bisect.insort(ones[k], i0)
+            bisect.insort(zeros[k], i1)
             if trial < best:
                 best = trial
                 best_codes = [c.copy() for c in codes]
@@ -218,10 +227,8 @@ class TwoNCFamily:
             raise ValueError("size must be >= 1")
         if length is None:
             length = 2 * max(size, 16)
-        if length % 2 != 0:
-            raise ValueError(f"2NC length must be even, got {length}")
-        if length < 2 * size // 1 and length < 8:
-            raise ValueError(f"length {length} too short for {size} codes")
+        if length % 2 != 0 or length < 2:
+            raise ValueError(f"2NC length must be even and at least 2, got {length}")
         self.size = size
         self.length = length
         self._codes = [np.array(c, dtype=np.uint8) for c in _search_family(size, length)]

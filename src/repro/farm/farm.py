@@ -38,6 +38,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.codes.registry import make_codes
 from repro.farm.config import FarmConfig, SessionSpec
 from repro.farm.ring import ShmRing
 from repro.farm.worker import (
@@ -51,6 +52,7 @@ from repro.farm.worker import (
 from repro.obs.taxonomy import C, G
 from repro.obs.tracer import as_tracer
 from repro.receiver.streaming import StreamFrame
+from repro.sim.network import CbmaConfig
 
 __all__ = ["DecodeFarm", "WorkerCrash"]
 
@@ -59,6 +61,17 @@ _BACKENDS = ("process", "inline")
 #: An idle farm whose worker takes longer than this to answer is
 #: declared dead rather than hanging the parent forever.
 _HARVEST_TIMEOUT_S = 120.0
+
+
+def build_code_families(configs: Iterable[CbmaConfig]) -> None:
+    """Build the code family of each distinct config in this process.
+
+    A worker forked afterwards inherits the memoised 2NC search
+    (:func:`repro.codes.twonc._search_family`) and builds its sessions
+    without repeating it, so a farm searches once, not once per worker.
+    """
+    for family in {(c.code_family, c.n_tags, c.code_length) for c in configs}:
+        make_codes(*family)
 
 
 class WorkerCrash(RuntimeError):
@@ -176,6 +189,7 @@ class DecodeFarm:
             for spec in specs:
                 self._cores[self._placement[spec.session_id]].add(spec)
         else:
+            build_code_families(spec.config for spec in specs)
             ctx = multiprocessing.get_context("fork")
             self._rings: List[ShmRing] = []
             self._cmd_queues = []

@@ -243,9 +243,9 @@ class WorkerCore:
         for group in groups.values():
             if len(group) < 2:
                 continue
-            stack = np.stack([window for _sid, window in group])
+            windows = [window for _sid, window in group]
             planes: List[Optional[np.ndarray]] = []
-            live = self.sessions[group[0][0]].streaming.windows_are_live(stack, planes=planes)
+            live = self.sessions[group[0][0]].streaming.windows_are_live(windows, planes=planes)
             for (sid, _window), decision, plane in zip(group, live, planes):
                 self.sessions[sid].prime_gate(bool(decision), plane)
             self.batched_windows += len(group)

@@ -44,7 +44,7 @@ from typing import (
 import numpy as np
 
 from repro.farm.config import FarmConfig, SessionSpec
-from repro.farm.farm import DecodeFarm, WorkerCrash
+from repro.farm.farm import DecodeFarm, WorkerCrash, build_code_families
 from repro.gateway.admission import RetryPolicy, TokenBucket
 from repro.gateway.config import GatewayConfig
 from repro.gateway.ladder import DegradationLadder, GatewayState
@@ -206,8 +206,13 @@ class Gateway:
         The one construction path from PHY config to service: streams
         opened without an explicit config share *config* (hence one
         memoised template bank per worker, so the farm's cross-session
-        batched gate engages across streams).
+        batched gate engages across streams).  A process-backend
+        gateway builds *config*'s code family here, before its farm
+        forks, so the workers inherit it even when the first stream
+        opens with another config.
         """
+        if backend == "process":
+            build_code_families([config])
         return cls(
             config,
             gateway=gateway,

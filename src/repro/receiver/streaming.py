@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.receiver.receiver import CbmaReceiver, ReceptionReport
+from repro.utils.correlation_batch import Windows
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import CbmaConfig
@@ -240,11 +241,14 @@ class StreamingReceiver:
         return live
 
     def windows_are_live(
-        self, windows: np.ndarray, planes: Optional[List[Optional[np.ndarray]]] = None
+        self, windows: Windows, planes: Optional[List[Optional[np.ndarray]]] = None
     ) -> np.ndarray:
         """Vectorised pre-gate over a stack of equal-length windows.
 
-        *windows* is ``(S, n)``; returns a boolean ``(S,)`` array where
+        *windows* is an ``(S, n)`` array or a sequence of ``S``
+        equal-length windows (the bank gathers those block by block
+        into its workspace, so the caller need not stack them); returns
+        a boolean ``(S,)`` array where
         ``out[s] == self.window_is_live(windows[s])`` **bit-identically**
         -- the stacked FFT kernel computes each row independently
         (:func:`repro.utils.correlation_batch.sliding_correlation_many`),
@@ -253,23 +257,19 @@ class StreamingReceiver:
 
         When *planes* is given it is extended with one entry per
         window: the ``(U, n - m + 1)`` correlation plane of each live
-        window (a row of the stacked result, equal to the per-window
-        plane) and ``None`` for each gated-out one.  The farm primes
-        each session with its row (:meth:`SessionSupervisor.prime_gate`),
-        so the detector does not correlate the window again.
+        window (its own array, equal to the per-window plane) and
+        ``None`` for each gated-out one.  The farm primes each session
+        with its plane (:meth:`SessionSupervisor.prime_gate`), so the
+        detector does not correlate the window again.  Gated-out
+        windows' planes are never materialised.
         """
-        windows = np.asarray(windows)
-        if windows.ndim != 2:
-            raise ValueError(f"windows must be a 2-D stack, got shape {windows.shape}")
         detector = self.receiver.user_detector
-        bank = detector.bank
-        live = np.zeros(windows.shape[0], dtype=bool)
-        if windows.shape[0] and windows.shape[1] >= bank.template_samples:
-            corr = bank.correlate_many(windows)
-            live = corr.max(axis=(1, 2)) >= detector.threshold * _PREGATE_MARGIN
+        kept = detector.bank.correlate_many(
+            windows, min_peak=detector.threshold * _PREGATE_MARGIN
+        )
         if planes is not None:
-            planes.extend(corr[s] if is_live else None for s, is_live in enumerate(live))
-        return live
+            planes.extend(kept)
+        return np.array([plane is not None for plane in kept], dtype=bool)
 
     def decode_window(
         self,

@@ -36,7 +36,7 @@ __all__ = [
 DENOM_FLOOR: float = float(np.finfo(np.float64).tiny)
 
 
-def guard_denominator(denom, floor: float = DENOM_FLOOR):
+def guard_denominator(denom, floor: float = DENOM_FLOOR, out=None):
     """Clamp a non-negative denominator away from zero.
 
     The single epsilon-guard for every correlation normalisation: all
@@ -47,9 +47,10 @@ def guard_denominator(denom, floor: float = DENOM_FLOOR):
     *negative* energies produced by cumulative-sum cancellation, which
     would otherwise turn into NaN under ``sqrt``.
 
-    Accepts a scalar or an array; returns the same shape.
+    Accepts a scalar or an array; returns the same shape, written into
+    *out* when given (``out=denom`` clamps in place).
     """
-    return np.maximum(denom, floor)
+    return np.maximum(denom, floor, out=out)
 
 
 @array_contract(x="(n) any", template="(n) any")

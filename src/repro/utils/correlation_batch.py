@@ -26,15 +26,32 @@ samples_per_chip)``, so constructing many receivers over one code book
 (sweeps, streaming, SIC passes) builds the templates once.  Each
 :class:`TemplateBank` also keeps the templates' spectra per FFT length,
 so a window walk transforms only its windows, never the templates
-again.  A cached spectrum is the very array the free functions compute
-per call, so the bank's results are bit-identical to theirs.
+again, and a workspace per FFT length that holds every temporary of the
+kernel, so a warm bank allocates only the planes it returns.  A cached
+spectrum is the very array the free functions compute per call, and
+both run the same kernel, so the bank's results are bit-identical to
+theirs.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Tuple
+import math
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    overload,
+)
 
 import numpy as np
+import numpy.typing as npt
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tag.framing import FrameFormat
@@ -76,9 +93,41 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-#: ``spectrum(nfft, real)`` -> the templates' kernel spectrum at that
-#: FFT length (see :func:`_kernel_spectrum`).
-SpectrumFn = Callable[[int, bool], np.ndarray]
+#: Windows of a stack transformed together.  A bank's workspace holds at
+#: most this many rows per FFT length, whatever the stack height.
+_BLOCK_ROWS = 4
+
+
+class _Workspace:
+    """Reusable buffers for the kernel's temporaries at one FFT length.
+
+    :meth:`take` returns a C-contiguous view of the requested shape at
+    the front of the named flat buffer, replacing the buffer only when
+    it is too small or of another dtype.  Every request is for at most
+    :data:`_BLOCK_ROWS` windows at one FFT length, so the buffers never
+    outgrow one block, and steady state allocates nothing here.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self) -> None:
+        self._buffers: Dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: Tuple[int, ...], dtype: npt.DTypeLike) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(buf.nbytes for buf in self._buffers.values())
+
+
+#: ``plan(nfft, real)`` -> the templates' kernel spectrum at that FFT
+#: length (see :func:`_kernel_spectrum`) and the workspace to use there.
+PlanFn = Callable[[int, bool], Tuple[np.ndarray, _Workspace]]
 
 
 def _kernel_spectrum(templates: np.ndarray, nfft: int, real: bool) -> np.ndarray:
@@ -92,63 +141,190 @@ def _kernel_spectrum(templates: np.ndarray, nfft: int, real: bool) -> np.ndarray
     return np.fft.fft(kernels, nfft, axis=1)
 
 
-def _is_real(signal: np.ndarray, templates: np.ndarray) -> bool:
-    return not np.iscomplexobj(signal) and not np.iscomplexobj(templates)
+def _fft_magnitudes(
+    block: np.ndarray,
+    m: int,
+    kspec: np.ndarray,
+    real: bool,
+    nfft: int,
+    ws: _Workspace,
+    planes: np.ndarray,
+) -> None:
+    """``|valid cross-correlation|`` of every template row against every
+    row of *block* ``(b, n)``, via one *nfft*-point signal FFT per row,
+    into *planes* ``(b, U, n - m + 1)``.  Every temporary lives in *ws*.
 
-
-def _fft_valid_correlation(
-    signal: np.ndarray, templates: np.ndarray, spectrum: SpectrumFn
-) -> np.ndarray:
-    """``|valid cross-correlation|`` of every template row, via one
-    shared signal FFT (callers guarantee ``n >= m``)."""
-    n = signal.size
-    m = templates.shape[1]
-    nfft = _next_fast_len(n)
-    real = _is_real(signal, templates)
-    kspec = spectrum(nfft, real)
+    The product and the magnitudes loop over template rows and planes:
+    a broadcast or strided multi-row ufunc makes numpy allocate an
+    iteration buffer of up to 128 KiB on every call.
+    """
+    b, n = block.shape
+    n_templates, n_spec = kspec.shape
+    spec = ws.take("spec", (b, n_spec), np.result_type(block.dtype, 1j))
+    prod = ws.take("prod", (b, n_templates, n_spec), np.result_type(spec.dtype, kspec.dtype))
     if real:
-        spec = np.fft.rfft(signal, nfft)
-        full = np.fft.irfft(spec[None, :] * kspec, nfft, axis=1)
+        np.fft.rfft(block, nfft, axis=1, out=spec)
     else:
-        spec = np.fft.fft(signal, nfft)
-        full = np.fft.ifft(spec[None, :] * kspec, axis=1)
+        np.fft.fft(block, nfft, axis=1, out=spec)
+    for u in range(n_templates):
+        np.multiply(spec, kspec[u], out=prod[:, u])
+    if real:
+        full = ws.take("full", (b, n_templates, nfft), prod.real.dtype)
+        np.fft.irfft(prod, nfft, axis=2, out=full)
+    else:
+        full = ws.take("full", (b, n_templates, nfft), prod.dtype)
+        np.fft.ifft(prod, axis=2, out=full)
     # "valid" slice of the full linear convolution.
-    return np.abs(full[:, m - 1 : n])
+    for row, plane in zip(full.reshape(-1, nfft), planes.reshape(-1, n - m + 1)):
+        np.abs(row[m - 1 : n], out=plane)
 
 
-def _overlap_save_correlation(
-    signal: np.ndarray, templates: np.ndarray, spectrum: SpectrumFn
-) -> np.ndarray:
-    """Overlap-save variant: process *signal* in blocks sharing one
-    kernel-spectrum computation, bounding memory on long captures."""
-    n = signal.size
-    m = templates.shape[1]
+def _overlap_save_magnitudes(
+    signal: np.ndarray,
+    m: int,
+    kspec: np.ndarray,
+    real: bool,
+    nfft: int,
+    ws: _Workspace,
+    out: np.ndarray,
+) -> None:
+    """Overlap-save variant of :func:`_fft_magnitudes` for one long
+    *signal*, into *out* ``(U, n - m + 1)``: *nfft*-sample blocks
+    overlapping by ``m - 1`` share one kernel spectrum, bounding memory
+    on long captures."""
+    for pos in range(0, out.shape[1], nfft - (m - 1)):
+        chunk = signal[pos : pos + nfft]
+        valid = out[None, :, pos : pos + chunk.size - m + 1]
+        _fft_magnitudes(chunk[None], m, kspec, real, nfft, ws, valid)
+
+
+def _normalise(
+    block: np.ndarray, m: int, norms: np.ndarray, ws: _Workspace, planes: np.ndarray
+) -> None:
+    """Divide *planes* in place by the local window energy of each row of
+    *block* (one cumsum shared by every template row) times each
+    template's norm, through :func:`guard_denominator`."""
+    b, n = block.shape
     n_valid = n - m + 1
-    block = _next_fast_len(max(4 * m, 1 << 14))
-    step = block - (m - 1)
-    out = np.empty((templates.shape[0], n_valid), dtype=np.float64)
-    real = _is_real(signal, templates)
-    kspec = spectrum(block, real)
-    pos = 0
-    while pos < n_valid:
-        chunk = signal[pos : pos + block]
-        if real:
-            spec = np.fft.rfft(chunk, block)
-            full = np.fft.irfft(spec[None, :] * kspec, block, axis=1)
+    power = np.abs(block, out=ws.take("power", (b, n), block.real.dtype))
+    np.square(power, out=power)
+    # The running sum accumulates in the power's own dtype; the
+    # differences are taken in float64, as for a float64 cumsum.
+    csum = ws.take("csum", (b, n + 1), power.dtype)
+    csum[:, 0] = 0
+    np.cumsum(power, axis=1, out=csum[:, 1:])
+    energy = ws.take("energy", (b, n_valid), np.float64)
+    np.subtract(csum[:, m:], csum[:, :-m], out=energy, dtype=np.float64)
+    guard_denominator(energy, out=energy)
+    np.sqrt(energy, out=energy)
+    denom = ws.take("denom", planes.shape, np.float64)
+    np.multiply(energy[:, None, :], norms[None, :, None], out=denom)
+    guard_denominator(denom, out=denom)
+    np.divide(planes, denom, out=planes)
+
+
+#: A stack of equal-length windows: a 2-D ``(S, n)`` array, or a
+#: sequence of ``S`` 1-D arrays of ``n`` samples each, which the kernel
+#: gathers block by block into its workspace instead of one new array.
+Windows = Union[np.ndarray, Sequence[np.ndarray]]
+
+
+class _Stack(NamedTuple):
+    """A validated :data:`Windows`: its rows, their length, and the dtype
+    a stacked copy of them would have."""
+
+    rows: Windows
+    n: int
+    dtype: np.dtype
+
+
+def _as_stack(windows: Windows, templates: np.ndarray) -> _Stack:
+    """Validate *windows* against *templates*."""
+    if templates.ndim != 2:
+        raise ValueError(f"templates must be a 2-D stack, got shape {templates.shape}")
+    if templates.shape[1] == 0:
+        raise ValueError("templates must be non-empty")
+    if isinstance(windows, np.ndarray):
+        if windows.ndim != 2:
+            raise ValueError(f"signals must be a 2-D stack, got shape {windows.shape}")
+        return _Stack(windows, windows.shape[1], windows.dtype)
+    rows = [np.asarray(w) for w in windows]
+    shapes = {row.shape for row in rows}
+    if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+        raise ValueError(f"windows must be 1-D and of one length, got shapes {sorted(shapes)}")
+    if not rows:
+        return _Stack(rows, 0, np.dtype(np.float64))
+    return _Stack(rows, rows[0].size, np.result_type(*rows))
+
+
+def _planes(
+    stack: _Stack,
+    templates: np.ndarray,
+    norms: np.ndarray,
+    plan: PlanFn,
+    out: Optional[np.ndarray] = None,
+) -> Iterator[Tuple[int, np.ndarray]]:
+    """Yield ``(first_row, planes)`` for each block of up to
+    :data:`_BLOCK_ROWS` rows of *stack*: *planes* is the block's
+    ``(b, U, n - m + 1)`` normalised correlation, written into the
+    matching rows of *out* when given, otherwise held in the workspace
+    until the next block overwrites it.  Each row is computed
+    independently of the others, so a plane does not depend on the
+    block it was computed in."""
+    rows, n, dtype = stack
+    n_templates, m = templates.shape
+    if n < m:
+        return
+    real = dtype.kind != "c" and not np.iscomplexobj(templates)
+    if n > _OVERLAP_SAVE_THRESHOLD:
+        # Long captures go one at a time through overlap-save blocks;
+        # their normalisation buffers are as long as the capture, so
+        # they are made for the call.
+        nfft = _next_fast_len(max(4 * m, 1 << 14))
+        kspec, ws = plan(nfft, real)
+        for s, signal in enumerate(rows):
+            planes = np.empty((1, n_templates, n - m + 1)) if out is None else out[s : s + 1]
+            _overlap_save_magnitudes(signal, m, kspec, real, nfft, ws, planes[0])
+            _normalise(signal[None], m, norms, _Workspace(), planes)
+            yield s, planes
+        return
+    nfft = _next_fast_len(n)
+    kspec, ws = plan(nfft, real)
+    for lo in range(0, len(rows), _BLOCK_ROWS):
+        block = rows[lo : lo + _BLOCK_ROWS]
+        if not isinstance(block, np.ndarray):
+            block = np.stack(block, out=ws.take("block", (len(block), n), dtype))
+        if out is None:
+            planes = ws.take("planes", (block.shape[0], n_templates, n - m + 1), np.float64)
         else:
-            spec = np.fft.fft(chunk, block)
-            full = np.fft.ifft(spec[None, :] * kspec, axis=1)
-        take = min(step, n_valid - pos, chunk.size - m + 1 if chunk.size >= m else 0)
-        if take <= 0:
-            break
-        out[:, pos : pos + take] = np.abs(full[:, m - 1 : m - 1 + take])
-        pos += take
+            planes = out[lo : lo + block.shape[0]]
+        _fft_magnitudes(block, m, kspec, real, nfft, ws, planes)
+        _normalise(block, m, norms, ws, planes)
+        yield lo, planes
+
+
+def _correlate_stack(
+    windows: Windows,
+    templates: np.ndarray,
+    norms: Optional[np.ndarray] = None,
+    plan: Optional[PlanFn] = None,
+) -> np.ndarray:
+    """Every row's plane, stacked into one fresh ``(S, U, n - m + 1)``
+    array.  Without *norms* and *plan* (a bank's cached ones) the
+    template norms, spectra and buffers are made for this call alone."""
+    stack = _as_stack(windows, templates)
+    if norms is None:
+        norms = np.linalg.norm(templates, axis=1)
+    n_templates, m = templates.shape
+    out = np.empty((len(stack.rows), n_templates, max(stack.n - m + 1, 0)), dtype=np.float64)
+    for _block in _planes(stack, templates, norms, plan or _fresh_plan(templates), out):
+        pass
     return out
 
 
-def _spectrum_of(templates: np.ndarray) -> SpectrumFn:
-    """An uncached spectrum source: transform *templates* on every call."""
-    return lambda nfft, real: _kernel_spectrum(templates, nfft, real)
+def _fresh_plan(templates: np.ndarray) -> PlanFn:
+    """Plans for one call: the spectrum transformed, the buffers new."""
+    return lambda nfft, real: (_kernel_spectrum(templates, nfft, real), _Workspace())
 
 
 @array_contract(signal="(n) any", templates="(u, m) any")
@@ -172,34 +348,7 @@ def sliding_correlation_batch(signal: np.ndarray, templates: np.ndarray) -> np.n
     -------
     ``(U, n - m + 1)`` float64 array of normalised correlation magnitudes.
     """
-    templates = np.asarray(templates)
-    return _correlate_one(np.asarray(signal), templates, _spectrum_of(templates))
-
-
-def _correlate_one(signal: np.ndarray, templates: np.ndarray, spectrum: SpectrumFn) -> np.ndarray:
-    """:func:`sliding_correlation_batch` with the kernel spectra drawn
-    from *spectrum*."""
-    if templates.ndim != 2:
-        raise ValueError(f"templates must be a 2-D stack, got shape {templates.shape}")
-    n = signal.size
-    n_templates, m = templates.shape
-    if m == 0:
-        raise ValueError("templates must be non-empty")
-    if n < m:
-        return np.zeros((n_templates, 0), dtype=np.float64)
-
-    if n > _OVERLAP_SAVE_THRESHOLD:
-        mags = _overlap_save_correlation(signal, templates, spectrum)
-    else:
-        mags = _fft_valid_correlation(signal, templates, spectrum)
-
-    # One shared window-energy cumsum normalises every template row.
-    power = np.abs(signal) ** 2
-    csum = np.concatenate(([0.0], np.cumsum(power)))
-    window_energy = guard_denominator(csum[m:] - csum[:-m])
-    template_norms = np.linalg.norm(templates, axis=1)
-    denom = guard_denominator(np.sqrt(window_energy)[None, :] * template_norms[:, None])
-    return mags / denom
+    return _correlate_stack(np.asarray(signal)[None, :], np.asarray(templates))[0]
 
 
 @array_contract(signals="(s, n) any", templates="(u, m) any")
@@ -210,8 +359,8 @@ def sliding_correlation_many(signals: np.ndarray, templates: np.ndarray) -> np.n
     This is the cross-session extension of
     :func:`sliding_correlation_batch`: the farm co-schedules sessions
     that share one :class:`TemplateBank`, stacks their pending windows
-    into ``signals`` of shape ``(S, n)``, and gates them all with a
-    single batched FFT.  Each output row ``out[s]`` is **bit-identical**
+    into ``signals`` of shape ``(S, n)``, and gates them all with
+    batched FFTs.  Each output row ``out[s]`` is **bit-identical**
     to ``sliding_correlation_batch(signals[s], templates)``: the FFT,
     the cumulative-sum normalisation and the epsilon guard are all
     computed row-independently, so batching windows together never
@@ -221,63 +370,14 @@ def sliding_correlation_many(signals: np.ndarray, templates: np.ndarray) -> np.n
     -------
     ``(S, U, n - m + 1)`` float64 array of correlation magnitudes.
     """
-    templates = np.asarray(templates)
-    return _correlate_stack(np.asarray(signals), templates, _spectrum_of(templates))
+    return _correlate_stack(np.asarray(signals), np.asarray(templates))
 
 
-def _correlate_stack(
-    signals: np.ndarray, templates: np.ndarray, spectrum: SpectrumFn
-) -> np.ndarray:
-    """:func:`sliding_correlation_many` with the kernel spectra drawn
-    from *spectrum*."""
-    if signals.ndim != 2:
-        raise ValueError(f"signals must be a 2-D stack, got shape {signals.shape}")
-    if templates.ndim != 2:
-        raise ValueError(f"templates must be a 2-D stack, got shape {templates.shape}")
-    n_signals, n = signals.shape
-    n_templates, m = templates.shape
-    if m == 0:
-        raise ValueError("templates must be non-empty")
-    if n < m:
-        return np.zeros((n_signals, n_templates, 0), dtype=np.float64)
-
-    if n > _OVERLAP_SAVE_THRESHOLD:
-        # The overlap-save regime stays a per-row loop through the
-        # single-window kernel, so equivalence holds by construction.
-        out = np.empty((n_signals, n_templates, n - m + 1), dtype=np.float64)
-        for s, row in enumerate(signals):
-            out[s] = _correlate_one(row, templates, spectrum)
-        return out
-
-    nfft = _next_fast_len(n)
-    real = _is_real(signals, templates)
-    kspec = spectrum(nfft, real)
-    if real:
-        spec = np.fft.rfft(signals, nfft, axis=1)
-        full = np.fft.irfft(spec[:, None, :] * kspec[None, :, :], nfft, axis=2)
-    else:
-        spec = np.fft.fft(signals, nfft, axis=1)
-        full = np.fft.ifft(spec[:, None, :] * kspec[None, :, :], axis=2)
-    mags = np.abs(full[:, :, m - 1 : n])
-
-    # Row-wise cumsum reproduces each window's shared-energy
-    # normalisation exactly as the single-window kernel computes it.
-    power = np.abs(signals) ** 2
-    csum = np.concatenate(
-        [np.zeros((n_signals, 1), dtype=np.float64), np.cumsum(power, axis=1)], axis=1
-    )
-    window_energy = guard_denominator(csum[:, m:] - csum[:, :-m])
-    template_norms = np.linalg.norm(templates, axis=1)
-    denom = guard_denominator(
-        np.sqrt(window_energy)[:, None, :] * template_norms[None, :, None]
-    )
-    return mags / denom
-
-
-#: Kernel spectra a bank keeps, least recently used evicted first.
-#: A stream needs one FFT length per window geometry (the hop window,
-#: the RESYNC-widened window) plus the odd lengths of tail windows.
-_SPECTRA_MAX = 4
+#: FFT lengths a bank keeps a plan for, least recently used evicted
+#: first.  A stream needs one FFT length per window geometry (the hop
+#: window, the RESYNC-widened window) plus the odd lengths of tail
+#: windows.
+_PLANS_MAX = 4
 
 
 class TemplateBank:
@@ -288,13 +388,19 @@ class TemplateBank:
     are built through :func:`template_bank`, which memoises them per
     ``(FrameFormat, codes, samples_per_chip)``.
 
-    :meth:`correlate` and :meth:`correlate_many` reuse the kernel
-    spectrum per ``(FFT length, real/complex)``, at most
-    :data:`_SPECTRA_MAX` of them (256 KiB per complex spectrum for 4
-    templates over 4,096-sample windows).
+    :meth:`correlate` and :meth:`correlate_many` keep a plan per
+    ``(FFT length, real/complex)``, at most :data:`_PLANS_MAX` of
+    them, least recently used evicted first.  A plan is the templates'
+    kernel spectrum (256 KiB per complex spectrum for 4 templates over
+    4,096-sample windows) and a workspace holding every temporary of
+    the kernel for one block of :data:`_BLOCK_ROWS` windows, so a warm
+    bank allocates only the arrays it returns.  No returned array
+    shares memory with the workspace.  The workspace makes a bank
+    single-threaded: its callers (one receive chain, or one farm
+    worker's sessions) take turns.
     """
 
-    __slots__ = ("user_ids", "matrix", "samples_per_chip", "_rows", "_spectra")
+    __slots__ = ("user_ids", "matrix", "samples_per_chip", "_rows", "_norms", "_plans")
 
     def __init__(
         self, user_ids: Tuple[int, ...], matrix: np.ndarray, samples_per_chip: int
@@ -303,7 +409,8 @@ class TemplateBank:
         self.matrix = matrix
         self.samples_per_chip = samples_per_chip
         self._rows = {uid: matrix[i] for i, uid in enumerate(user_ids)}
-        self._spectra: Dict[Tuple[int, bool], np.ndarray] = {}
+        self._norms = np.linalg.norm(matrix, axis=1)
+        self._plans: Dict[Tuple[int, bool], Tuple[np.ndarray, _Workspace]] = {}
 
     @property
     def n_users(self) -> int:
@@ -314,32 +421,64 @@ class TemplateBank:
         """Length of every template row, in samples."""
         return int(self.matrix.shape[1])
 
+    @property
+    def workspace_nbytes(self) -> int:
+        """Bytes held by the workspaces of every cached plan."""
+        return sum(ws.nbytes for _spec, ws in self._plans.values())
+
     def template(self, user_id: int) -> np.ndarray:
         """The template row for *user_id*."""
         return self._rows[int(user_id)]
 
-    def _spectrum(self, nfft: int, real: bool) -> np.ndarray:
-        """The templates' kernel spectrum at *nfft*, computed once."""
+    def _plan(self, nfft: int, real: bool) -> Tuple[np.ndarray, _Workspace]:
+        """The kernel spectrum and workspace at *nfft*, made once."""
         key = (nfft, real)
-        spec = self._spectra.pop(key, None)
-        if spec is None:
+        plan = self._plans.pop(key, None)
+        if plan is None:
             spec = _kernel_spectrum(self.matrix, nfft, real)
             spec.flags.writeable = False
-            if len(self._spectra) >= _SPECTRA_MAX:
-                self._spectra.pop(next(iter(self._spectra)))
-        self._spectra[key] = spec  # (re)insert as most recently used
-        return spec
+            plan = (spec, _Workspace())
+            if len(self._plans) >= _PLANS_MAX:
+                self._plans.pop(next(iter(self._plans)))
+        self._plans[key] = plan  # (re)insert as most recently used
+        return plan
 
     def correlate(self, window: np.ndarray) -> np.ndarray:
         """Batched sliding correlation of every user template
-        (:func:`sliding_correlation_batch` over the cached spectra)."""
-        return _correlate_one(np.asarray(window), self.matrix, self._spectrum)
+        (:func:`sliding_correlation_batch` with this bank's plans)."""
+        return _correlate_stack(np.asarray(window)[None, :], self.matrix, self._norms, self._plan)[0]
 
-    def correlate_many(self, windows: np.ndarray) -> np.ndarray:
+    @overload
+    def correlate_many(self, windows: Windows) -> np.ndarray: ...
+
+    @overload
+    def correlate_many(self, windows: Windows, min_peak: float) -> List[Optional[np.ndarray]]: ...
+
+    def correlate_many(
+        self, windows: Windows, min_peak: Optional[float] = None
+    ) -> Union[np.ndarray, List[Optional[np.ndarray]]]:
         """Sliding correlation of every user template against a stack
         of equal-length windows (one ``(U, n-m+1)`` plane per window;
-        :func:`sliding_correlation_many` over the cached spectra)."""
-        return _correlate_stack(np.asarray(windows), self.matrix, self._spectrum)
+        :func:`sliding_correlation_many` with this bank's plans).
+        *windows* is a 2-D array or a sequence of equal-length 1-D
+        windows, which are then never stacked into one new array.
+
+        With *min_peak*, returns a list instead: a fresh copy of each
+        window's plane whose largest score is at least *min_peak*, and
+        ``None`` for every other window (and for a window shorter than
+        the templates).  The stacked planes are then never
+        materialised, which is what a gate over mostly idle windows
+        wants.
+        """
+        if min_peak is None:
+            return _correlate_stack(windows, self.matrix, self._norms, self._plan)
+        stack = _as_stack(windows, self.matrix)
+        kept: List[Optional[np.ndarray]] = [None] * len(stack.rows)
+        for lo, planes in _planes(stack, self.matrix, self._norms, self._plan):
+            for i, peak in enumerate(planes.max(axis=(1, 2))):
+                if peak >= min_peak:
+                    kept[lo + i] = planes[i].copy()
+        return kept
 
 
 _BANK_CACHE: Dict[tuple, TemplateBank] = {}

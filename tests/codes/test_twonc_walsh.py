@@ -33,6 +33,11 @@ class TestTwoNC:
         with pytest.raises(ValueError):
             TwoNCFamily(2, 31)
 
+    @pytest.mark.parametrize("size,length", [(1, 0), (2, -2)])
+    def test_length_below_two_rejected(self, size, length):
+        with pytest.raises(ValueError, match="even and at least 2"):
+            TwoNCFamily(size, length)
+
     def test_default_length(self):
         assert TwoNCFamily(4).length == 32
         assert TwoNCFamily(20).length == 40
@@ -128,7 +133,8 @@ class TestShortLengths:
 
     @pytest.mark.parametrize(
         "count,length",
-        [(1, 4), (2, 4), (1, 6), (3, 6), (2, 8), (4, 8), (2, 10), (5, 10)],
+        # (3, 4): C(4, 2) = 6 balanced codes, so 3 fit in 4 chips.
+        [(1, 4), (2, 4), (3, 4), (1, 6), (3, 6), (2, 8), (4, 8), (2, 10), (5, 10)],
     )
     def test_returns_distinct_balanced_codes(self, count, length):
         codes = _call_with_timeout(lambda: twonc_codes(count, length), 20.0)

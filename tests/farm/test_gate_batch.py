@@ -82,6 +82,10 @@ class TestStackedKernel:
             bank.correlate_many(windows),
             sliding_correlation_many(windows, bank.matrix),
         )
+        np.testing.assert_array_equal(
+            bank.correlate_many(list(windows)),
+            sliding_correlation_many(windows, bank.matrix),
+        )
 
 
 class TestBatchedGate:
@@ -98,6 +102,22 @@ class TestBatchedGate:
         np.testing.assert_array_equal(batched, scalar)
         # The capture is busy enough that both branches are exercised.
         assert batched.any() and not batched.all()
+
+    def test_sequence_of_windows_matches_stack(self, stream, soak_capture):
+        buffer, _chunks, _chunk = soak_capture
+        w = stream.window_samples
+        windows = np.stack([buffer[i * w : (i + 1) * w] for i in range(12)])
+        stacked, listed = [], []
+        live = stream.windows_are_live(windows, planes=stacked)
+        np.testing.assert_array_equal(stream.windows_are_live(list(windows), planes=listed), live)
+        for a, b in zip(stacked, listed):
+            assert (a is None) == (b is None)
+            if a is not None:
+                np.testing.assert_array_equal(a, b)
+
+    def test_ragged_sequence_rejected(self, stream):
+        with pytest.raises(ValueError, match="one length"):
+            stream.windows_are_live([np.zeros(stream.window_samples), np.zeros(10)])
 
     def test_empty_stack(self, stream):
         out = stream.windows_are_live(

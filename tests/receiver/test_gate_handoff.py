@@ -95,7 +95,7 @@ class TestPlanesMatch:
             np.testing.assert_array_equal(
                 bank.correlate(buffer[:n]), sliding_correlation_batch(buffer[:n], bank.matrix)
             )
-        assert len(bank._spectra) == 4
+        assert len(bank._plans) == 4
 
     def test_real_and_complex_windows_keep_separate_spectra(self, capture):
         """Same FFT length, different spectrum: real windows take the
