@@ -17,7 +17,7 @@ how many further bits the frame contains, then payload + CRC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +29,9 @@ from repro.utils.bits import bits_to_bipolar, bits_to_bytes, pack_bits
 from repro.utils.contracts import array_contract
 
 __all__ = ["ChipDecoder", "DecodedFrame"]
+
+#: MSB-first place values of the 8-bit length field (``bits_to_bytes``).
+_BYTE_WEIGHTS = 1 << np.arange(7, -1, -1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,9 @@ class ChipDecoder:
             raise ValueError("samples_per_chip must be >= 1")
         self.code = np.asarray(code, dtype=np.uint8)
         self._template = upsample_chips(bits_to_bipolar(self.code), self.samples_per_chip)
+        self._matched = np.conj(self._template)
         self.block_samples = self._template.size
+        self._length_span = np.arange(8 * self.block_samples)
 
     def decision_statistics(self, window: np.ndarray, start: int, n_bits: int) -> Optional[np.ndarray]:
         """Raw complex correlation statistic per bit (no decision).
@@ -82,7 +87,7 @@ class ChipDecoder:
         if start < 0 or end > x.size:
             return None
         blocks = x[start:end].reshape(n_bits, self.block_samples)
-        return blocks @ np.conj(self._template)
+        return blocks @ self._matched
 
     def decode_bits(self, window: np.ndarray, start: int, n_bits: int, channel: complex) -> Optional[np.ndarray]:
         """Decode *n_bits* consecutive bits beginning at sample *start*.
@@ -99,7 +104,7 @@ class ChipDecoder:
         if channel == 0:
             channel = 1.0 + 0j
         blocks = x[start:end].reshape(n_bits, self.block_samples)
-        stats = blocks @ np.conj(self._template)
+        stats = blocks @ self._matched
         decisions = (np.real(np.conj(channel) * stats) > 0).astype(np.uint8)
         return decisions
 
@@ -141,3 +146,60 @@ class ChipDecoder:
         return DecodedFrame(
             user_id, True, frame.payload, "ok", raw_bits=pack_bits(length_bits, rest_bits)
         )
+
+    @array_contract(window="(n) complex128")
+    def decode_candidates(
+        self, window: np.ndarray, candidates: Sequence[tuple], user_id: int = -1
+    ) -> Tuple[DecodedFrame, int]:
+        """Decode the first of several alignment hypotheses that parses.
+
+        *candidates* holds ``(preamble_start, score, channel)`` triples
+        (:attr:`~repro.receiver.user_detection.UserDetection.candidates`),
+        tried in order.  Returns what calling :meth:`decode_frame` on
+        each in turn, stopping at the first success, would return --
+        the first success, else the first candidate's outcome -- and the
+        index of the candidate that produced it.
+
+        The length fields of all candidates are decided in one strided
+        product first.  A candidate whose length byte is implausible or
+        whose frame overruns the window gets its ``"length"`` or
+        ``"truncated"`` outcome from that screen; only the rest reach
+        :meth:`decode_frame` and its CRC check.  Each length bit comes
+        from the same ``(8, block) @ template`` product and channel
+        projection as in :meth:`decode_bits`, so the screen and the
+        full decode cannot disagree.
+        """
+        if not candidates:
+            raise ValueError("decode_candidates needs at least one candidate")
+        x = np.asarray(window)
+        n, blk = x.size, self.block_samples
+        lead = self.fmt.preamble_bits * blk
+        # Candidates whose 8-bit length field lies inside the window.
+        fits = [k for k, c in enumerate(candidates) if 0 <= c[0] + lead <= n - 8 * blk]
+        if fits:
+            body = np.array([candidates[k][0] + lead for k in fits], dtype=np.int64)
+            gathered = x[body[:, None] + self._length_span].reshape(len(fits), 8, blk)
+            # conj(h) per candidate, h == 0 read as 1 (see decode_bits).
+            weights = np.array(
+                [(candidates[k][2] or 1.0).conjugate() for k in fits], dtype=np.complex128
+            )
+            length_bits = ((weights[:, None] * (gathered @ self._matched)).real > 0).astype(np.uint8)
+            lengths = (length_bits @ _BYTE_WEIGHTS).tolist()
+        first = None
+        for j, k in enumerate(fits):
+            frame_end = candidates[k][0] + lead + (8 * lengths[j] + 24) * blk
+            if lengths[j] > MAX_PAYLOAD_BYTES or frame_end > n:
+                continue
+            offset, _score, channel = candidates[k]
+            frame = self.decode_frame(x, offset, channel, user_id=user_id)
+            if frame.success:
+                return frame, k
+            if k == 0:
+                first = frame
+        if first is not None:
+            return first, 0
+        # Candidate 0 was settled by the screen.
+        if not fits or fits[0] != 0:
+            return DecodedFrame(user_id, False, None, "truncated"), 0
+        reason = "length" if lengths[0] > MAX_PAYLOAD_BYTES else "truncated"
+        return DecodedFrame(user_id, False, None, reason, raw_bits=length_bits[0].copy()), 0

@@ -28,7 +28,6 @@ from repro.receiver.receiver import CbmaReceiver, ReceptionReport
 from repro.receiver.user_detection import UserDetection
 from repro.tag.framing import FrameError, FrameFormat, MAX_PAYLOAD_BYTES
 from repro.utils.bits import bits_to_bytes, pack_bits
-from repro.utils.correlation import correlation_peaks
 
 __all__ = ["DiversityReceiver"]
 
@@ -75,33 +74,18 @@ class DiversityReceiver(CbmaReceiver):
         """User detection on non-coherently combined correlations."""
         out: List[UserDetection] = []
         for uid, combined in self._combined_correlations(branches).items():
+            ranked = self.user_detector.rank_hypotheses(uid, combined)
+            if not ranked:
+                continue
             template = self.user_detector.template(uid)
-            if combined.size == 0:
-                continue
-            best = int(np.argmax(combined))
-            score = float(combined[best])
-            if score < self.user_detector.threshold:
-                continue
-            block = self.samples_per_chip * int(self.codes[uid].size)
-            peaks = correlation_peaks(
-                combined,
-                threshold=max(self.user_detector.threshold, 0.5 * score),
-                min_spacing=max(block // 2, 1),
-            )
-            # Earliest-first hypothesis order with the global best
-            # always retained (see UserDetector.detect).
-            ranked = sorted(int(k) for k in peaks)[: self.user_detector.max_hypotheses - 1]
-            if best not in ranked:
-                ranked = sorted(ranked + [best])
-            ranked = ranked or [best]
-            candidates = []
             t_energy = float(np.vdot(template, template).real)
+            candidates = []
             for k in ranked:
                 channels = tuple(
                     complex(np.vdot(template, x[k : k + template.size]) / t_energy)
                     for x in branches
                 )
-                candidates.append((int(k), float(combined[k]), channels))
+                candidates.append((k, float(combined[k]), channels))
             peak, score, channels = max(candidates, key=lambda c: c[1])
             out.append(
                 UserDetection(

@@ -45,8 +45,8 @@ class PhaseTrackingReceiver(CbmaReceiver):
             raise ValueError("alpha must be in (0, 1]")
         self.alpha = alpha
 
-    # The base class's process() calls each decoder's decode_frame; we
-    # intercept at that granularity by overriding the decode call.
+    # The base class's process() calls each decoder's decode_candidates;
+    # we intercept at that granularity by swapping the decoders.
 
     def process(self, iq, round_index: int = 0, skip_energy_gate: bool = False, corr=None):
         # Reuse the whole base pipeline but swap the decode function.
@@ -96,6 +96,22 @@ class _TrackingAdapter:
             observed = z * sign / max(w_eff, 1e-30)
             h = (1.0 - self.alpha) * h + self.alpha * observed
         return bits, h
+
+    def decode_candidates(self, window, candidates, user_id=-1):
+        """The plain hypothesis loop over the tracking :meth:`decode_frame`.
+
+        :meth:`ChipDecoder.decode_candidates` screens length fields
+        with the static channel estimate; under CFO that screen can
+        read another length byte than the tracking loop does.
+        """
+        first = None
+        for index, (offset, _score, channel) in enumerate(candidates):
+            frame = self.decode_frame(window, offset, channel, user_id)
+            if frame.success:
+                return frame, index
+            if first is None:
+                first = frame
+        return first, 0
 
     def decode_frame(self, window, preamble_start, channel, user_id=-1):
         dec = self._decoder

@@ -37,6 +37,10 @@ class ReceptionReport:
     """Everything the receiver concluded about one buffer."""
 
     sync: FrameSyncResult
+    """Energy frame-sync verdict.  Empty (no detections) when the
+    buffer was processed with ``skip_energy_gate=True``: the energy
+    detector does not run then, so neither its ``frame_sync`` span nor
+    its ``frame_sync.*`` counters are recorded."""
     detections: List[UserDetection] = field(default_factory=list)
     frames: List[DecodedFrame] = field(default_factory=list)
     ack: AckMessage = field(default_factory=AckMessage)
@@ -184,6 +188,64 @@ class CbmaReceiver:
             x = x - np.mean(x)
         return x, (corr if x is iq else None)
 
+    def _frame_sync(
+        self, x: np.ndarray, report: ReceptionReport, round_index: int, skip_energy_gate: bool
+    ) -> bool:
+        """Energy frame sync of *x* into ``report.sync``; False ends the round.
+
+        With *skip_energy_gate* nothing reads the verdict, so the
+        detector does not run at all and ``report.sync`` stays empty.
+        """
+        if skip_energy_gate:
+            return True
+        tracer = self.tracer
+        try:
+            with tracer.span("frame_sync"):
+                report.sync = self.energy_detector.detect(x)
+        except Exception as exc:
+            self._contain(report, DecodeFailure("frame_sync", "exception", detail=str(exc)))
+        if report.sync.detected:
+            return True
+        tracer.count(C.FRAME_SYNC_MISSES)
+        report.ack = AckMessage.for_ids([], round_index)
+        return False
+
+    def _decode_user(
+        self, x: np.ndarray, det: UserDetection, report: ReceptionReport
+    ) -> Tuple[DecodedFrame, tuple]:
+        """Decode one detected user.
+
+        Returns the frame and the ``(offset, score, channel)`` candidate
+        that produced it (the one SIC cancels).
+
+        Multi-hypothesis decoding: the alternating preamble has
+        +/-k-bit correlation images the detector cannot resolve by
+        magnitude, so each near-maximal alignment is tried (earliest
+        first) until one yields a CRC-valid frame (false-accept is
+        2^-16 per attempt, negligible across the handful of
+        hypotheses).  A decoder blow-up is contained as a per-user
+        failed frame: the report still accounts for the detection, and
+        the other users' decodes proceed untouched.
+        """
+        tracer = self.tracer
+        candidates = det.candidates or ((det.offset, det.score, det.channel),)
+        index = 0
+        try:
+            with tracer.span("decode", user=det.user_id):
+                frame, index = self._decoders[det.user_id].decode_candidates(
+                    x, candidates, user_id=det.user_id
+                )
+        except Exception as exc:
+            self._contain(
+                report,
+                DecodeFailure("decode", "exception", user_id=det.user_id, detail=str(exc)),
+            )
+            frame = DecodedFrame(
+                user_id=det.user_id, success=False, payload=None, reason="exception"
+            )
+        tracer.count(decode_outcome(frame.reason))
+        return frame, candidates[index]
+
     def process(
         self,
         iq: np.ndarray,
@@ -194,9 +256,12 @@ class CbmaReceiver:
         """Run the full pipeline over a complex sample buffer.
 
         When *skip_energy_gate* is set the user detector scans the
-        whole buffer even without an energy detection -- used by
-        experiments that isolate later stages (paper Sec. VII-B2
-        "adopt the best parameters obtained in the above section").
+        whole buffer without an energy detection -- used by the
+        streaming walk, whose correlation pre-gate already chose the
+        window, and by experiments that isolate later stages (paper
+        Sec. VII-B2 "adopt the best parameters obtained in the above
+        section").  The energy detector is then not run, and
+        ``report.sync`` stays empty.
 
         *corr* is the template bank's correlation plane of *iq*, when
         the caller already computed it (the streaming pre-gate).  It
@@ -214,15 +279,7 @@ class CbmaReceiver:
         tracer = self.tracer
         report = ReceptionReport(sync=FrameSyncResult(detections=[]))
         x, corr = self._front_end(iq, report.failures, corr)
-        try:
-            with tracer.span("frame_sync"):
-                report.sync = self.energy_detector.detect(x)
-        except Exception as exc:
-            self._contain(report, DecodeFailure("frame_sync", "exception", detail=str(exc)))
-        sync = report.sync
-        if not sync.detected and not skip_energy_gate:
-            tracer.count(C.FRAME_SYNC_MISSES)
-            report.ack = AckMessage.for_ids([], round_index)
+        if not self._frame_sync(x, report, round_index, skip_energy_gate):
             return report
 
         try:
@@ -240,36 +297,7 @@ class CbmaReceiver:
                     scores = sorted((s for _o, s, _c in det.candidates), reverse=True)
                     tracer.gauge(G.DETECT_PEAK_MARGIN, scores[0] - scores[1])
         for det in report.detections:
-            decoder = self._decoders[det.user_id]
-            # Multi-hypothesis decoding: the alternating preamble has
-            # +/-k-bit correlation images the detector cannot resolve
-            # by magnitude, so each near-maximal alignment is tried
-            # (earliest first) until one yields a CRC-valid frame
-            # (false-accept is 2^-16 per attempt, negligible across
-            # the handful of hypotheses).
-            candidates = det.candidates or ((det.offset, det.score, det.channel),)
-            frame = None
-            try:
-                with tracer.span("decode", user=det.user_id):
-                    for offset, _score, channel in candidates:
-                        attempt = decoder.decode_frame(x, offset, channel, user_id=det.user_id)
-                        if frame is None or (attempt.success and not frame.success):
-                            frame = attempt
-                        if attempt.success:
-                            break
-            except Exception as exc:
-                # Contain a decoder blow-up as a per-user failed frame:
-                # the report still accounts for the detection, and the
-                # other users' decodes proceed untouched.
-                self._contain(
-                    report,
-                    DecodeFailure("decode", "exception", user_id=det.user_id, detail=str(exc)),
-                )
-                frame = DecodedFrame(
-                    user_id=det.user_id, success=False, payload=None, reason="exception"
-                )
-            tracer.count(decode_outcome(frame.reason))
-            report.frames.append(frame)
+            report.frames.append(self._decode_user(x, det, report)[0])
 
         try:
             self._suppress_ghosts(report)

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.obs.taxonomy import C, decode_outcome
+from repro.obs.taxonomy import C
 from repro.phy.modulation import spread_bits, upsample_chips
 from repro.receiver.ack import AckMessage
 from repro.receiver.decoder import DecodedFrame
@@ -68,14 +68,7 @@ class SicReceiver(CbmaReceiver):
         tracer = self.tracer
         report = ReceptionReport(sync=FrameSyncResult(detections=[]))
         x, corr = self._front_end(iq, report.failures, corr)
-        try:
-            with tracer.span("frame_sync"):
-                report.sync = self.energy_detector.detect(x)
-        except Exception as exc:
-            self._contain(report, DecodeFailure("frame_sync", "exception", detail=str(exc)))
-        if not report.sync.detected and not skip_energy_gate:
-            tracer.count(C.FRAME_SYNC_MISSES)
-            report.ack = AckMessage.for_ids([], round_index)
+        if not self._frame_sync(x, report, round_index, skip_energy_gate):
             return report
 
         succeeded: Dict[int, DecodedFrame] = {}
@@ -137,30 +130,9 @@ class SicReceiver(CbmaReceiver):
             for det in detections:
                 if det.user_id in succeeded:
                     continue
-                decoder = self._decoders[det.user_id]
-                candidates = det.candidates or ((det.offset, det.score, det.channel),)
-                frame = None
-                used = None
-                try:
-                    with tracer.span("decode", user=det.user_id):
-                        for offset, _score, channel in candidates:
-                            attempt = decoder.decode_frame(residual, offset, channel, user_id=det.user_id)
-                            if frame is None or (attempt.success and not frame.success):
-                                frame = attempt
-                                used = (offset, channel)
-                            if attempt.success:
-                                break
-                except Exception as exc:
-                    self._contain(
-                        report,
-                        DecodeFailure("decode", "exception", user_id=det.user_id, detail=str(exc)),
-                    )
-                    frame = DecodedFrame(
-                        user_id=det.user_id, success=False, payload=None, reason="exception"
-                    )
-                tracer.count(decode_outcome(frame.reason))
+                frame, (offset, _score, channel) = self._decode_user(residual, det, report)
                 if frame.success:
-                    new_successes.append((det, frame, used))
+                    new_successes.append((det, frame, (offset, channel)))
                 else:
                     # Remember the latest failure, but keep the user
                     # eligible for the next pass: cancellation may be

@@ -24,6 +24,7 @@ pass's output for the same samples (the streaming pre-gate) hands it to
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -136,6 +137,38 @@ class UserDetector:
         for uid, row in self._rows:
             yield uid, corr[row]
 
+    def rank_hypotheses(self, user_id: int, corr: np.ndarray) -> List[int]:
+        """Alignment hypotheses of *user_id* in its correlation row *corr*.
+
+        Empty when the row's maximum misses the threshold (the user is
+        absent).  Otherwise the near-maximal alternative alignments --
+        the +/-k-bit correlation images of the alternating preamble,
+        plus any payload stretch that happens to imitate the preamble
+        pattern -- spaced at least half a bit block apart so sub-sample
+        neighbours of one peak are not counted as separate hypotheses.
+        They are ordered EARLIEST FIRST: the true preamble always
+        precedes payload content that mimics it, and a too-early image
+        simply fails its CRC and falls through to the next candidate.
+        At most ``max_hypotheses`` are returned, and the global maximum
+        is always among them even when many above-threshold leak peaks
+        precede it -- it is usually the true preamble (or a +/-1-bit
+        image of it).
+        """
+        if corr.size == 0:
+            return []
+        best = int(np.argmax(corr))
+        score = float(corr[best])
+        if score < self.threshold:
+            return []
+        block = self.samples_per_chip * int(self.codes[user_id].size)
+        peaks = correlation_peaks(
+            corr, threshold=max(self.threshold, 0.5 * score), min_spacing=max(block // 2, 1)
+        )
+        ranked = peaks[: self.max_hypotheses - 1].tolist()
+        if best not in ranked:
+            bisect.insort(ranked, best)
+        return ranked
+
     @array_contract(window="(n) complex128")
     def detect(
         self,
@@ -168,42 +201,20 @@ class UserDetector:
                 f"{x.size}-sample window of this bank"
             )
         for uid, bank_row in self._rows:
-            template = self._bank.template(uid)
             corr_u = corr[bank_row]
-            best = int(np.argmax(corr_u))
-            score = float(corr_u[best])
-            if score < self.threshold:
+            ranked = self.rank_hypotheses(uid, corr_u)
+            if not ranked:
                 continue
-            # Near-maximal alternative alignments: the +/-k-bit
-            # correlation images of the alternating preamble, plus any
-            # payload stretch that happens to imitate the preamble
-            # pattern.  Spaced at least half a bit block apart so
-            # sub-sample neighbours of one peak are not counted as
-            # separate hypotheses.  Hypotheses are ordered EARLIEST
-            # FIRST: the true preamble always precedes payload content
-            # that mimics it, and a too-early image simply fails its
-            # CRC and falls through to the next candidate.
-            block = self.samples_per_chip * int(self.codes[uid].size)
-            peaks = correlation_peaks(
-                corr_u, threshold=max(self.threshold, 0.5 * score), min_spacing=max(block // 2, 1)
-            )
-            ranked = sorted(int(k) for k in peaks)[: self.max_hypotheses - 1]
-            # The global maximum is always kept as a hypothesis even
-            # when many above-threshold leak peaks precede it -- it is
-            # usually the true preamble (or a +/-1-bit image of it).
-            if best not in ranked:
-                ranked = sorted(ranked + [best])
-            candidates = []
-            for k in ranked:
-                segment = x[k : k + template.size]
-                # Least-squares complex gain of a unit-amplitude chip:
-                # h = <x, t> / ||t||^2 with t the bipolar template.
-                h = complex(np.vdot(template, segment) / float(np.vdot(template, template).real))
-                candidates.append((int(k), float(corr_u[k]), h))
-            if not candidates:
-                segment = x[best : best + template.size]
-                h = complex(np.vdot(template, segment) / float(np.vdot(template, template).real))
-                candidates = [(best, score, h)]
+            template = self._bank.template(uid)
+            m = template.size
+            t_energy = float(np.vdot(template, template).real)
+            # Least-squares complex gain of a unit-amplitude chip at
+            # each alignment: h = <x, t> / ||t||^2 with t the bipolar
+            # template.
+            candidates = [
+                (k, score, complex(np.vdot(template, x[k : k + m]) / t_energy))
+                for k, score in zip(ranked, corr_u[ranked].tolist())
+            ]
             # Report the strongest candidate as the detection's headline
             # offset/score (used for ranking and ghost arbitration).
             peak, score, h = max(candidates, key=lambda c: c[1])

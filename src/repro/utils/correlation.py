@@ -15,6 +15,8 @@ chips as well as complex baseband samples.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.utils.contracts import array_contract
@@ -106,41 +108,42 @@ def sliding_correlation(signal: np.ndarray, template: np.ndarray, normalize: boo
 
 
 def correlation_peaks(corr: np.ndarray, threshold: float, min_spacing: int = 1) -> np.ndarray:
-    """Indices of local maxima in *corr* that exceed *threshold*.
+    """Indices of local maxima in *corr* that exceed *threshold*, ascending.
 
     Greedy non-maximum suppression: peaks are taken in descending
     height order -- ties broken by the *earliest* index, so the result
     is deterministic across platforms and numpy versions -- and any
     candidate within *min_spacing* samples of an accepted peak is
-    dropped.  Used by the frame synchroniser to avoid declaring one
-    frame twice.
+    dropped.  Used by user detection (and the diversity receiver's
+    combined detection) to keep one alignment hypothesis per
+    correlation peak.
 
-    The suppression works on the position-sorted candidate array with
-    ``searchsorted`` range kills, so a pathological plateau of P
+    The suppression bisects the position-sorted candidate list for
+    each accepted peak's range kill, so a pathological plateau of P
     above-threshold samples costs O(P log P) rather than the O(P^2) of
-    an all-pairs distance check.
+    an all-pairs distance check, and no numpy call is made per peak.
     """
     corr = np.asarray(corr, dtype=np.float64)
     candidates = np.flatnonzero(corr >= threshold)
-    if candidates.size == 0:
-        return candidates.astype(np.int64)
-    if min_spacing <= 1:
+    if candidates.size == 0 or min_spacing <= 1:
         # Distinct indices are always >= 1 apart: nothing to suppress.
         return candidates.astype(np.int64)
-    heights = corr[candidates]
     # Height-descending with an ascending-index tie-break: lexsort's
     # last key is primary, and both keys impose a total order, so the
     # visit order is fully deterministic even on tied plateaus (the
     # default argsort is an unstable quicksort whose tie order is
     # platform-dependent).
-    order = np.lexsort((candidates, -heights))
-    alive = np.ones(candidates.size, dtype=bool)
-    accepted = np.zeros(candidates.size, dtype=bool)
+    order = np.lexsort((candidates, -corr[candidates])).tolist()
+    positions = candidates.tolist()
+    alive = bytearray(b"\x01") * len(positions)
+    accepted = []
     for i in order:
         if not alive[i]:
             continue
-        accepted[i] = True
-        lo = int(np.searchsorted(candidates, candidates[i] - min_spacing + 1, side="left"))
-        hi = int(np.searchsorted(candidates, candidates[i] + min_spacing, side="left"))
-        alive[lo:hi] = False
-    return candidates[accepted].astype(np.int64)
+        peak = positions[i]
+        accepted.append(peak)
+        lo = bisect_left(positions, peak - min_spacing + 1)
+        hi = bisect_left(positions, peak + min_spacing, lo)
+        alive[lo:hi] = bytes(hi - lo)
+    accepted.sort()
+    return np.array(accepted, dtype=np.int64)

@@ -200,3 +200,74 @@ class TestCorrelationPeaks:
         corr = np.full(20000, 0.9)
         peaks = correlation_peaks(corr, threshold=0.5, min_spacing=100)
         assert peaks.tolist() == list(range(0, 20000, 100))
+
+
+def searchsorted_peaks(corr, threshold, min_spacing=1):
+    """The earlier ``correlation_peaks``: the same greedy NMS with two
+    ``np.searchsorted`` range kills per accepted peak."""
+    corr = np.asarray(corr, dtype=np.float64)
+    candidates = np.flatnonzero(corr >= threshold)
+    if candidates.size == 0:
+        return candidates.astype(np.int64)
+    if min_spacing <= 1:
+        return candidates.astype(np.int64)
+    heights = corr[candidates]
+    order = np.lexsort((candidates, -heights))
+    alive = np.ones(candidates.size, dtype=bool)
+    accepted = np.zeros(candidates.size, dtype=bool)
+    for i in order:
+        if not alive[i]:
+            continue
+        accepted[i] = True
+        lo = int(np.searchsorted(candidates, candidates[i] - min_spacing + 1, side="left"))
+        hi = int(np.searchsorted(candidates, candidates[i] + min_spacing, side="left"))
+        alive[lo:hi] = False
+    return candidates[accepted].astype(np.int64)
+
+
+class TestCorrelationPeaksReference:
+    """The bisect suppression returns exactly what the searchsorted
+    one did: same indices, same order, same dtype."""
+
+    SPACINGS = (1, 2, 16, 64)
+
+    @staticmethod
+    def _check(corr, threshold, spacing):
+        got = correlation_peaks(corr, threshold=threshold, min_spacing=spacing)
+        want = searchsorted_peaks(corr, threshold, spacing)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_random_planes(self, spacing):
+        rng = np.random.default_rng(spacing)
+        for _ in range(40):
+            corr = rng.uniform(size=int(rng.integers(1, 3000)))
+            for threshold in (0.0, 0.5, 0.95, 1.1):
+                self._check(corr, threshold, spacing)
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_exact_ties(self, spacing):
+        rng = np.random.default_rng(100 + spacing)
+        for _ in range(40):
+            # Two decimals over a long row: many exact ties per level.
+            corr = np.round(rng.uniform(size=int(rng.integers(1, 2000))), 2)
+            self._check(corr, 0.5, spacing)
+
+    @pytest.mark.parametrize("spacing", SPACINGS)
+    def test_long_flat_plateaus(self, spacing):
+        corr = np.zeros(5000)
+        corr[100:1300] = 0.8
+        corr[1290:1310] = 0.9  # a step inside the plateau's tail
+        corr[2000:4999] = 0.8
+        corr[4999] = 0.8
+        self._check(corr, 0.5, spacing)
+        self._check(np.full(3000, 0.7), 0.5, spacing)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.7, 0.9, 1.0]), min_size=0, max_size=400),
+        spacing=st.sampled_from(SPACINGS),
+    )
+    def test_generated_rows(self, values, spacing):
+        self._check(np.array(values, dtype=np.float64), 0.5, spacing)
