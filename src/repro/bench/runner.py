@@ -1,12 +1,13 @@
 """Benchmark runner: time workloads, summarise, persist, compare.
 
 The runner is deliberately thin: workloads come from
-:mod:`repro.bench.workloads`, per-rep latencies are recorded through a
-:class:`repro.obs.Tracer` under the ``bench.<op>.op_s`` gauge family
-(so the same observability machinery that profiles simulations also
-carries the benchmark samples), and the summary is an explicit,
-versioned JSON document -- the ``BENCH_XXXX.json`` trajectory file CI
-uploads and diffs against the committed baseline.
+:mod:`repro.bench.workloads`, per-rep latencies are summarised per op
+and, when a :class:`repro.obs.Tracer` is passed, also recorded under
+the ``bench.<op>.op_s`` gauge family (so the same observability
+machinery that profiles simulations also carries the benchmark
+samples), and the summary is an explicit, versioned JSON document --
+the ``BENCH_XXXX.json`` trajectory file CI uploads and diffs against
+the committed baseline.
 
 Schema (``repro.bench/1``)::
 
@@ -44,7 +45,8 @@ import numpy as np
 
 from repro.bench.workloads import Workload, build_workloads
 from repro.obs.profile import GaugeStats
-from repro.obs.tracer import Tracer
+from repro.obs.taxonomy import S, bench_op_s, bench_reps
+from repro.obs.tracer import Tracer, as_tracer
 
 __all__ = [
     "BENCH_ID",
@@ -170,21 +172,25 @@ def _environment() -> Dict[str, str]:
 def _time_workload(tracer: Tracer, workload: Workload) -> OpResult:
     """Run one workload: warmup, then *reps* timed repetitions.
 
-    Per-rep latencies land on the tracer as ``bench.<op>.op_s`` gauge
-    samples (and a ``bench.<op>.reps`` counter), each rep inside a
-    ``bench`` span -- the summary below is computed from those same
-    gauge samples via :class:`repro.obs.profile.GaugeStats`.
+    Each rep runs inside a ``bench`` span; its latency also lands on
+    the tracer as a ``bench.<op>.op_s`` gauge sample (and the rep count
+    as a ``bench.<op>.reps`` counter).  The summary is computed from
+    this call's own samples, so a tracer shared across runs (or the
+    disabled one) cannot change it.
     """
     op = workload.op
+    op_s, reps = bench_op_s(op), bench_reps(op)
     workload.fn()  # warmup: page in buffers, build FFT twiddle caches
+    samples: List[float] = []
     for _ in range(workload.reps):
-        with tracer.span("bench", op=op):
+        with tracer.span(S.BENCH, op=op):
             t0 = time.perf_counter()
             workload.fn()
             dt = time.perf_counter() - t0
-        tracer.gauge(f"bench.{op}.op_s", dt)
-    tracer.count(f"bench.{op}.reps", workload.reps)
-    stats = GaugeStats.from_values(op, tracer.gauges[f"bench.{op}.op_s"])
+        samples.append(dt)
+        tracer.gauge(op_s, dt)
+    tracer.count(reps, workload.reps)
+    stats = GaugeStats.from_values(op, samples)
     return OpResult(
         op=op,
         group=workload.group,
@@ -275,7 +281,7 @@ def run_bench(
     every per-rep sample for callers that want the raw event stream
     alongside the summary.
     """
-    tracer = tracer if tracer is not None else Tracer()
+    tracer = as_tracer(tracer)
     if workloads is None:
         workloads = build_workloads(quick=quick, seed=seed, tier=tier)
     ops = [_time_workload(tracer, workload) for workload in workloads]

@@ -49,7 +49,7 @@ from repro.farm.worker import (
     poll_get,
     worker_main,
 )
-from repro.obs.taxonomy import C, G
+from repro.obs.taxonomy import C, CounterName, G, GaugeName
 from repro.obs.tracer import as_tracer
 from repro.receiver.streaming import StreamFrame
 from repro.sim.network import CbmaConfig
@@ -681,10 +681,10 @@ class DecodeFarm:
             ring.close()
         self._replies.close()
 
-    def _count(self, counter: str, n: int = 1) -> None:
+    def _count(self, counter: CounterName, n: int = 1) -> None:
         if self.tracer.enabled:
             self.tracer.count(counter, n)
 
-    def _gauge(self, gauge: str, value: float) -> None:
+    def _gauge(self, gauge: GaugeName, value: float) -> None:
         if self.tracer.enabled:
             self.tracer.gauge(gauge, value)

@@ -48,7 +48,7 @@ from repro.farm.farm import DecodeFarm, WorkerCrash, build_code_families
 from repro.gateway.admission import RetryPolicy, TokenBucket
 from repro.gateway.config import GatewayConfig
 from repro.gateway.ladder import DegradationLadder, GatewayState
-from repro.obs.taxonomy import C, G, gateway_transition
+from repro.obs.taxonomy import C, CounterName, G, GaugeName, S, gateway_transition
 from repro.obs.tracer import as_tracer
 from repro.receiver.streaming import StreamFrame
 
@@ -410,7 +410,7 @@ class Gateway:
             raise
 
     def _step(self, budget: Optional[int]) -> int:
-        with self.tracer.span("gateway_step"):
+        with self.tracer.span(S.GATEWAY_STEP):
             depth = self.queue_depth
             self.peak_queue_depth = max(self.peak_queue_depth, depth)
             self.ladder.observe(depth, self.rtf)
@@ -628,10 +628,10 @@ class Gateway:
             else self.config.throttle_factor
         )
 
-    def _count(self, counter: str, n: int = 1) -> None:
+    def _count(self, counter: CounterName, n: int = 1) -> None:
         if self.tracer.enabled:
             self.tracer.count(counter, n)
 
-    def _gauge(self, gauge: str, value: float) -> None:
+    def _gauge(self, gauge: GaugeName, value: float) -> None:
         if self.tracer.enabled:
             self.tracer.gauge(gauge, value)

@@ -31,7 +31,8 @@ __all__ = ["GatewayState", "DegradationLadder"]
 
 
 class GatewayState(enum.Enum):
-    """One rung of the gateway degradation ladder."""
+    """One rung of the gateway degradation ladder, declared mild to severe
+    (the order the ladder steps in)."""
 
     FULL = "full"
     THROTTLED = "throttled"
@@ -39,14 +40,10 @@ class GatewayState(enum.Enum):
     DRAINING = "draining"
 
 
-#: Rung order, mild to severe.  ``observe`` walks adjacent rungs only
-#: and never enters DRAINING on its own.
-_RUNGS: Tuple[GatewayState, ...] = (
-    GatewayState.FULL,
-    GatewayState.THROTTLED,
-    GatewayState.SHED,
-    GatewayState.DRAINING,
-)
+#: Rung order, mild to severe: the enum's declaration order.
+#: ``observe`` walks adjacent rungs only and never enters DRAINING on
+#: its own.
+_RUNGS: Tuple[GatewayState, ...] = tuple(GatewayState)
 
 
 class DegradationLadder:

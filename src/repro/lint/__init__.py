@@ -1,10 +1,10 @@
 """Domain-aware static analysis for the CBMA reproduction.
 
 Generic linters cannot see this repo's invariants: that every random
-draw must flow from a seeded generator, that every metric name must
-parse against the observability taxonomy, that a contracted
-``complex64`` buffer must stay ``complex64``.  ``repro.lint`` encodes
-those invariants as AST rules (LNT001..LNT006 -- see
+draw must flow from a seeded generator, that a contracted
+``complex64`` buffer must stay ``complex64``, that the farm's worker
+import closure holds no fork-unsafe state.  ``repro.lint`` encodes
+those invariants as AST rules (LNT001..LNT012 -- see
 ``docs/static-analysis.md`` for the catalog and the suppression
 syntax) and runs them over the tree::
 

@@ -8,7 +8,7 @@ content (:func:`summarize` caches on a sha256 of the source), so
 repeated project passes only re-analyse files that changed.
 
 :class:`ProjectIndex` stitches summaries into the project-wide views
-the cross-module rules (LNT007..LNT012) consume:
+the cross-module rules (LNT007, LNT012) consume:
 
 - the **import graph** and its transitive closure
   (:meth:`ProjectIndex.reachable_modules`) -- what code is pulled in

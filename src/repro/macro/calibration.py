@@ -30,7 +30,7 @@ from repro.channel.geometry import Deployment, PAPER_D_METERS
 from repro.channel.noise import NoiseModel
 from repro.channel.pathloss import LinkBudget
 from repro.macro.linkmodel import FerSurface
-from repro.obs.taxonomy import C
+from repro.obs.taxonomy import C, S
 from repro.obs.tracer import as_tracer
 from repro.sim.network import CALIBRATED_EXTRA_NOISE_DB, CbmaConfig, CbmaNetwork
 from repro.utils.rng import make_rng, spawn_seed
@@ -131,7 +131,7 @@ def calibrate(spec: Optional[CalibrationSpec] = None, tracer=None) -> FerSurface
         [geometry_snr_db(spec.distances_m[i], spec.es_to_tag_m) for i in order]
     )
     fer = np.empty((len(spec.tag_counts), len(spec.distances_m)))
-    with tracer.span("macro_calibration", cells=fer.size):
+    with tracer.span(S.MACRO_CALIBRATION, cells=fer.size):
         for row, k in enumerate(spec.tag_counts):
             for col, i in enumerate(order):
                 d = spec.distances_m[i]

@@ -47,7 +47,7 @@ import numpy as np
 from repro.macro.backoff import make_backoff
 from repro.macro.calibration import geometry_snr_db
 from repro.macro.linkmodel import FerSurface
-from repro.obs.taxonomy import C, G
+from repro.obs.taxonomy import C, G, S
 from repro.obs.tracer import as_tracer
 from repro.utils.rng import make_rng, spawn_seed
 
@@ -343,7 +343,7 @@ class MacroSimulator:
         stats = MacroStats()
         t0 = time.perf_counter()
         tracer = self.tracer
-        with tracer.span("macro_run", tags=cfg.n_tags, slots=n_slots):
+        with tracer.span(S.MACRO_RUN, tags=cfg.n_tags, slots=n_slots):
             for t in range(self._slot, self._slot + n_slots):
                 now = t * self.slot_s
                 self._inject(stats, t, now)

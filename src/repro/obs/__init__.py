@@ -5,10 +5,16 @@ The paper pipeline is only as fast (and as debuggable) as what can be
 
 ``repro.obs.tracer``
     Zero-cost-when-disabled :class:`Tracer` -- span timing
-    (``with tracer.span("frame_sync")``), typed counters and gauges --
+    (``with tracer.span(S.FRAME_SYNC)``), counters and gauges --
     threaded through the receiver stages, the round loop and the epoch
     loop.  Without a tracer every hook collapses onto the shared
     :data:`NULL_TRACER` no-op singleton.
+
+``repro.obs.taxonomy``
+    Every metric name as a typed value: :class:`CounterName`,
+    :class:`GaugeName` and :class:`SpanName` constants on ``C``, ``G``
+    and ``S`` plus checked constructors for the parameterised
+    families.  The enabled tracer rejects any other name.
 
 ``repro.obs.profile``
     :class:`RunProfile`: p50/p95 stage latencies, final counters,
@@ -44,18 +50,16 @@ from repro.obs.export import jsonl_lines, read_jsonl, write_jsonl
 from repro.obs.profile import GaugeStats, RunProfile, StageStats
 from repro.obs.result import ExperimentResult
 from repro.obs.taxonomy import (
-    TAXONOMY,
     C,
+    CounterName,
     G,
-    MetricFamily,
-    MetricKind,
+    GaugeName,
+    S,
+    SpanName,
     decode_outcome,
-    family_for,
     fault_loss,
-    is_known,
     pipeline_failure,
     session_transition,
-    validate,
 )
 from repro.obs.tracer import (
     NULL_TRACER,
@@ -81,16 +85,14 @@ __all__ = [
     "write_jsonl",
     "read_jsonl",
     "render_dashboard",
-    "MetricKind",
-    "MetricFamily",
-    "TAXONOMY",
-    "validate",
-    "is_known",
-    "family_for",
+    "CounterName",
+    "GaugeName",
+    "SpanName",
     "pipeline_failure",
     "fault_loss",
     "decode_outcome",
     "session_transition",
     "C",
     "G",
+    "S",
 ]

@@ -1,65 +1,70 @@
-"""The metric-name taxonomy: every counter, gauge and span, declared.
+"""The metric-name taxonomy: every counter, gauge and span, declared once.
 
 Observability only stays trustworthy while the names stay coherent: a
 typo'd ``errors.pipline.decode.exception`` silently opens a new bucket
-and the error budget stops adding up.  This module is the single
-source of truth for every metric name the instrumentation may emit:
+and the error budget stops adding up.  So a metric name is not a bare
+string but a typed value this module builds:
 
-- fixed names (``round.frames_sent``) are declared as constants;
-- parameterised families (``errors.pipeline.<stage>.<reason>``) are
-  declared as :class:`MetricFamily` patterns with the allowed value
-  set of every placeholder;
-- :func:`validate` checks an arbitrary name against the registry and
-  is what the **LNT002** lint rule (:mod:`repro.lint`) runs over every
-  literal metric name in the codebase.
+- :class:`CounterName`, :class:`GaugeName` and :class:`SpanName` are
+  ``str`` subclasses (they hash, compare, export and print as the plain
+  dotted name);
+- fixed names are the constants on :class:`C`, :class:`G` and
+  :class:`S`, each declared once with its meaning as a comment;
+- parameterised names come from the checked constructors below
+  (:func:`pipeline_failure`, :func:`decode_outcome`, ...), which raise
+  ``ValueError`` on a slug the taxonomy does not know.
 
-Instrumentation sites should build names through the constants and the
-:func:`pipeline_failure` / :func:`fault_loss` / :func:`decode_outcome`
-constructors below rather than pasting strings; the constructors raise
-on slugs the taxonomy does not know, so an unknown stage or reason
-fails at the call site instead of corrupting the budget.
+An enabled :class:`~repro.obs.tracer.Tracer` raises ``TypeError`` on
+any name of the wrong type -- a bare ``str``, or a gauge name passed to
+``count`` -- so an undeclared name fails at its first traced emission.
+Adding a metric means adding one constant or one constructor here.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Dict, FrozenSet, Iterator, Optional, Tuple
+from typing import FrozenSet, Iterable, Tuple
 
 __all__ = [
-    "MetricKind",
-    "MetricFamily",
-    "TAXONOMY",
+    "CounterName",
+    "GaugeName",
+    "SpanName",
     "CONTAINMENT_STAGES",
     "PIPELINE_FAILURE_REASONS",
     "DECODE_REASONS",
     "FAULT_KINDS",
-    "SPAN_NAMES",
     "SESSION_STATES",
     "GATEWAY_STATES",
-    "validate",
-    "is_known",
-    "family_for",
-    "known_prefixes",
     "pipeline_failure",
     "fault_loss",
+    "fault_injection",
     "decode_outcome",
     "session_transition",
     "gateway_transition",
+    "bench_reps",
+    "bench_op_s",
     "C",
     "G",
+    "S",
 ]
 
-_SLUG = re.compile(r"^[a-z][a-z0-9_]*$")
+
+class CounterName(str):
+    """A declared counter name (what ``Tracer.count`` accepts)."""
+
+    __slots__ = ()
 
 
-class MetricKind(Enum):
-    """What a metric name may be used as."""
+class GaugeName(str):
+    """A declared gauge name (what ``Tracer.gauge`` accepts)."""
 
-    COUNTER = "counter"
-    GAUGE = "gauge"
-    SPAN = "span"
+    __slots__ = ()
+
+
+class SpanName(str):
+    """A declared span name (what ``Tracer.span`` accepts)."""
+
+    __slots__ = ()
 
 
 #: Pipeline stages a contained failure may attribute itself to
@@ -103,283 +108,19 @@ SESSION_STATES: FrozenSet[str] = frozenset({"healthy", "degraded", "resync", "fa
 #: ``gateway.transition.<state>`` counter family).
 GATEWAY_STATES: FrozenSet[str] = frozenset({"full", "throttled", "shed", "draining"})
 
-#: Every legal span name (the pipeline stages of
-#: :data:`repro.obs.tracer.PIPELINE_STAGES` plus the loop/synthesis spans).
-SPAN_NAMES: FrozenSet[str] = frozenset(
-    {
-        "frame_sync",
-        "detect",
-        "decode",
-        "crc",
-        "sic",
-        "round",
-        "epoch",
-        "synthesize",
-        "stream_decode",
-        "session_window",
-        "bench",
-        "macro_run",
-        "macro_calibration",
-        "gateway_step",
-    }
-)
+_SLUG = re.compile(r"^[a-z][a-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class MetricFamily:
-    """One declared metric name or parameterised name family.
-
-    ``pattern`` is a dotted name whose ``<placeholder>`` segments stand
-    for a variable slug; ``values`` restricts each placeholder to an
-    explicit set (an absent entry means any ``[a-z0-9_]`` slug).
-    """
-
-    pattern: str
-    kind: MetricKind
-    description: str
-    values: Dict[str, FrozenSet[str]] = field(default_factory=dict)
-
-    @property
-    def segments(self) -> Tuple[str, ...]:
-        return tuple(self.pattern.split("."))
-
-    @property
-    def literal_prefix(self) -> str:
-        """The leading dotted segments before the first placeholder."""
-        fixed = []
-        for seg in self.segments:
-            if seg.startswith("<"):
-                break
-            fixed.append(seg)
-        return ".".join(fixed)
-
-    def match(self, name: str) -> Optional[str]:
-        """``None`` when *name* parses against this family, else why not."""
-        parts = name.split(".")
-        segs = self.segments
-        if len(parts) != len(segs):
-            return f"expected {len(segs)} segments ({self.pattern}), got {len(parts)}"
-        for part, seg in zip(parts, segs):
-            if seg.startswith("<"):
-                placeholder = seg[1:-1]
-                allowed = self.values.get(placeholder)
-                if allowed is not None and part not in allowed:
-                    return (
-                        f"unknown {placeholder} {part!r} "
-                        f"(allowed: {', '.join(sorted(allowed))})"
-                    )
-                if allowed is None and not _SLUG.match(part):
-                    return f"{placeholder} segment {part!r} is not a slug"
-            elif part != seg:
-                return f"segment {part!r} does not match {seg!r} in {self.pattern}"
-        return None
+def _checked(what: str, slug: str, allowed: Iterable[str]) -> str:
+    if slug not in allowed:
+        raise ValueError(f"unknown {what} {slug!r} (allowed: {', '.join(sorted(allowed))})")
+    return slug
 
 
-def _fixed(pattern: str, kind: MetricKind, description: str) -> MetricFamily:
-    return MetricFamily(pattern=pattern, kind=kind, description=description)
-
-
-#: The complete registry.  Adding an instrumentation point means adding
-#: its family here first -- LNT002 enforces that ordering.
-TAXONOMY: Tuple[MetricFamily, ...] = (
-    # --- round / epoch loop counters -------------------------------------
-    _fixed("round.rounds", MetricKind.COUNTER, "collision rounds simulated"),
-    _fixed("round.frames_sent", MetricKind.COUNTER, "frames offered by active tags"),
-    _fixed("round.frames_correct", MetricKind.COUNTER, "frames delivered payload-exact"),
-    _fixed("epoch.epochs", MetricKind.COUNTER, "system epochs completed"),
-    _fixed("epoch.power_control_runs", MetricKind.COUNTER, "Algorithm 1 invocations"),
-    _fixed("unslotted.offered", MetricKind.COUNTER, "unslotted transmissions offered"),
-    _fixed("unslotted.delivered", MetricKind.COUNTER, "unslotted transmissions decoded"),
-    # --- receiver stage counters -----------------------------------------
-    _fixed("frame_sync.detections", MetricKind.COUNTER, "declared frame starts"),
-    _fixed("frame_sync.crossings", MetricKind.COUNTER, "raw threshold crossings"),
-    _fixed("frame_sync.misses", MetricKind.COUNTER, "buffers with no energy detection"),
-    _fixed("detect.users", MetricKind.COUNTER, "user detections across rounds"),
-    MetricFamily(
-        "decode.<reason>",
-        MetricKind.COUNTER,
-        "frame decode outcomes by reason",
-        values={"reason": DECODE_REASONS},
-    ),
-    _fixed("crc.ok", MetricKind.COUNTER, "CRC checks passed"),
-    _fixed("crc.fail", MetricKind.COUNTER, "CRC checks failed"),
-    _fixed("sic.passes", MetricKind.COUNTER, "SIC detect-decode-cancel passes"),
-    _fixed("sic.cancellations", MetricKind.COUNTER, "frames subtracted by SIC"),
-    # --- ARQ / reliability counters --------------------------------------
-    MetricFamily(
-        "arq.<event>",
-        MetricKind.COUNTER,
-        "stop-and-wait ARQ events",
-        values={
-            "event": frozenset(
-                {"offered", "delivered", "dropped", "duplicates", "acks_lost", "transmissions"}
-            )
-        },
-    ),
-    # --- loss attribution (the error budget) -----------------------------
-    _fixed("errors.not_detected", MetricKind.COUNTER, "losses at detection"),
-    _fixed("errors.not_decoded", MetricKind.COUNTER, "losses at decode"),
-    _fixed("errors.wrong_payload", MetricKind.COUNTER, "CRC-passing wrong payloads"),
-    MetricFamily(
-        "errors.fault.<kind>",
-        MetricKind.COUNTER,
-        "losses attributed to an injected fault",
-        values={"kind": frozenset(FAULT_KINDS)},
-    ),
-    MetricFamily(
-        "errors.pipeline.<stage>.<reason>",
-        MetricKind.COUNTER,
-        "contained pipeline failures (degradation contract)",
-        values={"stage": CONTAINMENT_STAGES, "reason": PIPELINE_FAILURE_REASONS},
-    ),
-    # --- fault injections (not losses: what was injected) ----------------
-    MetricFamily(
-        "faults.<kind>",
-        MetricKind.COUNTER,
-        "fault injections by kind",
-        values={"kind": frozenset({*FAULT_KINDS, "ack_lost"})},
-    ),
-    # --- supervised streaming sessions (repro.receiver.session) -----------
-    _fixed("session.windows", MetricKind.COUNTER, "windows walked by the supervisor"),
-    _fixed("session.windows_live", MetricKind.COUNTER, "windows past the pre-gate (full decode)"),
-    _fixed("session.windows_skipped", MetricKind.COUNTER, "dark windows skipped by the pre-gate"),
-    _fixed("session.windows_shed", MetricKind.COUNTER, "oldest windows dropped by backlog shedding"),
-    _fixed("session.frames", MetricKind.COUNTER, "stream frames emitted by the session"),
-    _fixed("session.duplicates", MetricKind.COUNTER, "cross-window duplicate decodes suppressed"),
-    _fixed("session.dedup_evictions", MetricKind.COUNTER, "dedup entries evicted past the horizon"),
-    _fixed("session.resyncs", MetricKind.COUNTER, "re-synchronisation passes entered"),
-    _fixed("session.watchdog_trips", MetricKind.COUNTER, "per-window latency watchdog trips"),
-    _fixed("session.quarantined", MetricKind.COUNTER, "ingested chunks needing sanitisation"),
-    _fixed("session.checkpoints", MetricKind.COUNTER, "session checkpoints written"),
-    _fixed("session.restores", MetricKind.COUNTER, "sessions restored from a checkpoint"),
-    MetricFamily(
-        "session.transition.<state>",
-        MetricKind.COUNTER,
-        "health state machine transitions by destination state",
-        values={"state": SESSION_STATES},
-    ),
-    # --- parallel decode farm (repro.farm) ---------------------------------
-    _fixed("farm.chunks", MetricKind.COUNTER, "sample chunks fanned out to workers"),
-    _fixed("farm.frames", MetricKind.COUNTER, "stream frames collected from workers"),
-    _fixed("farm.sessions_opened", MetricKind.COUNTER, "sessions placed on a worker"),
-    _fixed("farm.sessions_closed", MetricKind.COUNTER, "sessions finished or drained away"),
-    _fixed("farm.migrations", MetricKind.COUNTER, "sessions drained and resumed on another worker"),
-    _fixed("farm.batched_windows", MetricKind.COUNTER, "windows pre-gated through a cross-session batch"),
-    _fixed("farm.slot_waits", MetricKind.COUNTER, "feeds that blocked for a free ring slot"),
-    # --- async ingestion gateway (repro.gateway) ---------------------------
-    _fixed("gateway.streams_opened", MetricKind.COUNTER, "capture streams admitted by the gateway"),
-    _fixed("gateway.streams_closed", MetricKind.COUNTER, "capture streams finished or evicted"),
-    _fixed("gateway.admitted", MetricKind.COUNTER, "chunks accepted into a stream intake queue"),
-    _fixed("gateway.rejected", MetricKind.COUNTER, "chunks (or streams) refused at admission"),
-    _fixed("gateway.shed", MetricKind.COUNTER, "admitted chunks dropped by load shedding"),
-    _fixed("gateway.retries", MetricKind.COUNTER, "admission retries after jittered backoff"),
-    _fixed("gateway.deadline_misses", MetricKind.COUNTER, "requests abandoned at their deadline"),
-    _fixed("gateway.chunks", MetricKind.COUNTER, "chunks fed through to the decode farm"),
-    _fixed("gateway.frames", MetricKind.COUNTER, "stream frames delivered to gateway clients"),
-    _fixed("gateway.migrations", MetricKind.COUNTER, "sessions drained/resumed for elasticity"),
-    MetricFamily(
-        "gateway.transition.<state>",
-        MetricKind.COUNTER,
-        "degradation-ladder transitions by destination rung",
-        values={"state": GATEWAY_STATES},
-    ),
-    # --- macro tier (repro.macro: event-driven fleet simulator) -----------
-    _fixed("macro.offered", MetricKind.COUNTER, "messages offered to the macro engine"),
-    _fixed("macro.delivered", MetricKind.COUNTER, "messages delivered (deduped) by the macro engine"),
-    _fixed("macro.dropped", MetricKind.COUNTER, "messages dropped at retry limit or queue tail"),
-    _fixed("macro.duplicates", MetricKind.COUNTER, "redeliveries after a lost ACK (deduped)"),
-    _fixed("macro.acks_lost", MetricKind.COUNTER, "downlink ACKs that never reached their tag"),
-    _fixed("macro.transmissions", MetricKind.COUNTER, "transmission attempts simulated"),
-    _fixed("macro.collisions", MetricKind.COUNTER, "attempts lost to concurrent-access FER"),
-    _fixed("macro.windows", MetricKind.COUNTER, "arrival windows advanced by the engine"),
-    _fixed("macro.calibration_rounds", MetricKind.COUNTER, "PHY rounds run by the calibration sweep"),
-    _fixed("macro.surface_cache_hits", MetricKind.COUNTER, "calibration artifacts reused from cache"),
-    # --- microbenchmarks (repro bench) ------------------------------------
-    MetricFamily(
-        "bench.<op>.reps",
-        MetricKind.COUNTER,
-        "timed repetitions per benchmark operation",
-    ),
-    MetricFamily(
-        "bench.<op>.op_s",
-        MetricKind.GAUGE,
-        "per-repetition latency samples of one benchmark operation",
-    ),
-    # --- gauges ----------------------------------------------------------
-    _fixed("tag.snr_db", MetricKind.GAUGE, "per-tag SNR at the receiver"),
-    _fixed("frame_sync.lead_db", MetricKind.GAUGE, "detection margin over threshold"),
-    _fixed("detect.score", MetricKind.GAUGE, "normalised correlation of detections"),
-    _fixed("detect.peak_margin", MetricKind.GAUGE, "peak margin over runner-up"),
-    _fixed("round.n_samples", MetricKind.GAUGE, "synthesized buffer length"),
-    _fixed("session.backlog_windows", MetricKind.GAUGE, "pending windows after each feed"),
-    _fixed("session.dedup_size", MetricKind.GAUGE, "dedup table size after each window"),
-    _fixed("session.window_latency_s", MetricKind.GAUGE, "wall-clock latency per live window"),
-    _fixed("farm.sessions_live", MetricKind.GAUGE, "sessions currently resident on workers"),
-    _fixed("farm.queue_depth", MetricKind.GAUGE, "commands in flight to workers"),
-    _fixed("farm.worker_utilization", MetricKind.GAUGE, "busy fraction per worker over its lifetime"),
-    _fixed("farm.ring_occupancy", MetricKind.GAUGE, "occupied shared-memory ring slots after each feed"),
-    _fixed("gateway.queue_depth", MetricKind.GAUGE, "aggregate intake chunks queued across streams"),
-    _fixed("gateway.tokens", MetricKind.GAUGE, "admission tokens left in the bucket"),
-    _fixed("gateway.rtf", MetricKind.GAUGE, "decode wall seconds per stream second (smoothed)"),
-    _fixed("gateway.streams_live", MetricKind.GAUGE, "capture streams currently open"),
-    _fixed("gateway.retained_samples", MetricKind.GAUGE, "samples retained for migration re-feed"),
-    _fixed("macro.backlog", MetricKind.GAUGE, "queued messages across the fleet after each window"),
-    _fixed("macro.events_per_sec", MetricKind.GAUGE, "engine event throughput of one run"),
-    _fixed("macro.fer", MetricKind.GAUGE, "frame error rate the link surface returned"),
-) + tuple(
-    _fixed(name, MetricKind.SPAN, "pipeline/loop span") for name in sorted(SPAN_NAMES)
-)
-
-
-def iter_families(kind: Optional[MetricKind] = None) -> Iterator[MetricFamily]:
-    """All families, optionally restricted to one kind."""
-    for fam in TAXONOMY:
-        if kind is None or fam.kind is kind:
-            yield fam
-
-
-def validate(name: str, kind: MetricKind) -> Optional[str]:
-    """``None`` when *name* is a legal *kind* name, else an error message.
-
-    A name whose first segment matches no family at all gets the
-    generic "unknown family" message; a name that *starts* like a
-    declared family but fails its placeholder constraints gets that
-    family's specific complaint (the more actionable error).
-    """
-    root = name.split(".", 1)[0]
-    best: Optional[str] = None
-    for fam in iter_families(kind):
-        err = fam.match(name)
-        if err is None:
-            return None
-        if fam.segments[0] == root:
-            best = best or f"{name!r}: {err}"
-    if best is not None:
-        return best
-    return (
-        f"{name!r} matches no declared {kind.value} family "
-        f"(see repro.obs.taxonomy.TAXONOMY)"
-    )
-
-
-def is_known(name: str, kind: MetricKind) -> bool:
-    """True when *name* parses against the registry."""
-    return validate(name, kind) is None
-
-
-def family_for(name: str, kind: MetricKind) -> Optional[MetricFamily]:
-    """The family *name* parses against, if any."""
-    for fam in iter_families(kind):
-        if fam.match(name) is None:
-            return fam
-    return None
-
-
-def known_prefixes(kind: MetricKind) -> Tuple[str, ...]:
-    """First segments of every declared family of *kind* (for LNT002's
-    heuristics: a dotted literal starting with one of these is treated
-    as a metric name and validated)."""
-    return tuple(sorted({fam.segments[0] for fam in iter_families(kind)}))
+def _strip_fault(kind: str) -> str:
+    """Accept a bare kind (``"dropout"``) or the prefixed slug a
+    :class:`~repro.faults.plan.RoundFaults` reports (``"fault.dropout"``)."""
+    return kind[len("fault."):] if kind.startswith("fault.") else kind
 
 
 # ----------------------------------------------------------------------
@@ -387,152 +128,172 @@ def known_prefixes(kind: MetricKind) -> Tuple[str, ...]:
 # ----------------------------------------------------------------------
 
 
-def pipeline_failure(stage: str, reason: str) -> str:
-    """``errors.pipeline.<stage>.<reason>`` with both slugs checked."""
-    if stage not in CONTAINMENT_STAGES:
-        raise ValueError(
-            f"unknown pipeline stage {stage!r} (allowed: {', '.join(sorted(CONTAINMENT_STAGES))})"
-        )
-    if reason not in PIPELINE_FAILURE_REASONS:
-        raise ValueError(
-            f"unknown failure reason {reason!r} "
-            f"(allowed: {', '.join(sorted(PIPELINE_FAILURE_REASONS))})"
-        )
-    return f"errors.pipeline.{stage}.{reason}"
+def pipeline_failure(stage: str, reason: str) -> CounterName:
+    """``errors.pipeline.<stage>.<reason>``: a contained pipeline failure."""
+    _checked("pipeline stage", stage, CONTAINMENT_STAGES)
+    _checked("failure reason", reason, PIPELINE_FAILURE_REASONS)
+    return CounterName(f"errors.pipeline.{stage}.{reason}")
 
 
-def fault_loss(kind: str) -> str:
-    """``errors.fault.<kind>`` with the kind checked.
-
-    Accepts either the bare kind (``"dropout"``) or the prefixed loss
-    slug a :class:`~repro.faults.plan.RoundFaults` reports
-    (``"fault.dropout"``).
-    """
-    slug = kind[len("fault."):] if kind.startswith("fault.") else kind
-    if slug not in FAULT_KINDS:
-        raise ValueError(
-            f"unknown fault kind {kind!r} (allowed: {', '.join(FAULT_KINDS)})"
-        )
-    return f"errors.fault.{slug}"
+def fault_loss(kind: str) -> CounterName:
+    """``errors.fault.<kind>``: a lost frame attributed to an injected fault."""
+    return CounterName(f"errors.fault.{_checked('fault kind', _strip_fault(kind), FAULT_KINDS)}")
 
 
-def session_transition(state: str) -> str:
-    """``session.transition.<state>`` with the state checked."""
-    if state not in SESSION_STATES:
-        raise ValueError(
-            f"unknown session state {state!r} (allowed: {', '.join(sorted(SESSION_STATES))})"
-        )
-    return f"session.transition.{state}"
+def fault_injection(kind: str) -> CounterName:
+    """``faults.<kind>``: one fault injection (not a loss)."""
+    slug = _checked("fault kind", _strip_fault(kind), (*FAULT_KINDS, "ack_lost"))
+    return CounterName(f"faults.{slug}")
 
 
-def gateway_transition(state: str) -> str:
-    """``gateway.transition.<state>`` with the state checked."""
-    if state not in GATEWAY_STATES:
-        raise ValueError(
-            f"unknown gateway state {state!r} (allowed: {', '.join(sorted(GATEWAY_STATES))})"
-        )
-    return f"gateway.transition.{state}"
+def decode_outcome(reason: str) -> CounterName:
+    """``decode.<reason>``: one frame decode outcome."""
+    return CounterName(f"decode.{_checked('decode reason', reason, DECODE_REASONS)}")
 
 
-def decode_outcome(reason: str) -> str:
-    """``decode.<reason>`` with the reason checked."""
-    if reason not in DECODE_REASONS:
-        raise ValueError(
-            f"unknown decode reason {reason!r} (allowed: {', '.join(sorted(DECODE_REASONS))})"
-        )
-    return f"decode.{reason}"
+def session_transition(state: str) -> CounterName:
+    """``session.transition.<state>``: a health transition by destination."""
+    return CounterName(f"session.transition.{_checked('session state', state, SESSION_STATES)}")
+
+
+def gateway_transition(state: str) -> CounterName:
+    """``gateway.transition.<state>``: a ladder transition by destination rung."""
+    return CounterName(f"gateway.transition.{_checked('gateway state', state, GATEWAY_STATES)}")
+
+
+def _bench_op(op: str) -> str:
+    if not _SLUG.match(op):
+        raise ValueError(f"benchmark op {op!r} is not a slug")
+    return op
+
+
+def bench_reps(op: str) -> CounterName:
+    """``bench.<op>.reps``: timed repetitions of one benchmark operation."""
+    return CounterName(f"bench.{_bench_op(op)}.reps")
+
+
+def bench_op_s(op: str) -> GaugeName:
+    """``bench.<op>.op_s``: per-repetition latency of one benchmark operation."""
+    return GaugeName(f"bench.{_bench_op(op)}.op_s")
 
 
 class C:
-    """Counter-name constants (the fixed members of the taxonomy)."""
+    """Counter names."""
 
-    ROUND_ROUNDS = "round.rounds"
-    ROUND_FRAMES_SENT = "round.frames_sent"
-    ROUND_FRAMES_CORRECT = "round.frames_correct"
-    EPOCH_EPOCHS = "epoch.epochs"
-    EPOCH_POWER_CONTROL_RUNS = "epoch.power_control_runs"
-    UNSLOTTED_OFFERED = "unslotted.offered"
-    UNSLOTTED_DELIVERED = "unslotted.delivered"
-    FRAME_SYNC_DETECTIONS = "frame_sync.detections"
-    FRAME_SYNC_CROSSINGS = "frame_sync.crossings"
-    FRAME_SYNC_MISSES = "frame_sync.misses"
-    DETECT_USERS = "detect.users"
-    CRC_OK = "crc.ok"
-    CRC_FAIL = "crc.fail"
-    SIC_PASSES = "sic.passes"
-    SIC_CANCELLATIONS = "sic.cancellations"
-    DECODE_GHOST = "decode.ghost"
-    ERRORS_NOT_DETECTED = "errors.not_detected"
-    ERRORS_NOT_DECODED = "errors.not_decoded"
-    ERRORS_WRONG_PAYLOAD = "errors.wrong_payload"
-    FAULTS_ACK_LOST = "faults.ack_lost"
-    ARQ_OFFERED = "arq.offered"
-    ARQ_DELIVERED = "arq.delivered"
-    ARQ_DROPPED = "arq.dropped"
-    ARQ_DUPLICATES = "arq.duplicates"
-    ARQ_ACKS_LOST = "arq.acks_lost"
-    ARQ_TRANSMISSIONS = "arq.transmissions"
-    SESSION_WINDOWS = "session.windows"
-    SESSION_WINDOWS_LIVE = "session.windows_live"
-    SESSION_WINDOWS_SKIPPED = "session.windows_skipped"
-    SESSION_WINDOWS_SHED = "session.windows_shed"
-    SESSION_FRAMES = "session.frames"
-    SESSION_DUPLICATES = "session.duplicates"
-    SESSION_DEDUP_EVICTIONS = "session.dedup_evictions"
-    SESSION_RESYNCS = "session.resyncs"
-    SESSION_WATCHDOG_TRIPS = "session.watchdog_trips"
-    SESSION_QUARANTINED = "session.quarantined"
-    SESSION_CHECKPOINTS = "session.checkpoints"
-    SESSION_RESTORES = "session.restores"
-    FARM_CHUNKS = "farm.chunks"
-    FARM_FRAMES = "farm.frames"
-    FARM_SESSIONS_OPENED = "farm.sessions_opened"
-    FARM_SESSIONS_CLOSED = "farm.sessions_closed"
-    FARM_MIGRATIONS = "farm.migrations"
-    FARM_BATCHED_WINDOWS = "farm.batched_windows"
-    FARM_SLOT_WAITS = "farm.slot_waits"
-    GATEWAY_STREAMS_OPENED = "gateway.streams_opened"
-    GATEWAY_STREAMS_CLOSED = "gateway.streams_closed"
-    GATEWAY_ADMITTED = "gateway.admitted"
-    GATEWAY_REJECTED = "gateway.rejected"
-    GATEWAY_SHED = "gateway.shed"
-    GATEWAY_RETRIES = "gateway.retries"
-    GATEWAY_DEADLINE_MISSES = "gateway.deadline_misses"
-    GATEWAY_CHUNKS = "gateway.chunks"
-    GATEWAY_FRAMES = "gateway.frames"
-    GATEWAY_MIGRATIONS = "gateway.migrations"
-    MACRO_OFFERED = "macro.offered"
-    MACRO_DELIVERED = "macro.delivered"
-    MACRO_DROPPED = "macro.dropped"
-    MACRO_DUPLICATES = "macro.duplicates"
-    MACRO_ACKS_LOST = "macro.acks_lost"
-    MACRO_TRANSMISSIONS = "macro.transmissions"
-    MACRO_COLLISIONS = "macro.collisions"
-    MACRO_WINDOWS = "macro.windows"
-    MACRO_CALIBRATION_ROUNDS = "macro.calibration_rounds"
-    MACRO_SURFACE_CACHE_HITS = "macro.surface_cache_hits"
+    ROUND_ROUNDS = CounterName("round.rounds")  # collision rounds simulated
+    ROUND_FRAMES_SENT = CounterName("round.frames_sent")  # frames offered by active tags
+    ROUND_FRAMES_CORRECT = CounterName("round.frames_correct")  # frames delivered payload-exact
+    EPOCH_EPOCHS = CounterName("epoch.epochs")  # system epochs completed
+    EPOCH_POWER_CONTROL_RUNS = CounterName("epoch.power_control_runs")  # Algorithm 1 invocations
+    UNSLOTTED_OFFERED = CounterName("unslotted.offered")  # unslotted transmissions offered
+    UNSLOTTED_DELIVERED = CounterName("unslotted.delivered")  # unslotted transmissions decoded
+    # --- receiver stages
+    FRAME_SYNC_DETECTIONS = CounterName("frame_sync.detections")  # declared frame starts
+    FRAME_SYNC_CROSSINGS = CounterName("frame_sync.crossings")  # raw threshold crossings
+    FRAME_SYNC_MISSES = CounterName("frame_sync.misses")  # buffers with no energy detection
+    DETECT_USERS = CounterName("detect.users")  # user detections across rounds
+    DECODE_GHOST = decode_outcome("ghost")  # decodes suppressed as another user's frame
+    CRC_OK = CounterName("crc.ok")  # CRC checks passed
+    CRC_FAIL = CounterName("crc.fail")  # CRC checks failed
+    SIC_PASSES = CounterName("sic.passes")  # SIC detect-decode-cancel passes
+    SIC_CANCELLATIONS = CounterName("sic.cancellations")  # frames subtracted by SIC
+    # --- loss attribution (the error budget) and fault injections
+    ERRORS_NOT_DETECTED = CounterName("errors.not_detected")  # losses at detection
+    ERRORS_NOT_DECODED = CounterName("errors.not_decoded")  # losses at decode
+    ERRORS_WRONG_PAYLOAD = CounterName("errors.wrong_payload")  # CRC-passing wrong payloads
+    FAULTS_ACK_LOST = fault_injection("ack_lost")  # downlink ACKs lost to an injected fault
+    # --- stop-and-wait ARQ events
+    ARQ_OFFERED = CounterName("arq.offered")  # messages offered to the tag queues
+    ARQ_DELIVERED = CounterName("arq.delivered")  # messages delivered (sequence-deduped)
+    ARQ_DROPPED = CounterName("arq.dropped")  # messages dropped at a full queue or the retry limit
+    ARQ_DUPLICATES = CounterName("arq.duplicates")  # redeliveries after a lost ACK
+    ARQ_ACKS_LOST = CounterName("arq.acks_lost")  # downlink ACKs that never reached their tag
+    ARQ_TRANSMISSIONS = CounterName("arq.transmissions")  # transmission attempts, retries included
+    # --- supervised streaming sessions (repro.receiver.session)
+    SESSION_WINDOWS = CounterName("session.windows")  # windows walked by the supervisor
+    SESSION_WINDOWS_LIVE = CounterName("session.windows_live")  # windows past the pre-gate (full decode)
+    SESSION_WINDOWS_SKIPPED = CounterName("session.windows_skipped")  # dark windows skipped by the pre-gate
+    SESSION_WINDOWS_SHED = CounterName("session.windows_shed")  # oldest windows dropped by backlog shedding
+    SESSION_FRAMES = CounterName("session.frames")  # stream frames emitted by the session
+    SESSION_DUPLICATES = CounterName("session.duplicates")  # cross-window duplicate decodes suppressed
+    SESSION_DEDUP_EVICTIONS = CounterName("session.dedup_evictions")  # dedup entries evicted past the horizon
+    SESSION_RESYNCS = CounterName("session.resyncs")  # re-synchronisation passes entered
+    SESSION_WATCHDOG_TRIPS = CounterName("session.watchdog_trips")  # per-window latency watchdog trips
+    SESSION_QUARANTINED = CounterName("session.quarantined")  # ingested chunks needing sanitisation
+    SESSION_CHECKPOINTS = CounterName("session.checkpoints")  # session checkpoints written
+    SESSION_RESTORES = CounterName("session.restores")  # sessions restored from a checkpoint
+    # --- parallel decode farm (repro.farm)
+    FARM_CHUNKS = CounterName("farm.chunks")  # sample chunks fanned out to workers
+    FARM_FRAMES = CounterName("farm.frames")  # stream frames collected from workers
+    FARM_SESSIONS_OPENED = CounterName("farm.sessions_opened")  # sessions placed on a worker
+    FARM_SESSIONS_CLOSED = CounterName("farm.sessions_closed")  # sessions finished or drained away
+    FARM_MIGRATIONS = CounterName("farm.migrations")  # sessions drained and resumed on another worker
+    FARM_BATCHED_WINDOWS = CounterName("farm.batched_windows")  # windows pre-gated through a cross-session batch
+    FARM_SLOT_WAITS = CounterName("farm.slot_waits")  # feeds that blocked for a free ring slot
+    # --- async ingestion gateway (repro.gateway)
+    GATEWAY_STREAMS_OPENED = CounterName("gateway.streams_opened")  # capture streams admitted by the gateway
+    GATEWAY_STREAMS_CLOSED = CounterName("gateway.streams_closed")  # capture streams finished or evicted
+    GATEWAY_ADMITTED = CounterName("gateway.admitted")  # chunks accepted into a stream intake queue
+    GATEWAY_REJECTED = CounterName("gateway.rejected")  # chunks (or streams) refused at admission
+    GATEWAY_SHED = CounterName("gateway.shed")  # admitted chunks dropped by load shedding
+    GATEWAY_RETRIES = CounterName("gateway.retries")  # admission retries after jittered backoff
+    GATEWAY_DEADLINE_MISSES = CounterName("gateway.deadline_misses")  # requests abandoned at their deadline
+    GATEWAY_CHUNKS = CounterName("gateway.chunks")  # chunks fed through to the decode farm
+    GATEWAY_FRAMES = CounterName("gateway.frames")  # stream frames delivered to gateway clients
+    GATEWAY_MIGRATIONS = CounterName("gateway.migrations")  # sessions drained/resumed for elasticity
+    # --- macro tier (repro.macro: event-driven fleet simulator)
+    MACRO_OFFERED = CounterName("macro.offered")  # messages offered to the macro engine
+    MACRO_DELIVERED = CounterName("macro.delivered")  # messages delivered (deduped) by the macro engine
+    MACRO_DROPPED = CounterName("macro.dropped")  # messages dropped at retry limit or queue tail
+    MACRO_DUPLICATES = CounterName("macro.duplicates")  # redeliveries after a lost ACK (deduped)
+    MACRO_ACKS_LOST = CounterName("macro.acks_lost")  # downlink ACKs that never reached their tag
+    MACRO_TRANSMISSIONS = CounterName("macro.transmissions")  # transmission attempts simulated
+    MACRO_COLLISIONS = CounterName("macro.collisions")  # attempts lost to concurrent-access FER
+    MACRO_WINDOWS = CounterName("macro.windows")  # arrival windows advanced by the engine
+    MACRO_CALIBRATION_ROUNDS = CounterName("macro.calibration_rounds")  # PHY rounds run by the calibration sweep
+    MACRO_SURFACE_CACHE_HITS = CounterName("macro.surface_cache_hits")  # calibration artifacts reused from cache
 
 
 class G:
-    """Gauge-name constants."""
+    """Gauge names."""
 
-    TAG_SNR_DB = "tag.snr_db"
-    FRAME_SYNC_LEAD_DB = "frame_sync.lead_db"
-    DETECT_SCORE = "detect.score"
-    DETECT_PEAK_MARGIN = "detect.peak_margin"
-    ROUND_N_SAMPLES = "round.n_samples"
-    SESSION_BACKLOG_WINDOWS = "session.backlog_windows"
-    SESSION_DEDUP_SIZE = "session.dedup_size"
-    SESSION_WINDOW_LATENCY_S = "session.window_latency_s"
-    FARM_SESSIONS_LIVE = "farm.sessions_live"
-    FARM_QUEUE_DEPTH = "farm.queue_depth"
-    FARM_WORKER_UTILIZATION = "farm.worker_utilization"
-    FARM_RING_OCCUPANCY = "farm.ring_occupancy"
-    GATEWAY_QUEUE_DEPTH = "gateway.queue_depth"
-    GATEWAY_TOKENS = "gateway.tokens"
-    GATEWAY_RTF = "gateway.rtf"
-    GATEWAY_STREAMS_LIVE = "gateway.streams_live"
-    GATEWAY_RETAINED_SAMPLES = "gateway.retained_samples"
-    MACRO_BACKLOG = "macro.backlog"
-    MACRO_EVENTS_PER_SEC = "macro.events_per_sec"
-    MACRO_FER = "macro.fer"
+    TAG_SNR_DB = GaugeName("tag.snr_db")  # per-tag SNR at the receiver
+    FRAME_SYNC_LEAD_DB = GaugeName("frame_sync.lead_db")  # detection margin over threshold
+    DETECT_SCORE = GaugeName("detect.score")  # normalised correlation of detections
+    DETECT_PEAK_MARGIN = GaugeName("detect.peak_margin")  # peak margin over runner-up
+    ROUND_N_SAMPLES = GaugeName("round.n_samples")  # synthesized buffer length
+    SESSION_BACKLOG_WINDOWS = GaugeName("session.backlog_windows")  # pending windows after each feed
+    SESSION_DEDUP_SIZE = GaugeName("session.dedup_size")  # dedup table size after each window
+    SESSION_WINDOW_LATENCY_S = GaugeName("session.window_latency_s")  # wall-clock latency per live window
+    FARM_SESSIONS_LIVE = GaugeName("farm.sessions_live")  # sessions currently resident on workers
+    FARM_QUEUE_DEPTH = GaugeName("farm.queue_depth")  # commands in flight to workers
+    FARM_WORKER_UTILIZATION = GaugeName("farm.worker_utilization")  # busy fraction per worker over its lifetime
+    FARM_RING_OCCUPANCY = GaugeName("farm.ring_occupancy")  # occupied shared-memory ring slots after each feed
+    GATEWAY_QUEUE_DEPTH = GaugeName("gateway.queue_depth")  # aggregate intake chunks queued across streams
+    GATEWAY_TOKENS = GaugeName("gateway.tokens")  # admission tokens left in the bucket
+    GATEWAY_RTF = GaugeName("gateway.rtf")  # decode wall seconds per stream second (smoothed)
+    GATEWAY_STREAMS_LIVE = GaugeName("gateway.streams_live")  # capture streams currently open
+    GATEWAY_RETAINED_SAMPLES = GaugeName("gateway.retained_samples")  # samples retained for migration re-feed
+    MACRO_BACKLOG = GaugeName("macro.backlog")  # queued messages across the fleet after each window
+    MACRO_EVENTS_PER_SEC = GaugeName("macro.events_per_sec")  # engine event throughput of one run
+    MACRO_FER = GaugeName("macro.fer")  # frame error rate the link surface returned
+
+
+class S:
+    """Span names.  The first five are the receive pipeline's stages
+    (:data:`repro.obs.tracer.PIPELINE_STAGES`, in execution order)."""
+
+    FRAME_SYNC = SpanName("frame_sync")  # energy frame synchronisation
+    DETECT = SpanName("detect")  # correlation user detection
+    DECODE = SpanName("decode")  # one user's chip decode
+    CRC = SpanName("crc")  # CRC check of one decoded frame
+    SIC = SpanName("sic")  # one SIC detect-decode-cancel pass
+    ROUND = SpanName("round")  # one collision round of the network loop
+    EPOCH = SpanName("epoch")  # one system epoch
+    SYNTHESIZE = SpanName("synthesize")  # waveform synthesis of a capture
+    STREAM_DECODE = SpanName("stream_decode")  # one window walk over a stream
+    SESSION_WINDOW = SpanName("session_window")  # one window of a supervised session
+    GATEWAY_STEP = SpanName("gateway_step")  # one gateway dispatch cycle
+    MACRO_RUN = SpanName("macro_run")  # one macro-engine run
+    MACRO_CALIBRATION = SpanName("macro_calibration")  # one FER-surface calibration sweep
+    BENCH = SpanName("bench")  # one timed benchmark repetition

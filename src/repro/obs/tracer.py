@@ -4,7 +4,7 @@ Every hot path in the repo (receiver stages, the round loop, the epoch
 loop) accepts an optional :class:`Tracer`.  When one is supplied, the
 code records
 
-- **spans** -- wall-clock timed sections (``with tracer.span("decode")``),
+- **spans** -- wall-clock timed sections (``with tracer.span(S.DECODE)``),
   nested arbitrarily deep;
 - **counters** -- monotonically increasing event counts
   (frames detected, CRC failures, SIC cancellations);
@@ -17,7 +17,10 @@ and whose spans are one reusable object -- no allocation, no branching
 beyond a single attribute lookup, so the traced pipeline stays within
 noise of the untraced one.
 
-The canonical stage names of the receive pipeline are listed in
+Every name is a typed value from :mod:`repro.obs.taxonomy`: the
+enabled tracer raises ``TypeError`` on a bare ``str`` or on a name of
+the wrong kind, so an undeclared metric cannot open a bucket nothing
+reads.  The canonical stage names of the receive pipeline are listed in
 :data:`PIPELINE_STAGES`; use them so profiles from different receivers
 aggregate cleanly.
 """
@@ -26,7 +29,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, NoReturn, Optional
+
+from repro.obs.taxonomy import CounterName, GaugeName, S, SpanName
 
 __all__ = [
     "PIPELINE_STAGES",
@@ -38,7 +43,14 @@ __all__ = [
 ]
 
 #: Canonical span names of the receive pipeline, in execution order.
-PIPELINE_STAGES = ("frame_sync", "detect", "decode", "crc", "sic")
+PIPELINE_STAGES = (S.FRAME_SYNC, S.DETECT, S.DECODE, S.CRC, S.SIC)
+
+
+def _reject(name: object, kind: type) -> NoReturn:
+    raise TypeError(
+        f"expected a {kind.__name__} from repro.obs.taxonomy, "
+        f"got {type(name).__name__} {name!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -109,16 +121,22 @@ class Tracer:
 
     # ------------------------------------------------------------------
 
-    def span(self, name: str, **attrs: Any) -> _Span:
-        """Timed section: ``with tracer.span("frame_sync"): ...``."""
+    def span(self, name: SpanName, **attrs: Any) -> _Span:
+        """Timed section: ``with tracer.span(S.FRAME_SYNC): ...``."""
+        if type(name) is not SpanName:
+            _reject(name, SpanName)
         return _Span(self, name, attrs)
 
-    def count(self, name: str, n: float = 1) -> None:
+    def count(self, name: CounterName, n: float = 1) -> None:
         """Increment counter *name* by *n*."""
+        if type(name) is not CounterName:
+            _reject(name, CounterName)
         self.counters[name] = self.counters.get(name, 0) + n
 
-    def gauge(self, name: str, value: float) -> None:
+    def gauge(self, name: GaugeName, value: float) -> None:
         """Record one sample of measurement *name*."""
+        if type(name) is not GaugeName:
+            _reject(name, GaugeName)
         self.gauges.setdefault(name, []).append(float(value))
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.obs.taxonomy import C
+from repro.obs.taxonomy import C, S
 from repro.obs.tracer import as_tracer
 from repro.phy.modulation import upsample_chips
 from repro.tag.framing import FrameError, FrameFormat, MAX_PAYLOAD_BYTES
@@ -135,7 +135,7 @@ class ChipDecoder:
         frame_bits = pack_bits(self.fmt.preamble, length_bits, rest_bits)
         tracer = self.tracer
         try:
-            with tracer.span("crc"):
+            with tracer.span(S.CRC):
                 frame = self.fmt.parse(frame_bits, check_preamble=False)
         except FrameError:
             tracer.count(C.CRC_FAIL)

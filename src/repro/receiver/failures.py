@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.taxonomy import pipeline_failure
+from repro.obs.taxonomy import CounterName, pipeline_failure
 
 __all__ = ["DecodeFailure", "sanitize_buffer"]
 
@@ -54,7 +54,7 @@ class DecodeFailure:
     detail: str = ""
 
     @property
-    def counter(self) -> str:
+    def counter(self) -> CounterName:
         """The tracer/error-budget counter slug for this failure.
 
         Built via the taxonomy's checked constructor, so a stage or

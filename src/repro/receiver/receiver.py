@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.taxonomy import C, G, decode_outcome
+from repro.obs.taxonomy import C, G, S, decode_outcome
 from repro.obs.tracer import as_tracer
 from repro.receiver.ack import AckMessage
 from repro.receiver.decoder import ChipDecoder, DecodedFrame
@@ -200,7 +200,7 @@ class CbmaReceiver:
             return True
         tracer = self.tracer
         try:
-            with tracer.span("frame_sync"):
+            with tracer.span(S.FRAME_SYNC):
                 report.sync = self.energy_detector.detect(x)
         except Exception as exc:
             self._contain(report, DecodeFailure("frame_sync", "exception", detail=str(exc)))
@@ -231,7 +231,7 @@ class CbmaReceiver:
         candidates = det.candidates or ((det.offset, det.score, det.channel),)
         index = 0
         try:
-            with tracer.span("decode", user=det.user_id):
+            with tracer.span(S.DECODE, user=det.user_id):
                 frame, index = self._decoders[det.user_id].decode_candidates(
                     x, candidates, user_id=det.user_id
                 )
@@ -283,7 +283,7 @@ class CbmaReceiver:
             return report
 
         try:
-            with tracer.span("detect"):
+            with tracer.span(S.DETECT):
                 report.detections = self.user_detector.detect(x, corr=corr)
         except Exception as exc:
             self._contain(report, DecodeFailure("user_detection", "exception", detail=str(exc)))

@@ -75,7 +75,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.taxonomy import C, G, session_transition
+from repro.obs.taxonomy import C, CounterName, G, S, session_transition
 from repro.obs.tracer import as_tracer
 from repro.receiver.failures import sanitize_buffer
 from repro.receiver.streaming import StreamFrame, StreamingReceiver
@@ -87,6 +87,8 @@ CHECKPOINT_FORMAT = "cbma-session"
 #: Version 2 added the buffer dtype to the geometry header (the
 #: complex64 fast path must not resume onto a complex128 stack).
 _CHECKPOINT_VERSION = 2
+#: ``stats`` keys are the ``session.<key>`` counter names' suffixes.
+_STATS_KEY_AT = len("session.")
 
 
 # The checkpoint schema: one frozen dataclass per record type, written
@@ -433,7 +435,7 @@ class SessionSupervisor:
             raise RuntimeError("session is finished; create a new supervisor")
         x, failures = sanitize_buffer(chunk, dtype=self._dtype)
         if failures:
-            self._count("quarantined", C.SESSION_QUARANTINED)
+            self._count(C.SESSION_QUARANTINED)
         self._buf = np.concatenate([self._buf, x])
         self._fed += x.size
         return int(x.size)
@@ -552,7 +554,7 @@ class SessionSupervisor:
     def _process_one_window(self) -> None:
         lo = self._pos - self._base
         window = self._buf[lo : lo + self._required_samples()]
-        self._count("windows", C.SESSION_WINDOWS)
+        self._count(C.SESSION_WINDOWS)
         t0 = self.clock()
         if self._primed is not None:
             live, corr = self._primed
@@ -564,8 +566,8 @@ class SessionSupervisor:
         decoded_any = False
         attempted = False
         if live:
-            self._count("windows_live", C.SESSION_WINDOWS_LIVE)
-            with self.tracer.span("session_window", index=self._window_index):
+            self._count(C.SESSION_WINDOWS_LIVE)
+            with self.tracer.span(S.SESSION_WINDOW, index=self._window_index):
                 new_frames, report = self.streaming.decode_window(
                     window, self._pos, self.dedup, corr=corr
                 )
@@ -591,16 +593,16 @@ class SessionSupervisor:
             )
             duplicates = sum(1 for f in report.frames if f.success) - len(new_frames)
             if duplicates > 0:
-                self._count("duplicates", C.SESSION_DUPLICATES, duplicates)
+                self._count(C.SESSION_DUPLICATES, duplicates)
             if new_frames:
-                self._count("frames", C.SESSION_FRAMES, len(new_frames))
+                self._count(C.SESSION_FRAMES, len(new_frames))
                 self._pending.extend(new_frames)
         else:
-            self._count("windows_skipped", C.SESSION_WINDOWS_SKIPPED)
+            self._count(C.SESSION_WINDOWS_SKIPPED)
         latency = self.clock() - t0
         watchdog_tripped = live and latency > self.config.watchdog_budget_s
         if watchdog_tripped:
-            self._count("watchdog_trips", C.SESSION_WATCHDOG_TRIPS)
+            self._count(C.SESSION_WATCHDOG_TRIPS)
         if self.tracer.enabled:
             if live:
                 self.tracer.gauge(G.SESSION_WINDOW_LATENCY_S, latency)
@@ -614,7 +616,7 @@ class SessionSupervisor:
         self._window_index += 1
         evicted = self.dedup.evict_before(self._pos - self.streaming.window_samples)
         if evicted:
-            self._count("dedup_evictions", C.SESSION_DEDUP_EVICTIONS, evicted)
+            self._count(C.SESSION_DEDUP_EVICTIONS, evicted)
 
     def _release_ordered(self) -> List[StreamFrame]:
         """Frames whose global order is now final (start < ``_pos``).
@@ -638,7 +640,7 @@ class SessionSupervisor:
         while self.backlog_windows > self.config.max_backlog_windows:
             self._pos += self.streaming.hop_samples
             self._window_index += 1
-            self._count("windows_shed", C.SESSION_WINDOWS_SHED)
+            self._count(C.SESSION_WINDOWS_SHED)
             self.dedup.evict_before(self._pos - self.streaming.window_samples)
 
     def _shed_all(self) -> List[StreamFrame]:
@@ -646,7 +648,7 @@ class SessionSupervisor:
         while self.backlog_windows > 0:
             self._pos += self.streaming.hop_samples
             self._window_index += 1
-            self._count("windows_shed", C.SESSION_WINDOWS_SHED)
+            self._count(C.SESSION_WINDOWS_SHED)
         self._trim_buffer()
         return []
 
@@ -685,7 +687,7 @@ class SessionSupervisor:
 
         if self._nodecode_streak >= self.config.resync_after:
             self._resync_attempts = 0
-            self._count("resyncs", C.SESSION_RESYNCS)
+            self._count(C.SESSION_RESYNCS)
             self._transition(HealthState.RESYNC)
             return
 
@@ -714,8 +716,9 @@ class SessionSupervisor:
         if self.tracer.enabled:
             self.tracer.count(session_transition(to.value))
 
-    def _count(self, stat: str, counter: str, n: int = 1) -> None:
-        self.stats[stat] += n
+    def _count(self, counter: CounterName, n: int = 1) -> None:
+        """Bump ``session.<key>`` on the tracer and ``stats[<key>]``."""
+        self.stats[counter[_STATS_KEY_AT:]] += n
         if self.tracer.enabled:
             self.tracer.count(counter, n)
 

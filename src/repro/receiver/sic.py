@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.obs.taxonomy import C
+from repro.obs.taxonomy import C, S
 from repro.phy.modulation import spread_bits, upsample_chips
 from repro.receiver.ack import AckMessage
 from repro.receiver.decoder import DecodedFrame
@@ -119,9 +119,9 @@ class SicReceiver(CbmaReceiver):
     ) -> tuple:
         """One detect-decode-cancel pass; returns ``(residual, progressed)``."""
         tracer = self.tracer
-        with tracer.span("sic", sic_pass=_pass):
+        with tracer.span(S.SIC, sic_pass=_pass):
             tracer.count(C.SIC_PASSES)
-            with tracer.span("detect"):
+            with tracer.span(S.DETECT):
                 detections = self.user_detector.detect(residual, corr=corr)
             for det in detections:
                 if det.user_id not in succeeded:

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.taxonomy import S
 from repro.receiver.receiver import CbmaReceiver, ReceptionReport
 from repro.utils.correlation_batch import Windows
 
@@ -331,7 +332,7 @@ class StreamingReceiver:
             window = x[pos : pos + self.window_samples]
             planes: List[Optional[np.ndarray]] = []
             if self.window_is_live(window, planes=planes):
-                with tracer.span("stream_decode"):
+                with tracer.span(S.STREAM_DECODE):
                     new_frames, _report = self.decode_window(
                         window, pos, dedup, corr=planes[0] if planes else None
                     )

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.channel.interference import NoInterference, OfdmExcitationGate
 from repro.channel.noise import NoiseModel
-from repro.obs.taxonomy import G
+from repro.obs.taxonomy import G, S
 from repro.obs.tracer import as_tracer
 from repro.phy.modulation import fractional_delay, ook_baseband, waveform_from_edges
 from repro.tag.tag import Tag
@@ -133,7 +133,7 @@ def simulate_round(
     untraced runs are bit-identical.
     """
     tracer = as_tracer(tracer)
-    with tracer.span("synthesize", tags=len(payloads)):
+    with tracer.span(S.SYNTHESIZE, tags=len(payloads)):
         iq, truth = _synthesize_round(scenario, payloads, rng)
     if tracer.enabled:
         tracer.gauge(G.ROUND_N_SAMPLES, truth.n_samples)

@@ -31,7 +31,7 @@ from repro.channel.pathloss import LinkBudget
 from repro.codes.registry import make_codes
 from repro.faults.plan import FaultPlan, RoundFaults
 from repro.mac.power_control import PowerController, PowerControlResult
-from repro.obs.taxonomy import C, G, fault_loss
+from repro.obs.taxonomy import C, G, S, fault_loss
 from repro.obs.tracer import as_tracer
 from repro.phy.impedance import default_codebook
 from repro.receiver.receiver import CbmaReceiver
@@ -353,7 +353,7 @@ class CbmaNetwork:
             for i in sorted(active)
         }
         tracer = self.tracer
-        with tracer.span("round", tags=len(payloads)):
+        with tracer.span(S.ROUND, tags=len(payloads)):
             tracer.count(C.ROUND_ROUNDS)
             iq, truth = simulate_round(scenario, payloads, self.rng, tracer=tracer)
             iq = self.apply_channel_faults(iq, rf)

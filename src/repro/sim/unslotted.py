@@ -19,7 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.channel.noise import NoiseModel
-from repro.obs.taxonomy import C
+from repro.obs.taxonomy import C, S, fault_injection
 from repro.obs.tracer import as_tracer
 from repro.phy.modulation import fractional_delay, ook_baseband
 from repro.receiver.streaming import StreamingReceiver
@@ -131,7 +131,7 @@ def simulate_unslotted(
     plan = faults if (faults is not None and not faults.empty and fault_unit > 0) else None
     injected: Dict[str, int] = {}
 
-    def _count(reason: str) -> None:
+    def _inject(reason: str) -> None:
         injected[reason] = injected.get(reason, 0) + 1
 
     transmissions: List[_Transmission] = []
@@ -156,7 +156,7 @@ def simulate_unslotted(
     for tx in transmissions:
         result.per_tag_offered[tx.tag_index] = result.per_tag_offered.get(tx.tag_index, 0) + 1
 
-    with tracer.span("synthesize", tags=len(scenario.tags)):
+    with tracer.span(S.SYNTHESIZE, tags=len(scenario.tags)):
         for tx in transmissions:
             tag = scenario.tags[tx.tag_index]
             # Phase draw happens for every offered transmission (even a
@@ -167,11 +167,11 @@ def simulate_unslotted(
             if plan is not None:
                 rf = plan.resolve(int(tx.start_sample // fault_unit), n_tags)
                 if tx.tag_index in rf.silent:
-                    _count("fault.dropout")
+                    _inject("fault.dropout")
                     continue
                 keep_fraction = rf.brownout.get(tx.tag_index)
                 if keep_fraction is not None:
-                    _count("fault.brownout")
+                    _inject("fault.brownout")
             amp = complex(scenario.amplitudes[tx.tag_index]) * tag.delta_gamma
             signal = ook_baseband(tag.chip_stream(tx.payload, scenario.samples_per_chip), amplitude=amp * phase)
             if keep_fraction is not None:
@@ -189,12 +189,12 @@ def simulate_unslotted(
             jam = rf.jammer_samples(hi - lo, scenario.sample_rate_hz)
             if jam is not None:
                 buffer[lo:hi] += jam
-                _count("fault.interference")
+                _inject("fault.interference")
             if rf.clip_level is not None:
                 buffer[lo:hi] = rf.clip(buffer[lo:hi])
-                _count("fault.adc_clip")
+                _inject("fault.adc_clip")
 
-    with tracer.span("stream_decode"):
+    with tracer.span(S.STREAM_DECODE):
         decoded = receiver.process_stream(buffer)
 
     # Score: a decode counts once per matching offered transmission
@@ -216,8 +216,5 @@ def simulate_unslotted(
         tracer.count(C.UNSLOTTED_OFFERED, result.offered)
         tracer.count(C.UNSLOTTED_DELIVERED, result.delivered)
         for reason, count in injected.items():
-            # ``injected`` keys carry the plan's "fault." prefix; the
-            # taxonomy's injection family is ``faults.<kind>``.
-            kind = reason[len("fault."):] if reason.startswith("fault.") else reason
-            tracer.count(f"faults.{kind}", count)
+            tracer.count(fault_injection(reason), count)
     return result

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.channel.geometry import Deployment
 from repro.mac.fairness import RotatingGroupScheduler, ServiceLog
 from repro.mac.power_control import PowerController
-from repro.obs.taxonomy import C
+from repro.obs.taxonomy import C, S
 from repro.obs.tracer import as_tracer
 from repro.sim.metrics import MetricsAccumulator
 from repro.sim.network import CbmaConfig, CbmaNetwork
@@ -151,7 +151,7 @@ class CbmaSystem:
     def run_epoch(self, rounds: int = 20) -> EpochReport:
         """One full epoch: select, balance (if needed), transfer, move."""
         tracer = self.tracer
-        with tracer.span("epoch", epoch=self._epoch):
+        with tracer.span(S.EPOCH, epoch=self._epoch):
             tracer.count(C.EPOCH_EPOCHS)
             # Sorted so the same composition hits the same balance cache
             # regardless of the order the scheduler emitted it.

@@ -1,6 +1,7 @@
 """Unit tests for repro.bench (runner, report persistence, baseline gate)."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from repro.bench import (
     run_bench,
 )
 from repro.bench.workloads import Workload, build_workloads
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 def _op(name, p50, params=None, group="micro"):
@@ -64,6 +65,25 @@ class TestRunBench:
         assert tracer.counters["bench.noop_a.reps"] == 3
         spans = [r for r in tracer.records if r.name == "bench"]
         assert len(spans) == 5
+
+    def test_stats_come_from_this_runs_samples_only(self):
+        """A tracer shared by two runs collects both runs' samples, but
+        each report summarises only its own reps."""
+        tracer = Tracer()
+        slow = [Workload("noop", {}, lambda: time.sleep(0.05), reps=3)]
+        fast = [Workload("noop", {}, lambda: None, reps=3)]
+        run_bench(workloads=slow, tracer=tracer)
+        op = run_bench(workloads=fast, tracer=tracer).op("noop")
+        assert op.reps == 3
+        assert op.max_s < 0.015
+        assert len(tracer.gauges["bench.noop.op_s"]) == 6
+        assert tracer.counters["bench.noop.reps"] == 6
+
+    def test_runs_under_the_disabled_tracer(self):
+        report = run_bench(workloads=_tiny_workloads(), tracer=NULL_TRACER)
+        a = report.op("noop_a")
+        assert a.reps == 3
+        assert 0.0 <= a.min_s <= a.p50_s <= a.max_s
 
     def test_derived_speedups(self):
         workloads = [

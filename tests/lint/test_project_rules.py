@@ -1,5 +1,4 @@
-"""Mini-project fixtures for the cross-module rules (LNT007, LNT010,
-LNT012).
+"""Mini-project fixtures for the cross-module rules (LNT007, LNT012).
 
 Each project under ``tests/lint/fixtures/projects/`` is a tiny
 ``src/repro/...`` tree whose violations span two modules -- none of
@@ -55,32 +54,6 @@ def test_lnt007_suppression_and_local_shadow_are_respected(tmp_path):
     assert "_MEMO" not in messages  # line-suppressed handle
     assert "forget_local" not in messages  # local shadow, not the global
     assert "fresh_rng" not in messages  # per-call construction is safe
-
-
-# ----------------------------------------------------------------------
-# LNT010 taxonomy coverage
-# ----------------------------------------------------------------------
-
-
-def test_lnt010_unreferenced_constant_and_pasted_literal(tmp_path):
-    violations = lint_project("taxonomy", tmp_path, select=["LNT010"])
-    found = by_file_line(violations)
-    assert any(
-        f == "taxonomy.py" and "C.GHOST" in msg and "never" in msg
-        for f, _line, msg in found
-    )
-    assert any(
-        f == "emitters.py" and "C.DECODED" in msg and "duplicates" in msg
-        for f, _line, msg in found
-    )
-    assert len(found) == 2
-
-
-def test_lnt010_referenced_constants_and_foreign_literals_are_quiet(tmp_path):
-    violations = lint_project("taxonomy", tmp_path, select=["LNT010"])
-    messages = " ".join(v.message for v in violations)
-    assert "G.BACKLOG" not in messages  # referenced + suppressed literal
-    assert "decode.other" not in messages  # matches no constant
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ purpose) -- and are fed through :func:`repro.lint.lint_source` here
 with ``is_test=False`` so the src-only rules run too.
 """
 
+import re
 from pathlib import Path
 
 import pytest
@@ -50,32 +51,6 @@ def test_lnt001_exempts_test_files():
     source = "import numpy as np\nx = np.random.normal()\n"
     assert lint_source(source, path="tests/test_x.py", is_test=True) == []
     assert len(lint_source(source, path="src/m.py", is_test=False)) == 1
-
-
-# ----------------------------------------------------------------------
-# LNT002 metric-taxonomy
-# ----------------------------------------------------------------------
-
-
-def test_lnt002_flags_undeclared_metric_names():
-    found = ids_and_lines(lint_fixture("bad_taxonomy.py", select=["LNT002"]))
-    assert found == [
-        ("LNT002", 5),  # typo'd errors.pipline family
-        ("LNT002", 6),  # unknown gauge
-        ("LNT002", 7),  # f-string prefix matching no family
-        ("LNT002", 8),  # undeclared span
-        ("LNT002", 10),  # placeholder value outside the allowed set
-    ]
-
-
-def test_lnt002_message_names_the_bad_placeholder():
-    violations = lint_fixture("bad_taxonomy.py", select=["LNT002"])
-    by_line = {v.line: v.message for v in violations}
-    assert "made_up" in by_line[10]
-
-
-def test_lnt002_clean_on_declared_names_and_str_count():
-    assert lint_fixture("good_taxonomy.py", select=["LNT002"]) == []
 
 
 # ----------------------------------------------------------------------
@@ -170,12 +145,26 @@ def test_suppression_line_file_and_all():
     assert ids_and_lines(violations) == [("LNT001", 16)]
 
 
-@pytest.mark.parametrize(
-    "rule_id", [f"LNT{n:03d}" for n in range(1, 13) if n not in (8, 9, 11)]
-)
+def documented_rule_ids():
+    """Rule ids in the table of ``repro.lint.rules``' docstring."""
+    import repro.lint.rules
+
+    lines = repro.lint.rules.__doc__.splitlines()
+    return [line.split()[0] for line in lines if re.match(r"LNT\d{3}\s", line)]
+
+
+@pytest.mark.parametrize("rule_id", documented_rule_ids())
 def test_every_rule_is_registered_with_metadata(rule_id):
     from repro.lint import REGISTRY
 
     rule = REGISTRY[rule_id]
     assert rule.name
     assert rule.rationale
+
+
+def test_rule_table_matches_registry():
+    """A retired rule cannot leave a stale row, nor a new rule go
+    undocumented."""
+    from repro.lint import REGISTRY
+
+    assert sorted(documented_rule_ids()) == sorted(REGISTRY)

@@ -2,24 +2,24 @@
 
 import json
 
-from repro.obs import RunProfile, Tracer, jsonl_lines, read_jsonl, write_jsonl
+from repro.obs import C, G, RunProfile, S, Tracer, jsonl_lines, read_jsonl, write_jsonl
 
 
 def _traced_run():
     t = Tracer()
     for _ in range(3):
-        with t.span("round"):
-            with t.span("frame_sync"):
+        with t.span(S.ROUND):
+            with t.span(S.FRAME_SYNC):
                 pass
-            with t.span("decode", user=1):
-                with t.span("crc"):
+            with t.span(S.DECODE, user=1):
+                with t.span(S.CRC):
                     pass
-    t.count("round.frames_sent", 6)
-    t.count("round.frames_correct", 3)
-    t.count("errors.not_detected", 1)
-    t.count("errors.not_decoded", 2)
-    t.gauge("tag.snr_db", 8.0)
-    t.gauge("tag.snr_db", 12.0)
+    t.count(C.ROUND_FRAMES_SENT, 6)
+    t.count(C.ROUND_FRAMES_CORRECT, 3)
+    t.count(C.ERRORS_NOT_DETECTED, 1)
+    t.count(C.ERRORS_NOT_DECODED, 2)
+    t.gauge(G.TAG_SNR_DB, 8.0)
+    t.gauge(G.TAG_SNR_DB, 12.0)
     return t
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.obs import ExperimentResult, Tracer
+from repro.obs import ExperimentResult, S, Tracer
 
 
 def _result():
@@ -47,7 +47,7 @@ class TestSerialisation:
 
     def test_profile_round_trips(self):
         t = Tracer()
-        with t.span("decode"):
+        with t.span(S.DECODE):
             pass
         r = _result()
         r.profile = t.profile()

@@ -1,4 +1,4 @@
-"""Tests for the metric-name taxonomy registry (repro.obs.taxonomy)."""
+"""Tests for the typed metric-name taxonomy (repro.obs.taxonomy)."""
 
 import pytest
 
@@ -8,77 +8,59 @@ from repro.obs.taxonomy import (
     DECODE_REASONS,
     FAULT_KINDS,
     G,
-    MetricKind,
-    SPAN_NAMES,
-    TAXONOMY,
+    S,
+    CounterName,
+    GaugeName,
+    SpanName,
+    bench_op_s,
+    bench_reps,
     decode_outcome,
-    family_for,
+    fault_injection,
     fault_loss,
-    is_known,
+    gateway_transition,
     pipeline_failure,
-    validate,
+    session_transition,
 )
 from repro.receiver.failures import DecodeFailure
 
 
 def _constants(namespace):
-    return [
-        value
-        for key, value in vars(namespace).items()
-        if key.isupper() and isinstance(value, str)
-    ]
+    return [value for key, value in vars(namespace).items() if key.isupper()]
 
 
 def test_every_counter_constant_is_declared():
-    for name in _constants(C):
-        assert validate(name, MetricKind.COUNTER) is None, name
+    names = _constants(C)
+    assert names and all(type(name) is CounterName for name in names)
 
 
 def test_every_gauge_constant_is_declared():
-    for name in _constants(G):
-        assert validate(name, MetricKind.GAUGE) is None, name
+    names = _constants(G)
+    assert names and all(type(name) is GaugeName for name in names)
 
 
 def test_every_span_name_is_declared():
-    for name in SPAN_NAMES:
-        assert validate(name, MetricKind.SPAN) is None, name
+    names = _constants(S)
+    assert names and all(type(name) is SpanName for name in names)
 
 
-def test_validate_rejects_unknown_names():
-    assert validate("detect.scor", MetricKind.GAUGE) is not None
-    assert validate("errors.pipline.decode.crc", MetricKind.COUNTER) is not None
-    assert validate("made.up.entirely", MetricKind.COUNTER) is not None
+def test_each_name_is_declared_once():
+    names = _constants(C) + _constants(G) + _constants(S)
+    assert len(set(names)) == len(names)
 
 
-def test_validate_rejects_kind_mismatch():
-    # A declared gauge name used as a counter is still an error.
-    assert validate(G.DETECT_SCORE, MetricKind.GAUGE) is None
-    assert validate(G.DETECT_SCORE, MetricKind.COUNTER) is not None
-
-
-def test_validate_rejects_placeholder_outside_allowed_set():
-    msg = validate("errors.pipeline.decode.made_up", MetricKind.COUNTER)
-    assert msg is not None
-    assert "made_up" in msg
-
-
-def test_is_known_and_family_for_agree():
-    assert is_known(C.CRC_OK, MetricKind.COUNTER)
-    family = family_for(C.CRC_OK, MetricKind.COUNTER)
-    assert family is not None
-    assert family.kind is MetricKind.COUNTER
-    assert family_for("nope.nope", MetricKind.COUNTER) is None
-
-
-def test_taxonomy_families_have_descriptions():
-    for family in TAXONOMY:
-        assert family.description, family.pattern
+def test_constructor_error_names_the_bad_slug():
+    with pytest.raises(ValueError, match="made_up"):
+        pipeline_failure("decode", "made_up")
+    with pytest.raises(ValueError, match="bogus"):
+        session_transition("bogus")
+    with pytest.raises(ValueError, match="bogus"):
+        gateway_transition("bogus")
 
 
 def test_pipeline_failure_constructor():
     name = pipeline_failure("decode", "exception")
     assert name == "errors.pipeline.decode.exception"
-    assert is_known(name, MetricKind.COUNTER)
+    assert type(name) is CounterName
     with pytest.raises(ValueError):
         pipeline_failure("decode", "bogus_reason")
     with pytest.raises(ValueError):
@@ -88,15 +70,34 @@ def test_pipeline_failure_constructor():
 def test_fault_loss_accepts_bare_and_prefixed_kinds():
     assert fault_loss("dropout") == "errors.fault.dropout"
     assert fault_loss("fault.dropout") == "errors.fault.dropout"
+    assert type(fault_loss("dropout")) is CounterName
     with pytest.raises(ValueError):
         fault_loss("made_up")
 
 
+def test_fault_injection_constructor():
+    assert fault_injection("fault.adc_clip") == "faults.adc_clip"
+    assert fault_injection("ack_lost") == C.FAULTS_ACK_LOST
+    with pytest.raises(ValueError):
+        fault_injection("fault.made_up")
+
+
 def test_decode_outcome_constructor():
     for reason in DECODE_REASONS:
-        assert is_known(decode_outcome(reason), MetricKind.COUNTER)
+        name = decode_outcome(reason)
+        assert type(name) is CounterName and name == f"decode.{reason}"
+    assert decode_outcome("ghost") == C.DECODE_GHOST
     with pytest.raises(ValueError):
         decode_outcome("nonsense")
+
+
+def test_bench_constructors_are_typed_and_slug_checked():
+    assert bench_reps("detect_fft") == "bench.detect_fft.reps"
+    assert type(bench_reps("detect_fft")) is CounterName
+    assert bench_op_s("detect_fft") == "bench.detect_fft.op_s"
+    assert type(bench_op_s("detect_fft")) is GaugeName
+    with pytest.raises(ValueError):
+        bench_op_s("Detect FFT")
 
 
 def test_fault_reasons_mirror_fault_kinds():
@@ -106,12 +107,13 @@ def test_fault_reasons_mirror_fault_kinds():
         f"fault.{kind}" for kind in FAULT_KINDS if kind != "ack_loss"
     )
     for reason in FAULT_REASONS:
-        assert is_known(fault_loss(reason), MetricKind.COUNTER)
+        assert type(fault_loss(reason)) is CounterName
 
 
 def test_decode_failure_counter_uses_checked_constructor():
     failure = DecodeFailure(stage="decode", reason="exception", user_id=1)
     assert failure.counter == "errors.pipeline.decode.exception"
+    assert type(failure.counter) is CounterName
     bogus = DecodeFailure(stage="decode", reason="bogus", user_id=1)
     with pytest.raises(ValueError):
         _ = bogus.counter

@@ -4,7 +4,17 @@ import time
 
 import pytest
 
-from repro.obs import NULL_TRACER, PIPELINE_STAGES, NullTracer, SpanRecord, Tracer, as_tracer
+from repro.obs import (
+    NULL_TRACER,
+    PIPELINE_STAGES,
+    C,
+    G,
+    NullTracer,
+    S,
+    SpanRecord,
+    Tracer,
+    as_tracer,
+)
 
 
 class TestNullTracer:
@@ -22,17 +32,17 @@ class TestNullTracer:
 
     def test_noop_records_nothing(self):
         t = NullTracer()
-        with t.span("frame_sync", user=3):
-            t.count("x")
-            t.gauge("y", 1.0)
+        with t.span(S.FRAME_SYNC, user=3):
+            t.count(C.CRC_OK)
+            t.gauge(G.DETECT_SCORE, 1.0)
         profile = t.profile()
         assert profile.stages == {}
         assert profile.counters == {}
         assert profile.gauges == {}
 
     def test_null_span_reusable_and_nested(self):
-        with NULL_TRACER.span("a"):
-            with NULL_TRACER.span("b"):
+        with NULL_TRACER.span(S.ROUND):
+            with NULL_TRACER.span(S.DECODE):
                 pass  # nesting the shared span object must not blow up
 
     def test_disabled_overhead_is_small(self):
@@ -40,8 +50,8 @@ class TestNullTracer:
         t = NULL_TRACER
         start = time.perf_counter()
         for _ in range(10_000):
-            with t.span("frame_sync"):
-                t.count("decode.ok")
+            with t.span(S.FRAME_SYNC):
+                t.count(C.CRC_OK)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.5, f"null-tracer overhead too high: {elapsed:.3f}s"
 
@@ -49,7 +59,7 @@ class TestNullTracer:
 class TestTracer:
     def test_span_records_duration(self):
         t = Tracer()
-        with t.span("frame_sync"):
+        with t.span(S.FRAME_SYNC):
             pass
         (rec,) = t.records
         assert isinstance(rec, SpanRecord)
@@ -59,11 +69,11 @@ class TestTracer:
 
     def test_nesting_depths(self):
         t = Tracer()
-        with t.span("round"):
-            with t.span("sic"):
-                with t.span("decode", user=2):
+        with t.span(S.ROUND):
+            with t.span(S.SIC):
+                with t.span(S.DECODE, user=2):
                     pass
-            with t.span("detect"):
+            with t.span(S.DETECT):
                 pass
         by_name = {r.name: r for r in t.records}
         assert by_name["round"].depth == 0
@@ -75,29 +85,51 @@ class TestTracer:
     def test_span_records_on_exception(self):
         t = Tracer()
         with pytest.raises(ValueError):
-            with t.span("crc"):
+            with t.span(S.CRC):
                 raise ValueError("boom")
         assert [r.name for r in t.records] == ["crc"]
 
     def test_counters_and_gauges(self):
         t = Tracer()
-        t.count("crc.ok")
-        t.count("crc.ok", 2)
-        t.gauge("tag.snr_db", 10.0)
-        t.gauge("tag.snr_db", 20.0)
+        t.count(C.CRC_OK)
+        t.count(C.CRC_OK, 2)
+        t.gauge(G.TAG_SNR_DB, 10.0)
+        t.gauge(G.TAG_SNR_DB, 20.0)
         assert t.counters["crc.ok"] == 3
         assert t.gauges["tag.snr_db"] == [10.0, 20.0]
 
     def test_clear(self):
         t = Tracer()
-        with t.span("decode"):
-            t.count("x")
-            t.gauge("g", 1.0)
+        with t.span(S.DECODE):
+            t.count(C.CRC_OK)
+            t.gauge(G.TAG_SNR_DB, 1.0)
         t.clear()
         assert t.records == [] and t.counters == {} and t.gauges == {}
 
     def test_pipeline_stage_names_are_canonical(self):
         assert PIPELINE_STAGES == ("frame_sync", "detect", "decode", "crc", "sic")
+        assert PIPELINE_STAGES == (S.FRAME_SYNC, S.DETECT, S.DECODE, S.CRC, S.SIC)
+
+    def test_rejects_bare_string_names(self):
+        """An undeclared name fails at its first traced emission, even
+        when it spells a declared one."""
+        t = Tracer()
+        with pytest.raises(TypeError, match="CounterName"):
+            t.count("crc.ok")
+        with pytest.raises(TypeError, match="GaugeName"):
+            t.gauge("detect.scor", 1.0)
+        with pytest.raises(TypeError, match="SpanName"):
+            t.span("not_a_stage")
+        assert t.counters == {} and t.gauges == {} and t.records == []
+
+    def test_rejects_kind_mismatch(self):
+        t = Tracer()
+        with pytest.raises(TypeError):
+            t.count(G.DETECT_SCORE)
+        with pytest.raises(TypeError):
+            t.gauge(C.CRC_OK, 1.0)
+        with pytest.raises(TypeError):
+            t.span(C.SIC_PASSES)
 
 
 class TestZeroCostInPipeline:

@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.obs import Tracer
+from repro.obs import C, Tracer
 from repro.receiver.session import (
     CHECKPOINT_FORMAT,
     HealthState,
@@ -225,6 +225,27 @@ class TestIngestion:
         assert tracer.counters["session.windows_live"] == 2
         assert tracer.counters["session.windows_skipped"] >= 1
         assert tracer.counters["session.frames"] == session.stats["frames"]
+
+    def test_cross_window_duplicate_is_counted(self):
+        """A frame the next overlapping window decodes again is
+        suppressed by the dedup table and counted as a duplicate."""
+
+        class RepeatingStream(ScriptedStream):
+            def decode_window(self, window, pos, dedup, corr=None):
+                report = SimpleNamespace(
+                    frames=[SimpleNamespace(success=True)],
+                    detections=[SimpleNamespace(user_id=0, score=0.9, offset=0)],
+                )
+                if dedup.seen(0, b"same", HOP):
+                    return [], report
+                return [StreamFrame(user_id=0, payload=b"same", start_sample=HOP)], report
+
+        tracer = Tracer()
+        session = SessionSupervisor(RepeatingStream(["ok", "ok"]), tracer=tracer)
+        session.feed(np.zeros(3 * HOP, dtype=np.complex128))
+        assert session.stats["frames"] == 1
+        assert session.stats["duplicates"] == 1
+        assert tracer.counters[C.SESSION_DUPLICATES] == 1
 
 
 class TestCheckpoint:
