@@ -46,14 +46,11 @@ class SessionSpec:
     session:
         Optional :class:`~repro.receiver.session.SessionConfig`
         supervision policy (``None`` = defaults).
-    window_frames:
-        Window length passed through to the streaming receiver.
     """
 
     session_id: int
     config: CbmaConfig
     session: Optional[SessionConfig] = None
-    window_frames: float = 2.0
 
     def __post_init__(self) -> None:
         if self.session_id < 0:

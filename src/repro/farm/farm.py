@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import multiprocessing
 import queue
+import time
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -180,6 +181,10 @@ class DecodeFarm:
         self._drained: Dict[int, List[Record]] = {}
         self._stopped_workers: Set[int] = set()
         self._dead_workers: Set[int] = set()
+        #: ``session id -> "finish" | "drain"`` sent and not yet answered.
+        self._awaiting: Dict[int, str] = {}
+        #: Per worker, ``time.monotonic()`` of its last reply (or start).
+        self._last_reply: Dict[int, float] = {}
 
         if backend == "inline":
             self._cores = [
@@ -222,6 +227,7 @@ class DecodeFarm:
                         daemon=True,
                     )
                     proc.start()
+                    self._last_reply[w] = time.monotonic()
                     # Only the worker may hold the write end: a dead
                     # worker's pipe then reads as EOF, never blocks.
                     writer.close()
@@ -242,7 +248,6 @@ class DecodeFarm:
         n_sessions: int,
         farm: Optional[FarmConfig] = None,
         session=None,
-        window_frames: float = 2.0,
         tracer=None,
         backend: str = "process",
     ) -> "DecodeFarm":
@@ -258,12 +263,7 @@ class DecodeFarm:
         if n_sessions < 1:
             raise ValueError("n_sessions must be >= 1")
         specs = [
-            SessionSpec(
-                session_id=i,
-                config=config,
-                session=session,
-                window_frames=window_frames,
-            )
+            SessionSpec(session_id=i, config=config, session=session)
             for i in range(n_sessions)
         ]
         return cls(specs, farm=farm, tracer=tracer, backend=backend)
@@ -350,6 +350,7 @@ class DecodeFarm:
             self.session_health[session_id] = history
         else:
             self._cmd_queues[worker].put(("finish", session_id))
+            self._awaiting[session_id] = "finish"
             while not self._finished.get(session_id):
                 self._harvest()
         del self._placement[session_id]
@@ -464,6 +465,7 @@ class DecodeFarm:
         pending = list(self.session_ids)
         for sid in pending:
             self._cmd_queues[self._placement[sid]].put(("finish", sid))
+            self._awaiting[sid] = "finish"
         while not all(self._finished.get(sid) for sid in pending):
             self._harvest()
         for sid in pending:
@@ -494,6 +496,7 @@ class DecodeFarm:
             records = self._cores[worker].drain(session_id)
         else:
             self._cmd_queues[worker].put(("drain", session_id))
+            self._awaiting[session_id] = "drain"
             while session_id not in self._drained:
                 self._harvest()
             records = self._drained.pop(session_id)
@@ -598,9 +601,28 @@ class DecodeFarm:
 
     def _harvest(self) -> None:
         """Block until one worker reply arrives, then dispatch it."""
-        msg = poll_get(self._replies, self._workers_alive, _HARVEST_TIMEOUT_S)
+        msg = poll_get(self._replies, self._workers_alive, _HARVEST_TIMEOUT_S, self._describe_wait)
         assert msg is not None  # a dead worker raises WorkerCrash instead
         self._dispatch(msg)
+
+    def _describe_wait(self) -> str:
+        """What each running worker owes the parent, for a harvest timeout."""
+        now = time.monotonic()
+        parts = []
+        for w, proc in enumerate(self._procs):
+            if w in self._stopped_workers or w in self._dead_workers:
+                continue
+            owed = sorted(sid for sid in self._awaiting if self._placement.get(sid) == w)
+            finish = [sid for sid in owed if self._awaiting[sid] == "finish"]
+            drain = [sid for sid in owed if self._awaiting[sid] == "drain"]
+            parts.append(
+                f"worker {w} (process {'alive' if proc.is_alive() else 'dead'}, "
+                f"{self._outstanding_pumps[w]} outstanding pump(s), "
+                f"sessions awaiting finish {finish} and drain {drain}, "
+                f"ring {self._rings[w].free_slots}/{self.config.ring_slots} slots free, "
+                f"last reply {now - self._last_reply[w]:.1f}s ago)"
+            )
+        return "waiting on " + "; ".join(parts)
 
     def _workers_alive(self) -> bool:
         """Surface dead workers as :class:`WorkerCrash` (slots reclaimed).
@@ -641,6 +663,7 @@ class DecodeFarm:
 
     def _dispatch(self, msg: Tuple[object, ...]) -> None:
         worker, tag = msg[0], msg[1]
+        self._last_reply[worker] = time.monotonic()
         if tag == "free":
             self._rings[worker].release(msg[2])
         elif tag == "pumped":
@@ -655,8 +678,10 @@ class DecodeFarm:
             self.session_stats[sid] = stats
             self.session_health[sid] = history
             self._finished[sid] = True
+            self._awaiting.pop(sid, None)
         elif tag == "drained":
             self._drained[msg[2]] = msg[3]
+            self._awaiting.pop(msg[2], None)
         elif tag == "stopped":
             busy, wall = msg[2], msg[3]
             util = busy / wall if wall > 0 else 0.0

@@ -16,11 +16,14 @@ pump cycle:
    threshold) -- sessions built from the same
    :class:`~repro.sim.network.CbmaConfig` share a memoised bank, so
    their groups merge;
-3. each group of >= 2 windows runs **one** stacked pre-gate FFT
-   (:meth:`StreamingReceiver.windows_are_live`, bit-identical per row
-   to the per-window gate) and primes each session's gate with its
-   row's decision and, for a live row, its correlation plane, which
-   the session's detector then uses instead of correlating again;
+3. each group of >= 2 windows is gated in one
+   :meth:`StreamingReceiver.windows_are_live` call from its sessions'
+   correlation pieces (:class:`~repro.receiver.streaming.GatePieces`):
+   one stacked kernel call correlates the hop slices the group's
+   sessions lack and one their seams, bit-identical per window to the
+   session's own gate; each session's gate is then primed with its
+   window's decision and, for a live window, its correlation plane,
+   which the session's detector uses instead of correlating again;
 4. sessions then pump exactly one window each, in session-id order,
    and the cycle repeats until no session has a complete window (or
    every session hit its ``max_windows_per_feed`` budget);
@@ -71,13 +74,15 @@ def poll_get(
     q: Union["multiprocessing.queues.Queue[Tuple[object, ...]]", "ReplyPipes"],
     peer_alive: Callable[[], bool],
     patience_s: Optional[float] = None,
+    describe_wait: Optional[Callable[[], str]] = None,
 ) -> Optional[Tuple[object, ...]]:
     """Next message from *q*, re-checking the peer on every Empty.
 
     Waits in :data:`_POLL_S` slices; after each empty slice calls
     *peer_alive* (which may also raise) and returns ``None`` once it
     reports the peer gone.  With *patience_s*, a peer that stays alive
-    but silent that long raises ``RuntimeError``.
+    but silent that long raises ``RuntimeError``, whose message ends
+    with ``describe_wait()`` when given: what the caller waited for.
     """
     waited = 0.0
     while True:
@@ -88,7 +93,8 @@ def poll_get(
                 return None
             waited += _POLL_S
             if patience_s is not None and waited >= patience_s:
-                raise RuntimeError(f"farm peer sent nothing for {patience_s}s") from None
+                detail = f"; {describe_wait()}" if describe_wait is not None else ""
+                raise RuntimeError(f"farm peer sent nothing for {patience_s}s{detail}") from None
 
 
 class ReplyPipes:
@@ -157,19 +163,14 @@ class WorkerCore:
         if spec.session_id in self.sessions:
             raise ValueError(f"session {spec.session_id} already on this worker")
         self.sessions[spec.session_id] = SessionSupervisor.from_config(
-            spec.config,
-            session=spec.session,
-            window_frames=spec.window_frames,
-            dtype=self.dtype,
+            spec.config, session=spec.session, dtype=self.dtype
         )
 
     def restore(self, spec: SessionSpec, records: List[Record]) -> None:
         """Resume a drained session from its checkpoint records."""
         if spec.session_id in self.sessions:
             raise ValueError(f"session {spec.session_id} already on this worker")
-        streaming = StreamingReceiver.from_config(
-            spec.config, window_frames=spec.window_frames, dtype=self.dtype
-        )
+        streaming = StreamingReceiver.from_config(spec.config, dtype=self.dtype)
         self.sessions[spec.session_id] = SessionSupervisor.from_checkpoint_records(
             records, streaming, config=spec.session,
             source=f"migration records for session {spec.session_id}",
@@ -234,7 +235,9 @@ class WorkerCore:
         return [(sid, emitted[sid]) for sid in sids]
 
     def _prime_batched(self, ready: List[Tuple[int, np.ndarray]]) -> None:
-        """Gate groups of same-geometry windows with one stacked FFT."""
+        """Gate groups of same-geometry windows from their sessions'
+        pieces: one stacked kernel call for the group's missing hop
+        slices and one for its missing seams."""
         groups: Dict[Tuple[int, int, float], List[Tuple[int, np.ndarray]]] = {}
         for sid, window in ready:
             detector = self.sessions[sid].streaming.receiver.user_detector
@@ -243,11 +246,16 @@ class WorkerCore:
         for group in groups.values():
             if len(group) < 2:
                 continue
-            windows = [window for _sid, window in group]
+            sessions = [self.sessions[sid] for sid, _window in group]
             planes: List[Optional[np.ndarray]] = []
-            live = self.sessions[group[0][0]].streaming.windows_are_live(windows, planes=planes)
-            for (sid, _window), decision, plane in zip(group, live, planes):
-                self.sessions[sid].prime_gate(bool(decision), plane)
+            live = sessions[0].streaming.windows_are_live(
+                [window for _sid, window in group],
+                planes=planes,
+                positions=[session.position for session in sessions],
+                pieces=[session.gate_pieces for session in sessions],
+            )
+            for session, decision, plane in zip(sessions, live, planes):
+                session.prime_gate(bool(decision), plane)
             self.batched_windows += len(group)
 
 

@@ -78,7 +78,7 @@ import numpy as np
 from repro.obs.taxonomy import C, CounterName, G, S, session_transition
 from repro.obs.tracer import as_tracer
 from repro.receiver.failures import sanitize_buffer
-from repro.receiver.streaming import StreamFrame, StreamingReceiver
+from repro.receiver.streaming import GatePieces, StreamFrame, StreamingReceiver
 
 __all__ = ["HealthState", "SessionConfig", "SessionSupervisor", "CHECKPOINT_FORMAT"]
 
@@ -311,6 +311,9 @@ class SessionSupervisor:
         #: ``(live, plane)`` pre-supplied by :meth:`prime_gate` for the
         #: next window only.
         self._primed: Optional[Tuple[bool, Optional[np.ndarray]]] = None
+        #: The pre-gate's correlation pieces of this stream: derived
+        #: from the samples, never checkpointed.
+        self.gate_pieces = GatePieces()
 
         self.dedup = streaming.make_dedup()
         self._pending: List[StreamFrame] = []
@@ -345,7 +348,6 @@ class SessionSupervisor:
         *,
         codes=None,
         session: Optional[SessionConfig] = None,
-        window_frames: float = 2.0,
         dtype=np.complex128,
         tracer=None,
         clock: Callable[[], float] = time.perf_counter,
@@ -362,7 +364,6 @@ class SessionSupervisor:
         streaming = StreamingReceiver.from_config(
             config,
             codes=codes,
-            window_frames=window_frames,
             dtype=dtype,
             tracer=tracer,
         )
@@ -561,7 +562,9 @@ class SessionSupervisor:
             self._primed = None
         else:
             planes: List[Optional[np.ndarray]] = []
-            live = self.streaming.window_is_live(window, planes=planes)
+            live = self.streaming.window_is_live(
+                window, planes=planes, pos=self._pos, pieces=self.gate_pieces
+            )
             corr = planes[0] if planes else None
         decoded_any = False
         attempted = False

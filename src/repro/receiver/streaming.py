@@ -17,12 +17,24 @@ ingestion, health state machine, checkpoint/restore) lives in
 :mod:`repro.receiver.session`, which builds on the shared
 :meth:`StreamingReceiver.decode_window` and :class:`DedupTable`
 primitives defined here.
+
+The pre-gate correlates each sample once per stream.  A window is two
+hops long and advances one hop, so half of its lags were already
+computed for the previous window.  Every whole-hop window's plane is
+therefore assembled from pieces fixed by absolute position
+(:class:`GatePieces`): the plane of each hop's own samples, and the
+short seam plane of the lags whose template straddles a hop boundary.
+A window reuses the pieces the window before it computed and
+correlates only the rest, and because a piece depends only on samples
+at fixed absolute positions, the batch walk, a chunk-fed session, a
+restored session and the farm's stacked gate all produce the same
+planes bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +45,7 @@ from repro.utils.correlation_batch import Windows
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import CbmaConfig
 
-__all__ = ["StreamingReceiver", "StreamFrame", "DedupTable"]
+__all__ = ["StreamingReceiver", "StreamFrame", "DedupTable", "GatePieces"]
 
 #: Complex dtypes a streaming stack may buffer samples in.  complex128
 #: is the default and the decode oracle; complex64 is the opt-in fast
@@ -46,6 +58,48 @@ _STREAM_DTYPES = (np.dtype(np.complex128), np.dtype(np.complex64))
 #: rounding (~1e-12 relative) can never gate out a window the
 #: reference per-user correlation would have decoded.
 _PREGATE_MARGIN = 0.999
+
+
+#: One gate piece: its ``(U, lags)`` correlation plane and that plane's
+#: largest score.
+_Piece = Tuple[np.ndarray, float]
+
+
+class GatePieces:
+    """The gate's correlation pieces of one stream, kept for the
+    windows ahead.
+
+    With hop length ``F`` and template length ``m``, a window of ``h``
+    whole hops starting at absolute sample ``p`` has the plane
+    ``[A(p) | s(p) | A(p+F) | s(p+F) | ... | A(p+(h-1)F)]``:
+
+    - ``A(q)`` is the plane of the ``F`` samples from ``q`` on, its
+      ``F - m + 1`` lags (:attr:`hops`);
+    - ``s(q)`` is the plane of the ``2m - 2`` samples straddling the
+      hop boundary at ``q + F``, the ``m - 1`` lags whose template
+      spans both hops (:attr:`seams`).
+
+    Both tables are keyed by the absolute start ``q`` of the hop.  A
+    piece depends only on the samples at fixed absolute positions, so
+    it is exact for every later window that contains it, whichever
+    path computed it.  This is derived state: it is never checkpointed
+    (a restored session starts with an empty cache and recomputes what
+    it lacks), and the gate drops every piece the next window, a hop
+    later, cannot use.
+    """
+
+    __slots__ = ("hops", "seams")
+
+    def __init__(self) -> None:
+        self.hops: Dict[int, _Piece] = {}
+        self.seams: Dict[int, _Piece] = {}
+
+    def evict_before(self, pos: int) -> None:
+        """Drop the pieces of hops starting before *pos*: every later
+        window starts at or after it."""
+        for table in (self.hops, self.seams):
+            for start in [q for q in table if q < pos]:
+                del table[start]
 
 
 @dataclass(frozen=True)
@@ -126,12 +180,11 @@ class StreamingReceiver:
     ----------
     receiver:
         The underlying single-window receiver (plain, SIC...).
-    window_frames:
-        Window length in units of the *maximum expected frame airtime*;
-        2.0 guarantees any frame lies wholly inside at least one window
-        when the hop is one frame.
     max_frame_bits:
-        Upper bound on frame length in bits (sets the window size).
+        Upper bound on frame length in bits.  It sets the hop, one
+        maximum-length frame; a window is always two hops, so every
+        frame lies wholly inside the window that starts in the hop
+        where the frame starts.
     dtype:
         Complex dtype sample buffers are kept in upstream of the full
         decode (ingest, backlog, pre-gate).  ``complex128`` (default)
@@ -144,14 +197,11 @@ class StreamingReceiver:
 
     receiver: CbmaReceiver
     max_frame_bits: int = 160
-    window_frames: float = 2.0
     dtype: np.dtype = np.complex128
 
     def __post_init__(self) -> None:
         if self.max_frame_bits < 1:
             raise ValueError("max_frame_bits must be >= 1")
-        if self.window_frames < 1.5:
-            raise ValueError("window must cover at least 1.5 frames")
         self.dtype = np.dtype(self.dtype)
         if self.dtype not in _STREAM_DTYPES:
             raise ValueError(
@@ -173,7 +223,6 @@ class StreamingReceiver:
         *,
         codes: Optional[Dict[int, np.ndarray]] = None,
         receiver: Optional[CbmaReceiver] = None,
-        window_frames: float = 2.0,
         dtype=np.complex128,
         tracer=None,
     ) -> "StreamingReceiver":
@@ -191,13 +240,13 @@ class StreamingReceiver:
         return cls(
             receiver=receiver,
             max_frame_bits=config.frame_bits(),
-            window_frames=window_frames,
             dtype=dtype,
         )
 
     @property
     def window_samples(self) -> int:
-        return int(self._frame_samples * self.window_frames)
+        """Samples per window: two hops."""
+        return 2 * self._frame_samples
 
     @property
     def hop_samples(self) -> int:
@@ -213,7 +262,11 @@ class StreamingReceiver:
         return DedupTable(tolerance=self._frame_samples // 2)
 
     def window_is_live(
-        self, window: np.ndarray, planes: Optional[List[Optional[np.ndarray]]] = None
+        self,
+        window: np.ndarray,
+        planes: Optional[List[Optional[np.ndarray]]] = None,
+        pos: Optional[int] = None,
+        pieces: Optional[GatePieces] = None,
     ) -> bool:
         """Cheap batched pre-gate: could any user clear the detection
         threshold inside *window*?
@@ -225,24 +278,29 @@ class StreamingReceiver:
         :data:`_PREGATE_MARGIN` below threshold), so a window it skips
         is one the detector would have returned no users for.
 
+        With the window's absolute start *pos* and its stream's
+        *pieces*, a window of whole hops is gated from its pieces
+        (:class:`GatePieces`): those the stream already holds are
+        reused, the rest are correlated and kept.  Otherwise -- a
+        truncated tail window, or a window given without a position --
+        the whole window is correlated.
+
         When *planes* is given, the gate appends the correlation plane
-        it computed for a live window (``None`` for a gated-out one).
-        That plane is exactly what the detector would compute over the
-        same samples, so the caller hands it to :meth:`decode_window`
-        and each live window is correlated once.
+        of a live window (``None`` for a gated-out one).  That plane is
+        what the detector would compute over the same samples, to FFT
+        rounding, so the caller hands it to :meth:`decode_window` and
+        each live window is correlated once.
         """
-        detector = self.receiver.user_detector
-        x = np.asarray(window)
-        corr = None
-        if x.size >= detector.bank.template_samples:
-            corr = detector.bank.correlate(x)
-        live = corr is not None and float(corr.max()) >= detector.threshold * _PREGATE_MARGIN
-        if planes is not None:
-            planes.append(corr if live else None)
-        return live
+        if pos is not None and pieces is not None and self._whole_hops(np.size(window)):
+            return bool(self._gate_pieces([window], [pos], [pieces], planes)[0])
+        return self._gate_whole(window, planes)
 
     def windows_are_live(
-        self, windows: Windows, planes: Optional[List[Optional[np.ndarray]]] = None
+        self,
+        windows: Windows,
+        planes: Optional[List[Optional[np.ndarray]]] = None,
+        positions: Optional[Sequence[int]] = None,
+        pieces: Optional[Sequence[GatePieces]] = None,
     ) -> np.ndarray:
         """Vectorised pre-gate over a stack of equal-length windows.
 
@@ -256,14 +314,24 @@ class StreamingReceiver:
         so the farm's cross-session batched gating can never flip a
         decision the per-window gate would have made.
 
+        With *positions* and *pieces* (one absolute start and one
+        stream cache per window, each stream at most once), the stack
+        of whole-hop windows is gated from pieces: the missing hop
+        slices of every window go through one stacked kernel call and
+        the missing seams through another, and ``out[s] ==
+        self.window_is_live(windows[s], pos=positions[s],
+        pieces=pieces[s])`` bit-identically.
+
         When *planes* is given it is extended with one entry per
         window: the ``(U, n - m + 1)`` correlation plane of each live
-        window (its own array, equal to the per-window plane) and
-        ``None`` for each gated-out one.  The farm primes each session
-        with its plane (:meth:`SessionSupervisor.prime_gate`), so the
-        detector does not correlate the window again.  Gated-out
-        windows' planes are never materialised.
+        window (its own array) and ``None`` for each gated-out one.
+        The farm primes each session with its plane
+        (:meth:`SessionSupervisor.prime_gate`), so the detector does
+        not correlate the window again.  Gated-out windows' planes are
+        never materialised.
         """
+        if positions is not None and pieces is not None:
+            return self._gate_pieces(windows, positions, pieces, planes)
         detector = self.receiver.user_detector
         kept = detector.bank.correlate_many(
             windows, min_peak=detector.threshold * _PREGATE_MARGIN
@@ -271,6 +339,84 @@ class StreamingReceiver:
         if planes is not None:
             planes.extend(kept)
         return np.array([plane is not None for plane in kept], dtype=bool)
+
+    def _whole_hops(self, n: int) -> int:
+        """Hops in a window of *n* samples that splits into pieces; 0
+        for a window that does not (a truncated tail, or hops shorter
+        than the templates)."""
+        hop = self.hop_samples
+        if n == 0 or n % hop or hop < self.receiver.user_detector.bank.template_samples:
+            return 0
+        return n // hop
+
+    def _gate_whole(
+        self, window: np.ndarray, planes: Optional[List[Optional[np.ndarray]]]
+    ) -> bool:
+        """Gate *window* from one correlation of all its samples."""
+        detector = self.receiver.user_detector
+        x = np.asarray(window)
+        corr = None
+        if x.size >= detector.bank.template_samples:
+            corr = detector.bank.correlate(x)
+        live = corr is not None and float(corr.max()) >= detector.threshold * _PREGATE_MARGIN
+        if planes is not None:
+            planes.append(corr if live else None)
+        return live
+
+    def _gate_pieces(
+        self,
+        windows: Windows,
+        positions: Sequence[int],
+        caches: Sequence[GatePieces],
+        planes: Optional[List[Optional[np.ndarray]]],
+    ) -> np.ndarray:
+        """Gate each whole-hop window from its stream's pieces; see
+        :class:`GatePieces`."""
+        if len({id(cache) for cache in caches}) != len(caches):
+            raise ValueError("the piece gate takes at most one window per stream")
+        detector = self.receiver.user_detector
+        bank = detector.bank
+        hop, m = self.hop_samples, bank.template_samples
+        # Per window: the (table, key) of each of its pieces, in lag order.
+        layouts: List[List[Tuple[Dict[int, _Piece], int]]] = []
+        # Per kind (hop slices, seams): (table, key, samples) to correlate.
+        missing: Tuple[List[tuple], List[tuple]] = ([], [])
+        for window, pos, cache in zip(windows, positions, caches):
+            n_hops = self._whole_hops(np.size(window))
+            if not n_hops:
+                raise ValueError(f"the piece gate takes whole hops, got {np.size(window)} samples")
+            layout = []
+            for j in range(n_hops):
+                q = pos + j * hop
+                layout.append((cache.hops, q))
+                if q not in cache.hops:
+                    missing[0].append((cache.hops, q, window[j * hop : (j + 1) * hop]))
+                edge = (j + 1) * hop
+                if j + 1 < n_hops and m > 1:
+                    layout.append((cache.seams, q))
+                    if q not in cache.seams:
+                        missing[1].append((cache.seams, q, window[edge - m + 1 : edge + m - 1]))
+            layouts.append(layout)
+        for jobs in missing:
+            if jobs:
+                # Every plane clears a floor of -inf, so each comes back
+                # as its own array: a kept piece holds no stacked
+                # neighbours alive, and no stack-sized array is made.
+                kept = bank.correlate_many([samples for _t, _q, samples in jobs], -np.inf)
+                for (table, q, _samples), plane in zip(jobs, kept):
+                    assert plane is not None
+                    table[q] = (plane, float(plane.max()))
+        floor = detector.threshold * _PREGATE_MARGIN
+        live = np.zeros(len(layouts), dtype=bool)
+        for s, (layout, pos, cache) in enumerate(zip(layouts, positions, caches)):
+            parts = [table[q] for table, q in layout]
+            live[s] = max(peak for _plane, peak in parts) >= floor
+            if planes is not None:
+                joined = np.concatenate([plane for plane, _peak in parts], axis=1) if live[s] else None
+                planes.append(joined)
+            # The next window starts a hop later, or further on after a shed.
+            cache.evict_before(pos + hop)
+        return live
 
     def decode_window(
         self,
@@ -309,8 +455,9 @@ class StreamingReceiver:
         """Decode every recoverable frame in *iq* (absolute positions).
 
         The window walk is two-tier: every hop first runs the batched
-        correlation pre-gate (:meth:`window_is_live`), and only live
-        windows pay for the full detect/decode pipeline.  With a
+        correlation pre-gate (:meth:`window_is_live`, from this walk's
+        :class:`GatePieces`), and only live windows pay for the full
+        detect/decode pipeline.  With a
         tracer attached to the underlying receiver, each live window
         is timed under a ``stream_decode`` span.
 
@@ -327,11 +474,12 @@ class StreamingReceiver:
         frames: List[StreamFrame] = []
         dedup = self.make_dedup()
         self.last_dedup = dedup
+        pieces = GatePieces()
         pos = 0
         while pos < x.size:
             window = x[pos : pos + self.window_samples]
             planes: List[Optional[np.ndarray]] = []
-            if self.window_is_live(window, planes=planes):
+            if self.window_is_live(window, planes=planes, pos=pos, pieces=pieces):
                 with tracer.span(S.STREAM_DECODE):
                     new_frames, _report = self.decode_window(
                         window, pos, dedup, corr=planes[0] if planes else None

@@ -35,6 +35,7 @@ theirs.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import (
     TYPE_CHECKING,
@@ -73,6 +74,7 @@ __all__ = [
 _OVERLAP_SAVE_THRESHOLD = 1 << 17
 
 
+@functools.lru_cache(maxsize=64)
 def _next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= *n* (pocketfft is fastest there)."""
     if n <= 6:
@@ -218,7 +220,11 @@ def _normalise(
     guard_denominator(energy, out=energy)
     np.sqrt(energy, out=energy)
     denom = ws.take("denom", planes.shape, np.float64)
-    np.multiply(energy[:, None, :], norms[None, :, None], out=denom)
+    # Row by row and template by template: the broadcast product makes
+    # numpy allocate an iteration buffer at some lengths (2,048 lags).
+    for row, out in zip(energy, denom):
+        for u, norm in enumerate(norms):
+            np.multiply(row, norm, out=out[u])
     guard_denominator(denom, out=denom)
     np.divide(planes, denom, out=planes)
 
@@ -374,9 +380,11 @@ def sliding_correlation_many(signals: np.ndarray, templates: np.ndarray) -> np.n
 
 
 #: FFT lengths a bank keeps a plan for, least recently used evicted
-#: first.  A stream needs one FFT length per window geometry (the hop
-#: window, the RESYNC-widened window) plus the odd lengths of tail
-#: windows.
+#: first.  A stream's gate needs two, whatever the window geometry: its
+#: hop slices and its seams (2,048 and 512 points on the benchmark
+#: geometry).  The rest serve windows correlated whole: tail windows,
+#: and the windows a detector correlates again when the front end
+#: changed their samples (a complex64 stream).
 _PLANS_MAX = 4
 
 
@@ -391,10 +399,11 @@ class TemplateBank:
     :meth:`correlate` and :meth:`correlate_many` keep a plan per
     ``(FFT length, real/complex)``, at most :data:`_PLANS_MAX` of
     them, least recently used evicted first.  A plan is the templates'
-    kernel spectrum (256 KiB per complex spectrum for 4 templates over
-    4,096-sample windows) and a workspace holding every temporary of
-    the kernel for one block of :data:`_BLOCK_ROWS` windows, so a warm
-    bank allocates only the arrays it returns.  No returned array
+    kernel spectrum (for 4 templates, 128 KiB per complex spectrum at
+    the stream gate's 2,048-point hop slices and 32 KiB at its 512-point
+    seams) and a workspace holding every temporary of the kernel for
+    one block of :data:`_BLOCK_ROWS` windows, so a warm bank allocates
+    only the arrays it returns.  No returned array
     shares memory with the workspace.  The workspace makes a bank
     single-threaded: its callers (one receive chain, or one farm
     worker's sessions) take turns.

@@ -6,8 +6,13 @@ to the free list, evict the dead worker's sessions, and raise
 :class:`WorkerCrash` instead of hanging until the harvest timeout.
 """
 
+import os
+import re
+import signal
+
 import pytest
 
+import repro.farm.farm as farm_mod
 import repro.farm.worker as worker_mod
 from repro.farm import DecodeFarm, FarmConfig, SessionSpec, WorkerCrash
 from tests.farm.conftest import run_sequential
@@ -87,6 +92,41 @@ class TestWorkerCrashRecovery:
             tails = farm.finish()
             assert set(tails) == {0, 1}
         finally:
+            farm.close()
+
+
+class TestHarvestTimeout:
+    def test_timeout_names_what_each_worker_owes(self, net_config, soak_capture, monkeypatch):
+        """A stopped worker is alive but silent: the harvest timeout
+        names, per worker, its process state, outstanding pumps, the
+        sessions awaiting finish or drain, its free ring slots and the
+        time since its last reply."""
+        monkeypatch.setattr(farm_mod, "_HARVEST_TIMEOUT_S", 0.5)
+        _, chunks, chunk_samples = soak_capture
+        cfg = FarmConfig(n_workers=2, ring_slots=4, ring_slot_samples=chunk_samples)
+        farm = DecodeFarm(_specs(net_config, 4), farm=cfg)
+        victim = farm.worker_of(0)
+        stopped = False
+        try:
+            for sid in farm.session_ids:
+                farm.feed(sid, chunks[0])
+            farm.pump()
+            os.kill(farm._procs[victim].pid, signal.SIGSTOP)
+            stopped = True
+            farm.feed(0, chunks[1])
+            farm.pump(wait=False)
+            with pytest.raises(RuntimeError, match="sent nothing for 0.5s") as exc:
+                farm.finish_session(2)
+            message = str(exc.value)
+            owed = re.search(rf"worker {victim} \((.*?)\)(;|$)", message)
+            assert owed, message
+            assert owed.group(1).startswith("process alive, 1 outstanding pump(s), ")
+            assert "sessions awaiting finish [2] and drain []" in owed.group(1)
+            assert re.search(r"ring \d/4 slots free, last reply \d+\.\ds ago", owed.group(1))
+            assert f"worker {1 - victim} (process alive, 0 outstanding pump(s)" in message
+        finally:
+            if stopped:
+                os.kill(farm._procs[victim].pid, signal.SIGCONT)
             farm.close()
 
 

@@ -6,8 +6,9 @@ that ``UserDetector.detect`` needs, so a live window's plane travels
 from the gate to its decode instead of being computed twice.  These
 tests pin the three things that make that an optimisation and not a
 behaviour change: the planes are bit-identical whichever path made
-them, each window is correlated once, and a plane is dropped whenever
-the receiver front end changed the samples it describes.
+them, each sample is correlated once per stream (a sample ledger), and
+a plane is dropped whenever the receiver front end changed the samples
+it describes.
 """
 
 from collections import Counter
@@ -135,28 +136,123 @@ def _count_calls(monkeypatch, counts):
         monkeypatch.setattr(cls, name, counted)
 
 
+def _spy_samples(monkeypatch):
+    """Count every sample handed to the template bank, by any caller."""
+    ledger = Counter()
+    for name in ("correlate", "correlate_many"):
+        original = getattr(TemplateBank, name)
+
+        def spied(self, windows, *args, _original=original, _name=name, **kwargs):
+            rows = [windows] if _name == "correlate" else windows
+            ledger["samples"] += sum(np.asarray(row).size for row in rows)
+            return _original(self, windows, *args, **kwargs)
+
+        monkeypatch.setattr(TemplateBank, name, spied)
+    return ledger
+
+
+def _spy_windows(monkeypatch):
+    """Record ``(session, position, length)`` of every window a session
+    processes, however its gate decision was made."""
+    walked = []
+    original = SessionSupervisor._process_one_window
+
+    def spied(self):
+        available = self._base + self._buf.size - self._pos
+        walked.append((self, self._pos, min(self._required_samples(), available)))
+        return original(self)
+
+    monkeypatch.setattr(SessionSupervisor, "_process_one_window", spied)
+    return walked
+
+
+def _each_piece_once(windows, hop, m):
+    """Samples a stream costs when each piece is correlated once per
+    stream: every hop slice ``hop`` samples, every seam ``2m - 2``,
+    each once per stream; a window that is not whole hops (a truncated
+    tail) costs its length.  *windows* are ``(stream, pos, length)``."""
+    pieces = set()
+    tails = 0
+    for stream, pos, size in windows:
+        if size % hop:
+            tails += size
+            continue
+        n_hops = size // hop
+        pieces.update((stream, "hop", pos + j * hop) for j in range(n_hops))
+        pieces.update((stream, "seam", pos + j * hop) for j in range(n_hops - 1))
+    return sum(hop if kind == "hop" else 2 * m - 2 for _s, kind, _q in pieces) + tails
+
+
 class TestEachWindowCorrelatedOnce:
+    """A sample ledger: the samples handed to the template bank equal
+    what correlating each piece once per stream costs.  A gate that
+    correlated whole windows would hand over two hops per window, and a
+    detector correlating a live window again one more window."""
+
     def test_batch_walk(self, capture, monkeypatch):
         stream, buffer = capture
         stream = StreamingReceiver(stream.receiver, max_frame_bits=stream.max_frame_bits)
-        counts = Counter()
-        _count_calls(monkeypatch, counts)
+        hop, m = stream.hop_samples, stream.receiver.user_detector.bank.template_samples
+        ledger = _spy_samples(monkeypatch)
         frames = stream.process_stream(buffer)
         assert frames
-        assert counts["correlate_many"] == 0
-        assert counts["correlate"] == counts["window_is_live"] > 0
+        # 32 hops: one cold window, 30 warm ones, and a last one-hop
+        # window whose hop slice the window before it correlated.
+        assert buffer.size == 32 * hop
+        assert ledger["samples"] == (2 * hop + 2 * m - 2) + 30 * (hop + 2 * m - 2)
+        walk = [(None, pos, min(2 * hop, buffer.size - pos)) for pos in range(0, buffer.size, hop)]
+        assert ledger["samples"] == _each_piece_once(walk, hop, m)
+
+    def test_chunk_fed_session_through_resync_shed_and_restore(self, monkeypatch):
+        from repro.faults.models import OscillatorDrift
+        from repro.faults.plan import FaultPlan
+
+        plan = FaultPlan(
+            [OscillatorDrift(probability=1.0, drift_ppm=4000.0, start_round=10, end_round=22)],
+            seed=5,
+        )
+        cfg = SoakConfig(n_windows=48, n_tags=4, seed=32, traffic_rate=0.3)
+        tags, stream = build_soak_stack(cfg)
+        buffer, _offered = build_soak_stream(cfg, plan, stream, tags)
+        hop, m = stream.hop_samples, stream.receiver.user_detector.bank.template_samples
+        config = SessionConfig(max_backlog_windows=2, max_windows_per_feed=4)
+        ledger = _spy_samples(monkeypatch)
+        walked = _spy_windows(monkeypatch)
+        session = SessionSupervisor(stream, config=config)
+        chunk = 5 * hop + 301
+        lo = 0
+        while lo < buffer.size // 4:
+            session.feed(buffer[lo : lo + chunk])
+            lo += chunk
+        resyncs, shed = session.stats["resyncs"], session.stats["windows_shed"]
+        session = SessionSupervisor.from_checkpoint_records(
+            session.checkpoint_records(), stream, config=config
+        )
+        lo = session.position
+        while lo < buffer.size:
+            session.feed(buffer[lo : lo + chunk])
+            lo += chunk
+        session.finish()
+        assert resyncs + session.stats["resyncs"] > 0
+        assert shed + session.stats["windows_shed"] > 0
+        assert any(size == 4 * hop for _s, _pos, size in walked)
+        assert len({s for s, _pos, _size in walked}) == 2
+        assert ledger["samples"] == _each_piece_once(walked, hop, m)
 
     def test_inline_farm_pump(self, capture, monkeypatch):
         stream, buffer = capture
+        hop, m = stream.hop_samples, stream.receiver.user_detector.bank.template_samples
         config = CbmaConfig(
             n_tags=4, seed=11, payload_bytes=4, code_length=32, samples_per_chip=1, user_threshold=0.25
         )
-        chunk = 3 * stream.hop_samples
+        chunk = 3 * hop
         farm = DecodeFarm.from_config(
             config, n_sessions=3, farm=FarmConfig(n_workers=1, ring_slot_samples=chunk), backend="inline"
         )
         counts = Counter()
         _count_calls(monkeypatch, counts)
+        ledger = _spy_samples(monkeypatch)
+        walked = _spy_windows(monkeypatch)
         try:
             # Session 2 starts one chunk late, so some pumps gate a
             # stacked group and others a lone window.
@@ -171,8 +267,8 @@ class TestEachWindowCorrelatedOnce:
             farm.close()
         assert any(farm.frames.values())
         assert counts["windows_are_live"] > 0 and counts["window_is_live"] > 0
-        assert counts["correlate_many"] == counts["windows_are_live"]
-        assert counts["correlate"] == counts["window_is_live"]
+        assert len({s for s, _pos, _size in walked}) == 3
+        assert ledger["samples"] == _each_piece_once(walked, hop, m)
 
     def test_prime_gate_is_one_shot(self, capture):
         stream, buffer = capture

@@ -58,7 +58,7 @@ class ScriptedStream:
     def make_dedup(self):
         return DedupTable(tolerance=self.frame_samples // 2)
 
-    def window_is_live(self, window, planes=None):
+    def window_is_live(self, window, planes=None, pos=None, pieces=None):
         self._kind = self.outcomes[self._n] if self._n < len(self.outcomes) else "dark"
         self.windows_seen.append((self._kind, window.size))
         self._n += 1

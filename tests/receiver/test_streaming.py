@@ -34,8 +34,27 @@ class TestStreamingReceiver:
         codes, fmt, tags, rx, _ = stack
         with pytest.raises(ValueError):
             StreamingReceiver(rx, max_frame_bits=0)
-        with pytest.raises(ValueError):
-            StreamingReceiver(rx, max_frame_bits=100, window_frames=1.0)
+
+    def test_every_frame_start_lies_in_a_window(self, stack):
+        """A window is two hops and a hop one frame, so a frame starting
+        anywhere lies wholly inside the window that starts in its hop --
+        and is decoded, even when it starts in the last sample of a hop."""
+        codes, fmt, tags, rx, stream = stack
+        hop, fs = stream.hop_samples, stream.frame_samples
+        assert stream.window_samples == 2 * hop and fs == hop
+        total = 6 * hop
+        starts = np.arange(total - fs + 1)
+        positions = np.arange(0, total, hop)
+        inside = (positions[None, :] <= starts[:, None]) & (
+            starts[:, None] + fs <= positions[None, :] + stream.window_samples
+        )
+        assert inside.any(axis=1).all()
+        rng = np.random.default_rng(4)
+        for start in (hop - 1, hop + hop // 2, 2 * hop + 3 * hop // 4):
+            buf = 1e-6 * (rng.normal(size=total) + 1j * rng.normal(size=total))
+            buf = buf + _place(tags[0], b"late start", start, total)
+            frames = stream.process_stream(buf)
+            assert start in [f.start_sample for f in frames if f.payload == b"late start"]
 
     def test_two_sequential_frames_same_tag(self, stack):
         codes, fmt, tags, rx, stream = stack
@@ -141,7 +160,7 @@ class TestDedupTable:
                 return [], None
             return [StreamFrame(user_id=0, payload=payload, start_sample=pos)], None
 
-        monkeypatch.setattr(stream, "window_is_live", lambda window, planes=None: True)
+        monkeypatch.setattr(stream, "window_is_live", lambda window, planes=None, pos=None, pieces=None: True)
         monkeypatch.setattr(stream, "decode_window", fake_decode)
         frames = stream.process_stream(
             np.zeros(1000 * stream.hop_samples, dtype=complex)

@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.receiver.streaming import GatePieces
 from repro.sim.experiments.soak import SoakConfig, build_soak_stack, build_soak_stream
 from repro.utils.correlation_batch import _BLOCK_ROWS, TemplateBank
 
@@ -95,6 +96,41 @@ class TestSteadyStateAllocatesOnlyResults:
 
         assert 0 < sum(p is not None for p in gate()[1:]) < height
         assert _extra_bytes(gate) < _SLACK_BYTES
+
+
+class TestWarmPieceGate:
+    """A warm piece gate correlates one hop slice and one seam; it
+    allocates the hop slice's plane, which it keeps for the next
+    window, the plane of a live window, and nothing plane-sized
+    besides."""
+
+    @pytest.mark.parametrize("live", [False, True], ids=["idle", "live"])
+    def test_allocates_only_its_pieces_and_plane(self, capture, live, monkeypatch):
+        stream, buffer = capture
+        _fresh_bank(stream, monkeypatch)
+        hop, w = stream.hop_samples, stream.window_samples
+        pos = next(
+            p
+            for p in range(2 * hop, buffer.size - w, hop)
+            if stream.window_is_live(buffer[p : p + w]) == live
+        )
+        pieces = GatePieces()
+        # Warm the plans (cold: both hop slices in one stack) and the pieces.
+        stream.window_is_live(buffer[pos - 2 * hop : pos], pos=pos - 2 * hop, pieces=pieces)
+        stream.window_is_live(buffer[pos - hop : pos + hop], pos=pos - hop, pieces=pieces)
+        assert sorted(pieces.hops) == [pos]
+        planes = []
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert stream.window_is_live(buffer[pos : pos + w], planes=planes, pos=pos, pieces=pieces) == live
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert sorted(pieces.hops) == [pos + hop] and not pieces.seams
+        kept = pieces.hops[pos + hop][0].nbytes
+        returned = planes[0].nbytes if live else 0
+        assert peak - kept - returned < _SLACK_BYTES
 
 
 class TestResultsAreFresh:
