@@ -85,8 +85,8 @@ def _farm_workloads(quick: bool, seed: int) -> List[Workload]:
         SoakConfig,
         build_soak_stack,
         build_soak_stream,
+        soak_phy_config,
     )
-    from repro.sim.network import CbmaConfig
 
     n_windows = 10 if quick else 24
     n_sessions = 4
@@ -95,14 +95,7 @@ def _farm_workloads(quick: bool, seed: int) -> List[Workload]:
     buffer, _offered = build_soak_stream(soak, None, stream, tags)
     chunk = 3 * stream.hop_samples
     chunks = [buffer[lo : lo + chunk] for lo in range(0, buffer.size, chunk)]
-    net = CbmaConfig(
-        n_tags=4,
-        seed=seed,
-        payload_bytes=4,
-        code_length=32,
-        samples_per_chip=1,
-        user_threshold=0.25,
-    )
+    net = soak_phy_config(soak)
     # Wall-clock seconds of airtime each session decodes, at the
     # config's sample rate -- the real-time yardstick.
     stream_seconds = buffer.size / (net.samples_per_chip * net.chip_rate_hz)
@@ -156,15 +149,9 @@ def _gateway_workloads(quick: bool, seed: int) -> List[Workload]:
     """
     # Imported lazily: the other tiers must not pay for the gateway stack.
     from repro.gateway import DegradationLadder, TokenBucket
-    from repro.gateway.soak import (
-        CapacityBrownout,
-        GatewayFaultPlan,
-        GatewaySoakConfig,
-        TrafficSpike,
-        run_gateway_soak,
-    )
-    from repro.sim.experiments.soak import SoakConfig, build_soak_stack
-    from repro.sim.network import CbmaConfig
+    from repro.faults import CapacityBrownout, FaultPlan, TrafficSpike
+    from repro.gateway.soak import GatewaySoakConfig, run_gateway_soak
+    from repro.sim.experiments.soak import SoakConfig, build_soak_stack, soak_phy_config
 
     n_streams = 8 if quick else 24
     n_rounds = 6 if quick else 12
@@ -172,7 +159,7 @@ def _gateway_workloads(quick: bool, seed: int) -> List[Workload]:
     cap = SoakConfig(
         n_windows=8 if quick else 16, n_tags=2, seed=seed, traffic_rate=0.3
     )
-    plan = GatewayFaultPlan(
+    plan = FaultPlan(
         [
             TrafficSpike(
                 factor=3.0, start_round=n_rounds // 3, end_round=2 * n_rounds // 3
@@ -185,14 +172,7 @@ def _gateway_workloads(quick: bool, seed: int) -> List[Workload]:
         ],
         seed=seed,
     )
-    net = CbmaConfig(
-        n_tags=cap.n_tags,
-        seed=cap.seed,
-        payload_bytes=cap.payload_bytes,
-        code_length=cap.code_length,
-        samples_per_chip=cap.samples_per_chip,
-        user_threshold=cap.user_threshold,
-    )
+    net = soak_phy_config(cap)
     _tags, stream = build_soak_stack(cap)
     chunk = cap.chunk_hops * stream.hop_samples
     chunk_seconds = chunk / (net.samples_per_chip * net.chip_rate_hz)

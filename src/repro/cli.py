@@ -304,8 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gsoak.add_argument(
         "--plan",
         metavar="PATH",
-        help="gateway fault plan JSON, or a soak --artifact file to replay its plan "
-        "(default: one spike overlapping one brownout)",
+        help="fault plan JSON of TrafficSpike/CapacityBrownout faults, or a soak "
+        "--artifact file to replay its plan (default: one spike overlapping one brownout)",
     )
     gsoak.add_argument(
         "--random-plan",
@@ -751,12 +751,41 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_soak(args: argparse.Namespace) -> int:
+def _soak_config(build):
+    """``build()`` a soak config, or report it as unusable input
+    (``None``; the caller exits 2, not 1 as for a violation)."""
+    try:
+        return build()
+    except ValueError as exc:
+        print(f"error: bad soak config: {exc}", file=sys.stderr)
+        return None
+
+
+def _write_soak_artifact(path: str, cfg, violations, plan, **extra) -> None:
+    """The one chaos-soak artifact both soak commands write: the whole
+    soak config, the violations and the reproducing plan, which
+    ``repro gateway soak --plan`` replays."""
+    import dataclasses
     import json
 
+    payload = {
+        "config": dataclasses.asdict(cfg),
+        **extra,
+        "violations": [{"name": v.name, "detail": v.detail} for v in violations],
+        "plan": plan.to_dict(),
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+
+
+def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.sim.experiments import SoakConfig, run_campaign
 
-    cfg = SoakConfig(n_windows=args.windows, n_tags=args.tags, seed=args.seed)
+    cfg = _soak_config(
+        lambda: SoakConfig(n_windows=args.windows, n_tags=args.tags, seed=args.seed)
+    )
+    if cfg is None:
+        return 2
     outcomes = run_campaign(cfg, n_campaigns=args.campaigns, shrink=not args.no_shrink)
     failed = [o for o in outcomes if o.result.violations]
     rows = []
@@ -792,21 +821,13 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             print(o.shrunken.describe())
     if args.artifact:
         first = failed[0]
-        plan = first.shrunken if first.shrunken is not None else first.plan
-        payload = {
-            "config": {
-                "n_windows": args.windows,
-                "n_tags": args.tags,
-                "seed": args.seed,
-            },
-            "campaign": first.campaign,
-            "violations": [
-                {"name": v.name, "detail": v.detail} for v in first.result.violations
-            ],
-            "plan": plan.to_dict(),
-        }
-        with open(args.artifact, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        _write_soak_artifact(
+            args.artifact,
+            cfg,
+            first.result.violations,
+            first.shrunken if first.shrunken is not None else first.plan,
+            campaign=first.campaign,
+        )
         print(f"reproducing plan of campaign {first.campaign} written to {args.artifact}")
     return 1
 
@@ -814,11 +835,10 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 def _cmd_gateway(args: argparse.Namespace) -> int:
     import json
 
+    from repro.faults import CapacityBrownout, FaultPlan, TrafficSpike
     from repro.gateway.soak import (
-        CapacityBrownout,
-        GatewayFaultPlan,
         GatewaySoakConfig,
-        TrafficSpike,
+        check_load_plan,
         random_gateway_fault_plan,
         run_gateway_soak,
     )
@@ -831,7 +851,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             # A soak artifact nests the reproducing plan under "plan".
             if isinstance(data, dict) and "plan" in data:
                 data = data["plan"]
-            plan = GatewayFaultPlan.from_dict(data)
+            plan = FaultPlan.from_dict(data)
+            check_load_plan(plan)
         except (OSError, ValueError, TypeError, KeyError) as exc:
             print(f"error: unusable fault plan {args.plan}: {exc}", file=sys.stderr)
             return 2
@@ -839,7 +860,7 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
         plan = random_gateway_fault_plan(args.seed, args.rounds)
     else:
         third = max(1, args.rounds // 3)
-        plan = GatewayFaultPlan(
+        plan = FaultPlan(
             [
                 TrafficSpike(factor=3.0, start_round=third, end_round=2 * third + 1),
                 CapacityBrownout(
@@ -849,8 +870,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
 
-    try:
-        cfg = GatewaySoakConfig(
+    cfg = _soak_config(
+        lambda: GatewaySoakConfig(
             n_streams=args.streams,
             n_rounds=args.rounds,
             seed=args.seed,
@@ -858,8 +879,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             backend=args.backend,
             migrate_round=args.migrate_round,
         )
-    except ValueError as exc:
-        print(f"error: bad soak config: {exc}", file=sys.stderr)
+    )
+    if cfg is None:
         return 2
     result = run_gateway_soak(cfg, plan)
 
@@ -897,24 +918,10 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
             lambda p: bool(run_gateway_soak(cfg, p).violations),
             horizon=args.rounds,
         )
-        print(f"minimal reproducing plan: {shrunken!r}")
+        print("minimal reproducing fault plan:")
+        print(shrunken.describe())
     if args.artifact:
-        payload = {
-            "config": {
-                "n_streams": args.streams,
-                "n_rounds": args.rounds,
-                "seed": args.seed,
-                "n_workers": args.workers,
-                "backend": args.backend,
-                "migrate_round": args.migrate_round,
-            },
-            "violations": [
-                {"name": v.name, "detail": v.detail} for v in result.violations
-            ],
-            "plan": shrunken.to_dict(),
-        }
-        with open(args.artifact, "w") as fh:
-            json.dump(payload, fh, indent=2)
+        _write_soak_artifact(args.artifact, cfg, result.violations, shrunken)
         print(f"reproducing plan written to {args.artifact}")
     return 1
 

@@ -3,7 +3,8 @@
 Deployed backscatter networks fail in ways the paper's bench never
 sees: tags brown out mid-frame, RC clocks drift off the chip grid,
 jammers stomp the band, front ends clip, ACKs vanish, impedance
-switches wedge.  This package makes every one of those an injectable,
+switches wedge, and the gateway above them meets traffic spikes and
+capacity brownouts.  This package makes every one of those an injectable,
 *deterministic* experiment:
 
 - :mod:`repro.faults.models` -- the fault catalog (what can go wrong);
@@ -13,7 +14,7 @@ switches wedge.  This package makes every one of those an injectable,
 A plan threads through :class:`~repro.sim.network.CbmaNetwork` /
 :class:`~repro.system.CbmaSystem` (``faults=``) and is honored by the
 collision synthesizer, the unslotted driver, the ARQ layer and the tag
-model.  Losses it causes are attributed as ``fault.*`` entries in the
+model; the load faults drive :mod:`repro.gateway.soak`.  Losses it causes are attributed as ``fault.*`` entries in the
 :class:`~repro.obs.profile.RunProfile` error budget.  See
 ``docs/resilience.md`` for the catalog and the degradation contract.
 """
@@ -23,10 +24,12 @@ from repro.faults.models import (
     AckLoss,
     AdcSaturation,
     BurstInterferer,
+    CapacityBrownout,
     OscillatorDrift,
     StuckImpedance,
     TagBrownout,
     TagDropout,
+    TrafficSpike,
 )
 from repro.faults.plan import FaultPlan, RoundFaults, TagTxFault
 
@@ -41,5 +44,7 @@ __all__ = [
     "AdcSaturation",
     "AckLoss",
     "StuckImpedance",
+    "TrafficSpike",
+    "CapacityBrownout",
     "FAULT_REASONS",
 ]

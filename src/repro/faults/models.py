@@ -9,9 +9,12 @@ bit-identically regardless of how, or how often, it is queried.
 
 Windows are half-open round intervals ``[start_round, end_round)``;
 ``end_round=None`` means "until the end of the run".  ``tags=None``
-means "every tag in the group".  Each model carries a ``reason`` slug;
-frames lost to the fault surface in the observability error budget as
-``fault.<reason>`` (see :mod:`repro.obs.profile`).
+means "every tag in the group".  Each tag or medium model carries a
+``reason`` slug; frames lost to the fault surface in the observability
+error budget as ``fault.<reason>`` (see :mod:`repro.obs.profile`).
+The two load models act on the gateway, not the air: they target no
+tag, lose no frame by themselves (shed chunks are counted as
+``gateway.shed``) and so carry no slug.
 
 The catalog covers the failure classes a deployed backscatter network
 actually meets:
@@ -24,6 +27,8 @@ actually meets:
 :class:`AdcSaturation`    receiver front-end clipping (ADC rails)
 :class:`AckLoss`          downlink ACK never reaches the tag
 :class:`StuckImpedance`   power-control commands are ignored
+:class:`TrafficSpike`     gateway load: offered chunk rate multiplied
+:class:`CapacityBrownout` gateway load: dispatch budget cut
 ================== ==================================================
 """
 
@@ -43,6 +48,8 @@ __all__ = [
     "AdcSaturation",
     "AckLoss",
     "StuckImpedance",
+    "TrafficSpike",
+    "CapacityBrownout",
     "FAULT_REASONS",
 ]
 
@@ -69,9 +76,22 @@ def _check_probability(p: float, name: str = "probability") -> None:
         raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
+class _Window:
+    """The round window ``[start_round, end_round)`` of every fault model."""
+
+    start_round: int
+    end_round: Optional[int]
+
+    def active(self, round_index: int) -> bool:
+        """Whether the fault's window covers *round_index*."""
+        if round_index < self.start_round:
+            return False
+        return self.end_round is None or round_index < self.end_round
+
+
 @dataclass(frozen=True)
-class _WindowedFault:
-    """Shared window/target fields of every fault model."""
+class _WindowedFault(_Window):
+    """Shared window/target fields of every tag and medium fault model."""
 
     tags: Optional[Tuple[int, ...]] = None
     start_round: int = 0
@@ -81,12 +101,6 @@ class _WindowedFault:
         _check_window(self.start_round, self.end_round)
         if self.tags is not None:
             object.__setattr__(self, "tags", tuple(int(t) for t in self.tags))
-
-    def active(self, round_index: int) -> bool:
-        """Whether the fault's window covers *round_index*."""
-        if round_index < self.start_round:
-            return False
-        return self.end_round is None or round_index < self.end_round
 
     def targets(self, n_tags: int) -> Tuple[int, ...]:
         """The tag ids this fault may hit, within a group of *n_tags*."""
@@ -214,3 +228,45 @@ class StuckImpedance(_WindowedFault):
     was last in -- Algorithm 1 must converge around it."""
 
     reason = "fault.stuck_impedance"
+
+
+@dataclass(frozen=True)
+class _LoadFault(_Window):
+    """Shared fields of the gateway load models: a *factor* over a
+    round window, with no tag targets."""
+
+    factor: float
+    start_round: int = 0
+    end_round: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        _check_window(self.start_round, self.end_round)
+
+
+@dataclass(frozen=True)
+class TrafficSpike(_LoadFault):
+    """Offered traffic multiplied by *factor* over a round window.
+    Active spikes multiply."""
+
+    factor: float = 3.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.factor < 1.0:
+            raise ValueError("spike factor must be >= 1")
+
+
+@dataclass(frozen=True)
+class CapacityBrownout(_LoadFault):
+    """Dispatch budget cut to *factor* of normal over a round window:
+    the decode pool slows (a noisy neighbour, a thermal throttle, a
+    worker drain) while traffic keeps arriving.  The load-side
+    analogue of :class:`TagBrownout`; the tightest active brownout
+    wins."""
+
+    factor: float = 0.25
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not 0.0 <= self.factor <= 1.0:
+            raise ValueError("brownout factor must be in [0, 1]")

@@ -3,12 +3,14 @@
 A :class:`FaultPlan` bundles fault models (:mod:`repro.faults.models`)
 with one root seed and resolves them round by round into a concrete
 :class:`RoundFaults` -- *which* tags are silent, truncated, drifting or
-deaf to ACKs this round, whether the jammer fires, and whether the ADC
-clips.  Resolution is a pure function of ``(plan seed, fault index,
-round index)``: the same plan queried twice, in any order, by any
-consumer (the round simulator, the ARQ layer, the unslotted driver)
-yields bit-identical faults.  That is what makes faulted experiments
-reproducible and lets a sweep re-run a single crashed point.
+deaf to ACKs this round, whether the jammer fires, whether the ADC
+clips, and how the gateway's offered load and dispatch budget scale.
+Resolution is a pure function of ``(plan seed, fault index, round
+index)``: the same plan queried twice, in any order, by any consumer
+(the round simulator, the ARQ layer, the unslotted driver, the gateway
+soak) yields bit-identical faults.  That is what makes faulted
+experiments reproducible and lets a sweep re-run a single crashed
+point.
 
 Typical use::
 
@@ -33,10 +35,13 @@ from repro.faults.models import (
     AckLoss,
     AdcSaturation,
     BurstInterferer,
+    CapacityBrownout,
     OscillatorDrift,
     StuckImpedance,
     TagBrownout,
     TagDropout,
+    TrafficSpike,
+    _LoadFault,
 )
 
 __all__ = ["FaultPlan", "RoundFaults", "TagTxFault"]
@@ -71,7 +76,9 @@ class RoundFaults:
     ``silent`` / ``brownout`` / ``drift_ppm`` / ``stuck`` / ``ack_lost``
     are tag-indexed; ``jammers`` is a tuple of ``(power_w, seed)``
     bursts to add at the channel and ``clip_level`` the ADC full-scale
-    amplitude (``None`` = no clipping).
+    amplitude (``None`` = no clipping).  ``spike`` multiplies the
+    gateway's offered chunks and ``budget`` its dispatch budget; they
+    touch no waveform, so :attr:`any_active` ignores them.
     """
 
     round_index: int
@@ -82,9 +89,12 @@ class RoundFaults:
     ack_lost: FrozenSet[int] = frozenset()
     jammers: Tuple[Tuple[float, int], ...] = ()
     clip_level: Optional[float] = None
+    spike: float = 1.0
+    budget: float = 1.0
 
     @property
     def any_active(self) -> bool:
+        """Whether any fault touches the air interface this round."""
         return bool(
             self.silent
             or self.brownout
@@ -167,6 +177,8 @@ _MODEL_REGISTRY = {
         AdcSaturation,
         AckLoss,
         StuckImpedance,
+        TrafficSpike,
+        CapacityBrownout,
     )
 }
 
@@ -186,18 +198,7 @@ class FaultPlan:
     def __init__(self, faults: Sequence = (), seed: int = 0):
         faults = tuple(faults)
         for f in faults:
-            if not isinstance(
-                f,
-                (
-                    TagDropout,
-                    TagBrownout,
-                    OscillatorDrift,
-                    BurstInterferer,
-                    AdcSaturation,
-                    AckLoss,
-                    StuckImpedance,
-                ),
-            ):
+            if _MODEL_REGISTRY.get(type(f).__name__) is not type(f):
                 raise TypeError(
                     f"{f!r} is not a fault model (see repro.faults.models)"
                 )
@@ -222,9 +223,12 @@ class FaultPlan:
         lines = []
         for i, f in enumerate(self.faults):
             end = "inf" if f.end_round is None else str(f.end_round)
-            tags = "all" if f.tags is None else ",".join(map(str, f.tags))
+            if isinstance(f, _LoadFault):
+                target = f"factor {f.factor:g}"
+            else:
+                target = "tags " + ("all" if f.tags is None else ",".join(map(str, f.tags)))
             lines.append(
-                f"[{i}] {type(f).__name__} rounds [{f.start_round}, {end}) tags {tags}"
+                f"[{i}] {type(f).__name__} rounds [{f.start_round}, {end}) {target}"
             )
         return "\n".join(lines)
 
@@ -285,8 +289,13 @@ class FaultPlan:
 
     # ------------------------------------------------------------------
 
-    def resolve(self, round_index: int, n_tags: int) -> RoundFaults:
-        """Resolve every fault for *round_index* over *n_tags* tags."""
+    def resolve(self, round_index: int, n_tags: int = 0) -> RoundFaults:
+        """Resolve every fault for *round_index* over *n_tags* tags.
+
+        A caller without tags (the gateway soak) gets the medium-wide
+        and load faults only.  Load faults draw nothing: active spikes
+        multiply and the tightest active brownout wins.
+        """
         if round_index < 0:
             raise ValueError("round_index must be >= 0")
         silent = set()
@@ -296,9 +305,19 @@ class FaultPlan:
         ack_lost = set()
         jammers = []
         clip_level: Optional[float] = None
+        spike = budget = 1.0
+        load = False
 
         for idx, f in enumerate(self.faults):
             if not f.active(round_index):
+                continue
+            if isinstance(f, TrafficSpike):
+                spike *= f.factor
+                load = True
+                continue
+            if isinstance(f, CapacityBrownout):
+                budget = min(budget, f.factor)
+                load = True
                 continue
             if isinstance(f, StuckImpedance):
                 stuck.update(f.targets(n_tags))
@@ -331,7 +350,7 @@ class FaultPlan:
                     elif isinstance(f, AckLoss):
                         ack_lost.add(tag)
 
-        if not (silent or brownout or drift or stuck or ack_lost or jammers) and clip_level is None:
+        if not (silent or brownout or drift or stuck or ack_lost or jammers or load) and clip_level is None:
             return _CLEAN
         return RoundFaults(
             round_index=round_index,
@@ -342,4 +361,6 @@ class FaultPlan:
             ack_lost=frozenset(ack_lost),
             jammers=tuple(jammers),
             clip_level=clip_level,
+            spike=spike,
+            budget=budget,
         )

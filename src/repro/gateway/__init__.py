@@ -10,9 +10,9 @@ Public surface:
   FULL -> THROTTLED -> SHED -> DRAINING ladder.
 - :class:`TokenBucket` / :class:`RetryPolicy` -- admission primitives.
 - :mod:`repro.gateway.soak` -- the deterministic chaos-soak harness
-  (:func:`~repro.gateway.soak.run_gateway_soak`) with gateway-level
-  fault plans that shrink through
-  :func:`repro.sim.experiments.soak.shrink_fault_plan`.
+  (:func:`~repro.gateway.soak.run_gateway_soak`), driven by
+  :class:`~repro.faults.FaultPlan`\\ s of the catalogue's load faults
+  that shrink through :func:`repro.sim.experiments.soak.shrink_fault_plan`.
 """
 
 from repro.gateway.admission import RetryPolicy, TokenBucket

@@ -2,34 +2,39 @@
 
 The session-level soak (:mod:`repro.sim.experiments.soak`) stresses
 one decoder with waveform faults; this harness stresses the *service*
-above it with load faults -- traffic spikes that multiply the offered
-chunk rate and capacity brownouts that cut the dispatch budget -- and
-verifies the gateway's own invariants: every offered chunk is
-admitted or rejected (never silently lost), every admitted chunk is
-decoded or counted as shed, frames stay ordered and duplicate-free
-per stream, intake and retention memory stay bounded, and the
-degradation ladder only ever moves one rung at a time unless forced.
+above it with the catalogue's load faults
+(:class:`~repro.faults.models.TrafficSpike` multiplies the offered
+chunk rate, :class:`~repro.faults.models.CapacityBrownout` cuts the
+dispatch budget) and verifies the gateway's own invariants: every
+offered chunk is admitted or rejected (never silently lost), every
+admitted chunk is decoded or counted as shed, frames stay ordered and
+duplicate-free per stream, intake and retention memory stay bounded,
+and the degradation ladder only ever moves one rung at a time unless
+forced.
 
+Plans are ordinary :class:`~repro.faults.plan.FaultPlan`\\ s, in the one
+plan schema; :func:`run_gateway_soak` refuses any fault other than the
+two load models, since it has no waveform to apply them to.
 Everything is a pure function of ``(config, plan)``: the gateway runs
 on a virtual clock (admission, throttling and retries all derive from
-it), fault plans resolve from dataclass parameters alone, and
+it), load faults resolve from their parameters alone, and
 ``max_retries=0`` keeps the admission path free of sleeps -- so a red
 soak replays bit-identically anywhere, and
-:func:`repro.sim.experiments.soak.shrink_fault_plan` (which this
-plan class is shaped for) can ddmin a failing plan to a minimal
-reproduction.
+:func:`repro.sim.experiments.soak.shrink_fault_plan` can ddmin a
+failing plan to a minimal reproduction.
 """
 
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.farm.config import FarmConfig
+from repro.faults.models import CapacityBrownout, TrafficSpike
+from repro.faults.plan import FaultPlan
 from repro.gateway.config import GatewayConfig
 from repro.gateway.gateway import Gateway, StreamReport
 from repro.gateway.ladder import GatewayState
@@ -39,167 +44,39 @@ from repro.sim.experiments.soak import (
     build_soak_stack,
     build_soak_stream,
     check_frame_stream,
+    soak_phy_config,
 )
-from repro.sim.network import CbmaConfig
 
 __all__ = [
-    "TrafficSpike",
-    "CapacityBrownout",
-    "GatewayRoundFaults",
-    "GatewayFaultPlan",
     "GatewaySoakConfig",
     "GatewaySoakResult",
+    "check_load_plan",
     "random_gateway_fault_plan",
     "run_gateway_soak",
     "check_gateway_invariants",
 ]
 
+# FaultPlan's old name here, kept for perfbench, its only reader (it also
+# imports TrafficSpike and CapacityBrownout from this module).
+GatewayFaultPlan = FaultPlan
 
-# ----------------------------------------------------------------------
-# Gateway-level fault models and plans
-# ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrafficSpike:
-    """Offered traffic multiplied by *factor* over a round window."""
-
-    factor: float = 3.0
-    start_round: int = 0
-    end_round: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.factor < 1.0:
-            raise ValueError("spike factor must be >= 1")
-        if self.start_round < 0:
-            raise ValueError("start_round must be >= 0")
-
-    def active(self, round_index: int) -> bool:
-        return round_index >= self.start_round and (
-            self.end_round is None or round_index < self.end_round
+def check_load_plan(plan: FaultPlan) -> None:
+    """Raise ValueError naming every fault the gateway soak cannot
+    apply: it offers load, so only the two load models act on it."""
+    foreign = [
+        type(f).__name__
+        for f in plan.faults
+        if not isinstance(f, (TrafficSpike, CapacityBrownout))
+    ]
+    if foreign:
+        raise ValueError(
+            "the gateway soak applies only TrafficSpike and CapacityBrownout, "
+            f"not {', '.join(foreign)}"
         )
 
 
-@dataclass(frozen=True)
-class CapacityBrownout:
-    """Dispatch budget cut to *factor* of normal over a round window.
-
-    The load-side analogue of :class:`repro.faults.models.TagBrownout`:
-    the decode pool slows (a noisy neighbour, a thermal throttle, a
-    worker drain) while traffic keeps arriving.
-    """
-
-    factor: float = 0.25
-    start_round: int = 0
-    end_round: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.factor <= 1.0:
-            raise ValueError("brownout factor must be in [0, 1]")
-        if self.start_round < 0:
-            raise ValueError("start_round must be >= 0")
-
-    def active(self, round_index: int) -> bool:
-        return round_index >= self.start_round and (
-            self.end_round is None or round_index < self.end_round
-        )
-
-
-@dataclass(frozen=True)
-class GatewayRoundFaults:
-    """Every gateway fault resolved for one round."""
-
-    round_index: int
-    spike: float = 1.0
-    """Multiplier on the offered chunks per stream this round."""
-    budget: float = 1.0
-    """Multiplier on the dispatch budget this round."""
-
-
-_GATEWAY_MODEL_REGISTRY = {
-    "traffic_spike": TrafficSpike,
-    "capacity_brownout": CapacityBrownout,
-}
-
-
-class GatewayFaultPlan:
-    """A seeded schedule of gateway load faults.
-
-    Shaped like :class:`repro.faults.plan.FaultPlan` -- ``faults``,
-    ``seed``, ``empty``, ``resolve`` and the ``cls(faults, seed=...)``
-    constructor -- so
-    :func:`repro.sim.experiments.soak.shrink_fault_plan` shrinks these
-    plans through the identical ddmin machinery.  Resolution is pure
-    (dataclass parameters only): active spike factors multiply,
-    active brownout factors take their minimum.
-    """
-
-    def __init__(self, faults: Sequence[object], seed: int = 0) -> None:
-        self.faults: Tuple[object, ...] = tuple(faults)
-        self.seed = int(seed)
-        for f in self.faults:
-            if not isinstance(f, (TrafficSpike, CapacityBrownout)):
-                raise TypeError(f"not a gateway fault model: {f!r}")
-
-    @property
-    def empty(self) -> bool:
-        return not self.faults
-
-    def resolve(self, round_index: int) -> GatewayRoundFaults:
-        spike = 1.0
-        budget = 1.0
-        for f in self.faults:
-            if not f.active(round_index):
-                continue
-            if isinstance(f, TrafficSpike):
-                spike *= f.factor
-            else:
-                budget = min(budget, f.factor)
-        return GatewayRoundFaults(round_index, spike=spike, budget=budget)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready form (the ``repro gateway soak`` artifact)."""
-        names = {cls: name for name, cls in _GATEWAY_MODEL_REGISTRY.items()}
-        return {
-            "seed": self.seed,
-            "faults": [
-                {"kind": names[type(f)], **_asdict(f)} for f in self.faults
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "GatewayFaultPlan":
-        """Inverse of :meth:`to_dict`.  Strict: a missing ``faults``,
-        ``seed`` or ``kind`` raises ValueError naming the key, so a
-        foreign document (say a whole soak artifact) cannot replay as an
-        empty plan."""
-        for key in ("faults", "seed"):
-            if key not in data:
-                raise ValueError(f"gateway fault plan has no {key!r} key")
-        faults = []
-        for item in data["faults"]:
-            params = dict(item)
-            if "kind" not in params:
-                raise ValueError(f"gateway fault {item!r} has no 'kind' key")
-            kind = params.pop("kind")
-            try:
-                model = _GATEWAY_MODEL_REGISTRY[kind]
-            except KeyError:
-                raise ValueError(f"unknown gateway fault kind {kind!r}") from None
-            faults.append(model(**params))
-        return cls(faults, seed=int(data["seed"]))
-
-    def __repr__(self) -> str:
-        return f"GatewayFaultPlan({list(self.faults)!r}, seed={self.seed})"
-
-
-def _asdict(model: object) -> Dict[str, object]:
-    """Shallow dataclass -> dict (the models are flat)."""
-    return {
-        f.name: getattr(model, f.name) for f in dataclasses.fields(model)
-    }
-
-
-def random_gateway_fault_plan(seed: int, n_rounds: int) -> GatewayFaultPlan:
+def random_gateway_fault_plan(seed: int, n_rounds: int) -> FaultPlan:
     """A randomized (seed-determined) spike/brownout schedule."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), 3)))
     n_faults = int(rng.integers(1, 4))
@@ -220,7 +97,7 @@ def random_gateway_fault_plan(seed: int, n_rounds: int) -> GatewayFaultPlan:
                     factor=float(rng.uniform(0.05, 0.5)), start_round=lo, end_round=hi
                 )
             )
-    return GatewayFaultPlan(faults, seed=int(seed))
+    return FaultPlan(faults, seed=int(seed))
 
 
 # ----------------------------------------------------------------------
@@ -271,6 +148,17 @@ class GatewaySoakConfig:
             raise ValueError("priority_classes and n_workers must be >= 1")
         if self.round_s <= 0.0:
             raise ValueError("round_s must be positive")
+        if not 0 <= self.migrate_worker < self.n_workers:
+            raise ValueError(
+                f"migrate_worker {self.migrate_worker} is not in [0, {self.n_workers})"
+            )
+        if self.migrate_round is not None:
+            if not 0 <= self.migrate_round < self.n_rounds:
+                raise ValueError(
+                    f"migrate_round {self.migrate_round} is not in [0, {self.n_rounds})"
+                )
+            if self.n_workers < 2:
+                raise ValueError("a migrate needs n_workers >= 2 (a live worker to move to)")
 
 
 @dataclass
@@ -278,7 +166,7 @@ class GatewaySoakResult:
     """Outcome of one :func:`run_gateway_soak`."""
 
     config: GatewaySoakConfig
-    plan: Optional[GatewayFaultPlan]
+    plan: Optional[FaultPlan]
     reports: Dict[int, StreamReport]
     offered: Dict[int, int]
     round_states: List[str]
@@ -300,18 +188,6 @@ class GatewaySoakResult:
     @property
     def delivered_frames(self) -> int:
         return sum(len(r.frames) for r in self.reports.values())
-
-
-def _phy_config(cap: SoakConfig) -> CbmaConfig:
-    """The PHY config whose receiver decodes a *cap*-shaped capture."""
-    return CbmaConfig(
-        n_tags=cap.n_tags,
-        seed=cap.seed,
-        payload_bytes=cap.payload_bytes,
-        code_length=cap.code_length,
-        samples_per_chip=cap.samples_per_chip,
-        user_threshold=cap.user_threshold,
-    )
 
 
 def _soak_gateway_config(cfg: GatewaySoakConfig) -> GatewayConfig:
@@ -338,7 +214,7 @@ def _soak_gateway_config(cfg: GatewaySoakConfig) -> GatewayConfig:
 
 def run_gateway_soak(
     cfg: GatewaySoakConfig,
-    plan: Optional[GatewayFaultPlan] = None,
+    plan: Optional[FaultPlan] = None,
     tracer=None,
 ) -> GatewaySoakResult:
     """One full gateway soak: offer, dispatch, fault, drain, verify.
@@ -348,7 +224,11 @@ def run_gateway_soak(
     (possibly browned-out) budget, and the virtual clock advances.
     After the last round the intake drains, every stream closes with
     a flush, and :func:`check_gateway_invariants` audits the ledger.
+    A *plan* holding any fault but the load models raises ValueError
+    (:func:`check_load_plan`) before anything runs.
     """
+    if plan is not None:
+        check_load_plan(plan)
     result = asyncio.run(_drive(cfg, plan, tracer))
     result.violations = check_gateway_invariants(cfg, result)
     return result
@@ -356,7 +236,7 @@ def run_gateway_soak(
 
 async def _drive(
     cfg: GatewaySoakConfig,
-    plan: Optional[GatewayFaultPlan],
+    plan: Optional[FaultPlan],
     tracer,
 ) -> GatewaySoakResult:
     tags, stream = build_soak_stack(cfg.capture)
@@ -373,7 +253,7 @@ async def _drive(
         now[0] += dt
 
     gw = Gateway.from_config(
-        _phy_config(cfg.capture),
+        soak_phy_config(cfg.capture),
         gateway=_soak_gateway_config(cfg),
         farm=FarmConfig(
             n_workers=cfg.n_workers,
@@ -396,12 +276,9 @@ async def _drive(
         offered = {sid: 0 for sid in sids}
         round_states: List[str] = []
         moved: List[int] = []
+        faults = plan if plan is not None else FaultPlan()
         for r in range(cfg.n_rounds):
-            rf = (
-                plan.resolve(r)
-                if plan is not None and not plan.empty
-                else GatewayRoundFaults(r)
-            )
+            rf = faults.resolve(r)
             n_offer = max(1, int(round(cfg.chunks_per_round * rf.spike)))
             for sid in sids:
                 for _ in range(n_offer):

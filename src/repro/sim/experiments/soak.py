@@ -25,7 +25,10 @@ reduces the fault schedule ddmin-style -- dropping whole faults, then
 narrowing round windows -- to a *minimal* plan that still reproduces
 the violation.  Because plans resolve as a pure function of their
 seed, the shrunken plan replays the failure deterministically on any
-machine; ``repro soak`` writes it as a JSON artifact.
+machine; ``repro soak`` writes it as a JSON artifact.  The gateway
+soak (:mod:`repro.gateway.soak`) shares this module's capture, frame
+checks and shrinker, and its plans are :class:`FaultPlan`\\ s too,
+holding the catalogue's load faults.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from repro.phy.modulation import fractional_delay, ook_baseband
 from repro.receiver.receiver import CbmaReceiver
 from repro.receiver.session import SessionConfig, SessionSupervisor
 from repro.receiver.streaming import StreamFrame, StreamingReceiver
+from repro.sim.network import CbmaConfig
 from repro.tag import FrameFormat, Tag
 
 __all__ = [
@@ -59,6 +63,7 @@ __all__ = [
     "InvariantViolation",
     "CampaignOutcome",
     "build_soak_stack",
+    "soak_phy_config",
     "build_soak_stream",
     "check_frame_stream",
     "check_invariants",
@@ -166,6 +171,19 @@ def build_soak_stack(cfg: SoakConfig) -> Tuple[List[Tag], StreamingReceiver]:
     )
     stream = StreamingReceiver(rx, max_frame_bits=fmt.frame_bits(cfg.payload_bytes))
     return tags, stream
+
+
+def soak_phy_config(cfg: SoakConfig) -> CbmaConfig:
+    """The PHY config whose receiver decodes a *cfg*-shaped capture
+    (what a farm or gateway needs to build the soak's stack)."""
+    return CbmaConfig(
+        n_tags=cfg.n_tags,
+        seed=cfg.seed,
+        payload_bytes=cfg.payload_bytes,
+        code_length=cfg.code_length,
+        samples_per_chip=cfg.samples_per_chip,
+        user_threshold=cfg.user_threshold,
+    )
 
 
 def _stretch(signal: np.ndarray, ppm: float) -> np.ndarray:
@@ -470,14 +488,9 @@ def shrink_fault_plan(
     bisect each survivor's round window as long as a half still
     reproduces.  *reproduces* must be deterministic (plans resolve
     purely from their seed, so a soak-backed predicate is); *horizon*
-    bounds open-ended windows during narrowing.
-
-    Works on any plan class with the :class:`FaultPlan` shape --
-    ``plan.faults``, ``plan.seed``, ``cls(faults, seed=...)`` and
-    dataclass fault models carrying ``start_round``/``end_round`` --
-    which is how gateway-level plans
-    (:class:`repro.gateway.soak.GatewayFaultPlan`) shrink through the
-    same machinery.
+    bounds open-ended windows during narrowing.  Session and gateway
+    plans alike shrink here: every fault model carries
+    ``start_round``/``end_round``.
 
     Raises ``ValueError`` when the input plan does not reproduce --
     shrinking a non-failure would "converge" on the empty plan.
@@ -485,13 +498,12 @@ def shrink_fault_plan(
     if not reproduces(plan):
         raise ValueError("plan does not reproduce the violation; nothing to shrink")
 
-    cls = type(plan)
     current = plan
     changed = True
     while changed and len(current.faults) > 1:
         changed = False
         for i in range(len(current.faults)):
-            candidate = cls(
+            candidate = FaultPlan(
                 current.faults[:i] + current.faults[i + 1 :], seed=current.seed
             )
             if reproduces(candidate):
@@ -513,7 +525,7 @@ def shrink_fault_plan(
                 trial[i] = dataclasses.replace(
                     f, start_round=new_lo, end_round=new_hi
                 )
-                if reproduces(cls(trial, seed=current.seed)):
+                if reproduces(FaultPlan(trial, seed=current.seed)):
                     narrowed = (new_lo, new_hi)
                     break
             if narrowed is None:
@@ -522,7 +534,7 @@ def shrink_fault_plan(
             f = dataclasses.replace(f, start_round=lo, end_round=hi)
             faults[i] = f
         faults[i] = f
-    return cls(faults, seed=current.seed)
+    return FaultPlan(faults, seed=current.seed)
 
 
 @dataclass

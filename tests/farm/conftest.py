@@ -14,21 +14,18 @@ import numpy as np
 import pytest
 
 from repro.receiver.session import SessionSupervisor
-from repro.sim.experiments.soak import SoakConfig, build_soak_stack, build_soak_stream
-from repro.sim.network import CbmaConfig
+from repro.sim.experiments.soak import (
+    SoakConfig,
+    build_soak_stack,
+    build_soak_stream,
+    soak_phy_config,
+)
 
 
 @pytest.fixture(scope="session")
 def net_config():
     """The PHY config every farm session (and the oracle) decodes with."""
-    return CbmaConfig(
-        n_tags=4,
-        seed=11,
-        payload_bytes=4,
-        code_length=32,
-        samples_per_chip=1,
-        user_threshold=0.25,
-    )
+    return soak_phy_config(SoakConfig(n_tags=4, seed=11))
 
 
 @pytest.fixture(scope="session")

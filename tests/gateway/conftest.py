@@ -10,7 +10,7 @@ import asyncio
 
 import pytest
 
-from repro.sim.network import CbmaConfig
+from repro.sim.experiments.soak import SoakConfig, soak_phy_config
 
 
 class VirtualClock:
@@ -37,14 +37,7 @@ def vclock():
 @pytest.fixture(scope="session")
 def phy_config():
     """A small PHY config; admission tests never decode real frames."""
-    return CbmaConfig(
-        n_tags=2,
-        seed=7,
-        payload_bytes=4,
-        code_length=32,
-        samples_per_chip=1,
-        user_threshold=0.25,
-    )
+    return soak_phy_config(SoakConfig(n_tags=2, seed=7))
 
 
 def drive(coro):

@@ -1,4 +1,4 @@
-"""Gateway chaos soak: fault plans, invariants, and the acceptance run.
+"""Gateway chaos soak: load-fault plans, invariants, and the acceptance run.
 
 The acceptance soak is the ISSUE's bar: 50 concurrent streams under a
 traffic spike overlapping a capacity brownout, harsh enough to climb
@@ -11,12 +11,10 @@ import dataclasses
 
 import pytest
 
+from repro.faults import CapacityBrownout, FaultPlan, TagDropout, TrafficSpike
 from repro.gateway.soak import (
-    CapacityBrownout,
-    GatewayFaultPlan,
     GatewaySoakConfig,
     GatewaySoakResult,
-    TrafficSpike,
     check_gateway_invariants,
     random_gateway_fault_plan,
     run_gateway_soak,
@@ -27,13 +25,29 @@ from repro.sim.experiments.soak import SoakConfig, shrink_fault_plan
 
 def harsh_plan(seed=7):
     """Spike x4 overlapping a 95% brownout: enough pressure to SHED."""
-    return GatewayFaultPlan(
+    return FaultPlan(
         [
             TrafficSpike(factor=4.0, start_round=2, end_round=8),
             CapacityBrownout(factor=0.05, start_round=3, end_round=9),
         ],
         seed=seed,
     )
+
+
+def blank_result(cfg, **fields):
+    """A finished soak that offered, fed and shed nothing; *fields* override."""
+    base = dict(
+        config=cfg, plan=None, reports={}, offered={}, round_states=[], transitions=[],
+        admitted=0, rejected=0, shed=0, deadline_misses=0, migrations=0,
+        moved_sessions=[], peak_queue_depth=0, peak_retained_samples=0,
+    )
+    return GatewaySoakResult(**{**base, **fields})
+
+
+def ledger(report):
+    """What a stream decoded and how its chunks were accounted."""
+    frames = [(f.user_id, f.payload, f.start_sample) for f in report.frames]
+    return frames, report.admitted, report.fed, report.shed, report.rejected
 
 
 def acceptance_config(**overrides):
@@ -60,58 +74,10 @@ def acceptance_pair():
 
 
 class TestFaultPlan:
-    def test_resolve_spikes_multiply_brownouts_min(self):
-        plan = GatewayFaultPlan(
-            [
-                TrafficSpike(factor=2.0, start_round=0, end_round=4),
-                TrafficSpike(factor=3.0, start_round=2, end_round=4),
-                CapacityBrownout(factor=0.5, start_round=0, end_round=4),
-                CapacityBrownout(factor=0.2, start_round=2, end_round=4),
-            ]
-        )
-        early, late, after = plan.resolve(1), plan.resolve(3), plan.resolve(4)
-        assert (early.spike, early.budget) == (2.0, 0.5)
-        assert (late.spike, late.budget) == (6.0, 0.2)
-        assert (after.spike, after.budget) == (1.0, 1.0)
-
-    def test_roundtrip_through_dict(self):
-        plan = harsh_plan(seed=13)
-        clone = GatewayFaultPlan.from_dict(plan.to_dict())
-        assert clone.seed == 13
-        assert clone.faults == plan.faults
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown gateway fault kind"):
-            GatewayFaultPlan.from_dict(
-                {"faults": [{"kind": "meteor_strike"}], "seed": 0}
-            )
-        with pytest.raises(TypeError):
-            GatewayFaultPlan([object()])
-
-    @pytest.mark.parametrize(
-        "data,key",
-        [
-            ({"seed": 0}, "'faults'"),
-            ({"faults": []}, "'seed'"),
-            ({"faults": [{"factor": 2.0}], "seed": 0}, "'kind'"),
-        ],
-    )
-    def test_missing_key_rejected(self, data, key):
-        with pytest.raises(ValueError, match=key):
-            GatewayFaultPlan.from_dict(data)
-
     def test_artifact_wrapper_is_not_a_plan(self):
         artifact = {"config": {}, "violations": [], "plan": harsh_plan(3).to_dict()}
         with pytest.raises(ValueError, match="'faults'"):
-            GatewayFaultPlan.from_dict(artifact)
-
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            TrafficSpike(factor=0.5)
-        with pytest.raises(ValueError):
-            CapacityBrownout(factor=1.5)
-        with pytest.raises(ValueError):
-            TrafficSpike(start_round=-1)
+            FaultPlan.from_dict(artifact)
 
     def test_random_plan_is_seed_deterministic(self):
         a = random_gateway_fault_plan(5, 12)
@@ -121,9 +87,9 @@ class TestFaultPlan:
         assert a.faults != random_gateway_fault_plan(6, 12).faults
 
     def test_shrinks_through_the_shared_ddmin(self):
-        """The generalized shrinker reduces a gateway plan to the one
-        fault the (synthetic, deterministic) predicate needs."""
-        plan = GatewayFaultPlan(
+        """The shared shrinker reduces a load plan to the one fault and
+        round the (synthetic, deterministic) predicate needs."""
+        plan = FaultPlan(
             [
                 TrafficSpike(factor=5.0, start_round=0, end_round=10),
                 TrafficSpike(factor=2.0, start_round=1, end_round=6),
@@ -136,12 +102,19 @@ class TestFaultPlan:
             return p.resolve(5).spike >= 5.0
 
         minimal = shrink_fault_plan(plan, reproduces, horizon=12)
-        assert type(minimal) is GatewayFaultPlan
+        assert type(minimal) is FaultPlan
         assert minimal.seed == 3
         assert len(minimal.faults) == 1
         (fault,) = minimal.faults
         assert isinstance(fault, TrafficSpike)
         assert fault.active(5)
+
+    def test_refuses_faults_it_cannot_apply(self):
+        """A session-soak plan parses as the same type, so the soak
+        names the faults it has no waveform for instead of ignoring them."""
+        plan = FaultPlan([TrafficSpike(), TagDropout(start_round=2)], seed=1)
+        with pytest.raises(ValueError, match="not TagDropout"):
+            run_gateway_soak(acceptance_config(n_streams=2), plan)
 
 
 class TestInvariantChecker:
@@ -149,9 +122,8 @@ class TestInvariantChecker:
         cfg = acceptance_config(
             n_streams=8, capture=SoakConfig(n_windows=8, n_tags=2, seed=7)
         )
-        result = GatewaySoakResult(
-            config=cfg,
-            plan=None,
+        result = blank_result(
+            cfg,
             reports={
                 0: StreamReport(
                     stream_id=0, frames=[], stats={},
@@ -159,20 +131,12 @@ class TestInvariantChecker:
                 )
             },
             offered={0: 2},
-            round_states=[],
             transitions=[
                 ("full", "shed", False),
                 ("throttled", "draining", False),
                 ("full", "draining", True),
             ],
             admitted=1,
-            rejected=0,
-            shed=0,
-            deadline_misses=0,
-            migrations=0,
-            moved_sessions=[],
-            peak_queue_depth=0,
-            peak_retained_samples=0,
         )
         names = [v.name for v in check_gateway_invariants(cfg, result)]
         assert names.count("silent_drop") == 1
@@ -213,13 +177,7 @@ class TestAcceptanceSoak:
         assert migrated.migrations == len(migrated.moved_sessions)
         assert plain.reports.keys() == migrated.reports.keys()
         for sid in plain.reports:
-            a, b = plain.reports[sid], migrated.reports[sid]
-            assert [
-                (f.user_id, f.payload, f.start_sample) for f in a.frames
-            ] == [(f.user_id, f.payload, f.start_sample) for f in b.frames]
-            assert (a.admitted, a.fed, a.shed, a.rejected) == (
-                b.admitted, b.fed, b.shed, b.rejected,
-            )
+            assert ledger(plain.reports[sid]) == ledger(migrated.reports[sid])
 
     def test_migration_forces_draining_only_transitions(self, acceptance_pair):
         _, migrated = acceptance_pair
@@ -230,28 +188,14 @@ class TestAcceptanceSoak:
 
 class TestBackendParity:
     def test_process_backend_matches_inline(self):
-        """A small soak decodes identically through the real pool."""
-        kwargs = dict(
-            n_streams=4,
-            n_rounds=4,
-            seed=7,
-            n_workers=2,
-            capture=SoakConfig(n_windows=12, n_tags=2, seed=7, traffic_rate=0.3),
-        )
-        plan = GatewayFaultPlan(
-            [TrafficSpike(factor=2.0, start_round=1, end_round=3)], seed=7
-        )
-        inline = run_gateway_soak(
-            GatewaySoakConfig(backend="inline", **kwargs), plan
-        )
+        """A small soak (the default 12-window capture, 2 workers)
+        decodes identically through the real pool."""
+        plan = FaultPlan([TrafficSpike(factor=2.0, start_round=1, end_round=3)], seed=7)
+        inline = run_gateway_soak(GatewaySoakConfig(n_streams=4, n_rounds=4), plan)
         process = run_gateway_soak(
-            GatewaySoakConfig(backend="process", **kwargs), plan
+            GatewaySoakConfig(n_streams=4, n_rounds=4, backend="process"), plan
         )
         assert inline.ok and process.ok
         assert inline.reports.keys() == process.reports.keys()
         for sid in inline.reports:
-            a, b = inline.reports[sid], process.reports[sid]
-            assert [
-                (f.user_id, f.payload, f.start_sample) for f in a.frames
-            ] == [(f.user_id, f.payload, f.start_sample) for f in b.frames]
-            assert (a.admitted, a.fed, a.shed) == (b.admitted, b.fed, b.shed)
+            assert ledger(inline.reports[sid]) == ledger(process.reports[sid])

@@ -29,14 +29,10 @@ from repro.faults import (
     FaultPlan,
     TagBrownout,
     TagDropout,
+    TrafficSpike,
 )
 from repro.farm import DecodeFarm, FarmConfig
-from repro.gateway.soak import (
-    GatewayFaultPlan,
-    GatewaySoakConfig,
-    TrafficSpike,
-    run_gateway_soak,
-)
+from repro.gateway.soak import GatewaySoakConfig, run_gateway_soak
 from repro.mac.arq import ArqSimulator
 from repro.macro.calibration import CalibrationSpec, calibrate, load_or_calibrate
 from repro.macro.engine import MacroConfig, MacroSimulator
@@ -207,7 +203,7 @@ def _gateway_soak(tracer):
         migrate_round=3,
         capture=SoakConfig(n_windows=12, n_tags=2, seed=7, traffic_rate=0.3),
     )
-    spike = GatewayFaultPlan([TrafficSpike(start_round=1, end_round=4, factor=8.0)])
+    spike = FaultPlan([TrafficSpike(start_round=1, end_round=4, factor=8.0)])
     run_gateway_soak(cfg, spike, tracer=tracer)
 
 

@@ -20,8 +20,7 @@ from repro.farm import DecodeFarm, FarmConfig
 from repro.receiver.receiver import CbmaReceiver
 from repro.receiver.session import SessionConfig, SessionSupervisor
 from repro.receiver.streaming import StreamingReceiver
-from repro.sim.experiments.soak import SoakConfig, build_soak_stack, build_soak_stream
-from repro.sim.network import CbmaConfig
+from repro.sim.experiments.soak import SoakConfig, build_soak_stack, build_soak_stream, soak_phy_config
 from repro.utils.correlation_batch import TemplateBank, sliding_correlation_batch
 
 
@@ -242,9 +241,7 @@ class TestEachWindowCorrelatedOnce:
     def test_inline_farm_pump(self, capture, monkeypatch):
         stream, buffer = capture
         hop, m = stream.hop_samples, stream.receiver.user_detector.bank.template_samples
-        config = CbmaConfig(
-            n_tags=4, seed=11, payload_bytes=4, code_length=32, samples_per_chip=1, user_threshold=0.25
-        )
+        config = soak_phy_config(SoakConfig(n_tags=4, seed=11))
         chunk = 3 * hop
         farm = DecodeFarm.from_config(
             config, n_sessions=3, farm=FarmConfig(n_workers=1, ring_slot_samples=chunk), backend="inline"

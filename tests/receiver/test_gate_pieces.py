@@ -18,8 +18,7 @@ from repro.farm import DecodeFarm, FarmConfig
 from repro.receiver.receiver import CbmaReceiver
 from repro.receiver.session import SessionSupervisor
 from repro.receiver.streaming import GatePieces, StreamingReceiver
-from repro.sim.experiments.soak import SoakConfig, build_soak_stack, build_soak_stream
-from repro.sim.network import CbmaConfig
+from repro.sim.experiments.soak import SoakConfig, build_soak_stack, build_soak_stream, soak_phy_config
 from repro.tag.framing import FrameFormat
 from repro.utils.correlation_batch import sliding_correlation_batch
 
@@ -176,9 +175,7 @@ class TestEveryPathMakesTheSamePlanes:
         resumed = runs[-1]
 
         runs.append({})
-        config = CbmaConfig(
-            n_tags=4, seed=11, payload_bytes=4, code_length=32, samples_per_chip=1, user_threshold=0.25
-        )
+        config = soak_phy_config(SoakConfig(n_tags=4, seed=11))
         farm = DecodeFarm.from_config(
             config, n_sessions=2, farm=FarmConfig(n_workers=1, ring_slot_samples=2 * hop), backend="inline"
         )

@@ -80,6 +80,17 @@ class TestStreamingReceiver:
         hits = [f for f in frames if f.payload == b"boundaryfr"]
         assert len(hits) == 1
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: frames stamped at the detection peak")
+    def test_frame_in_last_sample_of_hop_emitted_once(self, stack):
+        # The next window stamps its detection peak 6,720 samples late: no dedup match.
+        codes, fmt, tags, rx, stream = stack
+        rng = np.random.default_rng(4)
+        start, total = stream.hop_samples - 1, 6 * stream.hop_samples
+        buf = 1e-6 * (rng.normal(size=total) + 1j * rng.normal(size=total))
+        buf = buf + _place(tags[0], b"late start", start, total)
+        frames = stream.process_stream(buf)
+        assert [f.start_sample for f in frames if f.payload == b"late start"] == [start]
+
     def test_partial_overlap_between_tags(self, stack):
         codes, fmt, tags, rx, stream = stack
         rng = np.random.default_rng(2)

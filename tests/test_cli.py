@@ -179,6 +179,28 @@ class TestSoakCommand:
         else:
             assert payload["plan"] == own.to_dict()
 
+    def test_exit_2_on_bad_config(self, capsys):
+        assert main(["soak", "--windows", "0"]) == 2
+        assert "bad soak config" in capsys.readouterr().err
+
+
+def _violating_gateway_soak(monkeypatch):
+    """Make every gateway soak report a violation; returns the list of
+    plans the soaks were given."""
+    from repro.gateway import soak as gwsoak
+    from repro.sim.experiments.soak import InvariantViolation
+    from tests.gateway.test_soak import blank_result
+
+    ran = []
+
+    def fake(cfg, plan=None, tracer=None):
+        ran.append(plan)
+        violation = InvariantViolation("silent_drop", "synthetic")
+        return blank_result(cfg, plan=plan, round_states=["full"], violations=[violation])
+
+    monkeypatch.setattr(gwsoak, "run_gateway_soak", fake)
+    return ran
+
 
 class TestGatewayCommand:
     """Exit-code contract: 0 = invariants held, 1 = violations,
@@ -193,20 +215,7 @@ class TestGatewayCommand:
         assert "ladder path" in out
 
     def test_soak_exit_1_on_violation(self, monkeypatch, tmp_path, capsys):
-        from repro.gateway import soak as gwsoak
-        from repro.sim.experiments.soak import InvariantViolation
-
-        def fake(cfg, plan=None, tracer=None):
-            return gwsoak.GatewaySoakResult(
-                config=cfg, plan=plan, reports={}, offered={},
-                round_states=["full"], transitions=[],
-                admitted=0, rejected=0, shed=0, deadline_misses=0,
-                migrations=0, moved_sessions=[], peak_queue_depth=0,
-                peak_retained_samples=0,
-                violations=[InvariantViolation("silent_drop", "synthetic")],
-            )
-
-        monkeypatch.setattr(gwsoak, "run_gateway_soak", fake)
+        _violating_gateway_soak(monkeypatch)
         artifact = tmp_path / "plan.json"
         rc = main([
             "gateway", "soak", "--streams", "4", "--rounds", "3",
@@ -221,23 +230,7 @@ class TestGatewayCommand:
     def test_soak_replays_artifact_plan(self, monkeypatch, tmp_path, capsys):
         """``--plan`` on a written artifact runs the faults that failed,
         not the empty plan a lenient read of the wrapper would give."""
-        from repro.gateway import soak as gwsoak
-        from repro.sim.experiments.soak import InvariantViolation
-
-        ran = []
-
-        def fake(cfg, plan=None, tracer=None):
-            ran.append(plan)
-            return gwsoak.GatewaySoakResult(
-                config=cfg, plan=plan, reports={}, offered={},
-                round_states=["full"], transitions=[],
-                admitted=0, rejected=0, shed=0, deadline_misses=0,
-                migrations=0, moved_sessions=[], peak_queue_depth=0,
-                peak_retained_samples=0,
-                violations=[InvariantViolation("silent_drop", "synthetic")],
-            )
-
-        monkeypatch.setattr(gwsoak, "run_gateway_soak", fake)
+        ran = _violating_gateway_soak(monkeypatch)
         artifact = tmp_path / "plan.json"
         args = ["gateway", "soak", "--streams", "4", "--rounds", "9", "--no-shrink"]
         assert main(args + ["--random-plan", "--seed", "5", "--artifact", str(artifact)]) == 1
@@ -249,6 +242,8 @@ class TestGatewayCommand:
         capsys.readouterr()
 
     def test_soak_exit_2_on_unreadable_plan(self, tmp_path, capsys):
+        from repro.faults import FaultPlan, TagDropout, TrafficSpike
+
         missing = tmp_path / "nope.json"
         assert main(["gateway", "soak", "--plan", str(missing)]) == 2
         bad = tmp_path / "bad.json"
@@ -257,12 +252,26 @@ class TestGatewayCommand:
         wrapped = tmp_path / "wrapped.json"
         wrapped.write_text('{"config": {}, "violations": []}')
         assert main(["gateway", "soak", "--plan", str(wrapped)]) == 2
+        # The retired gateway-only schema is refused, not read leniently.
+        old = tmp_path / "old.json"
+        old.write_text('{"seed": 0, "faults": [{"kind": "traffic_spike", "factor": 2.0}]}')
+        assert main(["gateway", "soak", "--plan", str(old)]) == 2
+        # A session-soak plan parses, but the gateway has no waveform to
+        # drop a tag from: refused rather than run as an empty schedule.
+        session = tmp_path / "session.json"
+        session.write_text(json.dumps(FaultPlan([TrafficSpike(), TagDropout()]).to_dict()))
+        assert main(["gateway", "soak", "--plan", str(session)]) == 2
         err = capsys.readouterr().err
-        assert "unusable fault plan" in err
+        assert err.count("unusable fault plan") == 5 and "not TagDropout" in err
 
     def test_soak_exit_2_on_bad_config(self, capsys):
         assert main(["gateway", "soak", "--streams", "0"]) == 2
         assert "bad soak config" in capsys.readouterr().err
+
+    def test_soak_exit_2_on_impossible_migrate(self, capsys):
+        assert main(["gateway", "soak", "--workers", "1", "--migrate-round", "1"]) == 2
+        assert main(["gateway", "soak", "--rounds", "3", "--migrate-round", "3"]) == 2
+        assert capsys.readouterr().err.count("bad soak config") == 2
 
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as err:

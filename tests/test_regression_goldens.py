@@ -194,11 +194,6 @@ def _frames_digest(frames) -> str:
     return m.hexdigest()[:16]
 
 
-#: The PHY config whose receiver decodes the soak captures below
-#: (the soak stack's code book, frame format and threshold).
-_SOAK_NET = dict(n_tags=4, payload_bytes=4, code_length=32, samples_per_chip=1, user_threshold=0.25)
-
-
 class TestStreamGoldens:
     """The streaming entry layers are pinned to the frame: user id,
     payload and absolute start of every frame each layer emits, so a
@@ -251,13 +246,13 @@ class TestStreamGoldens:
 
     def test_inline_farm_digest(self):
         from repro.farm import DecodeFarm, FarmConfig
-        from repro.sim.network import CbmaConfig
+        from repro.sim.experiments.soak import soak_phy_config
 
         captures = [self._capture(seed, rate)[2] for seed, rate in ((33, 0.3), (34, 0.1), (35, 0.02))]
         _cfg, stream, _buffer = self._capture(33, 0.3, n_windows=1)
         chunk = 3 * stream.hop_samples
         farm = DecodeFarm.from_config(
-            CbmaConfig(seed=11, **_SOAK_NET),
+            soak_phy_config(SoakConfig(n_tags=4, seed=11)),
             n_sessions=len(captures),
             farm=FarmConfig(n_workers=1, ring_slot_samples=chunk),
             backend="inline",
@@ -326,3 +321,47 @@ class TestStreamGoldens:
                 m.update(np.ascontiguousarray(raw).tobytes())
         assert "ok" in reasons and len(set(reasons)) > 1
         assert m.hexdigest()[:16] == digest
+
+
+class TestSoakGoldens:
+    """The chaos soaks are pinned to the frame and the ledger: the
+    random plan generators' draws, a session soak under a random plan
+    and a migrating gateway soak under a spike and a brownout.
+
+    Regenerate: the ``m.hexdigest()[:16]`` each test builds.
+    """
+
+    def test_random_plan_draws_digest(self):
+        import dataclasses
+
+        from repro.gateway.soak import random_gateway_fault_plan
+        from repro.sim.experiments.soak import random_fault_plan
+
+        m = hashlib.sha256()
+        for s in range(5):
+            for plan in (random_fault_plan(s, 300, 2), random_gateway_fault_plan(s, 12)):
+                for f in plan.faults:
+                    m.update(repr((type(f).__name__, dataclasses.astuple(f))).encode())
+        assert m.hexdigest()[:16] == "bbdc3715389409f6"
+
+    def test_session_soak_digest(self):
+        from repro.sim.experiments.soak import random_fault_plan, run_soak
+
+        result = run_soak(SoakConfig(n_windows=200, seed=7), random_fault_plan(7, 200, 2))
+        m = hashlib.sha256(_frames_digest(result.frames).encode())
+        m.update(repr((sorted(result.stats.items()), result.final_state)).encode())
+        assert m.hexdigest()[:16] == "ad0eb84b6db59484"
+
+    def test_gateway_soak_digest(self):
+        from repro.gateway.soak import GatewaySoakConfig, run_gateway_soak
+        from tests.gateway.test_soak import harsh_plan
+
+        cfg = GatewaySoakConfig(n_streams=8, n_rounds=12, backend="inline", migrate_round=5)
+        result = run_gateway_soak(cfg, harsh_plan())
+        m = hashlib.sha256()
+        for sid, rep in sorted(result.reports.items()):
+            m.update(_frames_digest(rep.frames).encode())
+            m.update(repr((sid, rep.admitted, rep.rejected, rep.fed, rep.shed)).encode())
+        m.update(repr((result.transitions, result.round_states)).encode())
+        assert result.ok and result.rejected > 0 and result.moved_sessions
+        assert m.hexdigest()[:16] == "3d9c4d8d49130084"

@@ -14,13 +14,11 @@ import pytest
 
 from repro.bench.runner import BenchReport, OpResult
 from repro.faults.plan import FaultPlan
-from repro.gateway.soak import GatewayFaultPlan
 from repro.macro.linkmodel import FerSurface
 from repro.obs import ExperimentResult, RunProfile
 from repro.sim.trace import ChannelTrace
 from tests.bench.test_runner import _op
 from tests.faults.test_plan import TestSerialization as _FaultPlanCases
-from tests.gateway.test_soak import harsh_plan
 from tests.macro.test_linkmodel import make_surface
 from tests.obs.test_profile import _traced_run
 from tests.obs.test_result import _result
@@ -55,7 +53,6 @@ _PAIRS = {
     "OpResult": (OpResult, "dict", lambda: _op("x", 0.5, {"n": 4}, group="e2e")),
     "BenchReport": (BenchReport, "dict", _bench_report),
     "FaultPlan": (FaultPlan, "dict", lambda: _FaultPlanCases()._plan()),
-    "GatewayFaultPlan": (GatewayFaultPlan, "dict", lambda: harsh_plan(seed=13)),
     "FerSurface": (FerSurface, "dict", make_surface),
     "RunProfile-dict": (RunProfile, "dict", lambda: _traced_run().profile(wall_time_s=1.5)),
     "RunProfile-json": (RunProfile, "json", lambda: _traced_run().profile(wall_time_s=1.5)),
