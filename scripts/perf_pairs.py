@@ -17,7 +17,10 @@ Usage, from the repository root, with the parent checked out beside it
 ``make perf-pairs BASE=../base`` runs every workload.  The metrics, their
 direction and their regression bounds come from the change's
 ``BENCHMARK.json``; ``--out runs.jsonl`` keeps every run's JSON line.
-Neither checkout is modified.
+A run that prints nothing (a crash, a farm harvest timeout) is recorded
+with its exit code and the tail of its stderr and the pairs go on; the
+summary lists each incomplete pair and the script exits 1.  Neither
+checkout is modified.
 """
 
 from __future__ import annotations
@@ -31,19 +34,27 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 SIDES = ("base", "change")
+STDERR_TAIL_LINES = 5
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run; returns its JSON line plus the exit code."""
+    """One benchmark run; returns its JSON line plus the exit code.
+
+    A run that prints no JSON line (a crash, a farm harvest timeout)
+    comes back as ``{"no_result": True, "exit_code": ..., "stderr_tail":
+    ...}`` so that one bad run does not throw away the others.
+    """
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{checkout}: {workload} seed {seed} printed nothing\n{proc.stderr}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_TAIL_LINES:])
+        return {"no_result": True, "exit_code": proc.returncode, "stderr_tail": tail}
     result["exit_code"] = proc.returncode
     return result
 
@@ -64,8 +75,15 @@ def summarise(runs: List[dict], metrics: List[dict]) -> str:
         for r in runs:
             if r["workload"] == workload:
                 pairs.setdefault(r["seed"], {})[r["side"]] = r
-        full = [p for p in pairs.values() if len(p) == len(SIDES)]
-        out.append(f"\n{workload}: {len(full)} pairs")
+        full, incomplete = [], []
+        for seed, p in sorted(pairs.items()):
+            whole = len(p) == len(SIDES) and not any(r.get("no_result") for r in p.values())
+            if whole:
+                full.append(p)
+            else:
+                incomplete.append(f"  incomplete pair, seed {seed}: {_incomplete(p)}")
+        out.append(f"\n{workload}: {len(full)} pairs, {len(incomplete)} incomplete")
+        out.extend(incomplete)
         for side in SIDES:
             bad = sum(not p[side]["correct"] for p in full)
             out.append(f"  {side}: {len(full) - bad}/{len(full)} runs correct")
@@ -88,6 +106,19 @@ def summarise(runs: List[dict], metrics: List[dict]) -> str:
                 f" {wins:>3}/{len(rows):<2} {rel:>+8.1%}  {_verdict(spec, sign, rel, wins, len(rows), base_q, change_q)}"
             )
     return "\n".join(out)
+
+
+def _incomplete(pair: Dict[str, dict]) -> str:
+    """Why a pair has no result on some side."""
+    why = []
+    for side in SIDES:
+        r = pair.get(side)
+        if r is None:
+            why.append(f"{side} not run")
+        elif r.get("no_result"):
+            tail = r["stderr_tail"].splitlines()[-1:] or ["(no stderr)"]
+            why.append(f"{side} failed, exit {r['exit_code']}: {tail[0]}")
+    return "; ".join(why)
 
 
 def _fmt(q: Sequence[float]) -> str:
@@ -130,12 +161,17 @@ def main(argv=None) -> int:
                 result = run_once(checkouts[side], workload, seed, args.seconds, args.trace)
                 result.update(side=side, workload=workload, seed=seed)
                 runs.append(result)
-                print(f"{workload} seed {seed} {side}: correct={result['correct']}", file=sys.stderr)
+                if result.get("no_result"):
+                    status = f"FAILED, exit {result['exit_code']}\n{result['stderr_tail']}"
+                else:
+                    status = f"correct={result['correct']}"
+                print(f"{workload} seed {seed} {side}: {status}", file=sys.stderr)
                 if args.out is not None:
                     with args.out.open("a") as fh:
                         fh.write(json.dumps(result) + "\n")
     print(summarise(runs, metrics))
-    return 0 if all(r["correct"] for r in runs) else 1
+    ok = all(not r.get("no_result") and r["correct"] for r in runs)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

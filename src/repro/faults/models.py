@@ -50,6 +50,8 @@ __all__ = [
     "StuckImpedance",
     "TrafficSpike",
     "CapacityBrownout",
+    "TAG_FAULTS",
+    "LOAD_FAULTS",
     "FAULT_REASONS",
 ]
 
@@ -270,3 +272,18 @@ class CapacityBrownout(_LoadFault):
         super().__post_init__()
         if not 0.0 <= self.factor <= 1.0:
             raise ValueError("brownout factor must be in [0, 1]")
+
+
+#: The tag and medium faults: what the round simulators and the session
+#: soak apply.
+TAG_FAULTS = (
+    TagDropout,
+    TagBrownout,
+    OscillatorDrift,
+    BurstInterferer,
+    AdcSaturation,
+    AckLoss,
+    StuckImpedance,
+)
+#: The gateway load faults: what the gateway soak applies.
+LOAD_FAULTS = (TrafficSpike, CapacityBrownout)

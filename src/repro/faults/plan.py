@@ -32,6 +32,8 @@ from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.faults.models import (
+    LOAD_FAULTS,
+    TAG_FAULTS,
     AckLoss,
     AdcSaturation,
     BurstInterferer,
@@ -167,20 +169,7 @@ _CLEAN = RoundFaults(round_index=-1)
 #: Fault model classes a serialised plan may reference, by class name.
 #: Keeping this an explicit registry (rather than getattr on the module)
 #: means a checkpoint can never instantiate an arbitrary symbol.
-_MODEL_REGISTRY = {
-    cls.__name__: cls
-    for cls in (
-        TagDropout,
-        TagBrownout,
-        OscillatorDrift,
-        BurstInterferer,
-        AdcSaturation,
-        AckLoss,
-        StuckImpedance,
-        TrafficSpike,
-        CapacityBrownout,
-    )
-}
+_MODEL_REGISTRY = {cls.__name__: cls for cls in TAG_FAULTS + LOAD_FAULTS}
 
 
 class FaultPlan:
@@ -215,6 +204,16 @@ class FaultPlan:
     @property
     def empty(self) -> bool:
         return not self.faults
+
+    def check_kinds(self, allowed: Tuple[type, ...], consumer: str) -> None:
+        """Raise ValueError naming every fault that is not one of the
+        *allowed* models: *consumer* (``"the gateway soak"``) would
+        silently ignore it."""
+        foreign = [type(f).__name__ for f in self.faults if not isinstance(f, allowed)]
+        if foreign:
+            names = [cls.__name__ for cls in allowed]
+            only = ", ".join(names[:-1]) + " and " + names[-1] if len(names) > 1 else names[0]
+            raise ValueError(f"{consumer} applies only {only}, not {', '.join(foreign)}")
 
     def describe(self) -> str:
         """One human-readable line per fault."""

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.farm.config import FarmConfig
-from repro.faults.models import CapacityBrownout, TrafficSpike
+from repro.faults.models import LOAD_FAULTS, CapacityBrownout, TrafficSpike
 from repro.faults.plan import FaultPlan
 from repro.gateway.config import GatewayConfig
 from repro.gateway.gateway import Gateway, StreamReport
@@ -64,16 +64,7 @@ GatewayFaultPlan = FaultPlan
 def check_load_plan(plan: FaultPlan) -> None:
     """Raise ValueError naming every fault the gateway soak cannot
     apply: it offers load, so only the two load models act on it."""
-    foreign = [
-        type(f).__name__
-        for f in plan.faults
-        if not isinstance(f, (TrafficSpike, CapacityBrownout))
-    ]
-    if foreign:
-        raise ValueError(
-            "the gateway soak applies only TrafficSpike and CapacityBrownout, "
-            f"not {', '.join(foreign)}"
-        )
+    plan.check_kinds(LOAD_FAULTS, "the gateway soak")
 
 
 def random_gateway_fault_plan(seed: int, n_rounds: int) -> FaultPlan:

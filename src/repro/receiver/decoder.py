@@ -17,7 +17,7 @@ how many further bits the frame contains, then payload + CRC.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,12 +25,12 @@ from repro.obs.taxonomy import C, S
 from repro.obs.tracer import as_tracer
 from repro.phy.modulation import upsample_chips
 from repro.tag.framing import FrameError, FrameFormat, MAX_PAYLOAD_BYTES
-from repro.utils.bits import bits_to_bipolar, bits_to_bytes, pack_bits
+from repro.utils.bits import bits_to_bipolar
 from repro.utils.contracts import array_contract
 
 __all__ = ["ChipDecoder", "DecodedFrame"]
 
-#: MSB-first place values of the 8-bit length field (``bits_to_bytes``).
+#: MSB-first place values of the 8-bit length field.
 _BYTE_WEIGHTS = 1 << np.arange(7, -1, -1, dtype=np.int64)
 
 
@@ -117,35 +117,49 @@ class ChipDecoder:
         re-decoded -- it served as the synchronisation anchor -- so
         decoding starts at the length field.
         """
-        body_start = preamble_start + self.fmt.preamble_bits * self.block_samples
+        return self.decode_with(
+            lambda start, n_bits: self.decode_bits(window, start, n_bits, channel),
+            preamble_start,
+            user_id,
+        )
 
-        length_bits = self.decode_bits(window, body_start, 8, channel)
+    def decode_with(
+        self,
+        decide: Callable[[int, int], Optional[np.ndarray]],
+        preamble_start: int,
+        user_id: int = -1,
+    ) -> DecodedFrame:
+        """Progressive frame decode over any bit-decision rule.
+
+        ``decide(start, n_bits)`` returns the ``uint8`` 0/1 decisions of
+        *n_bits* bits beginning at sample *start*, or ``None`` when the
+        window is too short; :meth:`decode_frame` passes
+        :meth:`decode_bits`, the diversity and phase-tracking receivers
+        pass their own rules.  The length byte bounds the rest of the
+        frame; the decided body is packed once and settled by
+        :meth:`FrameFormat.check_body` inside the ``crc`` span.
+        """
+        body_start = preamble_start + self.fmt.preamble_bits * self.block_samples
+        length_bits = decide(body_start, 8)
         if length_bits is None:
             return DecodedFrame(user_id, False, None, "truncated")
-        length = int(bits_to_bytes(length_bits)[0])
+        length = int(length_bits @ _BYTE_WEIGHTS)
         if length > MAX_PAYLOAD_BYTES:
             return DecodedFrame(user_id, False, None, "length", raw_bits=length_bits)
-
-        rest_bits_n = 8 * length + 16
-        rest_start = body_start + 8 * self.block_samples
-        rest_bits = self.decode_bits(window, rest_start, rest_bits_n, channel)
+        rest_bits = decide(body_start + 8 * self.block_samples, 8 * length + 16)
         if rest_bits is None:
             return DecodedFrame(user_id, False, None, "truncated", raw_bits=length_bits)
 
-        frame_bits = pack_bits(self.fmt.preamble, length_bits, rest_bits)
+        raw_bits = np.concatenate((length_bits, rest_bits))
         tracer = self.tracer
         try:
             with tracer.span(S.CRC):
-                frame = self.fmt.parse(frame_bits, check_preamble=False)
+                payload = self.fmt.check_body(np.packbits(raw_bits))
         except FrameError:
             tracer.count(C.CRC_FAIL)
-            return DecodedFrame(
-                user_id, False, None, "crc", raw_bits=pack_bits(length_bits, rest_bits)
-            )
+            return DecodedFrame(user_id, False, None, "crc", raw_bits=raw_bits)
         tracer.count(C.CRC_OK)
-        return DecodedFrame(
-            user_id, True, frame.payload, "ok", raw_bits=pack_bits(length_bits, rest_bits)
-        )
+        return DecodedFrame(user_id, True, payload, "ok", raw_bits=raw_bits)
 
     @array_contract(window="(n) complex128")
     def decode_candidates(

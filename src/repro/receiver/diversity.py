@@ -26,8 +26,6 @@ from repro.receiver.ack import AckMessage
 from repro.receiver.decoder import ChipDecoder, DecodedFrame
 from repro.receiver.receiver import CbmaReceiver, ReceptionReport
 from repro.receiver.user_detection import UserDetection
-from repro.tag.framing import FrameError, FrameFormat, MAX_PAYLOAD_BYTES
-from repro.utils.bits import bits_to_bytes, pack_bits
 
 __all__ = ["DiversityReceiver"]
 
@@ -105,8 +103,6 @@ class DiversityReceiver(CbmaReceiver):
         user_id: int,
     ) -> DecodedFrame:
         """Progressive frame decode with per-bit MRC combining."""
-        fmt: FrameFormat = self.fmt
-        body_start = preamble_start + fmt.preamble_bits * decoder.block_samples
 
         def mrc_bits(start: int, n_bits: int) -> Optional[np.ndarray]:
             acc = None
@@ -118,21 +114,7 @@ class DiversityReceiver(CbmaReceiver):
                 acc = contrib if acc is None else acc + contrib
             return (acc > 0).astype(np.uint8)
 
-        length_bits = mrc_bits(body_start, 8)
-        if length_bits is None:
-            return DecodedFrame(user_id, False, None, "truncated")
-        length = int(bits_to_bytes(length_bits)[0])
-        if length > MAX_PAYLOAD_BYTES:
-            return DecodedFrame(user_id, False, None, "length", raw_bits=length_bits)
-        rest = mrc_bits(body_start + 8 * decoder.block_samples, 8 * length + 16)
-        if rest is None:
-            return DecodedFrame(user_id, False, None, "truncated", raw_bits=length_bits)
-        frame_bits = pack_bits(fmt.preamble, length_bits, rest)
-        try:
-            frame = fmt.parse(frame_bits, check_preamble=False)
-        except FrameError:
-            return DecodedFrame(user_id, False, None, "crc", raw_bits=pack_bits(length_bits, rest))
-        return DecodedFrame(user_id, True, frame.payload, "ok", raw_bits=pack_bits(length_bits, rest))
+        return decoder.decode_with(mrc_bits, preamble_start, user_id)
 
     def process_branches(self, branches: Sequence[np.ndarray], round_index: int = 0) -> ReceptionReport:
         """Full pipeline over per-antenna buffers."""

@@ -23,10 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.receiver.decoder import DecodedFrame
 from repro.receiver.receiver import CbmaReceiver
-from repro.tag.framing import FrameError, MAX_PAYLOAD_BYTES
-from repro.utils.bits import bits_to_bytes, pack_bits
 
 __all__ = ["PhaseTrackingReceiver"]
 
@@ -114,29 +111,13 @@ class _TrackingAdapter:
         return first, 0
 
     def decode_frame(self, window, preamble_start, channel, user_id=-1):
-        dec = self._decoder
-        if channel == 0:
-            channel = 1.0 + 0j
-        body_start = preamble_start + dec.fmt.preamble_bits * dec.block_samples
+        h = 1.0 + 0j if channel == 0 else channel
 
-        length_bits, h = self._tracked_bits(window, body_start, 8, channel)
-        if length_bits is None:
-            return DecodedFrame(user_id, False, None, "truncated")
-        length = int(bits_to_bytes(length_bits)[0])
-        if length > MAX_PAYLOAD_BYTES:
-            return DecodedFrame(user_id, False, None, "length", raw_bits=length_bits)
+        def tracked_bits(start, n_bits):
+            # The loop's estimate carries over from the length field
+            # into the rest of the frame.
+            nonlocal h
+            bits, h = self._tracked_bits(window, start, n_bits, h)
+            return bits
 
-        rest_start = body_start + 8 * dec.block_samples
-        rest_bits, _h = self._tracked_bits(window, rest_start, 8 * length + 16, h)
-        if rest_bits is None:
-            return DecodedFrame(user_id, False, None, "truncated", raw_bits=length_bits)
-        frame_bits = pack_bits(dec.fmt.preamble, length_bits, rest_bits)
-        try:
-            frame = dec.fmt.parse(frame_bits, check_preamble=False)
-        except FrameError:
-            return DecodedFrame(
-                user_id, False, None, "crc", raw_bits=pack_bits(length_bits, rest_bits)
-            )
-        return DecodedFrame(
-            user_id, True, frame.payload, "ok", raw_bits=pack_bits(length_bits, rest_bits)
-        )
+        return self._decoder.decode_with(tracked_bits, preamble_start, user_id)

@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.codes import twonc_codes
 from repro.faults.models import (
+    TAG_FAULTS,
     AdcSaturation,
     BurstInterferer,
     OscillatorDrift,
@@ -382,8 +383,13 @@ def run_soak(
     """One full soak: synthesize, feed chunk by chunk, verify.
 
     Deterministic for a given ``(cfg, plan, session_config)``; the
-    wall-clock field is the only thing that varies between runs.
+    wall-clock field is the only thing that varies between runs.  A
+    *plan* holding a gateway load fault (``TrafficSpike``,
+    ``CapacityBrownout``) raises ValueError before anything runs: one
+    stream offers no load to scale.
     """
+    if plan is not None:
+        plan.check_kinds(TAG_FAULTS, "the session soak")
     t0 = time.perf_counter()
     tags, stream = build_soak_stack(cfg)
     buffer, offered = build_soak_stream(cfg, plan, stream=stream, tags=tags)

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.utils.bits import (
-    as_bit_array,
-    bits_to_bytes,
-    bytes_to_bits,
-    int_to_bits,
-    pack_bits,
-    unpack_bits,
-)
+from repro.utils.bits import as_bit_array, bytes_to_bits, int_to_bits, pack_bits
 from repro.utils.crc import CRC16_CCITT, Crc16
 
 __all__ = ["FrameFormat", "Frame", "DEFAULT_PREAMBLE", "MAX_PAYLOAD_BYTES", "FrameError"]
@@ -114,32 +107,47 @@ class FrameFormat:
         crc_bits = self.crc.compute_bits(body)
         return pack_bits(self.preamble, body, crc_bits)
 
+    def check_body(self, body: np.ndarray) -> bytes:
+        """Check a frame body in bytes and return its payload.
+
+        *body* is the ``np.packbits`` output of the bits after the
+        preamble: the length byte, the payload, the two CRC bytes and
+        any trailing bytes, which are ignored.  Raises
+        :class:`FrameError` when the bytes do not cover length +
+        payload + CRC, the length byte exceeds
+        :data:`MAX_PAYLOAD_BYTES`, or the CRC-16 over length + payload
+        does not match.  This is the receive path's one frame check:
+        :meth:`parse` and every decoder settle a frame here.
+        """
+        length = int(body[0]) if body.size else 0
+        if length > MAX_PAYLOAD_BYTES:
+            raise FrameError(f"length byte {length} exceeds max payload")
+        if body.size < length + 3:
+            raise FrameError(
+                f"frame truncated: need {length + 3} bytes after the preamble, have {body.size}"
+            )
+        data = body[: length + 1].tobytes()
+        if self.crc.compute(data) != int(body[length + 1]) << 8 | int(body[length + 2]):
+            raise FrameError("CRC mismatch")
+        return data[1:]
+
     def parse(self, bits: np.ndarray, check_preamble: bool = True) -> "Frame":
         """Parse frame bits back into a :class:`Frame`.
 
         Raises :class:`FrameError` on truncation, bad preamble, an
-        inconsistent length field or CRC mismatch.  ``check_preamble``
-        can be disabled when the caller already synchronised on the
-        preamble and stripped nothing.
+        inconsistent length field or CRC mismatch; bits past the CRC
+        are ignored.  ``check_preamble`` can be disabled when the
+        caller already synchronised on the preamble and stripped
+        nothing.  The body is checked by :meth:`check_body`.
         """
         arr = as_bit_array(bits)
         if arr.size < self.overhead_bits():
             raise FrameError(f"{arr.size} bits shorter than minimum frame {self.overhead_bits()}")
-        preamble, rest = unpack_bits(arr, self.preamble_bits, -1)
-        if check_preamble and not np.array_equal(preamble, self.preamble):
+        n_pre = self.preamble_bits
+        if check_preamble and not np.array_equal(arr[:n_pre], self.preamble):
             raise FrameError("preamble mismatch")
-        length_bits, rest = unpack_bits(rest, 8, -1)
-        length = int(bits_to_bytes(length_bits)[0])
-        if length > MAX_PAYLOAD_BYTES:
-            raise FrameError(f"length byte {length} exceeds max payload")
-        need = 8 * length + 16
-        if rest.size < need:
-            raise FrameError(f"frame truncated: need {need} bits after header, have {rest.size}")
-        payload_bits, crc_bits = unpack_bits(rest[:need], 8 * length, 16)
-        body = pack_bits(length_bits, payload_bits)
-        if not self.crc.check_bits(body, crc_bits):
-            raise FrameError("CRC mismatch")
-        return Frame(payload=bits_to_bytes(payload_bits), fmt=self)
+        whole = n_pre + (arr.size - n_pre) // 8 * 8
+        return Frame(payload=self.check_body(np.packbits(arr[n_pre:whole])), fmt=self)
 
 
 @dataclass(frozen=True)

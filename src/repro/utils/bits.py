@@ -11,9 +11,10 @@ modulation) interoperable without ad-hoc conversions.
 Every function that takes bits validates them through
 :func:`as_bit_array` on every call: there is no unchecked twin.  The
 check is a comparison, not a set-membership sort (``max() <= 1`` for
-``uint8`` input, ``(a == 0) | (a == 1)`` otherwise), so it stays cheap
-on the receiver's per-attempt decode path, which reaches it several
-times per candidate frame.
+``uint8`` input, ``(a == 0) | (a == 1)`` otherwise).  The receiver's
+decode path does not come here: its bits are its own ``uint8``
+decisions, which it packs with ``np.packbits`` and checks in bytes
+(:meth:`repro.tag.framing.FrameFormat.check_body`).
 """
 
 from __future__ import annotations

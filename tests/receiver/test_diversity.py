@@ -7,6 +7,7 @@ import pytest
 from repro.channel.fading import FadingModel
 from repro.channel.noise import NoiseModel
 from repro.codes import twonc_codes
+from repro.obs import Tracer
 from repro.receiver import CbmaReceiver
 from repro.receiver.diversity import DiversityReceiver
 from repro.sim.collision import CollisionScenario, simulate_diversity_round
@@ -85,6 +86,26 @@ class TestDiversityReceiver:
             {i: codes[i] for i in range(2)}, samples_per_chip=SPC, n_antennas=2
         )
         assert rx.process_branches(branches).decoded_payloads() == payloads
+
+    def test_crc_checks_are_counted(self):
+        """The MRC decode settles frames through the shared decoder
+        tail, so each CRC check is one ``crc`` span and one counter."""
+        codes = twonc_codes(2, 64)
+        rng = np.random.default_rng(2)
+        noise = NoiseModel()
+        amp = np.sqrt(noise.power_w * 10 ** (5 / 10)) / 0.432
+        scen = _scenario(2, amp, rng, codes)
+        payloads = {0: b"branch test 0!", 1: b"branch test 1!"}
+        gains = np.array([[1.0, 0.9], [0.7j, 1.1j]])
+        branches, _ = simulate_diversity_round(scen, payloads, gains, rng)
+        tracer = Tracer()
+        rx = DiversityReceiver(
+            {i: codes[i] for i in range(2)}, samples_per_chip=SPC, n_antennas=2, tracer=tracer
+        )
+        assert rx.process_branches(branches).decoded_payloads() == payloads
+        checks = tracer.counters["crc.ok"] + tracer.counters.get("crc.fail", 0)
+        assert tracer.counters["crc.ok"] == 2
+        assert sum(r.name == "crc" for r in tracer.records) == checks
 
     def test_diversity_gain_under_fading(self):
         """2-branch MRC must clearly beat one antenna in deep fading."""

@@ -5,6 +5,7 @@ import pytest
 
 from repro.channel.geometry import Deployment
 from repro.codes import twonc_codes
+from repro.obs import Tracer
 from repro.phy.modulation import fractional_delay, ook_baseband
 from repro.receiver import CbmaReceiver, PhaseTrackingReceiver
 from repro.sim.collision import CollisionScenario, simulate_round
@@ -53,6 +54,20 @@ class TestPhaseTrackingReceiver:
         buf = _buffer_with_cfo(self.tag, payload, 150.0, 2e6)
         assert self.plain.process(buf).decoded_payloads().get(0) != payload
         assert self.tracking.process(buf).decoded_payloads().get(0) == payload
+
+    def test_crc_checks_are_counted(self):
+        """The tracking decode settles frames through the shared decoder
+        tail, so each CRC check is one ``crc`` span and one counter."""
+        tracer = Tracer()
+        tracking = PhaseTrackingReceiver(
+            {i: self.codes[i] for i in range(2)}, fmt=self.fmt, samples_per_chip=SPC,
+            tracer=tracer,
+        )
+        buf = _buffer_with_cfo(self.tag, b"rotating frame!!", 150.0, 2e6)
+        assert tracking.process(buf).decoded_payloads().get(0) == b"rotating frame!!"
+        checks = tracer.counters["crc.ok"] + tracer.counters.get("crc.fail", 0)
+        assert tracer.counters["crc.ok"] >= 1
+        assert sum(r.name == "crc" for r in tracer.records) == checks
 
     def test_decoders_restored_after_process(self):
         buf = _buffer_with_cfo(self.tag, b"restore check", 50.0, 2e6)

@@ -9,7 +9,14 @@ trajectory and checkpoint/restore determinism against it.
 import numpy as np
 import pytest
 
-from repro.faults import BurstInterferer, FaultPlan, OscillatorDrift, TagDropout
+from repro.faults import (
+    BurstInterferer,
+    CapacityBrownout,
+    FaultPlan,
+    OscillatorDrift,
+    TagDropout,
+    TrafficSpike,
+)
 from repro.receiver.session import SessionSupervisor
 from repro.sim.experiments import soak as soak_mod
 from repro.sim.experiments.soak import (
@@ -120,6 +127,14 @@ class TestStreamSynthesis:
         buf_a, _ = build_soak_stream(cfg, plan)
         buf_b, _ = build_soak_stream(cfg, plan)
         np.testing.assert_array_equal(buf_a, buf_b)
+
+    def test_load_faults_refused(self):
+        """One stream offers no load to scale: a spike or a brownout
+        would leave the soak's frames and stats unchanged, so
+        ``run_soak`` names them instead of running."""
+        plan = FaultPlan([TrafficSpike(5.0), CapacityBrownout(0.0)])
+        with pytest.raises(ValueError, match="not TrafficSpike, CapacityBrownout$"):
+            run_soak(SoakConfig(n_windows=30, seed=7, traffic_rate=0.3), plan)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
