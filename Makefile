@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint bench bench-quick bench-perf perf-pairs farm-bench gateway-bench gateway-soak macro-bench macro-validate examples report clean
+.PHONY: install test lint loc bench bench-quick bench-perf perf-pairs farm-bench gateway-bench gateway-soak macro-bench macro-validate examples report clean
 
 install:
 	pip install -e .
@@ -18,6 +18,13 @@ lint:
 	else \
 		echo "mypy not installed; skipping type check (pip install mypy)"; \
 	fi
+
+# Line counts (wc -l over *.py) of src/repro, each of its packages and
+# tests: the figures CHANGES.md tracks from change to change.
+loc:
+	@for d in src/repro $(sort $(patsubst %/,%,$(dir $(wildcard src/repro/*/__init__.py)))) tests; do \
+		printf '%7d  %s\n' "$$(find $$d -name '*.py' -exec cat {} + | wc -l)" "$$d"; \
+	done
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only

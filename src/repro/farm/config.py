@@ -7,24 +7,20 @@ Two small, picklable records cross the process boundary at startup:
   that pins the PHY/code book, and the optional supervision policy.
   IQ samples never travel this way (they go through the shared-memory
   ring); specs do, once, at placement time.
-- :class:`FarmConfig` -- the farm's own knobs: worker count, ring
-  geometry, buffer dtype and whether cross-session gate batching is
-  enabled.
+- :class:`FarmConfig` -- the farm's own knobs: worker count and ring
+  geometry.  Ring slots hold ``complex128`` samples, the one dtype of
+  the sample path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from repro.receiver.session import SessionConfig
 from repro.sim.network import CbmaConfig
 
 __all__ = ["FarmConfig", "SessionSpec"]
-
-_FARM_DTYPES = ("complex128", "complex64")
 
 
 @dataclass(frozen=True)
@@ -76,24 +72,18 @@ class FarmConfig:
         invariant to chunking cadence -- but per-chunk stats
         (``session.quarantined``) then follow the split cadence, so
         size slots to your chunk size when comparing stats against a
-        sequential run.
-    dtype:
-        Complex dtype of the sample path (ring slots, session ingest
-        buffers, the pre-gate): ``"complex128"`` (default, the decode
-        oracle) or ``"complex64"`` (the opt-in fast path -- half the
-        shared-memory bandwidth; decode itself still runs complex128).
-    coschedule:
-        Batch the pre-gate FFT across co-resident sessions that share
-        a template bank and window length.  Bit-identical to per-window
-        gating (the batched kernel computes rows independently); off
-        turns the farm into plain per-session round-robin.
+        sequential run.  A single-precision chunk is widened as it is
+        copied into a slot.
+
+    Each worker always batches the pre-gate across co-resident
+    sessions that share a template bank and window length; the
+    batched kernel computes rows independently, so this is
+    bit-identical to gating each session on its own.
     """
 
     n_workers: int = 2
     ring_slots: int = 8
     ring_slot_samples: int = 1 << 16
-    dtype: str = "complex128"
-    coschedule: bool = True
 
     def __post_init__(self) -> None:
         if self.n_workers < 1:
@@ -102,11 +92,3 @@ class FarmConfig:
             raise ValueError("ring_slots must be >= 2 (one in flight, one filling)")
         if self.ring_slot_samples < 1:
             raise ValueError("ring_slot_samples must be >= 1")
-        if str(self.dtype) not in _FARM_DTYPES:
-            raise ValueError(
-                f"dtype must be one of {_FARM_DTYPES}, got {self.dtype!r}"
-            )
-
-    @property
-    def numpy_dtype(self) -> np.dtype:
-        return np.dtype(self.dtype)

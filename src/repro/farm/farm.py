@@ -187,10 +187,7 @@ class DecodeFarm:
         self._last_reply: Dict[int, float] = {}
 
         if backend == "inline":
-            self._cores = [
-                WorkerCore(self.config.numpy_dtype, coschedule=self.config.coschedule)
-                for _ in range(self.config.n_workers)
-            ]
+            self._cores = [WorkerCore() for _ in range(self.config.n_workers)]
             for spec in specs:
                 self._cores[self._placement[spec.session_id]].add(spec)
         else:
@@ -202,11 +199,7 @@ class DecodeFarm:
             self._procs = []
             try:
                 for w in range(self.config.n_workers):
-                    ring = ShmRing(
-                        self.config.ring_slots,
-                        self.config.ring_slot_samples,
-                        self.config.numpy_dtype,
-                    )
+                    ring = ShmRing(self.config.ring_slots, self.config.ring_slot_samples)
                     self._rings.append(ring)
                     cmd_q = ctx.Queue()
                     self._cmd_queues.append(cmd_q)
@@ -221,8 +214,6 @@ class DecodeFarm:
                             ring.name,
                             self.config.ring_slots,
                             self.config.ring_slot_samples,
-                            self.config.dtype,
-                            self.config.coschedule,
                         ),
                         daemon=True,
                     )

@@ -8,7 +8,8 @@ sends only ``(slot, n_samples)`` over the command queue; the worker
 maps the same slab and hands the session a numpy **view** of the slot.
 ``SessionSupervisor.ingest`` copies the view into its own buffer (its
 documented contract), so the slot is free for reuse the moment the
-worker acknowledges the feed.
+worker acknowledges the feed.  Slots hold ``complex128`` samples;
+``put`` widens a single-precision chunk as it copies it in.
 
 Slot lifecycle (the parent's ring owns the claimed set; no shared
 locks):
@@ -37,6 +38,9 @@ import numpy as np
 
 __all__ = ["ShmRing"]
 
+#: The sample dtype of every slot.
+_DTYPE = np.dtype(np.complex128)
+
 
 class ShmRing:
     """One worker's shared-memory slot ring.
@@ -47,35 +51,26 @@ class ShmRing:
     removes the segment.
     """
 
-    def __init__(self, slots: int, slot_samples: int, dtype: "np.typing.DTypeLike") -> None:
-        nbytes = int(slots) * int(slot_samples) * np.dtype(dtype).itemsize
-        self._map(slots, slot_samples, dtype, shared_memory.SharedMemory(create=True, size=nbytes))
+    def __init__(self, slots: int, slot_samples: int) -> None:
+        nbytes = int(slots) * int(slot_samples) * _DTYPE.itemsize
+        self._map(slots, slot_samples, shared_memory.SharedMemory(create=True, size=nbytes))
         self._owner = True
         self._free: List[int] = list(range(self.slots))
 
     @classmethod
-    def attach(cls, name: str, slots: int, slot_samples: int, dtype: "np.typing.DTypeLike") -> "ShmRing":
+    def attach(cls, name: str, slots: int, slot_samples: int) -> "ShmRing":
         """Map an existing ring by name (worker side)."""
         ring = cls.__new__(cls)
-        ring._map(slots, slot_samples, dtype, shared_memory.SharedMemory(name=name))
+        ring._map(slots, slot_samples, shared_memory.SharedMemory(name=name))
         ring._owner = False
         ring._free = []
         return ring
 
-    def _map(
-        self,
-        slots: int,
-        slot_samples: int,
-        dtype: "np.typing.DTypeLike",
-        shm: shared_memory.SharedMemory,
-    ) -> None:
+    def _map(self, slots: int, slot_samples: int, shm: shared_memory.SharedMemory) -> None:
         self.slots = int(slots)
         self.slot_samples = int(slot_samples)
-        self.dtype = np.dtype(dtype)
         self._shm = shm
-        self._grid = np.ndarray(
-            (self.slots, self.slot_samples), dtype=self.dtype, buffer=shm.buf
-        )
+        self._grid = np.ndarray((self.slots, self.slot_samples), dtype=_DTYPE, buffer=shm.buf)
         self._claimed: Set[int] = set()
         self._closed = False
 
@@ -153,7 +148,7 @@ class ShmRing:
         if self._closed:
             return
         self._closed = True
-        self._grid = np.empty((0, 0), dtype=self.dtype)  # drop the buffer export
+        self._grid = np.empty((0, 0), dtype=_DTYPE)  # drop the buffer export
         self._shm.close()
         if self._owner:
             self._shm.unlink()

@@ -149,9 +149,7 @@ def _parent_alive() -> bool:
 class WorkerCore:
     """Sessions resident on one worker, plus the co-scheduled pump."""
 
-    def __init__(self, dtype: "np.typing.DTypeLike", coschedule: bool = True) -> None:
-        self.dtype = np.dtype(dtype)
-        self.coschedule = bool(coschedule)
+    def __init__(self) -> None:
         self.sessions: Dict[int, SessionSupervisor] = {}
         self._dirty: Set[int] = set()
         #: Windows gated through a cross-session batch (lifetime total).
@@ -163,14 +161,14 @@ class WorkerCore:
         if spec.session_id in self.sessions:
             raise ValueError(f"session {spec.session_id} already on this worker")
         self.sessions[spec.session_id] = SessionSupervisor.from_config(
-            spec.config, session=spec.session, dtype=self.dtype
+            spec.config, session=spec.session
         )
 
     def restore(self, spec: SessionSpec, records: List[Record]) -> None:
         """Resume a drained session from its checkpoint records."""
         if spec.session_id in self.sessions:
             raise ValueError(f"session {spec.session_id} already on this worker")
-        streaming = StreamingReceiver.from_config(spec.config, dtype=self.dtype)
+        streaming = StreamingReceiver.from_config(spec.config)
         self.sessions[spec.session_id] = SessionSupervisor.from_checkpoint_records(
             records, streaming, config=spec.session,
             source=f"migration records for session {spec.session_id}",
@@ -223,7 +221,7 @@ class WorkerCore:
                     ready.append((sid, window))
             if not ready:
                 break
-            if self.coschedule and len(ready) >= 2:
+            if len(ready) >= 2:
                 self._prime_batched(ready)
             for sid, _window in ready:
                 emitted[sid].extend(
@@ -266,8 +264,6 @@ def worker_main(
     ring_name: str,
     ring_slots: int,
     ring_slot_samples: int,
-    dtype_name: str,
-    coschedule: bool,
 ) -> None:
     """Process entry point: drive a :class:`WorkerCore` from a queue.
 
@@ -292,8 +288,8 @@ def worker_main(
     - ``("drain", sid)``              -> ``("drained", sid, records)``
     - ``("stop",)``                   -> ``("stopped", busy_s, wall_s)``
     """
-    ring = ShmRing.attach(ring_name, ring_slots, ring_slot_samples, dtype_name)
-    core = WorkerCore(dtype_name, coschedule=coschedule)
+    ring = ShmRing.attach(ring_name, ring_slots, ring_slot_samples)
+    core = WorkerCore()
     started = time.perf_counter()
     busy = 0.0
     try:

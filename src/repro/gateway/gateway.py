@@ -575,7 +575,7 @@ class Gateway:
         state = next(r for r in records if r["type"] == "state")
         pos, fed = int(state["pos"]), int(state["samples_fed"])
         if pos >= fed:
-            return np.empty(0, dtype=self.farm_config.numpy_dtype)
+            return np.empty(0, dtype=np.complex128)
         st = self._streams[stream_id]
         if not st.retained or st.retained[0][0] > pos:
             raise RuntimeError(

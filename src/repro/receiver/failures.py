@@ -64,18 +64,16 @@ class DecodeFailure:
         return pipeline_failure(self.stage, self.reason)
 
 
-def sanitize_buffer(iq, dtype=np.complex128) -> Tuple[np.ndarray, List[DecodeFailure]]:
-    """Coerce *iq* into a finite 1-D complex buffer of *dtype*.
+def sanitize_buffer(iq) -> Tuple[np.ndarray, List[DecodeFailure]]:
+    """Coerce *iq* into a finite 1-D ``complex128`` buffer.
 
     Returns the cleaned buffer plus the :class:`DecodeFailure` records
     describing what had to be repaired (empty list for healthy input).
     Inputs that cannot be interpreted as samples at all (wrong dtype,
-    wrong rank) degrade to an empty buffer rather than raising.
-    *dtype* defaults to ``complex128``; a session running the
-    ``complex64`` fast path passes its own dtype so hygiene does not
-    silently widen the buffer at the ingest boundary.
+    wrong rank) degrade to an empty buffer rather than raising.  A
+    ``complex128`` buffer comes back as the same array; any other
+    numeric input (single-precision chunks included) is widened once.
     """
-    dtype = np.dtype(dtype)
     failures: List[DecodeFailure] = []
     try:
         x = np.asarray(iq)
@@ -84,10 +82,10 @@ def sanitize_buffer(iq, dtype=np.complex128) -> Tuple[np.ndarray, List[DecodeFai
                 DecodeFailure("input", "not_1d", detail=f"ndim={x.ndim}, coerced via ravel")
             )
             x = x.ravel()
-        x = np.asarray(x, dtype=dtype)
+        x = np.asarray(x, dtype=np.complex128)
     except (TypeError, ValueError) as exc:
         failures.append(DecodeFailure("input", "uninterpretable", detail=str(exc)))
-        return np.zeros(0, dtype=dtype), failures
+        return np.zeros(0, dtype=np.complex128), failures
 
     bad = ~np.isfinite(x.real) | ~np.isfinite(x.imag)
     if bad.any():

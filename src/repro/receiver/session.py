@@ -84,9 +84,12 @@ __all__ = ["HealthState", "SessionConfig", "SessionSupervisor", "CHECKPOINT_FORM
 
 #: ``format`` field of the checkpoint header line.
 CHECKPOINT_FORMAT = "cbma-session"
-#: Version 2 added the buffer dtype to the geometry header (the
-#: complex64 fast path must not resume onto a complex128 stack).
+#: Version 2 added the buffer dtype to the geometry header.  Sessions
+#: buffer ``complex128`` only, so a header naming any other dtype is
+#: refused by the geometry check.
 _CHECKPOINT_VERSION = 2
+#: The ``dtype`` every checkpoint header carries.
+_CHECKPOINT_DTYPE = "complex128"
 #: ``stats`` keys are the ``session.<key>`` counter names' suffixes.
 _STATS_KEY_AT = len("session.")
 
@@ -299,11 +302,7 @@ class SessionSupervisor:
         self.tracer = as_tracer(tracer)
         self.clock = clock
 
-        # The ingest buffer follows the streaming stack's dtype (the
-        # complex64 fast path must not silently widen here); stand-in
-        # streams without a dtype attribute get the default.
-        self._dtype = np.dtype(getattr(streaming, "dtype", np.complex128))
-        self._buf = np.zeros(0, dtype=self._dtype)
+        self._buf = np.zeros(0, dtype=np.complex128)
         self._base = 0  # absolute sample index of _buf[0]
         self._pos = 0  # absolute sample index of the next window
         self._fed = 0  # absolute samples ingested so far
@@ -348,7 +347,6 @@ class SessionSupervisor:
         *,
         codes=None,
         session: Optional[SessionConfig] = None,
-        dtype=np.complex128,
         tracer=None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> "SessionSupervisor":
@@ -358,15 +356,9 @@ class SessionSupervisor:
         :meth:`CbmaReceiver.from_config` ->
         :meth:`StreamingReceiver.from_config` -> supervisor -- in one
         call.  *session* is the supervision policy
-        (:class:`SessionConfig`), *dtype* the ingest-buffer dtype
-        (``complex64`` opts into the fast path).
+        (:class:`SessionConfig`).
         """
-        streaming = StreamingReceiver.from_config(
-            config,
-            codes=codes,
-            dtype=dtype,
-            tracer=tracer,
-        )
+        streaming = StreamingReceiver.from_config(config, codes=codes, tracer=tracer)
         return cls(streaming, config=session, tracer=tracer, clock=clock)
 
     # ------------------------------------------------------------------
@@ -434,7 +426,7 @@ class SessionSupervisor:
         """
         if self._finished:
             raise RuntimeError("session is finished; create a new supervisor")
-        x, failures = sanitize_buffer(chunk, dtype=self._dtype)
+        x, failures = sanitize_buffer(chunk)
         if failures:
             self._count(C.SESSION_QUARANTINED)
         self._buf = np.concatenate([self._buf, x])
@@ -737,7 +729,7 @@ class SessionSupervisor:
             hop_samples=self.streaming.hop_samples,
             max_frame_bits=self.streaming.max_frame_bits,
             n_users=len(self.streaming.receiver.codes),
-            dtype=self._dtype.name,
+            dtype=_CHECKPOINT_DTYPE,
         )
 
     def checkpoint_records(self) -> List[dict]:
@@ -823,8 +815,9 @@ class SessionSupervisor:
 
         The header is validated against *streaming*'s geometry --
         restoring onto a receiver with a different window/hop/code-book
-        shape (or buffer dtype) is a :class:`ValueError`, exactly like
-        resuming a mismatched sweep checkpoint.  Resume by re-feeding
+        shape, or a header naming a buffer dtype other than
+        ``complex128``, is a :class:`ValueError`, exactly like resuming
+        a mismatched sweep checkpoint.  Resume by re-feeding
         the capture from :attr:`position`.  Records are parsed against
         the record dataclasses: a missing or unknown field, an unknown
         record type, ``stats`` counters that differ from this session's

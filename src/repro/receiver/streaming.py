@@ -47,11 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["StreamingReceiver", "StreamFrame", "DedupTable", "GatePieces"]
 
-#: Complex dtypes a streaming stack may buffer samples in.  complex128
-#: is the default and the decode oracle; complex64 is the opt-in fast
-#: path (half the memory bandwidth through the ingest ring and gate).
-_STREAM_DTYPES = (np.dtype(np.complex128), np.dtype(np.complex64))
-
 #: Live-window pre-gate margin: a window is handed to the full
 #: pipeline when any user's batched correlation reaches this fraction
 #: of the detection threshold.  Kept fractionally below 1.0 so FFT
@@ -185,29 +180,17 @@ class StreamingReceiver:
         maximum-length frame; a window is always two hops, so every
         frame lies wholly inside the window that starts in the hop
         where the frame starts.
-    dtype:
-        Complex dtype sample buffers are kept in upstream of the full
-        decode (ingest, backlog, pre-gate).  ``complex128`` (default)
-        or ``complex64`` -- the opt-in fast path.  The decode pipeline
-        itself always runs in ``complex128`` (the receiver front end
-        widens at its boundary), so the fast path trades gate-score
-        precision (~1e-7 relative, absorbed by the pre-gate margin)
-        for ingest bandwidth without touching decode numerics.
+
+    Samples are ``complex128`` from ingest through the gate to the
+    decode, so the gate's plane is handed to the detector as is.
     """
 
     receiver: CbmaReceiver
     max_frame_bits: int = 160
-    dtype: np.dtype = np.complex128
 
     def __post_init__(self) -> None:
         if self.max_frame_bits < 1:
             raise ValueError("max_frame_bits must be >= 1")
-        self.dtype = np.dtype(self.dtype)
-        if self.dtype not in _STREAM_DTYPES:
-            raise ValueError(
-                f"dtype must be one of {[d.name for d in _STREAM_DTYPES]}, "
-                f"got {self.dtype.name}"
-            )
         code_len = next(iter(self.receiver.codes.values())).size
         self._frame_samples = (
             self.max_frame_bits * code_len * self.receiver.samples_per_chip
@@ -223,7 +206,6 @@ class StreamingReceiver:
         *,
         codes: Optional[Dict[int, np.ndarray]] = None,
         receiver: Optional[CbmaReceiver] = None,
-        dtype=np.complex128,
         tracer=None,
     ) -> "StreamingReceiver":
         """Build a streaming receiver from one :class:`CbmaConfig`.
@@ -237,11 +219,7 @@ class StreamingReceiver:
         """
         if receiver is None:
             receiver = CbmaReceiver.from_config(config, codes=codes, tracer=tracer)
-        return cls(
-            receiver=receiver,
-            max_frame_bits=config.frame_bits(),
-            dtype=dtype,
-        )
+        return cls(receiver=receiver, max_frame_bits=config.frame_bits())
 
     @property
     def window_samples(self) -> int:

@@ -384,7 +384,7 @@ def sliding_correlation_many(signals: np.ndarray, templates: np.ndarray) -> np.n
 #: hop slices and its seams (2,048 and 512 points on the benchmark
 #: geometry).  The rest serve windows correlated whole: tail windows,
 #: and the windows a detector correlates again when the front end
-#: changed their samples (a complex64 stream).
+#: changed their samples (a DC-blocked or repaired window).
 _PLANS_MAX = 4
 
 

@@ -13,7 +13,7 @@ per simulated experiment stays cheap.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -22,9 +22,13 @@ from repro.utils.bits import as_bit_array, bits_to_bytes, bytes_to_bits
 __all__ = ["Crc16", "crc16_ccitt", "crc16_ibm", "CRC16_CCITT", "CRC16_IBM"]
 
 
-def _build_table(poly: int, reflect: bool) -> np.ndarray:
-    """Precompute the 256-entry CRC table for *poly*."""
-    table = np.zeros(256, dtype=np.uint16)
+def _build_table(poly: int, reflect: bool) -> Tuple[int, ...]:
+    """Precompute the 256-entry CRC table for *poly*.
+
+    Plain Python ints: :meth:`Crc16.compute` indexes the table once per
+    byte, and a numpy scalar lookup costs more than the XOR it feeds.
+    """
+    table = []
     for byte in range(256):
         if reflect:
             crc = byte
@@ -34,8 +38,8 @@ def _build_table(poly: int, reflect: bool) -> np.ndarray:
             crc = byte << 8
             for _ in range(8):
                 crc = ((crc << 1) ^ poly if crc & 0x8000 else crc << 1) & 0xFFFF
-        table[byte] = crc
-    return table
+        table.append(crc)
+    return tuple(table)
 
 
 def _reflect16(value: int) -> int:
@@ -81,10 +85,10 @@ class Crc16:
         table = self._table
         if self.reflect:
             for byte in bytes(data):
-                crc = (crc >> 8) ^ int(table[(crc ^ byte) & 0xFF])
+                crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
         else:
             for byte in bytes(data):
-                crc = ((crc << 8) & 0xFFFF) ^ int(table[((crc >> 8) ^ byte) & 0xFF])
+                crc = ((crc << 8) & 0xFFFF) ^ table[((crc >> 8) ^ byte) & 0xFF]
         return crc ^ self.xor_out
 
     def compute_bits(self, bits) -> np.ndarray:

@@ -19,11 +19,6 @@ class TestFarmConfig:
         fc = FarmConfig()
         assert fc.n_workers == 2
         assert fc.ring_slots >= 2
-        assert fc.dtype == "complex128"
-        assert fc.numpy_dtype == np.dtype(np.complex128)
-
-    def test_complex64_dtype(self):
-        assert FarmConfig(dtype="complex64").numpy_dtype == np.dtype(np.complex64)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -31,7 +26,6 @@ class TestFarmConfig:
             {"n_workers": 0},
             {"ring_slots": 1},
             {"ring_slot_samples": 0},
-            {"dtype": "float64"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -87,16 +81,7 @@ class TestFactories:
         stream = StreamingReceiver.from_config(cfg, receiver=inner)
         assert stream.receiver is inner
 
-    def test_streaming_rejects_unknown_dtype(self, cfg):
-        with pytest.raises(ValueError):
-            StreamingReceiver.from_config(cfg, dtype=np.float64)
-
-    def test_session_from_config_threads_dtype(self, cfg):
-        sup = SessionSupervisor.from_config(cfg, dtype=np.complex64)
-        assert sup.streaming.dtype == np.dtype(np.complex64)
-        sup.ingest(np.zeros(8, dtype=np.complex128))
-        assert sup._buf.dtype == np.dtype(np.complex64)
-
     def test_session_from_config_default_dtype(self, cfg):
         sup = SessionSupervisor.from_config(cfg)
-        assert sup.streaming.dtype == np.dtype(np.complex128)
+        sup.ingest(np.zeros(8, dtype=np.complex64))
+        assert sup._buf.dtype == np.dtype(np.complex128)

@@ -24,11 +24,11 @@ def oracle(net_config, soak_capture):
     return out
 
 
-def make_farm(net_config, chunk, n_workers, backend, **kwargs):
+def make_farm(net_config, chunk, n_workers, backend):
     return DecodeFarm.from_config(
         net_config,
         n_sessions=N_SESSIONS,
-        farm=FarmConfig(n_workers=n_workers, ring_slot_samples=chunk, **kwargs),
+        farm=FarmConfig(n_workers=n_workers, ring_slot_samples=chunk),
         backend=backend,
     )
 
@@ -38,16 +38,6 @@ class TestInlineBackend:
         _buffer, chunks, chunk = soak_capture
         farm = make_farm(net_config, chunk, n_workers=2, backend="inline")
         assert run_farm(farm, chunks) == oracle
-
-    def test_coschedule_off_matches_sequential(
-        self, net_config, soak_capture, oracle
-    ):
-        _buffer, chunks, chunk = soak_capture
-        farm = make_farm(
-            net_config, chunk, n_workers=2, backend="inline", coschedule=False
-        )
-        assert run_farm(farm, chunks) == oracle
-        assert farm.batched_windows == 0
 
     def test_batched_gate_engages(self, net_config, soak_capture):
         _buffer, chunks, chunk = soak_capture

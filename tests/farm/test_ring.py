@@ -16,7 +16,7 @@ from repro.farm import ShmRing
 
 @pytest.fixture()
 def ring():
-    r = ShmRing(slots=4, slot_samples=16, dtype=np.complex128)
+    r = ShmRing(slots=4, slot_samples=16)
     yield r
     r.close()
 
@@ -86,7 +86,7 @@ class TestOwnership:
 
 class TestTeardown:
     def test_owner_close_removes_the_segment(self):
-        r = ShmRing(slots=2, slot_samples=8, dtype=np.complex128)
+        r = ShmRing(slots=2, slot_samples=8)
         name = r.name
         r.put(np.ones(3, dtype=np.complex128))  # in-flight slots do not block teardown
         r.close()
@@ -94,7 +94,7 @@ class TestTeardown:
             shared_memory.SharedMemory(name=name)
 
     def test_close_is_idempotent(self):
-        r = ShmRing(slots=2, slot_samples=8, dtype=np.complex128)
+        r = ShmRing(slots=2, slot_samples=8)
         r.close()
         r.close()
 
@@ -103,21 +103,21 @@ class TestAttach:
     def test_attached_mapping_sees_parent_writes(self, ring):
         chunk = np.linspace(0, 1, 8).astype(np.complex128) * (1 - 2j)
         slot = ring.put(chunk)
-        other = ShmRing.attach(ring.name, 4, 16, np.complex128)
+        other = ShmRing.attach(ring.name, 4, 16)
         try:
             np.testing.assert_array_equal(other.view(slot, 8), chunk)
         finally:
             other.close()
 
     def test_attached_ring_does_not_unlink(self, ring):
-        other = ShmRing.attach(ring.name, 4, 16, np.complex128)
+        other = ShmRing.attach(ring.name, 4, 16)
         other.close()  # non-owner: unmaps only
         # The segment must still be writable through the owner.
         slot = ring.put(np.ones(1, dtype=np.complex128))
         np.testing.assert_array_equal(ring.view(slot, 1), np.ones(1))
 
     def test_attached_ring_owns_no_slots(self, ring):
-        other = ShmRing.attach(ring.name, 4, 16, np.complex128)
+        other = ShmRing.attach(ring.name, 4, 16)
         try:
             assert other.free_slots == 0
             with pytest.raises(RuntimeError, match="no free ring slot"):
@@ -125,12 +125,3 @@ class TestAttach:
         finally:
             other.close()
 
-
-class TestDtype:
-    def test_complex64_slots(self):
-        r = ShmRing(slots=2, slot_samples=8, dtype=np.complex64)
-        try:
-            slot = r.put(np.ones(3, dtype=np.complex64))
-            assert r.view(slot, 3).dtype == np.dtype(np.complex64)
-        finally:
-            r.close()

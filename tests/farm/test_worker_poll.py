@@ -30,7 +30,7 @@ from repro.farm.worker import ReplyPipes, poll_get, worker_main
 
 @pytest.fixture()
 def ring():
-    r = ShmRing(slots=4, slot_samples=16, dtype=np.complex128)
+    r = ShmRing(slots=4, slot_samples=16)
     yield r
     r.close()
 
@@ -40,7 +40,7 @@ def start_worker(ring, cmd_q):
     replies, writer = multiprocessing.Pipe(duplex=False)
     thread = threading.Thread(
         target=worker_main,
-        args=(0, cmd_q, writer, ring.name, 4, 16, "complex128", True),
+        args=(0, cmd_q, writer, ring.name, 4, 16),
         daemon=True,
     )
     thread.start()
@@ -163,7 +163,7 @@ def _start_worker_then_idle(ring_name, report):
     replies, writer = ctx.Pipe(duplex=False)
     worker = ctx.Process(
         target=worker_main,
-        args=(0, cmd_q, writer, ring_name, 4, 16, "complex128", True),
+        args=(0, cmd_q, writer, ring_name, 4, 16),
     )
     worker.start()
     cmd_q.put(("pump", 1))
@@ -188,7 +188,7 @@ def test_orphaned_worker_process_exits_and_ring_unlinks(monkeypatch):
     poll_s = 0.1
     monkeypatch.setattr(worker_mod, "_POLL_S", poll_s)  # inherited by the forks
     ctx = multiprocessing.get_context("fork")
-    ring = ShmRing(slots=4, slot_samples=16, dtype=np.complex128)
+    ring = ShmRing(slots=4, slot_samples=16)
     name = ring.name
     recv, send = ctx.Pipe(duplex=False)
     parent = ctx.Process(target=_start_worker_then_idle, args=(name, send))

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.faults.models import FAULT_REASONS
+from repro.gateway.ladder import GatewayState
 from repro.obs.taxonomy import (
     C,
     DECODE_REASONS,
     FAULT_KINDS,
     G,
+    GATEWAY_STATES,
     S,
+    SESSION_STATES,
     CounterName,
     GaugeName,
     SpanName,
@@ -22,6 +25,7 @@ from repro.obs.taxonomy import (
     session_transition,
 )
 from repro.receiver.failures import DecodeFailure
+from repro.receiver.session import HealthState
 
 
 def _constants(namespace):
@@ -117,3 +121,11 @@ def test_decode_failure_counter_uses_checked_constructor():
     bogus = DecodeFailure(stage="decode", reason="bogus", user_id=1)
     with pytest.raises(ValueError):
         _ = bogus.counter
+
+
+def test_state_sets_mirror_their_enums():
+    # The taxonomy sits below the receiver and the gateway in the
+    # import graph, so it restates their state values; they must
+    # never drift apart.
+    assert SESSION_STATES == {state.value for state in HealthState}
+    assert GATEWAY_STATES == {state.value for state in GatewayState}

@@ -220,21 +220,21 @@ class TestStreamGoldens:
         assert len(frames) == n_frames
         assert _frames_digest(frames) == digest
 
-    @pytest.mark.parametrize("dtype,digest", [(np.complex128, "fbe651c3ef6f60b5"), (np.complex64, "fbe651c3ef6f60b5")])
-    def test_chunk_fed_session_digest(self, dtype, digest):
+    @pytest.mark.parametrize("chunk_dtype,digest", [(np.complex128, "fbe651c3ef6f60b5"), (np.complex64, "fbe651c3ef6f60b5")])
+    def test_chunk_fed_session_digest(self, chunk_dtype, digest):
         """A chunk-fed supervisor, through a drift fault that drives it
-        into RESYNC (widened windows), at both stream dtypes."""
+        into RESYNC (widened windows), fed chunks of either dtype; the
+        session widens single-precision chunks at ingest."""
         from repro.faults.models import OscillatorDrift
         from repro.faults.plan import FaultPlan
         from repro.receiver.session import SessionSupervisor
-        from repro.receiver.streaming import StreamingReceiver
 
         plan = FaultPlan(
             [OscillatorDrift(probability=1.0, drift_ppm=4000.0, start_round=10, end_round=22)],
             seed=5,
         )
         cfg, stream, buffer = self._capture(32, 0.3, n_windows=48, plan=plan)
-        stream = StreamingReceiver(stream.receiver, max_frame_bits=stream.max_frame_bits, dtype=dtype)
+        buffer = buffer.astype(chunk_dtype)
         session = SessionSupervisor(stream)
         chunk = cfg.chunk_hops * stream.hop_samples
         frames = []
@@ -270,23 +270,23 @@ class TestStreamGoldens:
         assert farm.batched_windows > 0
         assert _frames_digest(frames) == "ea60933fe3cd50fa"
 
-    @pytest.mark.parametrize("dtype,digest", [(np.complex128, "c3181b57d9252608"), (np.complex64, "bcf39ebe13c5a2ba")])
-    def test_session_checkpoint_digest(self, tmp_path, dtype, digest):
+    @pytest.mark.parametrize("chunk_dtype,digest", [(np.complex128, "c3181b57d9252608"), (np.complex64, "c3181b57d9252608")])
+    def test_session_checkpoint_digest(self, tmp_path, chunk_dtype, digest):
         """The checkpoint JSONL bytes of a session stopped mid-stream
         just after it recovered from RESYNC: header, state, dedup,
-        pending and history records all present, at both stream dtypes.
-        The watchdog clock is frozen so the counters are seed-only."""
+        pending and history records all present, fed chunks of either
+        dtype.  The watchdog clock is frozen so the counters are
+        seed-only."""
         from repro.faults.models import OscillatorDrift
         from repro.faults.plan import FaultPlan
         from repro.receiver.session import HealthState, SessionSupervisor
-        from repro.receiver.streaming import StreamingReceiver
 
         plan = FaultPlan(
             [OscillatorDrift(probability=1.0, drift_ppm=4000.0, start_round=10, end_round=14)],
             seed=5,
         )
         cfg, stream, buffer = self._capture(31, 0.3, plan=plan)
-        stream = StreamingReceiver(stream.receiver, max_frame_bits=stream.max_frame_bits, dtype=dtype)
+        buffer = buffer.astype(chunk_dtype)
         session = SessionSupervisor(stream, clock=lambda: 0.0)
         chunk = cfg.chunk_hops * stream.hop_samples
         for lo in range(0, 8 * chunk, chunk):
