@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint loc bench bench-quick bench-perf perf-pairs farm-bench gateway-bench gateway-soak macro-bench macro-validate examples report clean
+.PHONY: install test lint loc bench bench-quick bench-perf perf-pairs gateway-soak macro-bench macro-validate examples report clean
 
 install:
 	pip install -e .
@@ -33,10 +33,11 @@ bench-quick:
 	REPRO_BENCH_SCALE=0.25 $(PY) -m pytest benchmarks/ --benchmark-only -q
 
 # Hot-path latency trajectory (all tiers), gated vs the committed
-# baseline (docs/performance.md).
+# baseline (docs/performance.md).  The decode farm and the gateway are
+# benchmarked by perfbench (perf-pairs).
 bench-perf:
-	$(PY) -m repro bench --quick --output BENCH_0008.json \
-		--baseline benchmarks/BENCH_0008.json
+	$(PY) -m repro bench --quick --output BENCH_0009.json \
+		--baseline benchmarks/BENCH_0009.json
 
 # Alternating parent/change pairs of perfbench (docs/performance.md).
 # BASE is a checkout of the parent commit, e.g. `git worktree add ../base HEAD~1`.
@@ -48,17 +49,6 @@ perf-pairs:
 	$(PY) scripts/perf_pairs.py --base $(BASE) --change . --pairs $(PAIRS) --seed $(SEED) \
 		$(foreach w,$(WORKLOADS),--workload $(w))
 
-# Parallel decode farm only: sessions-per-core / real-time factor.
-farm-bench:
-	$(PY) -m repro bench --tier farm --quick --output BENCH_0008_farm.json \
-		--baseline benchmarks/BENCH_0008.json
-
-# Ingestion gateway tier only: service real-time factor, admission
-# throughput, migration overhead.
-gateway-bench:
-	$(PY) -m repro bench --tier gateway --quick --output BENCH_0008_gateway.json \
-		--baseline benchmarks/BENCH_0008.json
-
 # The 50-stream acceptance chaos soak with a mid-soak worker drain
 # (exit 1 + shrunken plan artifact on an invariant breach).
 gateway-soak:
@@ -68,8 +58,8 @@ gateway-soak:
 # Fleet-scale macro tier only: engine events-per-second and surface
 # lookup latency.
 macro-bench:
-	$(PY) -m repro bench --tier macro --quick --output BENCH_0008_macro.json \
-		--baseline benchmarks/BENCH_0008.json
+	$(PY) -m repro bench --tier macro --quick --output BENCH_0009_macro.json \
+		--baseline benchmarks/BENCH_0009.json
 
 # Macro <-> sample-domain agreement contract (exit 1 on breach).
 macro-validate:

@@ -13,7 +13,7 @@ Schema (``repro.bench/1``)::
 
     {
       "schema":   "repro.bench/1",
-      "bench_id": "BENCH_0008",
+      "bench_id": "BENCH_0009",
       "quick":    true,
       "seed":     7,
       "env":      {"python": "...", "numpy": "...", "platform": "..."},
@@ -60,7 +60,7 @@ __all__ = [
 
 SCHEMA = "repro.bench/1"
 #: Identifier of the current trajectory file (bumped per tracked era).
-BENCH_ID = "BENCH_0008"
+BENCH_ID = "BENCH_0009"
 
 
 @dataclass(frozen=True)
@@ -218,42 +218,6 @@ def _derive(ops: List[OpResult]) -> Dict[str, float]:
             partner = by_name.get(f"corr_fft_w{suffix}")
             if partner is not None and partner.p50_s > 0:
                 derived[f"corr_speedup_w{suffix}"] = op.p50_s / partner.p50_s
-    # Farm tier: scaling across worker counts plus the two capacity
-    # figures -- real-time factor (aggregate decoded airtime seconds
-    # per wall second) and sessions-per-core (real-time factor per
-    # worker: how many live streams one core can carry).
-    one_worker = by_name.get("farm_decode_w1")
-    for op in ops:
-        if op.group != "farm" or op.p50_s <= 0:
-            continue
-        n_workers = int(op.params.get("n_workers", 1))
-        if one_worker is not None and n_workers > 1:
-            derived[f"farm_speedup_{n_workers}w_over_1w"] = (
-                one_worker.p50_s / op.p50_s
-            )
-        stream_seconds = float(op.params.get("stream_seconds", 0.0))
-        n_sessions = int(op.params.get("n_sessions", 0))
-        if stream_seconds > 0 and n_sessions > 0:
-            realtime = n_sessions * stream_seconds / op.p50_s
-            derived[f"farm_realtime_factor_w{n_workers}"] = realtime
-            derived[f"farm_sessions_per_core_w{n_workers}"] = realtime / n_workers
-    # Gateway tier: the service-layer capacity figures -- decoded
-    # airtime per wall second through the whole admission/dispatch
-    # cycle, raw admission decisions per second, and the relative
-    # cost of a mid-soak live migration.
-    for op in ops:
-        if op.group != "gateway" or op.p50_s <= 0:
-            continue
-        decoded_seconds = float(op.params.get("decoded_seconds", 0.0))
-        if decoded_seconds > 0:
-            derived[f"{op.op}_realtime_factor"] = decoded_seconds / op.p50_s
-        n_decisions = float(op.params.get("n_decisions", 0.0))
-        if n_decisions > 0:
-            derived["gateway_admissions_per_sec"] = n_decisions / op.p50_s
-    plain = by_name.get("gateway_soak")
-    migrate = by_name.get("gateway_soak_migrate")
-    if plain is not None and migrate is not None and plain.p50_s > 0:
-        derived["gateway_migration_overhead"] = migrate.p50_s / plain.p50_s
     # Macro tier: the capacity figure is events simulated per wall
     # second -- the event count is deterministic (recorded at workload
     # build time), so the ratio is the only machine-dependent part.
@@ -276,10 +240,10 @@ def run_bench(
     """Run the benchmark suite and summarise it as a :class:`BenchReport`.
 
     *tier* selects one workload tier (``micro`` | ``detect`` | ``e2e``
-    | ``farm`` | ``gateway`` | ``macro``; default everything); *workloads* overrides the standard
-    suite entirely (tests use tiny custom ones); *tracer* receives
-    every per-rep sample for callers that want the raw event stream
-    alongside the summary.
+    | ``macro``; default everything); *workloads* overrides the
+    standard suite entirely (tests use tiny custom ones); *tracer*
+    receives every per-rep sample for callers that want the raw event
+    stream alongside the summary.
     """
     tracer = as_tracer(tracer)
     if workloads is None:

@@ -26,7 +26,7 @@ from repro.utils.correlation_batch import sliding_correlation_batch
 __all__ = ["TIERS", "Workload", "build_workloads"]
 
 #: Selectable workload tiers (``all`` = every tier).
-TIERS = ("micro", "detect", "e2e", "farm", "gateway", "macro", "all")
+TIERS = ("micro", "detect", "e2e", "macro", "all")
 
 
 @dataclass(frozen=True)
@@ -39,8 +39,7 @@ class Workload:
     fn: Callable[[], object]
     reps: int
     group: str = "micro"
-    """Report grouping: ``micro`` | ``detect`` | ``e2e`` | ``farm`` |
-    ``gateway`` | ``macro``."""
+    """Report grouping: ``micro`` | ``detect`` | ``e2e`` | ``macro``."""
 
 
 def _bipolar_templates(rng: np.random.Generator, n_templates: int, m: int) -> np.ndarray:
@@ -67,175 +66,6 @@ def _collision_buffer(
     }
     iq, _truth = simulate_round(scenario, payloads, rng=rng)
     return np.asarray(iq), code_map, fmt
-
-
-def _farm_workloads(quick: bool, seed: int) -> List[Workload]:
-    """The parallel-decode tier: one 4-session farm per worker count.
-
-    The timed region is the farm's whole life -- construct, feed every
-    chunk with the sequential cadence, pump, finish, close -- because
-    that is what a deployment pays per capture: worker startup and
-    shared-memory setup are part of the cost the ``process`` backend
-    must amortise.  The derived sessions-per-core / real-time-factor
-    metrics come from the ``stream_seconds`` param recorded here.
-    """
-    # Imported lazily: the micro tiers must not pay for the farm stack.
-    from repro.farm import DecodeFarm, FarmConfig
-    from repro.sim.experiments.soak import (
-        SoakConfig,
-        build_soak_stack,
-        build_soak_stream,
-        soak_phy_config,
-    )
-
-    n_windows = 10 if quick else 24
-    n_sessions = 4
-    soak = SoakConfig(n_windows=n_windows, n_tags=4, seed=seed, traffic_rate=0.3)
-    tags, stream = build_soak_stack(soak)
-    buffer, _offered = build_soak_stream(soak, None, stream, tags)
-    chunk = 3 * stream.hop_samples
-    chunks = [buffer[lo : lo + chunk] for lo in range(0, buffer.size, chunk)]
-    net = soak_phy_config(soak)
-    # Wall-clock seconds of airtime each session decodes, at the
-    # config's sample rate -- the real-time yardstick.
-    stream_seconds = buffer.size / (net.samples_per_chip * net.chip_rate_hz)
-    reps = 2 if quick else 4
-    workloads: List[Workload] = []
-    for n_workers in (1, 2, 4):
-        params = {
-            "n_sessions": n_sessions,
-            "n_workers": n_workers,
-            "n_tags": 4,
-            "n_windows": n_windows,
-            "n_samples": int(buffer.size),
-            "stream_seconds": stream_seconds,
-            "backend": "process",
-        }
-
-        def run(n_workers: int = n_workers) -> object:
-            farm = DecodeFarm.from_config(
-                net,
-                n_sessions=n_sessions,
-                farm=FarmConfig(n_workers=n_workers, ring_slot_samples=chunk),
-                backend="process",
-            )
-            try:
-                for piece in chunks:
-                    for sid in farm.session_ids:
-                        farm.feed(sid, piece)
-                    farm.pump()
-                return farm.finish()
-            finally:
-                farm.close()
-
-        workloads.append(
-            Workload(f"farm_decode_w{n_workers}", params, run, reps, "farm")
-        )
-    return workloads
-
-
-def _gateway_workloads(quick: bool, seed: int) -> List[Workload]:
-    """The service tier: full gateway soaks plus the admission hot path.
-
-    The soak workloads time a whole gateway life under a fixed
-    spike/brownout plan -- open streams, admit, dispatch, drain, close
-    -- on the inline backend so the measurement isolates the service
-    layer (admission, ladder, shedding, retention) from process-pool
-    startup, which the farm tier already prices.  The ``_migrate``
-    variant adds a mid-soak worker drain so ``derived`` can report the
-    relative cost of a live checkpoint/migrate/resume.  The admission
-    workload times the token-bucket + ladder decision loop alone --
-    the per-chunk overhead every admitted byte pays.
-    """
-    # Imported lazily: the other tiers must not pay for the gateway stack.
-    from repro.gateway import DegradationLadder, TokenBucket
-    from repro.faults import CapacityBrownout, FaultPlan, TrafficSpike
-    from repro.gateway.soak import GatewaySoakConfig, run_gateway_soak
-    from repro.sim.experiments.soak import SoakConfig, build_soak_stack, soak_phy_config
-
-    n_streams = 8 if quick else 24
-    n_rounds = 6 if quick else 12
-    reps = 2 if quick else 4
-    cap = SoakConfig(
-        n_windows=8 if quick else 16, n_tags=2, seed=seed, traffic_rate=0.3
-    )
-    plan = FaultPlan(
-        [
-            TrafficSpike(
-                factor=3.0, start_round=n_rounds // 3, end_round=2 * n_rounds // 3
-            ),
-            CapacityBrownout(
-                factor=0.25,
-                start_round=n_rounds // 3 + 1,
-                end_round=2 * n_rounds // 3 + 1,
-            ),
-        ],
-        seed=seed,
-    )
-    net = soak_phy_config(cap)
-    _tags, stream = build_soak_stack(cap)
-    chunk = cap.chunk_hops * stream.hop_samples
-    chunk_seconds = chunk / (net.samples_per_chip * net.chip_rate_hz)
-    workloads: List[Workload] = []
-    for op, migrate_round in (
-        ("gateway_soak", None),
-        ("gateway_soak_migrate", n_rounds // 2),
-    ):
-        cfg = GatewaySoakConfig(
-            n_streams=n_streams,
-            n_rounds=n_rounds,
-            seed=seed,
-            migrate_round=migrate_round,
-            backend="inline",
-            capture=cap,
-        )
-        # One probe run pins the deterministic decoded-airtime figure
-        # (admission decides how many chunks are actually fed).
-        probe = run_gateway_soak(cfg, plan)
-        decoded_seconds = (
-            sum(r.fed for r in probe.reports.values()) * chunk_seconds
-        )
-        params = {
-            "n_streams": n_streams,
-            "n_rounds": n_rounds,
-            "n_faults": len(plan.faults),
-            "migrate_round": migrate_round,
-            "backend": "inline",
-            "decoded_seconds": decoded_seconds,
-        }
-
-        def run(cfg: "GatewaySoakConfig" = cfg) -> object:
-            return run_gateway_soak(cfg, plan)
-
-        workloads.append(Workload(op, params, run, reps, "gateway"))
-
-    n_decisions = 50_000 if quick else 200_000
-    admission_reps = 5 if quick else 8
-
-    def run_admission() -> object:
-        now = [0.0]
-        bucket = TokenBucket(rate=1000.0, burst=64.0, clock=lambda: now[0])
-        ladder = DegradationLadder(
-            queue_high=64, queue_low=16, rtf_high=1.0, rtf_low=0.5
-        )
-        admitted = 0
-        for i in range(n_decisions):
-            now[0] += 1e-3
-            if bucket.try_acquire():
-                admitted += 1
-            ladder.observe(i % 96, 0.0)
-        return admitted
-
-    workloads.append(
-        Workload(
-            "gateway_admission",
-            {"n_decisions": n_decisions},
-            run_admission,
-            admission_reps,
-            "gateway",
-        )
-    )
-    return workloads
 
 
 def _macro_workloads(quick: bool, seed: int) -> List[Workload]:
@@ -319,17 +149,13 @@ def build_workloads(
       acceptance benchmark for the batched kernel;
     - ``e2e``: the full :meth:`CbmaReceiver.process` pipeline on the
       same class of buffer, at two payload sizes (two buffer lengths);
-    - ``farm``: :class:`~repro.farm.DecodeFarm` over a multi-session
-      soak capture at 1/2/4 workers (sessions-per-core and real-time
-      factor land in ``derived``);
-    - ``gateway``: full :class:`~repro.gateway.Gateway` soaks under a
-      spike/brownout plan, with and without a mid-soak live migration,
-      plus the raw admission decision loop (service real-time factor,
-      migration overhead and admissions-per-second land in
-      ``derived``);
     - ``macro``: the fleet-scale :class:`~repro.macro.MacroSimulator`
       at 10^4 tags, slotted and unslotted, plus batched FER-surface
       lookups (events-per-second lands in ``derived``).
+
+    The decode farm and the gateway are timed by ``perfbench``, with
+    set-up split from steady state and every frame checked against an
+    oracle (``docs/performance.md``, "The benchmark harness").
 
     *tier* selects one tier (or ``"all"``); *quick* shrinks window
     sizes and repetition counts for CI smoke runs; op names stay
@@ -339,10 +165,6 @@ def build_workloads(
         raise ValueError(f"unknown bench tier {tier!r} (allowed: {TIERS})")
     rng = np.random.default_rng(seed)
     workloads: List[Workload] = []
-    if tier == "farm":
-        return _farm_workloads(quick, seed)
-    if tier == "gateway":
-        return _gateway_workloads(quick, seed)
     if tier == "macro":
         return _macro_workloads(quick, seed)
 
@@ -430,8 +252,6 @@ def build_workloads(
             )
         )
     if tier == "all":
-        workloads.extend(_farm_workloads(quick, seed))
-        workloads.extend(_gateway_workloads(quick, seed))
         workloads.extend(_macro_workloads(quick, seed))
     else:
         workloads = [w for w in workloads if w.group == tier]

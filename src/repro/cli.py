@@ -8,8 +8,8 @@ Usage (after ``pip install -e .``)::
     python -m repro field --resolution 41
     python -m repro profile --tags 10 --rounds 20
     python -m repro profile --tags 4 --rounds 5 --json
-    python -m repro bench --quick --output BENCH_0008.json
-    python -m repro bench --tier farm --quick
+    python -m repro bench --quick --output BENCH_0009.json
+    python -m repro bench --tier macro --quick
     python -m repro macro run --tags 100000 --slots 200
     python -m repro macro calibrate --tiny --output /tmp/tiny_surface.json
     python -m repro macro validate
@@ -31,6 +31,7 @@ from typing import List, Optional
 
 from repro.analysis.ascii_plots import heatmap, line_plot
 from repro.analysis.tables import format_percent, render_series, render_table
+from repro.bench import TIERS
 from repro.channel.geometry import Deployment
 from repro.mac.power_control import PowerController
 from repro.sim.experiments import (
@@ -182,11 +183,11 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=7)
     bench.add_argument(
         "--tier",
-        choices=["micro", "detect", "e2e", "farm", "gateway", "macro", "all"],
+        choices=TIERS,
         default="all",
         help="workload tier to run (default: all)",
     )
-    bench.add_argument("--output", default="BENCH_0008.json", metavar="PATH", help="trajectory file to write")
+    bench.add_argument("--output", default="BENCH_0009.json", metavar="PATH", help="trajectory file to write")
     bench.add_argument(
         "--baseline",
         metavar="PATH",

@@ -68,22 +68,6 @@ class TokenBucket:
             return True
         return False
 
-    def deficit_delay(self, n: float = 1.0) -> float:
-        """Seconds until *n* tokens could be available (0 = now).
-
-        Advisory only -- competing acquirers may drain the bucket in
-        the meantime, which is why callers retry with jitter instead
-        of sleeping exactly this long.
-        """
-        self._refill()
-        missing = n - self._tokens
-        if missing <= 0.0:
-            return 0.0
-        effective = self.rate * self.throttle
-        if effective <= 0.0:
-            return float("inf")
-        return missing / effective
-
 
 class RetryPolicy:
     """Jittered exponential backoff for admission retries.

@@ -69,8 +69,6 @@ class GatewayConfig:
     """Samples per stream-second, for the real-time-factor gauge."""
     rtf_alpha: float = 0.2
     """EWMA weight of the newest real-time-factor observation."""
-    idle_sleep_s: float = 0.005
-    """`serve` loop sleep when there is nothing to dispatch."""
 
     # -- elasticity ----------------------------------------------------
     retain_chunks: int = 64

@@ -124,9 +124,9 @@ class Gateway:
         Injecting a virtual clock makes every admission decision a
         pure function of the submitted traffic.
     sleep:
-        Async sleep used for retry backoff and the serve loop;
-        ``None`` = :func:`asyncio.sleep`.  A virtual-clock driver
-        injects one that advances its clock instead of waiting.
+        Async sleep used for retry backoff; ``None`` =
+        :func:`asyncio.sleep`.  A virtual-clock driver injects one
+        that advances its clock instead of waiting.
     seed:
         Seed of the retry-jitter generator.
     """
@@ -460,13 +460,6 @@ class Gateway:
             self._gauge(G.GATEWAY_RTF, self.rtf)
             self._gauge(G.GATEWAY_RETAINED_SAMPLES, retained)
             return dispatched
-
-    async def serve(self, until: Callable[[], bool]) -> None:
-        """Run :meth:`step` until *until()* is true, idling politely."""
-        while not until():
-            dispatched = await self.step()
-            if not dispatched:
-                await self._sleep(self.config.idle_sleep_s)
 
     def _shed_to_watermark(self) -> None:
         """Drop queued intake, lowest priority first, down to the low

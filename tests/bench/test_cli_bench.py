@@ -19,7 +19,7 @@ def tiny_suite(monkeypatch):
         workloads = [
             Workload("detect_direct", {"n_tags": 2}, lambda: None, reps=2, group="detect"),
             Workload("detect_fft", {"n_tags": 2}, lambda: None, reps=2, group="detect"),
-            Workload("farm_decode_w1", {"n_workers": 1}, lambda: None, reps=2, group="farm"),
+            Workload("macro_surface_lookup", {"n_points": 2}, lambda: None, reps=2, group="macro"),
         ]
         if tier != "all":
             workloads = [w for w in workloads if w.group == tier]
@@ -37,17 +37,24 @@ class TestBenchCommand:
         assert {op.op for op in report.ops} == {
             "detect_direct",
             "detect_fft",
-            "farm_decode_w1",
+            "macro_surface_lookup",
         }
         stdout = capsys.readouterr().out
         assert "detect_fft" in stdout
         assert str(out) in stdout
 
     def test_tier_flag_filters_workloads(self, tiny_suite, tmp_path):
-        out = tmp_path / "farm.json"
-        assert main(["bench", "--tier", "farm", "--output", str(out)]) == 0
+        out = tmp_path / "macro.json"
+        assert main(["bench", "--tier", "macro", "--output", str(out)]) == 0
         report = BenchReport.load(out)
-        assert {op.op for op in report.ops} == {"farm_decode_w1"}
+        assert {op.op for op in report.ops} == {"macro_surface_lookup"}
+
+    @pytest.mark.parametrize("tier", ["farm", "gateway"])
+    def test_retired_tiers_exit_2(self, tier, tmp_path):
+        """perfbench is the one benchmark of the farm and the gateway."""
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--tier", tier, "--output", str(tmp_path / "b.json")])
+        assert exc.value.code == 2
 
     def test_json_output_parses(self, tiny_suite, tmp_path, capsys):
         out = tmp_path / "b.json"

@@ -9,6 +9,7 @@ import pytest
 from repro.bench import (
     BENCH_ID,
     SCHEMA,
+    TIERS,
     BenchReport,
     OpResult,
     compare_to_baseline,
@@ -97,79 +98,26 @@ class TestRunBench:
     def test_standard_quick_suite_shape(self):
         """The quick suite covers all four tiers with the acceptance
         detect ops present (without timing it here -- just the build)."""
-        ops = {w.op for w in build_workloads(quick=True, seed=7)}
+        workloads = build_workloads(quick=True, seed=7)
+        ops = {w.op for w in workloads}
+        assert {w.group for w in workloads} == {"micro", "detect", "e2e", "macro"}
         assert {"detect_direct", "detect_fft", "detect_pipeline"} <= ops
         assert any(op.startswith("corr_fft_w") for op in ops)
         assert any(op.startswith("e2e_decode_10tag_p") for op in ops)
-        assert {"farm_decode_w1", "farm_decode_w2", "farm_decode_w4"} <= ops
-        assert {"gateway_soak", "gateway_soak_migrate", "gateway_admission"} <= ops
+        assert {"macro_engine_slotted", "macro_engine_unslotted", "macro_surface_lookup"} <= ops
 
-    @pytest.mark.parametrize("tier", ["micro", "detect", "e2e", "farm", "gateway"])
+    @pytest.mark.parametrize("tier", [t for t in TIERS if t != "all"])
     def test_tier_selection(self, tier):
         workloads = build_workloads(quick=True, seed=7, tier=tier)
         assert workloads
         assert {w.group for w in workloads} == {tier}
 
     def test_unknown_tier_rejected(self):
-        with pytest.raises(ValueError, match="tier"):
-            build_workloads(quick=True, tier="nano")
-
-    def test_farm_derived_metrics(self):
-        """Scaling ratios and the capacity figures come from params,
-        not from running a real farm."""
-        workloads = [
-            Workload(
-                f"farm_decode_w{w}",
-                {"n_workers": w, "n_sessions": 4, "stream_seconds": 0.5},
-                lambda: None,
-                reps=2,
-                group="farm",
-            )
-            for w in (1, 2)
-        ]
-        report = run_bench(workloads=workloads)
-        d = report.derived
-        assert d["farm_speedup_2w_over_1w"] > 0
-        assert d["farm_realtime_factor_w1"] > 0
-        assert d["farm_sessions_per_core_w2"] == pytest.approx(
-            d["farm_realtime_factor_w2"] / 2
-        )
-
-    def test_gateway_derived_metrics(self):
-        """Service real-time factor, admission throughput and the
-        migration-overhead ratio come from params, not a real soak."""
-        workloads = [
-            Workload(
-                "gateway_soak",
-                {"n_streams": 8, "decoded_seconds": 0.25},
-                lambda: None,
-                reps=2,
-                group="gateway",
-            ),
-            Workload(
-                "gateway_soak_migrate",
-                {"n_streams": 8, "decoded_seconds": 0.25, "migrate_round": 3},
-                lambda: None,
-                reps=2,
-                group="gateway",
-            ),
-            Workload(
-                "gateway_admission",
-                {"n_decisions": 1000},
-                lambda: None,
-                reps=2,
-                group="gateway",
-            ),
-        ]
-        report = run_bench(workloads=workloads)
-        d = report.derived
-        assert d["gateway_soak_realtime_factor"] > 0
-        assert d["gateway_soak_migrate_realtime_factor"] > 0
-        assert d["gateway_admissions_per_sec"] > 0
-        assert d["gateway_migration_overhead"] == pytest.approx(
-            report.op("gateway_soak_migrate").p50_s
-            / report.op("gateway_soak").p50_s
-        )
+        """The retired farm and gateway tiers are unknown tiers: perfbench
+        is the one benchmark of the farm and the gateway."""
+        for tier in ("nano", "farm", "gateway"):
+            with pytest.raises(ValueError, match="tier"):
+                build_workloads(quick=True, tier=tier)
 
 
 class TestReportPersistence:
@@ -199,12 +147,10 @@ class TestReportPersistence:
 
     def test_committed_baseline_parses(self):
         """The checked-in trajectory file must always stay loadable."""
-        baseline = BenchReport.load("benchmarks/BENCH_0008.json")
+        baseline = BenchReport.load("benchmarks/BENCH_0009.json")
         assert baseline.bench_id == BENCH_ID
         assert baseline.op("detect_fft") is not None
         assert baseline.derived["detect_speedup_fft_over_direct"] >= 3.0
-        assert baseline.op("farm_decode_w4") is not None
-        assert "farm_sessions_per_core_w1" in baseline.derived
         assert baseline.op("macro_engine_slotted") is not None
         assert "macro_engine_slotted_events_per_sec" in baseline.derived
 

@@ -1,6 +1,5 @@
 """Unit tests for the admission primitives: bucket and retry policy."""
 
-import numpy as np
 import pytest
 
 from repro.gateway import RetryPolicy, TokenBucket
@@ -41,15 +40,6 @@ class TestTokenBucket:
         bucket.throttle = 0.5
         clock.advance(1.0)  # 10 nominal -> 5 throttled
         assert bucket.tokens == pytest.approx(5.0)
-
-    def test_deficit_delay(self):
-        clock = VirtualClock()
-        bucket = TokenBucket(rate=10.0, burst=2.0, clock=clock)
-        assert bucket.deficit_delay() == pytest.approx(0.0)
-        bucket.try_acquire(2.0)
-        assert bucket.deficit_delay() == pytest.approx(0.1)
-        bucket.throttle = 0.0
-        assert bucket.deficit_delay() == np.inf
 
     def test_validation(self):
         with pytest.raises(ValueError):
