@@ -34,7 +34,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 SIDES = ("base", "change")
-STDERR_TAIL_LINES = 5
+#: Enough lines to keep a traceback's frames, not only its last line.
+STDERR_TAIL_LINES = 40
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:

@@ -901,7 +901,8 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
                 ["frames delivered", str(result.delivered_frames)],
                 ["ladder path", " > ".join(ladder_path)],
                 ["peak intake depth", str(result.peak_queue_depth)],
-                ["sessions migrated", str(len(result.moved_sessions))],
+                ["sessions drained", str(len(result.moved_sessions))],
+                ["migrations (drain + rebalance)", str(result.migrations)],
             ],
             title=f"repro gateway soak (backend {args.backend}, seed {args.seed})",
         )

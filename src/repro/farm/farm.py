@@ -21,13 +21,19 @@ Two backends share every line of scheduling logic
   parent: the equivalence oracle for tests, and the sensible choice on
   a single-core host.
 
-The feed protocol is cycle-based: :meth:`feed` only *buffers* (the
-worker ingests the chunk and frees the ring slot; nothing decodes),
-and :meth:`pump` runs one co-scheduled decode cycle on every worker
-with dirty sessions.  Per session the cadence is therefore
+The feed protocol is cycle-based: :meth:`feed` only *buffers* (it
+writes a ring slot and queues the slot for its worker; nothing
+decodes), and :meth:`pump` runs one co-scheduled decode cycle on every
+worker with dirty sessions.  Per session the cadence is therefore
 ingest-then-pump per chunk -- exactly ``SessionSupervisor.feed`` --
 which is why farm output and stats are byte-identical to a sequential
 run over the same chunks.
+
+On the process backend every command to a worker carries that
+worker's queued feeds, which it ingests before running the command,
+and the command's reply hands the ring slots back in bulk: a pump
+cycle costs one message each way per worker.  Only a full ring sends
+its queued feeds on their own (``farm.slot_waits``).
 """
 
 from __future__ import annotations
@@ -156,6 +162,11 @@ class DecodeFarm:
             s.session_id: i % self.config.n_workers for i, s in enumerate(specs)
         }
         self._dirty_workers: Set[int] = set()
+        #: Per worker, ``(sid, slot, n)`` of ring slots written since
+        #: its last command; the next command carries them.
+        self._feeds: Dict[int, List[Tuple[int, int, int]]] = {
+            w: [] for w in range(self.config.n_workers)
+        }
         self._pump_seq = 0
         self._outstanding_pumps: Dict[int, int] = {
             w: 0 for w in range(self.config.n_workers)
@@ -224,7 +235,7 @@ class DecodeFarm:
                     writer.close()
                     self._procs.append(proc)
                 for spec in specs:
-                    self._cmd_queues[self._placement[spec.session_id]].put(("add", spec))
+                    self._send(self._placement[spec.session_id], "add", spec)
             except Exception:
                 self.close()
                 raise
@@ -276,16 +287,21 @@ class DecodeFarm:
         """Workers that have not died (sorted)."""
         return [w for w in range(self.config.n_workers) if w not in self._dead_workers]
 
-    def _pick_worker(self) -> int:
-        """Least-loaded live worker (lowest index on ties)."""
-        live = self.live_workers
-        if not live:
-            raise RuntimeError("no live workers left in the farm")
-        loads = {w: 0 for w in live}
+    @property
+    def worker_loads(self) -> Dict[int, int]:
+        """Sessions resident on each live worker."""
+        loads = {w: 0 for w in self.live_workers}
         for placed in self._placement.values():
             if placed in loads:
                 loads[placed] += 1
-        return min(live, key=lambda w: (loads[w], w))
+        return loads
+
+    def _pick_worker(self) -> int:
+        """Least-loaded live worker (lowest index on ties)."""
+        loads = self.worker_loads
+        if not loads:
+            raise RuntimeError("no live workers left in the farm")
+        return min(loads, key=lambda w: (loads[w], w))
 
     # ------------------------------------------------------------------
     # Dynamic membership (the gateway's attach/detach surface)
@@ -312,7 +328,7 @@ class DecodeFarm:
         if self.backend == "inline":
             self._cores[worker].add(spec)
         else:
-            self._cmd_queues[worker].put(("add", spec))
+            self._send(worker, "add", spec)
         self._placement[sid] = worker
         self.frames.setdefault(sid, [])
         self._count(C.FARM_SESSIONS_OPENED)
@@ -340,10 +356,10 @@ class DecodeFarm:
             self.session_stats[session_id] = stats
             self.session_health[session_id] = history
         else:
-            self._cmd_queues[worker].put(("finish", session_id))
+            self._send(worker, "finish", session_id)
             self._awaiting[session_id] = "finish"
             while not self._finished.get(session_id):
-                self._harvest()
+                self._harvest(f"the finish of session {session_id}")
         del self._placement[session_id]
         self._count(C.FARM_SESSIONS_CLOSED)
         self._gauge(G.FARM_SESSIONS_LIVE, len(self._placement))
@@ -357,10 +373,12 @@ class DecodeFarm:
         """Ship *chunk* to *session_id*'s worker (buffering only).
 
         The chunk is written into the worker's shared-memory ring --
-        split across slots when larger than one -- and the worker
-        ingests it into the session's buffer.  No windows are decoded
-        until :meth:`pump`.  Blocks only when every ring slot is in
-        flight (``farm.slot_waits``).
+        split across slots when larger than one -- and its slots are
+        queued for the worker's next command, which ingests them into
+        the session's buffer first.  No windows are decoded until
+        :meth:`pump`.  Blocks only when every ring slot is taken
+        (``farm.slot_waits``): the queued feeds then go out on their
+        own and their slots come back in one reply.
         """
         self._check_open()
         worker = self._placement[session_id]
@@ -377,9 +395,11 @@ class DecodeFarm:
                 while ring.free_slots == 0:
                     self.slot_waits += 1
                     self._count(C.FARM_SLOT_WAITS)
-                    self._harvest()
+                    if self._feeds[worker]:
+                        self._send(worker, "ingest")
+                    self._harvest(f"a free ring slot on worker {worker}")
                 slot = ring.put(piece)
-                self._cmd_queues[worker].put(("feed", session_id, slot, piece.size))
+                self._feeds[worker].append((session_id, slot, piece.size))
             self._gauge(G.FARM_RING_OCCUPANCY, ring.occupancy)
         self._dirty_workers.add(worker)
 
@@ -406,14 +426,14 @@ class DecodeFarm:
             return self._take_fresh()
         for worker in dirty:
             self._pump_seq += 1
-            self._cmd_queues[worker].put(("pump", self._pump_seq))
+            self._send(worker, "pump", self._pump_seq)
             self._outstanding_pumps[worker] += 1
         self._gauge(
             G.FARM_QUEUE_DEPTH, sum(self._outstanding_pumps.values())
         )
         if wait:
             while any(self._outstanding_pumps.values()):
-                self._harvest()
+                self._harvest("pump replies")
         else:
             self._harvest_available()
         return self._take_fresh()
@@ -455,10 +475,10 @@ class DecodeFarm:
             return tails
         pending = list(self.session_ids)
         for sid in pending:
-            self._cmd_queues[self._placement[sid]].put(("finish", sid))
+            self._send(self._placement[sid], "finish", sid)
             self._awaiting[sid] = "finish"
         while not all(self._finished.get(sid) for sid in pending):
-            self._harvest()
+            self._harvest(f"the finish of sessions {pending}")
         for sid in pending:
             tails[sid] = self._fresh.pop(sid, [])
             del self._placement[sid]
@@ -486,10 +506,10 @@ class DecodeFarm:
         if self.backend == "inline":
             records = self._cores[worker].drain(session_id)
         else:
-            self._cmd_queues[worker].put(("drain", session_id))
+            self._send(worker, "drain", session_id)
             self._awaiting[session_id] = "drain"
             while session_id not in self._drained:
-                self._harvest()
+                self._harvest(f"the drain of session {session_id}")
             records = self._drained.pop(session_id)
         del self._placement[session_id]
         self._count(C.FARM_SESSIONS_CLOSED)
@@ -513,7 +533,7 @@ class DecodeFarm:
         if self.backend == "inline":
             self._cores[worker].restore(spec, records)
         else:
-            self._cmd_queues[worker].put(("restore", spec, records))
+            self._send(worker, "restore", spec, records)
         self._placement[session_id] = worker
         self.frames.setdefault(session_id, [])
         self._count(C.FARM_SESSIONS_OPENED)
@@ -590,13 +610,33 @@ class DecodeFarm:
                 return
             self._dispatch(msg)
 
-    def _harvest(self) -> None:
-        """Block until one worker reply arrives, then dispatch it."""
-        msg = poll_get(self._replies, self._workers_alive, _HARVEST_TIMEOUT_S, self._describe_wait)
-        assert msg is not None  # a dead worker raises WorkerCrash instead
+    def _send(self, worker: int, op: str, *args: object) -> None:
+        """Queue one command for *worker*, carrying its queued feeds."""
+        feeds, self._feeds[worker] = self._feeds[worker], []
+        self._cmd_queues[worker].put((op, feeds, *args))
+
+    def _harvest(self, waiting_for: str) -> None:
+        """Block until one worker reply arrives, then dispatch it.
+
+        *waiting_for* names the loop that waits, for the errors: a
+        harvest with no running worker left raises at the next poll
+        instead of waiting out :data:`_HARVEST_TIMEOUT_S`.
+        """
+        msg = poll_get(
+            self._replies,
+            self._workers_alive,
+            _HARVEST_TIMEOUT_S,
+            lambda: self._describe_wait(waiting_for),
+        )
+        if msg is None:
+            raise RuntimeError(
+                f"farm harvest waiting for {waiting_for}, but no worker is running "
+                f"(stopped {sorted(self._stopped_workers)}, "
+                f"dead {sorted(self._dead_workers)})"
+            )
         self._dispatch(msg)
 
-    def _describe_wait(self) -> str:
+    def _describe_wait(self, waiting_for: str) -> str:
         """What each running worker owes the parent, for a harvest timeout."""
         now = time.monotonic()
         parts = []
@@ -609,11 +649,12 @@ class DecodeFarm:
             parts.append(
                 f"worker {w} (process {'alive' if proc.is_alive() else 'dead'}, "
                 f"{self._outstanding_pumps[w]} outstanding pump(s), "
+                f"{len(self._feeds[w])} queued feed(s), "
                 f"sessions awaiting finish {finish} and drain {drain}, "
                 f"ring {self._rings[w].free_slots}/{self.config.ring_slots} slots free, "
                 f"last reply {now - self._last_reply[w]:.1f}s ago)"
             )
-        return "waiting on " + "; ".join(parts)
+        return f"waiting for {waiting_for} on " + "; ".join(parts)
 
     def _workers_alive(self) -> bool:
         """Surface dead workers as :class:`WorkerCrash` (slots reclaimed).
@@ -622,7 +663,8 @@ class DecodeFarm:
         worker that exited normally has had its ``stopped`` reply
         dispatched (it is written before the worker exits) and is
         skipped here.  Returns ``True`` when every running worker
-        is alive.
+        is alive, and ``False`` when no worker is running at all:
+        nothing can answer the harvest that asked.
         """
         for w, proc in enumerate(self._procs):
             if w in self._stopped_workers or w in self._dead_workers:
@@ -634,7 +676,7 @@ class DecodeFarm:
             if w in self._stopped_workers:
                 continue
             self._recover_worker(w, proc.exitcode)
-        return True
+        return len(self._stopped_workers | self._dead_workers) < len(self._procs)
 
     def _recover_worker(self, worker: int, exitcode: Optional[int]) -> None:
         ring = self._rings[worker]
@@ -645,6 +687,7 @@ class DecodeFarm:
         for sid in lost:
             del self._placement[sid]
         self._outstanding_pumps[worker] = 0
+        self._feeds[worker] = []
         self._dirty_workers.discard(worker)
         self._dead_workers.add(worker)
         self._count(C.FARM_SESSIONS_CLOSED, len(lost))
@@ -653,44 +696,45 @@ class DecodeFarm:
         raise WorkerCrash(worker, lost, leaked, exitcode)
 
     def _dispatch(self, msg: Tuple[object, ...]) -> None:
-        worker, tag = msg[0], msg[1]
+        worker, tag, freed = msg[0], msg[1], msg[2]
         self._last_reply[worker] = time.monotonic()
-        if tag == "free":
-            self._rings[worker].release(msg[2])
-        elif tag == "pumped":
-            _seq, results, batched = msg[2], msg[3], msg[4]
+        ring = self._rings[worker]
+        for slot in freed:
+            ring.release(slot)
+        if tag == "pumped":
+            _seq, results, batched = msg[3], msg[4], msg[5]
             self._outstanding_pumps[worker] -= 1
             for sid, frames in results:
                 self._collect(sid, frames)
             self._record_batched(batched)
         elif tag == "finished":
-            sid, frames, stats, history = msg[2], msg[3], msg[4], msg[5]
+            sid, frames, stats, history = msg[3], msg[4], msg[5], msg[6]
             self._collect(sid, frames)
             self.session_stats[sid] = stats
             self.session_health[sid] = history
             self._finished[sid] = True
             self._awaiting.pop(sid, None)
         elif tag == "drained":
-            self._drained[msg[2]] = msg[3]
-            self._awaiting.pop(msg[2], None)
+            self._drained[msg[3]] = msg[4]
+            self._awaiting.pop(msg[3], None)
         elif tag == "stopped":
-            busy, wall = msg[2], msg[3]
+            busy, wall = msg[3], msg[4]
             util = busy / wall if wall > 0 else 0.0
             self.worker_utilization[worker] = util
             self._stopped_workers.add(worker)
             self._gauge(G.FARM_WORKER_UTILIZATION, util)
         elif tag == "error":
-            raise RuntimeError(f"farm worker {worker} failed: {msg[2]}")
-        else:  # pragma: no cover - defensive
+            raise RuntimeError(f"farm worker {worker} failed: {msg[3]}")
+        elif tag != "free":  # pragma: no cover - defensive
             raise RuntimeError(f"unknown farm worker reply {tag!r}")
 
     def _shutdown_workers(self) -> None:
-        for w, cmd_q in enumerate(self._cmd_queues):
+        for w in range(len(self._cmd_queues)):
             if w not in self._dead_workers:
-                cmd_q.put(("stop",))
+                self._send(w, "stop")
         expected = len(self._procs) - len(self._dead_workers)
         while len(self._stopped_workers) < expected:
-            self._harvest()
+            self._harvest("stop replies")
         for proc in self._procs:
             proc.join(timeout=5.0)
         for ring in self._rings:

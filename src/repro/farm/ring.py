@@ -4,7 +4,7 @@ Pickling a multi-megabyte complex chunk per feed would serialise the
 whole sample stream through a pipe.  Instead each worker owns one
 :class:`ShmRing` -- a ``multiprocessing.shared_memory`` slab carved
 into fixed-size slots.  The parent writes a chunk into a free slot and
-sends only ``(slot, n_samples)`` over the command queue; the worker
+sends only ``(sid, slot, n_samples)`` over the command queue; the worker
 maps the same slab and hands the session a numpy **view** of the slot.
 ``SessionSupervisor.ingest`` copies the view into its own buffer (its
 documented contract), so the slot is free for reuse the moment the
@@ -15,17 +15,21 @@ Slot lifecycle (the parent's ring owns the claimed set; no shared
 locks):
 
 1. parent: ``put(chunk)`` validates the chunk, claims a free slot and
-   writes it -- an oversized chunk claims nothing;
-2. parent -> worker: ``("feed", sid, slot, n)`` over the command queue;
-3. worker: ``view(slot, n)`` -> ``session.ingest`` (copies);
-4. worker -> parent: ``("free", slot)`` over its reply pipe;
-5. parent: ``release(slot)`` returns it to the free list -- releasing
+   writes it -- an oversized chunk claims nothing -- and queues
+   ``(sid, slot, n)`` for the worker;
+2. parent -> worker: the next command to the worker (``pump``,
+   ``finish``, ``drain``, ...) carries every queued ``(sid, slot, n)``;
+3. worker: ``view(slot, n)`` -> ``session.ingest`` (copies), for each
+   carried feed, before it runs the command;
+4. worker -> parent: the command's reply lists the carried slots;
+5. parent: ``release(slot)`` returns each to the free list -- releasing
    a slot that is not claimed (twice, or a foreign index) raises;
-6. crash recovery: ``reclaim()`` frees every in-flight slot at once.
+6. crash recovery: ``reclaim()`` frees every claimed slot at once.
 
-When no slot is free the parent blocks harvesting worker results
-(that is the farm's ingest backpressure, counted under
-``farm.slot_waits``).  Teardown is one :meth:`ShmRing.close`, which
+When no slot is free the parent sends the queued feeds on their own
+(an ``ingest`` command, answered by one ``free`` reply) and blocks
+harvesting worker results: that is the farm's ingest backpressure,
+counted under ``farm.slot_waits``.  Teardown is one :meth:`ShmRing.close`, which
 also unlinks the segment on the owning side.
 """
 
@@ -85,7 +89,7 @@ class ShmRing:
 
     @property
     def occupancy(self) -> int:
-        """Slots currently claimed (in flight to a worker)."""
+        """Slots currently claimed (queued for or in flight to a worker)."""
         return len(self._claimed)
 
     # --- parent side ----------------------------------------------------
@@ -122,7 +126,7 @@ class ShmRing:
         self._free.append(slot)
 
     def reclaim(self) -> List[int]:
-        """Free every in-flight slot (crash recovery); returns them sorted."""
+        """Free every claimed slot (crash recovery); returns them sorted."""
         slots = sorted(self._claimed)
         for slot in slots:
             self.release(slot)

@@ -267,26 +267,30 @@ def worker_main(
 ) -> None:
     """Process entry point: drive a :class:`WorkerCore` from a queue.
 
-    Commands arrive as tagged tuples; replies go out on *replies*, the
-    write end of this worker's own pipe (:class:`ReplyPipes`).  Every
-    feed is acknowledged with
-    ``("free", slot)`` the moment the session copied the slot, and any
-    exception is reported as ``("error", repr)`` before the worker
-    exits -- a farm never hangs on a dead worker silently.  Commands
-    are awaited through :func:`poll_get`, which re-checks the parent
-    process on each idle tick, so a worker orphaned by a crashed farm
-    shuts itself down instead of waiting on a queue nobody will ever
-    fill again (the symmetric guarantee -- a dead farm never strands a
-    live worker).
+    Every command arrives as ``(op, feeds, *args)``: *feeds* is the
+    ``(sid, slot, n)`` list of ring slots the parent wrote since its
+    last command to this worker.  The worker ingests them first, in
+    order, so no command can overtake a feed, and the reply to the
+    command hands their slots back in bulk.  Replies go out on
+    *replies*, the write end of this worker's own pipe
+    (:class:`ReplyPipes`), as ``(worker_id, tag, freed_slots,
+    *payload)``; any exception is reported as ``("error", repr)``
+    before the worker exits -- a farm never hangs on a dead worker
+    silently.  Commands are awaited through :func:`poll_get`, which
+    re-checks the parent process on each idle tick, so a worker
+    orphaned by a crashed farm shuts itself down instead of waiting on
+    a queue nobody will ever fill again (the symmetric guarantee -- a
+    dead farm never strands a live worker).
 
-    Replies per command (all tagged with *worker_id*):
+    Replies per command (after *worker_id*, *tag* and the freed slots):
 
-    - ``("add"|"restore", sid, ...)`` -> no reply (errors only)
-    - ``("feed", sid, slot, n)``      -> ``("free", slot)``
-    - ``("pump", seq)``               -> ``("pumped", seq, results, batched)``
-    - ``("finish", sid)``             -> ``("finished", sid, frames, stats, history)``
-    - ``("drain", sid)``              -> ``("drained", sid, records)``
-    - ``("stop",)``                   -> ``("stopped", busy_s, wall_s)``
+    - ``("add"|"restore", feeds, sid, ...)`` -> ``("free",)`` when
+      *feeds* is non-empty, else nothing (errors only)
+    - ``("ingest", feeds)``      -> ``("free",)`` (the parent's ring is full)
+    - ``("pump", feeds, seq)``   -> ``("pumped", seq, results, batched)``
+    - ``("finish", feeds, sid)`` -> ``("finished", sid, frames, stats, history)``
+    - ``("drain", feeds, sid)``  -> ``("drained", sid, records)``
+    - ``("stop", feeds)``        -> ``("stopped", busy_s, wall_s)``
     """
     ring = ShmRing.attach(ring_name, ring_slots, ring_slot_samples)
     core = WorkerCore()
@@ -298,35 +302,36 @@ def worker_main(
             if cmd is None:
                 break  # orphaned: the farm died without sending "stop"
             t0 = time.perf_counter()
-            op = cmd[0]
+            op, feeds = cmd[0], cmd[1]
+            for sid, slot, n in feeds:
+                core.ingest(sid, ring.view(slot, n))
+            freed = [slot for _sid, slot, _n in feeds]
+            # The slots go back with the command's own reply; a command
+            # that has none answers ``("free",)`` when it carried feeds.
+            out: Optional[Tuple[object, ...]] = ("free",) if freed else None
             if op == "stop":
                 busy += time.perf_counter() - t0
                 wall = time.perf_counter() - started
-                replies.send((worker_id, "stopped", busy, wall))
+                replies.send((worker_id, "stopped", freed, busy, wall))
                 break
             elif op == "add":
-                core.add(cmd[1])
+                core.add(cmd[2])
             elif op == "restore":
-                core.restore(cmd[1], cmd[2])
-            elif op == "feed":
-                _op, sid, slot, n = cmd
-                core.ingest(sid, ring.view(slot, n))
-                replies.send((worker_id, "free", slot))
+                core.restore(cmd[2], cmd[3])
             elif op == "pump":
                 before = core.batched_windows
                 results = core.pump()
-                replies.send(
-                    (worker_id, "pumped", cmd[1], results, core.batched_windows - before)
-                )
+                out = ("pumped", cmd[2], results, core.batched_windows - before)
             elif op == "finish":
-                frames, stats, history = core.finish(cmd[1])
-                replies.send((worker_id, "finished", cmd[1], frames, stats, history))
+                out = ("finished", cmd[2], *core.finish(cmd[2]))
             elif op == "drain":
-                replies.send((worker_id, "drained", cmd[1], core.drain(cmd[1])))
-            else:
+                out = ("drained", cmd[2], core.drain(cmd[2]))
+            elif op != "ingest":
                 raise ValueError(f"unknown farm worker command {op!r}")
+            if out is not None:
+                replies.send((worker_id, out[0], freed, *out[1:]))
             busy += time.perf_counter() - t0
     except Exception as exc:  # pragma: no cover - exercised via process backend
-        replies.send((worker_id, "error", repr(exc)))
+        replies.send((worker_id, "error", [], repr(exc)))
     finally:
         ring.close()

@@ -18,7 +18,9 @@ stream.  Load feedback closes the loop end to end:
 - checkpoint/restore is the elasticity primitive:
   :meth:`Gateway.drain_worker` migrates every session off a worker
   and re-feeds the fed-but-unprocessed gap from the gateway's
-  retention buffers, bit-identical under live load.
+  retention buffers, bit-identical under live load, and every
+  :meth:`Gateway.step` moves sessions the same way from the busiest
+  live worker to the idlest until their loads differ by at most one.
 
 Everything load-bearing takes an injectable clock, so a soak driven
 by a virtual clock (:mod:`repro.gateway.soak`) admits, sheds and
@@ -395,7 +397,8 @@ class Gateway:
         *budget* chunks (default ``dispatch_chunks``) from the intake
         queues -- highest priority first -- into the farm, run one
         co-scheduled pump, route the decoded frames back to their
-        streams, and refresh every gauge.
+        streams, rebalance the workers (unless DRAINING) and refresh
+        every gauge.
 
         A farm worker death propagates as
         :class:`~repro.farm.WorkerCrash` after its streams are marked
@@ -453,6 +456,8 @@ class Gateway:
                 fresh = {}
             for sid, frames in fresh.items():
                 self._deliver(sid, frames)
+            if self.ladder.state is not GatewayState.DRAINING:
+                self._rebalance()
             retained = sum(st.retained_samples for st in self._streams.values())
             self.peak_retained_samples = max(self.peak_retained_samples, retained)
             self._gauge(G.GATEWAY_QUEUE_DEPTH, self.queue_depth)
@@ -523,7 +528,9 @@ class Gateway:
         session moves to the least-loaded other worker through
         :meth:`DecodeFarm.migrate`, and its fed-but-unprocessed sample
         gap is re-fed from the gateway's retention buffers, so
-        continuation is bit-identical to never having moved.
+        continuation is bit-identical to never having moved.  The
+        drained worker stays live: new streams land on it, and the
+        next :meth:`step` moves sessions back until the loads even out.
         """
         self._check_open()
         if self.farm is None:
@@ -542,26 +549,40 @@ class Gateway:
                 if self.farm.worker_of(sid) == worker
             ]
             for sid in moved:
-                records = self.farm.migrate(sid, self._pick_target(worker))
-                gap = self._retained_gap(sid, records)
-                if gap.size:
-                    self.farm.feed(sid, gap)
-                self.migrations += 1
-                self._count(C.GATEWAY_MIGRATIONS)
+                loads = self.farm.worker_loads
+                loads.pop(worker, None)
+                if not loads:
+                    raise RuntimeError("no other live worker to migrate to")
+                self._migrate(sid, min(loads, key=lambda w: (loads[w], w)))
             return moved
         finally:
             self.ladder.release(prior)
             self._sync_ladder()
 
-    def _pick_target(self, excluded: int) -> int:
-        loads = {w: 0 for w in self.farm.live_workers if w != excluded}
-        if not loads:
-            raise RuntimeError("no other live worker to migrate to")
-        for sid in self.farm.session_ids:
-            w = self.farm.worker_of(sid)
-            if w in loads:
-                loads[w] += 1
-        return min(loads, key=lambda w: (loads[w], w))
+    def _rebalance(self) -> None:
+        """Move sessions from the busiest live worker to the idlest
+        until their loads differ by at most one (highest id first)."""
+        if self.farm is None:
+            return
+        while True:
+            loads = self.farm.worker_loads
+            if len(loads) < 2:
+                return
+            busiest = max(loads, key=lambda w: (loads[w], -w))
+            idlest = min(loads, key=lambda w: (loads[w], w))
+            if loads[busiest] - loads[idlest] <= 1:
+                return
+            sid = max(s for s in self.farm.session_ids if self.farm.worker_of(s) == busiest)
+            self._migrate(sid, idlest)
+
+    def _migrate(self, stream_id: int, worker: int) -> None:
+        """Move one session to *worker* and re-feed its retained gap."""
+        records = self.farm.migrate(stream_id, worker)
+        gap = self._retained_gap(stream_id, records)
+        if gap.size:
+            self.farm.feed(stream_id, gap)
+        self.migrations += 1
+        self._count(C.GATEWAY_MIGRATIONS)
 
     def _retained_gap(self, stream_id: int, records: List[Dict]) -> np.ndarray:
         """Samples in ``[checkpoint pos, samples fed)`` from retention."""

@@ -305,7 +305,7 @@ class SessionSupervisor:
         self._buf = np.zeros(0, dtype=np.complex128)
         self._base = 0  # absolute sample index of _buf[0]
         self._pos = 0  # absolute sample index of the next window
-        self._fed = 0  # absolute samples ingested so far
+        self._fed = 0  # absolute end of the samples ingested so far
         self._finished = False
         #: ``(live, plane)`` pre-supplied by :meth:`prime_gate` for the
         #: next window only.
@@ -379,6 +379,7 @@ class SessionSupervisor:
 
     @property
     def samples_fed(self) -> int:
+        """Absolute index one past the furthest sample ever ingested."""
         return self._fed
 
     @property
@@ -430,7 +431,9 @@ class SessionSupervisor:
         if failures:
             self._count(C.SESSION_QUARANTINED)
         self._buf = np.concatenate([self._buf, x])
-        self._fed += x.size
+        # The stream's high-water mark: after a restore, re-fed samples
+        # in ``[position, samples_fed)`` are not counted a second time.
+        self._fed = max(self._fed, self._base + self._buf.size)
         return int(x.size)
 
     def pump(

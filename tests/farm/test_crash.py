@@ -9,6 +9,7 @@ to the free list, evict the dead worker's sessions, and raise
 import os
 import re
 import signal
+import time
 
 import pytest
 
@@ -127,6 +128,25 @@ class TestHarvestTimeout:
         finally:
             if stopped:
                 os.kill(farm._procs[victim].pid, signal.SIGCONT)
+            farm.close()
+
+
+    def test_harvest_with_no_running_worker_fails_fast(self, net_config):
+        """Every worker has stopped but a pump reply is still owed: the
+        harvest raises at its first empty poll and names the loop."""
+        farm = DecodeFarm(_specs(net_config, 2), farm=FarmConfig(n_workers=2))
+        try:
+            farm._shutdown_workers()
+            farm._outstanding_pumps[0] = 1  # a reply no worker will send
+            t0 = time.monotonic()
+            with pytest.raises(
+                RuntimeError,
+                match=r"waiting for pump replies, but no worker is running "
+                r"\(stopped \[0, 1\], dead \[\]\)",
+            ):
+                farm.pump()
+            assert time.monotonic() - t0 < 1.0  # one 0.05 s poll, not 120 s
+        finally:
             farm.close()
 
 

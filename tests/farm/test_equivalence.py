@@ -102,6 +102,39 @@ class TestMigration:
             farm.close()
         assert got == oracle
 
+    @pytest.mark.parametrize("n_workers", [1, 2, 4])
+    def test_session_migrated_twice_is_bit_identical(
+        self, net_config, soak_capture, oracle, n_workers
+    ):
+        """Each restore re-feeds ``[position, samples_fed)``; the second
+        checkpoint must not count the first re-feed again."""
+        buffer, chunks, chunk = soak_capture
+        moves = {len(chunks) // 3, 2 * len(chunks) // 3}
+        moved = 1
+        farm = make_farm(net_config, chunk, n_workers=n_workers, backend="process")
+        try:
+            for k, piece in enumerate(chunks):
+                if k in moves:
+                    target = (farm.worker_of(moved) + 1) % n_workers
+                    records = farm.migrate(moved, worker=target)
+                    assert farm.worker_of(moved) == target
+                    state = next(r for r in records if r["type"] == "state")
+                    assert state["samples_fed"] == k * chunk
+                    gap = buffer[state["pos"] : state["samples_fed"]]
+                    if gap.size:
+                        farm.feed(moved, gap)
+                for sid in farm.session_ids:
+                    farm.feed(sid, piece)
+                farm.pump()
+            farm.finish()
+            got = {
+                sid: (farm.frames[sid], farm.session_stats[sid])
+                for sid in farm.frames
+            }
+        finally:
+            farm.close()
+        assert got == oracle
+
     def test_drain_removes_session(self, net_config, soak_capture):
         _buffer, chunks, chunk = soak_capture
         farm = make_farm(net_config, chunk, n_workers=2, backend="inline")

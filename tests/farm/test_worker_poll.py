@@ -59,11 +59,11 @@ def test_idle_polls_survive_until_stop(ring, monkeypatch):
     # Let the loop hit queue.Empty several times before any command.
     deadline_polls = threading.Event()
     deadline_polls.wait(0.15)
-    cmd_q.put(("stop",))
-    worker_id, tag, busy, wall = next_reply(replies)
+    cmd_q.put(("stop", []))
+    worker_id, tag, freed, busy, wall = next_reply(replies)
     thread.join(timeout=5.0)
     assert not thread.is_alive()
-    assert (worker_id, tag) == (0, "stopped")
+    assert (worker_id, tag, freed) == (0, "stopped", [])
     # Idle waiting is not billed as busy time.
     assert busy <= wall
 
@@ -75,11 +75,11 @@ def test_commands_after_idle_window_still_processed(ring, monkeypatch):
     threading.Event().wait(0.1)  # several empty polls first
     chunk = np.arange(8, dtype=np.complex128)
     slot = ring.put(chunk)
-    cmd_q.put(("feed", 1, slot, 8))  # unknown session would raise KeyError...
+    cmd_q.put(("ingest", [(1, slot, 8)]))  # unknown session would raise KeyError...
     msg = next_reply(replies)
     # ...which the loop reports as an error instead of hanging.
     assert msg[1] in ("free", "error")
-    cmd_q.put(("stop",))
+    cmd_q.put(("stop", []))
     thread.join(timeout=5.0)
     assert not thread.is_alive()
 
@@ -166,7 +166,7 @@ def _start_worker_then_idle(ring_name, report):
         args=(0, cmd_q, writer, ring_name, 4, 16),
     )
     worker.start()
-    cmd_q.put(("pump", 1))
+    cmd_q.put(("pump", [], 1))
     assert replies.poll(30.0)
     reply = replies.recv()
     report.send((worker.pid, reply[1]))

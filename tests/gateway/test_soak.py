@@ -174,7 +174,9 @@ class TestAcceptanceSoak:
             f"{v.name}: {v.detail}" for v in migrated.violations
         ]
         assert migrated.moved_sessions
-        assert migrated.migrations == len(migrated.moved_sessions)
+        # The drain moves half the sessions off worker 0, and the next
+        # step's rebalance moves as many back.
+        assert migrated.migrations == 2 * len(migrated.moved_sessions)
         assert plain.reports.keys() == migrated.reports.keys()
         for sid in plain.reports:
             assert ledger(plain.reports[sid]) == ledger(migrated.reports[sid])
