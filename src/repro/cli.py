@@ -72,6 +72,14 @@ _EXPERIMENTS = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for counts: a usage error (exit 2) below 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -80,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a quick multi-tag simulation")
-    run.add_argument("--tags", type=int, default=5)
+    run.add_argument("--tags", type=_positive_int, default=5)
     run.add_argument("--rounds", type=int, default=100)
     run.add_argument("--distance", type=float, default=1.0, help="tag-to-RX metres")
     run.add_argument("--seed", type=int, default=7)
@@ -93,12 +101,12 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--rounds", type=int, default=60)
 
     field = sub.add_parser("field", help="print the Fig. 5 signal-strength field")
-    field.add_argument("--resolution", type=int, default=41)
+    field.add_argument("--resolution", type=_positive_int, default=41)
 
     prof = sub.add_parser(
         "profile", help="trace a simulation and print the stage-level profile"
     )
-    prof.add_argument("--tags", type=int, default=4)
+    prof.add_argument("--tags", type=_positive_int, default=4)
     prof.add_argument("--rounds", type=int, default=20)
     prof.add_argument("--distance", type=float, default=1.0, help="tag-to-RX metres")
     prof.add_argument("--seed", type=int, default=7)
@@ -118,8 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
     faults = sub.add_parser(
         "faults", help="inject deployment faults and show the attributed error budget"
     )
-    faults.add_argument("--tags", type=int, default=4)
-    faults.add_argument("--rounds", type=int, default=30)
+    faults.add_argument("--tags", type=_positive_int, default=4)
+    faults.add_argument("--rounds", type=_positive_int, default=30)
     faults.add_argument("--seed", type=int, default=7)
     faults.add_argument("--distance", type=float, default=1.0, help="tag-to-RX metres")
     faults.add_argument("--dropout", type=float, default=0.2, help="per-round tag dropout probability")
@@ -159,14 +167,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     adapt = sub.add_parser("adapt", help="auto-select the spreading factor for a channel")
-    adapt.add_argument("--tags", type=int, default=3)
+    adapt.add_argument("--tags", type=_positive_int, default=3)
     adapt.add_argument("--distance", type=float, default=2.0)
-    adapt.add_argument("--epochs", type=int, default=10)
+    adapt.add_argument("--epochs", type=_positive_int, default=10)
     adapt.add_argument("--seed", type=int, default=7)
 
     system = sub.add_parser("system", help="run the full deployment life cycle")
     system.add_argument("--population", type=int, default=12)
-    system.add_argument("--group", type=int, default=4)
+    system.add_argument("--group", type=_positive_int, default=4)
     system.add_argument("--epochs", type=int, default=12)
     system.add_argument("--rounds", type=int, default=12)
     system.add_argument("--seed", type=int, default=17)
@@ -325,7 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     lint = sub.add_parser(
-        "lint", help="run the domain-aware static analysis (LNT001..LNT012)"
+        "lint",
+        help="run the domain-aware static analysis (rule catalog: --list-rules)",
+        description="domain-aware static analysis (rule catalog: --list-rules)",
     )
     from repro.lint.cli import add_lint_arguments
 
@@ -335,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     rec = trace_sub.add_parser("record", help="record a trace to JSON")
     rec.add_argument("path")
-    rec.add_argument("--tags", type=int, default=3)
+    rec.add_argument("--tags", type=_positive_int, default=3)
     rec.add_argument("--rounds", type=int, default=50)
     rec.add_argument("--seed", type=int, default=7)
     rep = trace_sub.add_parser("replay", help="replay a JSON trace")

@@ -1,11 +1,11 @@
 """Domain-aware static analysis for the CBMA reproduction.
 
 Generic linters cannot see this repo's invariants: that every random
-draw must flow from a seeded generator, that a contracted
-``complex64`` buffer must stay ``complex64``, that the farm's worker
-import closure holds no fork-unsafe state.  ``repro.lint`` encodes
-those invariants as AST rules (LNT001..LNT012 -- see
-``docs/static-analysis.md`` for the catalog and the suppression
+draw must flow from a seeded generator, that the public API matches its
+documentation, that the farm's worker import closure holds no
+fork-unsafe state.  ``repro.lint`` encodes those invariants as AST
+rules (``repro lint --list-rules`` prints the catalog;
+``docs/static-analysis.md`` explains each rule and the suppression
 syntax) and runs them over the tree::
 
     python -m repro lint src tests          # CLI (exit 1 on findings)

@@ -1,11 +1,10 @@
 """The ``repro lint`` subcommand (also ``python -m repro.lint``).
 
-Exit codes: 0 clean, 1 new violations found, 2 parse/internal errors.
+Exit codes: 0 clean, 1 violations found, 2 parse/internal errors.
 Output is one ``path:line:col: LNTxxx message`` line per finding -- the
-format editors and CI annotations already understand -- or a machine
-document via ``--format json|sarif``.  With ``--baseline FILE`` only
-findings absent from the baseline count; ``--write-baseline FILE``
-records the current findings and exits clean.
+format editors and CI annotations already understand -- or a SARIF
+2.1.0 document via ``--format sarif``.  A finding is accepted in place
+with a ``# repro-lint: disable=LNTxxx`` comment.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.baseline import load_baseline, partition, write_baseline
 from repro.lint.core import find_project_root, iter_rules, lint_paths
 from repro.lint.sarif import to_sarif
 
@@ -38,21 +36,10 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--format",
-        choices=["text", "json", "sarif"],
+        choices=["text", "sarif"],
         default="text",
         dest="output_format",
         help="finding output format",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="suppress findings recorded in this baseline; fail only on new ones",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        dest="write_baseline",
-        help="record the current findings as the accepted baseline and exit 0",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
@@ -76,41 +63,7 @@ def run_lint(args: argparse.Namespace) -> int:
     for err in errors:
         print(f"repro lint: {err}", file=sys.stderr)
 
-    if getattr(args, "write_baseline", None):
-        write_baseline(violations, Path(args.write_baseline))
-        print(
-            f"repro lint: wrote baseline with {len(violations)} finding(s)"
-            f" to {args.write_baseline}"
-        )
-        return 2 if errors else 0
-
-    baselined = 0
-    if getattr(args, "baseline", None):
-        try:
-            accepted = load_baseline(Path(args.baseline))
-        except (OSError, ValueError) as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        violations, old = partition(violations, accepted)
-        baselined = len(old)
-
-    if args.output_format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "path": v.path,
-                        "line": v.line,
-                        "col": v.col,
-                        "rule": v.rule_id,
-                        "message": v.message,
-                    }
-                    for v in violations
-                ],
-                indent=2,
-            )
-        )
-    elif args.output_format == "sarif":
+    if args.output_format == "sarif":
         root = None
         for p in args.paths:
             root = find_project_root(Path(p))
@@ -120,11 +73,8 @@ def run_lint(args: argparse.Namespace) -> int:
     else:
         for v in violations:
             print(v.format())
-        if violations or errors or baselined:
-            summary = f"\n{len(violations)} finding(s), {len(errors)} error(s)"
-            if baselined:
-                summary += f" ({baselined} baselined)"
-            print(summary)
+        if violations or errors:
+            print(f"\n{len(violations)} finding(s), {len(errors)} error(s)")
     if errors:
         return 2
     return 1 if violations else 0
@@ -133,7 +83,7 @@ def run_lint(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="domain-aware static analysis (LNT001..LNT012)",
+        description="domain-aware static analysis (rule catalog: --list-rules)",
     )
     add_lint_arguments(parser)
     return run_lint(parser.parse_args(argv))

@@ -1,14 +1,14 @@
 """Cross-module project index: symbols, imports, calls, reachability.
 
-Per-file :class:`ModuleSummary` objects record what a module *exports
-and touches* -- classes with their methods and ``self.*`` attribute
-assignments, module-level functions, ``__all__``, module-level global
-bindings, and every import edge.  Summaries are derived once per file
-content (:func:`summarize` caches on a sha256 of the source), so
-repeated project passes only re-analyse files that changed.
+Per-file :class:`ModuleSummary` objects record what a module *defines
+and touches* -- classes with their methods and typed ``self.*``
+attributes, module-level functions, module-level global bindings, and
+every import edge.  Summaries are derived once per file content
+(:func:`summarize` caches on a sha256 of the source), so repeated
+project passes only re-analyse files that changed.
 
 :class:`ProjectIndex` stitches summaries into the project-wide views
-the cross-module rules (LNT007, LNT012) consume:
+the cross-module rule (LNT007, fork safety) consumes:
 
 - the **import graph** and its transitive closure
   (:meth:`ProjectIndex.reachable_modules`) -- what code is pulled in
@@ -22,9 +22,9 @@ the cross-module rules (LNT007, LNT012) consume:
   exactly one exists.  Calling a class marks all of its methods
   reachable (constructor plus virtual dispatch, conservatively);
 - **entry-point reachability** (:meth:`ProjectIndex.reachable_functions`)
-  -- the closure the fork-safety and queue-discipline rules restrict
-  themselves to, so violations are reported only where a worker can
-  actually execute them.
+  -- the closure the fork-safety rule restricts itself to, so
+  violations are reported only where a worker can actually execute
+  them.
 
 The resolution is deliberately approximate (no type inference): it
 over-approximates dispatch targets for reachability-style rules while
@@ -40,8 +40,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.utils.contracts import ArraySpec
-
 __all__ = [
     "FunctionInfo",
     "ClassInfo",
@@ -49,7 +47,6 @@ __all__ = [
     "ProjectIndex",
     "summarize",
     "call_target",
-    "contract_specs",
 ]
 
 #: Call-target shapes produced by :func:`call_target`:
@@ -89,39 +86,6 @@ def call_target(node: ast.Call) -> Optional[CallTarget]:
     return None
 
 
-def contract_specs(fn: ast.AST) -> Optional[Dict[str, str]]:
-    """``param -> dtype`` from an ``@array_contract(...)`` decorator.
-
-    Shared between LNT004 (per-file widening) and LNT012 (cross-module
-    dtype flow).  Returns ``None`` when *fn* carries no contract.
-    """
-    if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return None
-    for dec in fn.decorator_list:
-        if not isinstance(dec, ast.Call):
-            continue
-        target = dec.func
-        name = target.id if isinstance(target, ast.Name) else (
-            target.attr if isinstance(target, ast.Attribute) else None
-        )
-        if name != "array_contract":
-            continue
-        specs: Dict[str, str] = {}
-        for kw in dec.keywords:
-            if kw.arg is None or not isinstance(kw.value, ast.Constant):
-                continue
-            if not isinstance(kw.value.value, str):
-                continue
-            try:
-                parsed = ArraySpec.parse(kw.value.value)
-            except (ValueError, TypeError):
-                continue  # the decorator itself raises at import time
-            if kw.arg != "returns":
-                specs[kw.arg] = parsed.dtype
-        return specs
-    return None
-
-
 @dataclass
 class FunctionInfo:
     """One function or method definition, with its outgoing calls."""
@@ -132,7 +96,6 @@ class FunctionInfo:
     path: str
     node: ast.AST  # FunctionDef | AsyncFunctionDef
     class_name: Optional[str] = None
-    params: List[str] = field(default_factory=list)
     calls: List[CallTarget] = field(default_factory=list)
 
     @property
@@ -143,7 +106,7 @@ class FunctionInfo:
 
 @dataclass
 class ClassInfo:
-    """One class definition: bases as written, methods, ``self.*`` stores."""
+    """One class definition: bases as written, methods, typed ``self.*`` attributes."""
 
     name: str
     module: Optional[str]
@@ -151,7 +114,6 @@ class ClassInfo:
     node: ast.ClassDef
     bases: List[str] = field(default_factory=list)
     methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-    self_attrs: Set[str] = field(default_factory=set)
     #: ``self.x`` -> class name, from annotations (``self.x: T``) or
     #: constructor-shaped assignments (``self.x = T(...)`` /
     #: ``self.x = T.from_config(...)``).
@@ -183,7 +145,6 @@ class ModuleSummary:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: module-level name -> the statement that binds it.
     module_globals: Dict[str, ast.stmt] = field(default_factory=dict)
-    dunder_all: Optional[List[str]] = None
 
 
 def _expand_name(expr: ast.expr) -> Optional[str]:
@@ -222,10 +183,6 @@ def _function_info(
     class_name: Optional[str] = None,
 ) -> FunctionInfo:
     assert isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-    args = fn.args
-    params = [a.arg for a in (*args.posonlyargs, *args.args)]
-    if class_name is not None and params and params[0] in ("self", "cls"):
-        params = params[1:]
     calls: List[CallTarget] = []
     seen: Set[CallTarget] = set()
     for node in ast.walk(fn):
@@ -242,7 +199,6 @@ def _function_info(
         path=path,
         node=fn,
         class_name=class_name,
-        params=params,
         calls=calls,
     )
 
@@ -337,10 +293,6 @@ def _class_info(cls: ast.ClassDef, module: Optional[str], path: str) -> ClassInf
                     elif isinstance(node.value, ast.Name) and node.value.id in param_types:
                         # self.x = param, typed by the signature
                         info.attr_types.setdefault(target.attr, param_types[node.value.id])
-    for node in ast.walk(cls):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
-            if isinstance(node.value, ast.Name) and node.value.id == "self":
-                info.self_attrs.add(node.attr)
     return info
 
 
@@ -374,14 +326,6 @@ def _summarize_tree(path: str, module: Optional[str], tree: ast.Module, digest: 
             for target in targets:
                 if isinstance(target, ast.Name):
                     summary.module_globals[target.id] = stmt
-                    if target.id == "__all__" and isinstance(stmt, ast.Assign):
-                        value = stmt.value
-                        if isinstance(value, (ast.List, ast.Tuple)):
-                            summary.dunder_all = [
-                                elt.value
-                                for elt in value.elts
-                                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-                            ]
     return summary
 
 

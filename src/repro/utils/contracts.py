@@ -2,14 +2,13 @@
 
 The receiver/SIC/correlator/channel hot paths all assume specific
 buffer shapes and dtypes (1-D ``complex128`` sample streams, matched
-template lengths), but numpy upcasts and broadcasts silently: a
-``complex64`` buffer that drifts to ``complex128`` doubles memory
-traffic without failing anything.  :func:`array_contract` makes those
-assumptions *declared*:
+template lengths), but numpy upcasts and broadcasts silently.
+:func:`array_contract` makes those assumptions *declared*:
 
-- statically, the **LNT004** lint rule (:mod:`repro.lint`) reads the
-  decorator and flags operations inside the function that widen a
-  declared ``complex64``/``float32`` buffer;
+- at decoration time, every spec is parsed and a narrow dtype
+  (``complex64``/``float32`` or an alias such as ``c8``/``single``)
+  raises ``ValueError``: the sample stream has one dtype,
+  ``complex128``, so a contract cannot declare a second one;
 - at runtime, with ``REPRO_DEBUG=1`` in the environment (or after
   :func:`enable_contracts`), every call checks the declared arguments
   and raises :class:`ArrayContractError` on a violation.  Dimension
@@ -18,14 +17,14 @@ assumptions *declared*:
 
 Contract spec grammar::
 
-    "(dim[, dim...]) dtype"     e.g. "(n_tags, n_chips) complex64"
+    "(dim[, dim...]) dtype"     e.g. "(n_tags, n_chips) complex128"
     "() dtype"                  scalar (0-d) array
     dtype alone                 any shape, that dtype
 
 where each *dim* is either an integer literal or a symbol name, and
-*dtype* is a numpy dtype name (``complex64``, ``complex128``,
-``float32``, ``float64``, ``uint8``, ...) or ``any`` (shape-only
-check).  Use the keyword ``returns=`` for the return value.
+*dtype* is a numpy dtype name (``complex128``, ``float64``, ``uint8``,
+...) or ``any`` (shape-only check).  Use the keyword ``returns=`` for
+the return value.
 
 The disabled path costs one attribute load and a truthiness test per
 call, so contracts are safe on hot paths.
@@ -58,11 +57,9 @@ _ENABLED: bool = os.environ.get("REPRO_DEBUG", "") == "1"
 
 _SPEC_RE = re.compile(r"^\s*(?:\(\s*(?P<dims>[^)]*)\)\s*)?(?P<dtype>[A-Za-z_][A-Za-z0-9_]*)\s*$")
 
-#: Widening order used by LNT004: dtype -> the dtypes that would widen it.
-NARROW_DTYPES: Dict[str, Tuple[str, ...]] = {
-    "float32": ("float64", "float128", "complex128"),
-    "complex64": ("complex128", "complex256"),
-}
+#: Single-precision dtypes no contract may declare; ``np.dtype`` maps
+#: aliases such as ``c8`` and ``single`` onto these.
+_NARROW = (np.dtype(np.complex64), np.dtype(np.float32))
 
 
 class ArrayContractError(TypeError):
@@ -105,8 +102,11 @@ class ArraySpec:
         else:
             dims = tuple(d.strip() for d in dims_text.split(",") if d.strip())
         dtype = m.group("dtype")
-        if dtype != "any":
-            np.dtype(dtype)  # raises TypeError on unknown names
+        if dtype != "any" and np.dtype(dtype) in _NARROW:  # TypeError on unknown names
+            raise ValueError(
+                f"array contract {spec!r} declares single-precision "
+                f"{np.dtype(dtype)}; use complex128 or float64"
+            )
         return cls(dims=dims, dtype=dtype, raw=spec)
 
     def check(self, name: str, value: Any, bindings: Dict[str, int], where: str) -> None:
@@ -154,9 +154,9 @@ def array_contract(returns: Optional[str] = None, **params: str) -> Callable[[F]
         @array_contract(x="(n) complex128", template="(m) complex128")
         def sliding_correlation(x, template): ...
 
-    The parsed specs are attached as ``fn.__array_contract__`` (what
-    LNT004 reads).  Runtime checking only happens while
-    :func:`contracts_enabled` is true.
+    Every spec is parsed here, so a malformed spec or a narrow dtype
+    raises at import, before any call.  Runtime checking only
+    happens while :func:`contracts_enabled` is true.
     """
     specs = {name: ArraySpec.parse(spec) for name, spec in params.items()}
     return_spec = ArraySpec.parse(returns) if returns is not None else None
@@ -184,10 +184,6 @@ def array_contract(returns: Optional[str] = None, **params: str) -> Callable[[F]
                 return_spec.check("return value", result, bindings, where)
             return result
 
-        wrapper.__array_contract__ = {  # type: ignore[attr-defined]
-            "params": specs,
-            "returns": return_spec,
-        }
         return wrapper  # type: ignore[return-value]
 
     return decorate

@@ -1,7 +1,6 @@
 """Engine-level lint tests: tree walking, project finalizers, select
 validation, self-hosting on the real codebase, and CLI exit codes."""
 
-import json
 from pathlib import Path
 
 import pytest
@@ -184,13 +183,21 @@ def test_cli_exit_two_on_unknown_select(tmp_path, capsys):
     assert main(["--select", "LNT999", str(tmp_path)]) == 2
 
 
-def test_cli_json_output(tmp_path, capsys):
-    planted = tmp_path / "planted.py"
-    planted.write_text("import random\nx = random.random()\n")
-    assert main(["--format", "json", str(tmp_path)]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload[0]["rule"] == "LNT001"
-    assert payload[0]["line"] == 2
+@pytest.mark.parametrize("rule_id", ["LNT004", "LNT012"])
+def test_cli_retired_dtype_rules_are_unknown(tmp_path, capsys, rule_id):
+    # Retired: array_contract refuses a narrow dtype at import instead.
+    (tmp_path / "clean.py").write_text("x = 1\n")
+    assert main(["--select", rule_id, str(tmp_path)]) == 2
+    assert "unknown rule id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv", [["--baseline", "b.json"], ["--write-baseline", "b.json"], ["--format", "json"]]
+)
+def test_cli_retired_options_are_usage_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_cli_list_rules_covers_registry(capsys):

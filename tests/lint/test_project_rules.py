@@ -1,11 +1,11 @@
-"""Mini-project fixtures for the cross-module rules (LNT007, LNT012).
+"""Mini-project fixtures for the cross-module rule (LNT007).
 
 Each project under ``tests/lint/fixtures/projects/`` is a tiny
 ``src/repro/...`` tree whose violations span two modules -- none of
 them is detectable by a per-file pass, so these tests fail if the
-project index stops resolving across files.  The trees are copied to ``tmp_path`` before
-linting: under ``tests/`` they would be classified as test files,
-which every one of these rules exempts.
+project index stops resolving across files.  The trees are copied to
+``tmp_path`` before linting: under ``tests/`` they would be classified
+as test files, which the rule exempts.
 """
 
 import shutil
@@ -54,26 +54,3 @@ def test_lnt007_suppression_and_local_shadow_are_respected(tmp_path):
     assert "_MEMO" not in messages  # line-suppressed handle
     assert "forget_local" not in messages  # local shadow, not the global
     assert "fresh_rng" not in messages  # per-call construction is safe
-
-
-# ----------------------------------------------------------------------
-# LNT012 cross-module dtype flow
-# ----------------------------------------------------------------------
-
-
-def test_lnt012_follows_contracted_params_into_other_modules(tmp_path):
-    violations = lint_project("dtypeflow", tmp_path, select=["LNT012"])
-    found = by_file_line(violations)
-    assert all(f == "frontend.py" for f, _line, _msg in found)  # call sites
-    assert any("widens its `x`" in msg or "widens its `q`" in msg for _f, _l, msg in found)
-    assert any("contracted complex128" in msg for _f, _l, msg in found)
-    assert len(found) == 2
-
-
-def test_lnt012_narrow_callees_and_suppression_are_quiet(tmp_path):
-    violations = lint_project("dtypeflow", tmp_path, select=["LNT012"])
-    lines = {v.line for v in violations}
-    source = (PROJECTS / "dtypeflow" / "src" / "repro" / "dsp" / "frontend.py").read_text()
-    for lineno, text in enumerate(source.splitlines(), start=1):
-        if "narrow_contract(x)" in text or "keep_narrow(x)" in text or "disable" in text:
-            assert lineno not in lines

@@ -73,25 +73,6 @@ def test_lnt003_exempts_test_files():
 
 
 # ----------------------------------------------------------------------
-# LNT004 dtype-discipline
-# ----------------------------------------------------------------------
-
-
-def test_lnt004_flags_widening_of_contracted_buffers():
-    found = ids_and_lines(lint_fixture("bad_dtype.py", select=["LNT004"]))
-    assert found == [
-        ("LNT004", 10),  # x.astype(np.complex128)
-        ("LNT004", 11),  # np.asarray(w, dtype=np.float64)
-        ("LNT004", 12),  # np.array(x, dtype="complex128")
-        ("LNT004", 13),  # np.asarray(w, dtype=complex)
-    ]
-
-
-def test_lnt004_clean_outside_narrow_contracts():
-    assert lint_fixture("good_dtype.py", select=["LNT004"]) == []
-
-
-# ----------------------------------------------------------------------
 # LNT005 public-api (per-file __all__ pass; the docs cross-check is
 # exercised project-wide in test_engine.py)
 # ----------------------------------------------------------------------

@@ -184,6 +184,32 @@ class TestSoakCommand:
         assert "bad soak config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--tags", "0"],
+        ["profile", "--tags", "0"],
+        ["faults", "--tags", "0"],
+        ["faults", "--rounds", "-3"],
+        ["adapt", "--tags", "0"],
+        ["adapt", "--epochs", "0"],
+        ["system", "--group", "0"],
+        ["trace", "record", "x.json", "--tags", "0"],
+        ["field", "--resolution", "0"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_count_flag_below_one_is_a_usage_error(argv, capsys):
+    """A count below 1 is refused by argparse (exit 2, usage line)
+    before any simulation is built."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro")
+    assert "must be >= 1" in err
+
+
 def _violating_gateway_soak(monkeypatch):
     """Make every gateway soak report a violation; returns the list of
     plans the soaks were given."""

@@ -1,5 +1,7 @@
 """Tests for runtime array contracts (repro.utils.contracts)."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,9 @@ def checked():
 
 
 def test_parse_dims_and_dtype():
-    spec = ArraySpec.parse("(n_tags, n_chips) complex64")
+    spec = ArraySpec.parse("(n_tags, n_chips) complex128")
     assert spec.dims == ("n_tags", "n_chips")
-    assert spec.dtype == "complex64"
+    assert spec.dtype == "complex128"
 
 
 def test_parse_scalar_and_bare_dtype():
@@ -64,14 +66,25 @@ def test_unknown_parameter_rejected_at_decoration_time():
             return x
 
 
-def test_contract_metadata_attached_for_lnt004():
-    @array_contract(x="(n) complex64", returns="(n) complex128")
-    def f(x):
-        return np.asarray(x)
+@pytest.mark.parametrize("dtype", ["complex64", "float32", "c8", "f4", "single", "csingle"])
+@pytest.mark.parametrize("where", ["param", "returns"])
+def test_narrow_dtype_refused_at_decoration_time(dtype, where):
+    spec = f"(n) {dtype}"
+    kwargs = {"x": spec} if where == "param" else {"returns": spec}
+    with pytest.raises(ValueError, match=re.escape(repr(spec))):
 
-    meta = f.__array_contract__
-    assert meta["params"]["x"].dtype == "complex64"
-    assert meta["returns"].dtype == "complex128"
+        @array_contract(**kwargs)
+        def f(x):
+            return x
+
+
+@pytest.mark.parametrize("dtype", ["complex128", "float64", "uint8", "any"])
+def test_wide_dtypes_accepted(dtype):
+    @array_contract(x=f"(n) {dtype}", returns=f"(n) {dtype}")
+    def f(x):
+        return x
+
+    assert f(None) is None
 
 
 def test_disabled_by_default_is_a_no_op():
