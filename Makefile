@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test lint loc bench bench-quick bench-perf perf-pairs gateway-soak macro-bench macro-validate examples report clean
+.PHONY: install test lint loc twonc-book bench bench-quick bench-perf perf-pairs gateway-soak macro-bench macro-validate examples report clean
 
 install:
 	pip install -e .
@@ -25,6 +25,11 @@ loc:
 	@for d in src/repro $(sort $(patsubst %/,%,$(dir $(wildcard src/repro/*/__init__.py)))) tests; do \
 		printf '%7d  %s\n' "$$(find $$d -name '*.py' -exec cat {} + | wc -l)" "$$d"; \
 	done
+
+# Rewrite the 2NC code book (src/repro/codes/twonc_book.json) from the
+# code search; `scripts/build_twonc_book.py --check` exits 1 on drift.
+twonc-book:
+	$(PY) scripts/build_twonc_book.py
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only

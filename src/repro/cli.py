@@ -33,6 +33,7 @@ from repro.analysis.ascii_plots import heatmap, line_plot
 from repro.analysis.tables import format_percent, render_series, render_table
 from repro.bench import TIERS
 from repro.channel.geometry import Deployment
+from repro.codes import make_codes
 from repro.mac.power_control import PowerController
 from repro.sim.experiments import (
     fig5_signal_field,
@@ -973,9 +974,26 @@ def _cmd_system(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_flag_combinations(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse, as a usage error (exit 2), flags whose valid range
+    depends on another flag."""
+    if args.command == "run":
+        try:
+            make_codes(args.code_family, args.tags, args.code_length)
+        except ValueError as exc:
+            parser.error(
+                f"run: --code-family {args.code_family} --code-length {args.code_length} "
+                f"--tags {args.tags}: {exc}"
+            )
+    elif args.command == "system" and args.population < args.group:
+        parser.error(f"system: --population {args.population} is below --group {args.group}")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    _check_flag_combinations(parser, args)
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "experiment":

@@ -14,17 +14,26 @@ balanced candidates, a greedy minimax search selects codes that minimise
 the worst pairwise periodic cross-correlation.  For small families this
 beats the Gold three-valued bound, reproducing the paper's observed
 ordering (2NC < Gold error rate, with Gold degrading sharply at 5 tags).
-The search is seeded and cached, so the family is a pure function of
+The search is seeded, so the family is a pure function of
 ``(size, length)`` -- tags and receiver independently derive identical
 codes, as required for a distributed system.
+
+The search costs 0.3-1 s per family, so its output for every family
+the repository uses ships as data: ``twonc_book.json``, written by
+``scripts/build_twonc_book.py``.  :func:`_search_family` serves a
+booked family from that book and searches any other one; either way
+the codes are the search's, byte for byte.
 """
 
 from __future__ import annotations
 
 import bisect
+import json
 import math
+import re
 from functools import lru_cache
-from typing import List, Tuple
+from importlib import resources
+from typing import Any, Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -34,22 +43,12 @@ __all__ = ["TwoNCFamily", "twonc_codes"]
 
 _SEARCH_SEED = 0x27C3  # fixed seed so tags and receiver derive identical codes
 _CANDIDATE_POOL = 768
-_REFINE_ROUNDS = 4
+_ANNEAL_ITERATIONS = 6000
+_ANNEAL_T0, _ANNEAL_T1 = 0.05, 0.001  # anneal start and end temperatures
 
+_BOOK_FILE = "twonc_book.json"
 
-def _max_periodic_crosscorr(a: np.ndarray, b: np.ndarray) -> float:
-    """Worst absolute periodic cross-correlation over all cyclic shifts.
-
-    Codes are compared in bipolar form and the value is normalised by
-    the code length, so 0 is perfectly orthogonal and 1 identical.
-    Periodic (cyclic) correlation is the right metric for CBMA because
-    tags are *asynchronous*: a receiver may align anywhere within a
-    neighbour's repeating chip stream.
-    """
-    fa = np.fft.fft(a)
-    fb = np.fft.fft(b)
-    corr = np.fft.ifft(fa * np.conj(fb)).real
-    return float(np.max(np.abs(corr)) / a.size)
+_CodeSet = Tuple[Tuple[int, ...], ...]
 
 
 def _max_offpeak_autocorr(a: np.ndarray) -> float:
@@ -76,26 +75,84 @@ def _balanced_candidates(length: int, pool: int, rng: np.random.Generator) -> Li
     return out
 
 
-def _family_score(indices: List[int], cross: np.ndarray, auto: np.ndarray) -> float:
-    """Minimax family score: worst pairwise cross + small auto penalty."""
-    worst_cross = 0.0
-    for a in range(len(indices)):
-        for b in range(a + 1, len(indices)):
-            worst_cross = max(worst_cross, cross[indices[a], indices[b]])
-    worst_auto = max(auto[i] for i in indices)
-    return worst_cross + 0.25 * worst_auto
+def _search_constants() -> Dict[str, Any]:
+    """The constants the search's output depends on, as the book records them."""
+    return {
+        "seed": _SEARCH_SEED,
+        "candidate_pool": _CANDIDATE_POOL,
+        "anneal_iterations": _ANNEAL_ITERATIONS,
+        "anneal_t0": _ANNEAL_T0,
+        "anneal_t1": _ANNEAL_T1,
+    }
+
+
+def _parse_book(doc: Mapping[str, Any]) -> Dict[Tuple[int, int], _CodeSet]:
+    """The families of a code book document, keyed ``(size, length)``.
+
+    Raises ``ValueError``, naming the entry, when the recorded search
+    constants differ from the module's, when an entry's code count or
+    code length does not match its ``"<size>x<length>"`` key, or when a
+    code is not a balanced ``"0"``/``"1"`` string: a book the search
+    would not write again is refused, never served.
+    """
+    recorded = doc.get("search", {})
+    for name, value in _search_constants().items():
+        if recorded.get(name) != value:
+            raise ValueError(
+                f"2NC code book: search constant {name!r} is {recorded.get(name)!r}, "
+                f"the search uses {value!r}; rebuild it (scripts/build_twonc_book.py)"
+            )
+    families: Dict[Tuple[int, int], _CodeSet] = {}
+    for key, codes in doc.get("families", {}).items():
+        match = re.fullmatch(r"(\d+)x(\d+)", key)
+        if match is None:
+            raise ValueError(f"2NC code book entry {key!r}: key is not '<size>x<length>'")
+        size, length = int(match[1]), int(match[2])
+        if len(codes) != size or any(len(code) != length for code in codes):
+            lengths = sorted({len(code) for code in codes})
+            raise ValueError(
+                f"2NC code book entry {key!r}: {len(codes)} codes of length {lengths}, "
+                f"expected {size} of length {length}"
+            )
+        for code in codes:
+            if set(code) - {"0", "1"} or 2 * code.count("1") != length:
+                raise ValueError(f"2NC code book entry {key!r}: code {code!r} is not balanced")
+        families[(size, length)] = tuple(tuple(map(int, code)) for code in codes)
+    return families
+
+
+@lru_cache(maxsize=1)
+def _load_book() -> Dict[Tuple[int, int], _CodeSet]:
+    """The packaged code book, read and checked once per process.
+
+    An installation without the file serves every family by searching.
+    """
+    try:
+        text = resources.files("repro.codes").joinpath(_BOOK_FILE).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return {}
+    return _parse_book(json.loads(text))
 
 
 @lru_cache(maxsize=32)
-def _search_family(size: int, length: int) -> Tuple[Tuple[int, ...], ...]:
-    """Greedy-plus-refinement minimax search for *size* codes.
+def _search_family(size: int, length: int) -> _CodeSet:
+    """The *size* codes of *length* chips, as tuples (hashable, for the cache).
 
-    Returns tuples (hashable, for the cache); callers convert back to
-    arrays.  Phase 1 greedily grows the family, always adding the
-    candidate whose worst correlation against the chosen set is
-    smallest.  Phase 2 repeatedly tries to swap each member for a pool
-    candidate that lowers the family's minimax score, stopping when a
-    full round makes no improvement.
+    A family in the code book is read from it; any other is searched
+    (:func:`_raw_search`).  Memoised per process, and a forked worker
+    inherits the memo.
+    """
+    booked = _load_book().get((size, length))
+    return booked if booked is not None else _raw_search(size, length)
+
+
+def _raw_search(size: int, length: int) -> _CodeSet:
+    """Greedy-plus-anneal minimax search for *size* codes.
+
+    This search defines the 2NC codes; the code book holds its output.
+    Phase 1 greedily grows the family, always adding the candidate
+    whose worst correlation against the chosen set is smallest.
+    Phase 2 anneals the whole family (:func:`_anneal`).
     """
     # Short codes have fewer distinct balanced patterns than the pool
     # asks for (C(8, 4) = 70); C(12, 6) = 924, so lengths >= 12 keep it.
@@ -165,7 +222,7 @@ def _score_matrix(bipolar: np.ndarray) -> float:
     return worst_cross + 0.5 * worst_zero + 0.25 * worst_auto
 
 
-def _anneal(family: List[np.ndarray], rng: np.random.Generator, iterations: int = 6000) -> List[np.ndarray]:
+def _anneal(family: List[np.ndarray], rng: np.random.Generator) -> List[np.ndarray]:
     """Balance-preserving simulated annealing on the whole family.
 
     Each move swaps one '1' chip with one '0' chip inside a single code
@@ -184,7 +241,7 @@ def _anneal(family: List[np.ndarray], rng: np.random.Generator, iterations: int 
     best_codes = [c.copy() for c in codes]
     current = _score_matrix(bipolar)
     best = current
-    t0, t1 = 0.05, 0.001
+    t0, t1, iterations = _ANNEAL_T0, _ANNEAL_T1, _ANNEAL_ITERATIONS
     for it in range(iterations):
         temp = t0 * (t1 / t0) ** (it / max(iterations - 1, 1))
         k = int(rng.integers(len(codes)))

@@ -73,9 +73,11 @@ _HARVEST_TIMEOUT_S = 120.0
 def build_code_families(configs: Iterable[CbmaConfig]) -> None:
     """Build the code family of each distinct config in this process.
 
-    A worker forked afterwards inherits the memoised 2NC search
-    (:func:`repro.codes.twonc._search_family`) and builds its sessions
-    without repeating it, so a farm searches once, not once per worker.
+    A 2NC family the packaged code book holds costs no search.  Any
+    other one is searched here, and a worker forked afterwards inherits
+    the memo (:func:`repro.codes.twonc._search_family`) and builds its
+    sessions without repeating it, so a farm searches an unbooked
+    family once, not once per worker.
     """
     for family in {(c.code_family, c.n_tags, c.code_length) for c in configs}:
         make_codes(*family)

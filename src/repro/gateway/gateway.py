@@ -80,14 +80,12 @@ class _StreamState:
     #: ``(absolute_offset, chunk)`` of recently fed chunks, oldest
     #: first -- the migration re-feed source.
     retained: Deque[Tuple[int, np.ndarray]] = field(default_factory=deque)
+    #: Samples held in :attr:`retained`, kept as chunks enter and leave.
+    retained_samples: int = 0
 
     @property
     def intake_depth(self) -> int:
         return len(self.intake)
-
-    @property
-    def retained_samples(self) -> int:
-        return sum(c.size for _, c in self.retained)
 
 
 @dataclass(frozen=True)
@@ -432,8 +430,9 @@ class Gateway:
                     self.farm.feed(st.stream_id, chunk)
                     st.intake.popleft()
                     st.retained.append((st.samples_fed, chunk))
+                    st.retained_samples += chunk.size
                     while len(st.retained) > self.config.retain_chunks:
-                        st.retained.popleft()
+                        st.retained_samples -= st.retained.popleft()[1].size
                     st.samples_fed += chunk.size
                     st.fed += 1
                     dispatched += 1

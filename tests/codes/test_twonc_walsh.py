@@ -1,6 +1,8 @@
 """Unit tests for repro.codes.twonc and repro.codes.walsh."""
 
+import json
 import threading
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -68,6 +70,92 @@ class TestTwoNC:
         assert len(TwoNCFamily(3, 16)) == 3
 
 
+@pytest.fixture
+def raw_searches(monkeypatch):
+    """Every ``(size, length)`` the raw search runs for, from a cold memo."""
+    calls = []
+    search = twonc._raw_search
+
+    def spy(size, length):
+        calls.append((size, length))
+        return search(size, length)
+
+    monkeypatch.setattr(twonc, "_raw_search", spy)
+    twonc._search_family.cache_clear()
+    yield calls
+    twonc._search_family.cache_clear()
+
+
+def _book_doc() -> dict:
+    text = resources.files("repro.codes").joinpath("twonc_book.json").read_text(encoding="utf-8")
+    return json.loads(text)
+
+
+class TestCodeBook:
+    """Booked families are read, not searched; a book that does not
+    match the search is refused, never served."""
+
+    def test_booked_families_run_no_search(self, raw_searches):
+        # perfbench's cold_caches() clears the memo before each set-up
+        # and counts on these two families costing no search.
+        assert len(twonc_codes(4, 32)) == 4
+        assert len(twonc_codes(2, 32)) == 2
+        assert raw_searches == []
+
+    def test_unbooked_family_is_searched_once(self, raw_searches):
+        assert (2, 14) not in twonc._load_book()
+        first = twonc_codes(2, 14)
+        second = twonc_codes(2, 14)
+        assert raw_searches == [(2, 14)]
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    def test_book_is_read_once_per_process(self):
+        assert twonc._load_book() is twonc._load_book()
+
+    def test_book_records_the_search_constants(self):
+        assert _book_doc()["search"] == twonc._search_constants()
+
+    @pytest.mark.parametrize(
+        "name", ["seed", "candidate_pool", "anneal_iterations", "anneal_t0", "anneal_t1"]
+    )
+    def test_changed_search_constant_refused(self, name):
+        doc = _book_doc()
+        doc["search"][name] += 1
+        with pytest.raises(ValueError, match=f"search constant '{name}'"):
+            twonc._parse_book(doc)
+
+    def test_wrong_code_count_refused(self):
+        doc = _book_doc()
+        doc["families"]["4x32"].pop()
+        with pytest.raises(ValueError, match="entry '4x32': 3 codes"):
+            twonc._parse_book(doc)
+
+    def test_wrong_code_length_refused(self):
+        doc = _book_doc()
+        doc["families"]["2x32"][1] += "01"
+        with pytest.raises(ValueError, match="entry '2x32'"):
+            twonc._parse_book(doc)
+
+    def test_unbalanced_code_refused(self):
+        doc = _book_doc()
+        code = doc["families"]["3x64"][2]
+        doc["families"]["3x64"][2] = "1" + code[1:] if code[0] == "0" else "0" + code[1:]
+        with pytest.raises(ValueError, match="entry '3x64': code .* is not balanced"):
+            twonc._parse_book(doc)
+
+    def test_non_binary_code_refused(self):
+        doc = _book_doc()
+        doc["families"]["1x4"] = ["01x1"]
+        with pytest.raises(ValueError, match="entry '1x4'"):
+            twonc._parse_book(doc)
+
+    def test_malformed_key_refused(self):
+        doc = _book_doc()
+        doc["families"]["four-by-32"] = doc["families"].pop("4x32")
+        with pytest.raises(ValueError, match="entry 'four-by-32'"):
+            twonc._parse_book(doc)
+
+
 def _score_matrix_by_rows(bipolar: np.ndarray) -> float:
     """Reference objective: one inverse FFT per row, as first written."""
     length = bipolar.shape[1]
@@ -129,7 +217,8 @@ def _call_with_timeout(fn, timeout_s: float):
 
 class TestShortLengths:
     """Below length 12 there are fewer balanced patterns than the
-    candidate pool; the search must shrink the pool, not spin."""
+    candidate pool; the search must shrink the pool, not spin.  The
+    code book holds these families, so the search runs here."""
 
     @pytest.mark.parametrize(
         "count,length",
@@ -137,7 +226,8 @@ class TestShortLengths:
         [(1, 4), (2, 4), (3, 4), (1, 6), (3, 6), (2, 8), (4, 8), (2, 10), (5, 10)],
     )
     def test_returns_distinct_balanced_codes(self, count, length):
-        codes = _call_with_timeout(lambda: twonc_codes(count, length), 20.0)
+        found = _call_with_timeout(lambda: twonc._raw_search(count, length), 20.0)
+        codes = [np.array(code, dtype=np.uint8) for code in found]
         assert len(codes) == count
         assert all(c.size == length and int(c.sum()) == length // 2 for c in codes)
         assert len({c.tobytes() for c in codes}) == count

@@ -2,11 +2,13 @@
 
 Every worker builds its sessions' receivers, and a 2NC receiver
 derives its codes from a seeded search
-(:func:`repro.codes.twonc._search_family`, memoised per process).  The
-farm, and a process-backend gateway, build each distinct config's
-family before forking, so the workers inherit the memo.  A spy on the
-search, installed in the parent and so inherited by every worker,
-leaves one marker file per search a worker runs.
+(:func:`repro.codes.twonc._search_family`, memoised per process) unless
+the packaged code book holds the family.  The farm, and a
+process-backend gateway, build each distinct config's family before
+forking, so the workers inherit the memo.  A spy on the search,
+installed in the parent and so inherited by every worker, leaves one
+marker file per search a worker runs.  The configs here use 36-chip
+codes, which the book does not hold, so every miss is a real search.
 """
 
 import dataclasses
@@ -22,6 +24,15 @@ from repro.farm import DecodeFarm, FarmConfig
 from repro.gateway import Gateway
 
 from tests.gateway.conftest import drive
+
+
+@pytest.fixture
+def unbooked_config(net_config):
+    """The farm's session config with a code length the book lacks."""
+    config = dataclasses.replace(net_config, code_length=36)
+    for n_tags in (config.n_tags, 2):
+        assert (n_tags, config.code_length) not in twonc._load_book()
+    return config
 
 
 @pytest.fixture
@@ -60,27 +71,27 @@ def _run_farm(config):
         farm.close()
 
 
-def test_farm_workers_inherit_the_search(net_config, worker_searches):
-    _run_farm(net_config)
+def test_farm_workers_inherit_the_search(unbooked_config, worker_searches):
+    _run_farm(unbooked_config)
     assert worker_searches.search.cache_info().misses == 1
     assert sorted(p.name for p in worker_searches.markers.iterdir()) == []
 
 
 def test_spy_sees_each_worker_search_without_the_parent_search(
-    net_config, worker_searches, monkeypatch
+    unbooked_config, worker_searches, monkeypatch
 ):
     monkeypatch.setattr(farm_mod, "build_code_families", lambda configs: None)
-    _run_farm(net_config)
+    _run_farm(unbooked_config)
     assert worker_searches.search.cache_info().misses == 0
     assert len(list(worker_searches.markers.iterdir())) == 2
 
 
 @pytest.mark.parametrize("first", ["default", "other"])
-def test_gateway_workers_inherit_the_search(net_config, worker_searches, first):
+def test_gateway_workers_inherit_the_search(unbooked_config, worker_searches, first):
     """Also when the first stream, which forks the farm, opens with
     another config: the gateway's own config was searched before."""
-    other = dataclasses.replace(net_config, n_tags=2)
-    gw = Gateway.from_config(net_config, farm=FarmConfig(n_workers=2), backend="process")
+    other = dataclasses.replace(unbooked_config, n_tags=2)
+    gw = Gateway.from_config(unbooked_config, farm=FarmConfig(n_workers=2), backend="process")
     try:
 
         async def open_streams():

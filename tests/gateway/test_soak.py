@@ -19,7 +19,8 @@ from repro.gateway.soak import (
     random_gateway_fault_plan,
     run_gateway_soak,
 )
-from repro.gateway.gateway import StreamReport
+from repro.gateway import soak as gwsoak
+from repro.gateway.gateway import Gateway, StreamReport
 from repro.sim.experiments.soak import SoakConfig, shrink_fault_plan
 
 
@@ -201,3 +202,47 @@ class TestBackendParity:
         assert inline.reports.keys() == process.reports.keys()
         for sid in inline.reports:
             assert ledger(inline.reports[sid]) == ledger(process.reports[sid])
+
+
+class TestRetentionCount:
+    """Each stream keeps a running count of the samples it retains for
+    migration re-feed, instead of re-summing its retention every step."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_count_matches_retention_after_every_step(self, seed, monkeypatch):
+        step = Gateway._step
+        wrapped = []
+
+        def checked(self, budget):
+            dispatched = step(self, budget)
+            for st in self._streams.values():
+                assert st.retained_samples == sum(c.size for _, c in st.retained)
+                wrapped.append(len(st.retained) == self.config.retain_chunks)
+            return dispatched
+
+        # Six retained chunks, so the busiest streams' retention wraps.
+        soak_config = gwsoak._soak_gateway_config
+        monkeypatch.setattr(
+            gwsoak,
+            "_soak_gateway_config",
+            lambda cfg: dataclasses.replace(soak_config(cfg), retain_chunks=6),
+        )
+        monkeypatch.setattr(Gateway, "_step", checked)
+        cfg = GatewaySoakConfig(
+            n_streams=8,
+            n_rounds=10,
+            seed=seed,
+            migrate_round=4,
+            capture=SoakConfig(n_windows=30, n_tags=2, seed=seed, traffic_rate=0.3),
+        )
+        plan = FaultPlan(
+            [
+                TrafficSpike(factor=3.0, start_round=1, end_round=4),
+                CapacityBrownout(factor=0.1, start_round=2, end_round=5),
+            ],
+            seed=seed,
+        )
+        result = run_gateway_soak(cfg, plan)
+        assert result.ok and result.migrations > 0 and any(wrapped)
+        # The high-water mark the summed retention gave before.
+        assert result.peak_retained_samples == 188416

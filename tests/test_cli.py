@@ -184,30 +184,35 @@ class TestSoakCommand:
         assert "bad soak config" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["run", "--tags", "0"],
-        ["profile", "--tags", "0"],
-        ["faults", "--tags", "0"],
-        ["faults", "--rounds", "-3"],
-        ["adapt", "--tags", "0"],
-        ["adapt", "--epochs", "0"],
-        ["system", "--group", "0"],
-        ["trace", "record", "x.json", "--tags", "0"],
-        ["field", "--resolution", "0"],
-    ],
-    ids=lambda argv: " ".join(argv),
-)
-def test_count_flag_below_one_is_a_usage_error(argv, capsys):
-    """A count below 1 is refused by argparse (exit 2, usage line)
-    before any simulation is built."""
+#: Each refused command line, and what its error says.
+_USAGE_ERRORS = {
+    "run --tags 0": "must be >= 1",
+    "profile --tags 0": "must be >= 1",
+    "faults --tags 0": "must be >= 1",
+    "faults --rounds -3": "must be >= 1",
+    "adapt --tags 0": "must be >= 1",
+    "adapt --epochs 0": "must be >= 1",
+    "system --group 0": "must be >= 1",
+    "trace record x.json --tags 0": "must be >= 1",
+    "field --resolution 0": "must be >= 1",
+    "run --code-length 3": "2NC length must be even",
+    "run --code-family gold --code-length 32": "length 32 is not 2^n - 1",
+    "run --code-family walsh --code-length 30": "order must be a power of two",
+    "system --population 2": "--population 2 is below --group 4",
+}
+
+
+@pytest.mark.parametrize("command", list(_USAGE_ERRORS))
+def test_count_flag_below_one_is_a_usage_error(command, capsys):
+    """A count below 1, a code length its family cannot have, or a
+    population below the group size is refused as a usage error (exit
+    2, usage line) before any simulation is built."""
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        main(command.split())
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.startswith("usage: repro")
-    assert "must be >= 1" in err
+    assert _USAGE_ERRORS[command] in err
 
 
 def _violating_gateway_soak(monkeypatch):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.channel.geometry import Deployment
-from repro.codes import make_codes, twonc_codes
+from repro.codes import make_codes, twonc, twonc_codes
 from repro.receiver.user_detection import UserDetector
 from repro.sim.collision import CollisionScenario, simulate_round
 from repro.sim.experiments.soak import SoakConfig, build_soak_stack, build_soak_stream
@@ -34,6 +34,56 @@ def _digest(arrays) -> str:
     return m.hexdigest()[:16]
 
 
+#: Every family in the 2NC code book, with its digest as searched
+#: (``_digest`` of ``twonc._raw_search(size, length)`` as uint8 arrays).
+_TWONC_DIGESTS = [
+    (1, 4, "76cc5805dab9b4ea"),
+    (2, 4, "b1cb3145c8151827"),
+    (3, 4, "55a0c54db8257851"),
+    (1, 6, "8eb597945e99773d"),
+    (3, 6, "27e0adf125e8a471"),
+    (2, 8, "9aad6c212dfa938b"),
+    (4, 8, "1f60ab523d01d16c"),
+    (2, 10, "3fdf4573427d82ec"),
+    (5, 10, "afd5a717b6480ffc"),
+    (2, 12, "6d10184614812d9f"),
+    (1, 16, "5a54a24175c90c58"),
+    (3, 16, "05c050816b53e76f"),
+    (4, 16, "936000c310c84a87"),
+    (1, 32, "f709cf9ee35f8a19"),
+    (2, 32, "153782184c66c916"),
+    (3, 32, "0810c0f1f58c1e92"),
+    (4, 32, "f97b6619dacd7872"),
+    (5, 32, "5fa22cde4e4d9b88"),
+    (6, 32, "52698a3b64e5f321"),
+    (7, 32, "3f78580417ce785d"),
+    (8, 32, "d6421d5358fc628c"),
+    (9, 32, "abba81101ed4c8a9"),
+    (10, 32, "85f0613d2f855b1a"),
+    (11, 32, "5da3a16be9b82426"),
+    (12, 32, "c8d1c235e5c4b2e9"),
+    (13, 32, "53ddfd193b64c915"),
+    (14, 32, "333d60629b97f0be"),
+    (15, 32, "9039476e7cf5f5a1"),
+    (16, 32, "4c0e02d0873b9f6a"),
+    (20, 40, "9c94d1184514e879"),
+    (1, 64, "e6662c29e73615ed"),
+    (2, 64, "c577f5970bfbd5d2"),
+    (3, 64, "ebc9504d6f24f132"),
+    (4, 64, "bc14be20f9eb26a4"),
+    (5, 64, "3591e7b66926732b"),
+    (6, 64, "25e28e0682d83583"),
+    (7, 64, "0a23bcf0f4bedd57"),
+    (8, 64, "19320c180de4a66e"),
+    (9, 64, "278d0b93de287f8f"),
+    (10, 64, "b1aab5a502844893"),
+    (2, 128, "97bf1e11a0f160ff"),
+    (3, 128, "921e6b2319bb1fcf"),
+    (8, 128, "abc5ffb4fb459044"),
+    (10, 128, "8f32fc59902780d5"),
+]
+
+
 class TestCodeGoldens:
     """Code families are deterministic constructions; their bytes must
     never drift silently (tags and receiver derive them independently).
@@ -47,36 +97,22 @@ class TestCodeGoldens:
     def test_twonc_family_digest(self):
         assert _digest(make_codes("2nc", 5, 64)) == "3591e7b66926732b"
 
-    @pytest.mark.parametrize(
-        "size,length,digest",
-        [
-            (1, 32, "f709cf9ee35f8a19"),
-            (2, 32, "153782184c66c916"),
-            (3, 32, "0810c0f1f58c1e92"),
-            (4, 32, "f97b6619dacd7872"),
-            (5, 32, "5fa22cde4e4d9b88"),
-            (6, 32, "52698a3b64e5f321"),
-            (7, 32, "3f78580417ce785d"),
-            (8, 32, "d6421d5358fc628c"),
-            (9, 32, "abba81101ed4c8a9"),
-            (10, 32, "85f0613d2f855b1a"),
-            (11, 32, "5da3a16be9b82426"),
-            (12, 32, "c8d1c235e5c4b2e9"),
-            (13, 32, "53ddfd193b64c915"),
-            (14, 32, "333d60629b97f0be"),
-            (15, 32, "9039476e7cf5f5a1"),
-            (16, 32, "4c0e02d0873b9f6a"),
-            (3, 64, "ebc9504d6f24f132"),
-            (8, 128, "abc5ffb4fb459044"),
-            (20, 40, "9c94d1184514e879"),
-            (4, 16, "936000c310c84a87"),
-            (2, 12, "6d10184614812d9f"),
-        ],
-    )
+    @pytest.mark.parametrize("size,length,digest", _TWONC_DIGESTS)
     def test_twonc_search_digests(self, size, length, digest):
         """The 2NC search (greedy pick plus anneal) is pinned family by
-        family: a change to its scoring or RNG use moves these bytes."""
+        family: a change to its scoring or RNG use moves these bytes.
+        It runs the search itself, not the code book."""
+        codes = [np.array(c, dtype=np.uint8) for c in twonc._raw_search(size, length)]
+        assert _digest(codes) == digest
+
+    @pytest.mark.parametrize("size,length,digest", _TWONC_DIGESTS)
+    def test_twonc_book_digests(self, size, length, digest):
+        """What the code book serves is the search's output, byte for byte."""
+        assert (size, length) in twonc._load_book()
         assert _digest(make_codes("2nc", size, length)) == digest
+
+    def test_every_booked_family_is_pinned(self):
+        assert set(twonc._load_book()) == {(size, length) for size, length, _ in _TWONC_DIGESTS}
 
     def test_kasami_family_digest(self):
         assert _digest(make_codes("kasami", 5, 63)) == "b1230befa9ef0df1"
