@@ -2,8 +2,7 @@
 
 Generic linters cannot see this repo's invariants: that every random
 draw must flow from a seeded generator, that the public API matches its
-documentation, that the farm's worker import closure holds no
-fork-unsafe state.  ``repro.lint`` encodes those invariants as AST
+documentation.  ``repro.lint`` encodes those invariants as AST
 rules (``repro lint --list-rules`` prints the catalog;
 ``docs/static-analysis.md`` explains each rule and the suppression
 syntax) and runs them over the tree::

@@ -120,31 +120,12 @@ class Project:
 
     files: List[FileContext] = field(default_factory=list)
     root: Optional[Path] = None
-    _index: Optional["ProjectIndex"] = field(default=None, repr=False, compare=False)
 
     def module(self, dotted: str) -> Optional[FileContext]:
         for ctx in self.files:
             if ctx.module_name == dotted:
                 return ctx
         return None
-
-    @property
-    def index(self) -> "ProjectIndex":
-        """Cross-module symbol/import/call-graph index, built lazily.
-
-        Per-file summaries are cached on content hash
-        (:func:`repro.lint.engine.symbols.summarize`), so repeated
-        project passes only re-derive summaries for changed files.
-        """
-        if self._index is None:
-            from repro.lint.engine.symbols import ProjectIndex, summarize
-
-            summaries = [
-                summarize(ctx.path, ctx.source, ctx.module_name, ctx.tree)
-                for ctx in self.files
-            ]
-            self._index = ProjectIndex(summaries)
-        return self._index
 
 
 class Rule:

@@ -43,6 +43,9 @@ class DecodedFrame:
     payload: Optional[bytes]
     reason: str
     """"ok", "length" (implausible length field), "truncated", or "crc"."""
+    offset: int
+    """Sample of the window where the decoded preamble starts: the
+    alignment hypothesis this outcome belongs to."""
     raw_bits: Optional[np.ndarray] = None
     """Post-preamble bits as decoded (for BER analysis), if available."""
 
@@ -142,13 +145,13 @@ class ChipDecoder:
         body_start = preamble_start + self.fmt.preamble_bits * self.block_samples
         length_bits = decide(body_start, 8)
         if length_bits is None:
-            return DecodedFrame(user_id, False, None, "truncated")
+            return DecodedFrame(user_id, False, None, "truncated", preamble_start)
         length = int(length_bits @ _BYTE_WEIGHTS)
         if length > MAX_PAYLOAD_BYTES:
-            return DecodedFrame(user_id, False, None, "length", raw_bits=length_bits)
+            return DecodedFrame(user_id, False, None, "length", preamble_start, raw_bits=length_bits)
         rest_bits = decide(body_start + 8 * self.block_samples, 8 * length + 16)
         if rest_bits is None:
-            return DecodedFrame(user_id, False, None, "truncated", raw_bits=length_bits)
+            return DecodedFrame(user_id, False, None, "truncated", preamble_start, raw_bits=length_bits)
 
         raw_bits = np.concatenate((length_bits, rest_bits))
         tracer = self.tracer
@@ -157,9 +160,9 @@ class ChipDecoder:
                 payload = self.fmt.check_body(np.packbits(raw_bits))
         except FrameError:
             tracer.count(C.CRC_FAIL)
-            return DecodedFrame(user_id, False, None, "crc", raw_bits=raw_bits)
+            return DecodedFrame(user_id, False, None, "crc", preamble_start, raw_bits=raw_bits)
         tracer.count(C.CRC_OK)
-        return DecodedFrame(user_id, True, payload, "ok", raw_bits=raw_bits)
+        return DecodedFrame(user_id, True, payload, "ok", preamble_start, raw_bits=raw_bits)
 
     @array_contract(window="(n) complex128")
     def decode_candidates(
@@ -213,7 +216,8 @@ class ChipDecoder:
         if first is not None:
             return first, 0
         # Candidate 0 was settled by the screen.
+        start = candidates[0][0]
         if not fits or fits[0] != 0:
-            return DecodedFrame(user_id, False, None, "truncated"), 0
+            return DecodedFrame(user_id, False, None, "truncated", start), 0
         reason = "length" if lengths[0] > MAX_PAYLOAD_BYTES else "truncated"
-        return DecodedFrame(user_id, False, None, reason, raw_bits=length_bits[0].copy()), 0
+        return DecodedFrame(user_id, False, None, reason, start, raw_bits=length_bits[0].copy()), 0

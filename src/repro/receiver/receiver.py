@@ -241,7 +241,11 @@ class CbmaReceiver:
                 DecodeFailure("decode", "exception", user_id=det.user_id, detail=str(exc)),
             )
             frame = DecodedFrame(
-                user_id=det.user_id, success=False, payload=None, reason="exception"
+                user_id=det.user_id,
+                success=False,
+                payload=None,
+                reason="exception",
+                offset=candidates[0][0],
             )
         tracer.count(decode_outcome(frame.reason))
         return frame, candidates[index]
@@ -345,5 +349,6 @@ class CbmaReceiver:
                     success=False,
                     payload=None,
                     reason="ghost",
+                    offset=ghost.offset,
                     raw_bits=ghost.raw_bits,
                 )

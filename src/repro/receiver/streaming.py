@@ -411,17 +411,18 @@ class StreamingReceiver:
         every accepted frame in *dedup*.  Shared by the batch walk
         (:meth:`process_stream`) and the supervised session
         (:class:`repro.receiver.session.SessionSupervisor`) so the two
-        paths can never drift apart.  *corr* is the pre-gate's plane
+        paths can never drift apart.  A frame starts at *pos* plus the
+        offset of the candidate that decoded it (``DecodedFrame.offset``).
+        *corr* is the pre-gate's plane
         for *window* (see :meth:`window_is_live`), passed through to
         :meth:`CbmaReceiver.process`.
         """
         report = self.receiver.process(window, skip_energy_gate=True, corr=corr)
-        det_offsets = {d.user_id: d.offset for d in report.detections}
         frames: List[StreamFrame] = []
         for frame in report.frames:
             if not frame.success:
                 continue
-            start = pos + det_offsets.get(frame.user_id, 0)
+            start = pos + frame.offset
             if dedup.seen(frame.user_id, frame.payload, start):
                 continue
             frames.append(

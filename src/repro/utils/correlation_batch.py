@@ -542,8 +542,9 @@ def template_bank(
     bank = TemplateBank(user_ids, matrix, int(samples_per_chip))
     # Fork-safe memo: banks are deterministic, immutable values keyed by
     # content, so post-fork divergence costs only a rebuild, never a
-    # wrong answer or a shared handle.
+    # wrong answer or a shared handle (tests/farm/test_fork_boundary.py
+    # allows this global to change).
     if len(_BANK_CACHE) >= _BANK_CACHE_MAX:
-        _BANK_CACHE.pop(next(iter(_BANK_CACHE)))  # repro-lint: disable=LNT007
-    _BANK_CACHE[key] = bank  # repro-lint: disable=LNT007
+        _BANK_CACHE.pop(next(iter(_BANK_CACHE)))
+    _BANK_CACHE[key] = bank
     return bank

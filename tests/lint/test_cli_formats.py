@@ -66,7 +66,7 @@ def test_sarif_rule_catalog_covers_the_registry(tmp_path, capsys):
     assert main(["--format", "sarif", str(tmp_path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     ids = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-    assert ids == set(REGISTRY) == {"LNT001", "LNT003", "LNT005", "LNT006", "LNT007"}
+    assert ids == set(REGISTRY) == {"LNT001", "LNT003", "LNT005", "LNT006"}
 
 
 def test_to_sarif_relativizes_paths_against_root(tmp_path):

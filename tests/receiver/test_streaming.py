@@ -80,9 +80,9 @@ class TestStreamingReceiver:
         hits = [f for f in frames if f.payload == b"boundaryfr"]
         assert len(hits) == 1
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: frames stamped at the detection peak")
     def test_frame_in_last_sample_of_hop_emitted_once(self, stack):
-        # The next window stamps its detection peak 6,720 samples late: no dedup match.
+        # Both windows that hold the frame stamp the candidate that
+        # decoded it, so the second decode is a dedup match.
         codes, fmt, tags, rx, stream = stack
         rng = np.random.default_rng(4)
         start, total = stream.hop_samples - 1, 6 * stream.hop_samples
