@@ -40,6 +40,9 @@ class ScriptedStream:
     - ``fail``: live, user 1 detects strongly but nothing decodes
       (the drift signature; user 1 so the supervisor's residue
       suppression never mistakes it for a just-decoded frame's image).
+    - ``late``: like ``ok``, but the frame starts in the window's
+      second hop, so the session holds it pending until the walk has
+      passed its start.
 
     Outcomes past the end of the script are ``dark``.
     """
@@ -72,13 +75,14 @@ class ScriptedStream:
             )
             return [], report
         payload = self._n.to_bytes(4, "big")
+        offset = HOP + 10 if self._kind == "late" else 10
         report = SimpleNamespace(
             frames=[SimpleNamespace(success=True)],
-            detections=[SimpleNamespace(user_id=0, score=0.9, offset=10)],
+            detections=[SimpleNamespace(user_id=0, score=0.9, offset=offset)],
         )
         frames = []
-        if not dedup.seen(0, payload, pos + 10):
-            frames.append(StreamFrame(user_id=0, payload=payload, start_sample=pos + 10))
+        if not dedup.seen(0, payload, pos + offset):
+            frames.append(StreamFrame(user_id=0, payload=payload, start_sample=pos + offset))
         return frames, report
 
 
@@ -249,13 +253,14 @@ class TestIngestion:
 
 
 class TestCheckpoint:
-    def _run_and_checkpoint(self, tmp_path, outcomes=("ok", "fail", "ok", "ok")):
+    def _run_and_checkpoint(self, tmp_path, outcomes=("ok", "fail", "ok", "late")):
         stream, session, emitted = drive(list(outcomes))
         path = session.checkpoint(tmp_path / "session.jsonl")
         return session, emitted, path
 
     def test_roundtrip_restores_full_state(self, tmp_path):
         session, _, path = self._run_and_checkpoint(tmp_path)
+        assert session.pending_frames == 1  # the last window's frame is held back
         restored = SessionSupervisor.restore(path, ScriptedStream())
         assert restored.position == session.position
         assert restored.samples_fed == session.samples_fed
@@ -265,9 +270,7 @@ class TestCheckpoint:
         assert restored._recent == session._recent
         assert restored.dedup.entries == session.dedup.entries
         assert restored.dedup.peak_size == session.dedup.peak_size
-        assert [f.payload for f in restored._pending] == [
-            f.payload for f in session._pending
-        ]
+        assert restored._pending == session._pending
 
     def test_checkpoint_is_atomic_jsonl_with_header(self, tmp_path):
         _, _, path = self._run_and_checkpoint(tmp_path)
@@ -331,8 +334,6 @@ class TestCheckpoint:
     def test_every_frame_and_history_field_is_required(self, tmp_path):
         _, _, path = self._run_and_checkpoint(tmp_path)
         lines = [json.loads(l) for l in path.read_text().splitlines()]
-        # A held-back frame record has the dedup record's fields.
-        lines.append(dict(next(r for r in lines if r["type"] == "dedup"), type="pending"))
         checked = set()
         for at, rec in enumerate(lines):
             if rec["type"] in ("header", "state") or rec["type"] in checked:
@@ -374,7 +375,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="no history records"):
             SessionSupervisor.from_checkpoint_records(lines, ScriptedStream())
 
-    @pytest.mark.parametrize("kind", ["header", "state", "dedup", "history"])
+    @pytest.mark.parametrize("kind", ["header", "state", "dedup", "pending", "history"])
     def test_unknown_field_rejected(self, tmp_path, kind):
         lines = self._records(tmp_path)
         next(r for r in lines if r["type"] == kind)["debug_name"] = "x"
