@@ -198,6 +198,7 @@ class DecodeFarm:
         self._awaiting: Dict[int, str] = {}
         #: Per worker, ``time.monotonic()`` of its last reply (or start).
         self._last_reply: Dict[int, float] = {}
+        self._replies_seen = 0
 
         if backend == "inline":
             self._cores = [WorkerCore() for _ in range(self.config.n_workers)]
@@ -451,9 +452,9 @@ class DecodeFarm:
         """Finish every session, stop the workers, return tail frames.
 
         Flushes outstanding cycles first (worker queues are FIFO), then
-        ends each session -- the truncated tail window plus the ordered
-        flush of held-back frames -- and collects its final stats and
-        health history into :attr:`session_stats` / :attr:`session_health`.
+        ends each session -- its truncated tail windows -- and collects
+        its final stats and health history into :attr:`session_stats` /
+        :attr:`session_health`.
         The farm is closed afterwards; full streams stay in
         :attr:`frames`.
         """
@@ -497,9 +498,9 @@ class DecodeFarm:
     def drain(self, session_id: int) -> List[Record]:
         """Lift a session off its worker as checkpoint records.
 
-        The session is checkpointed (position, dedup, health machine,
-        pending frames) and removed.  Resume it with :meth:`restore`
-        and re-feed the sample stream from the checkpoint's
+        The session is checkpointed (position, health machine, the
+        previous window's frames) and removed.  Resume it with
+        :meth:`restore` and re-feed the sample stream from the checkpoint's
         ``position`` -- buffered-but-unprocessed samples are *not*
         part of the records, exactly like an on-disk checkpoint.
         """
@@ -547,7 +548,9 @@ class DecodeFarm:
         Returns the checkpoint records (the caller re-feeds the stream
         from their ``position``).  Bit-identical continuation is the
         checkpoint/restore guarantee, so rebalancing never changes
-        decode output.
+        decode output: each window owns the frames that start in its
+        first hop, and the records carry the previous window's frames,
+        the only ones the resumed walk can decode again.
         """
         records = self.drain(session_id)
         self.restore(session_id, records, worker=worker)
@@ -622,8 +625,11 @@ class DecodeFarm:
 
         *waiting_for* names the loop that waits, for the errors: a
         harvest with no running worker left raises at the next poll
-        instead of waiting out :data:`_HARVEST_TIMEOUT_S`.
+        instead of waiting out :data:`_HARVEST_TIMEOUT_S` -- unless the
+        liveness check itself dispatched a reply (an exiting worker's
+        ``stopped``).
         """
+        seen = self._replies_seen
         msg = poll_get(
             self._replies,
             self._workers_alive,
@@ -631,6 +637,8 @@ class DecodeFarm:
             lambda: self._describe_wait(waiting_for),
         )
         if msg is None:
+            if self._replies_seen != seen:
+                return
             raise RuntimeError(
                 f"farm harvest waiting for {waiting_for}, but no worker is running "
                 f"(stopped {sorted(self._stopped_workers)}, "
@@ -700,6 +708,7 @@ class DecodeFarm:
     def _dispatch(self, msg: Tuple[object, ...]) -> None:
         worker, tag, freed = msg[0], msg[1], msg[2]
         self._last_reply[worker] = time.monotonic()
+        self._replies_seen += 1
         ring = self._rings[worker]
         for slot in freed:
             ring.release(slot)

@@ -215,8 +215,7 @@ class C:
     SESSION_WINDOWS_SKIPPED = CounterName("session.windows_skipped")  # dark windows skipped by the pre-gate
     SESSION_WINDOWS_SHED = CounterName("session.windows_shed")  # oldest windows dropped by backlog shedding
     SESSION_FRAMES = CounterName("session.frames")  # stream frames emitted by the session
-    SESSION_DUPLICATES = CounterName("session.duplicates")  # cross-window duplicate decodes suppressed
-    SESSION_DEDUP_EVICTIONS = CounterName("session.dedup_evictions")  # dedup entries evicted past the horizon
+    SESSION_DUPLICATES = CounterName("session.duplicates")  # repeats of the previous window's frames dropped
     SESSION_RESYNCS = CounterName("session.resyncs")  # re-synchronisation passes entered
     SESSION_WATCHDOG_TRIPS = CounterName("session.watchdog_trips")  # per-window latency watchdog trips
     SESSION_QUARANTINED = CounterName("session.quarantined")  # ingested chunks needing sanitisation
@@ -263,7 +262,6 @@ class G:
     DETECT_PEAK_MARGIN = GaugeName("detect.peak_margin")  # peak margin over runner-up
     ROUND_N_SAMPLES = GaugeName("round.n_samples")  # synthesized buffer length
     SESSION_BACKLOG_WINDOWS = GaugeName("session.backlog_windows")  # pending windows after each feed
-    SESSION_DEDUP_SIZE = GaugeName("session.dedup_size")  # dedup table size after each window
     SESSION_WINDOW_LATENCY_S = GaugeName("session.window_latency_s")  # wall-clock latency per live window
     FARM_SESSIONS_LIVE = GaugeName("farm.sessions_live")  # sessions currently resident on workers
     FARM_QUEUE_DEPTH = GaugeName("farm.queue_depth")  # commands in flight to workers

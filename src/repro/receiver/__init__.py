@@ -24,7 +24,7 @@ from repro.receiver.receiver import CbmaReceiver, ReceptionReport
 from repro.receiver.phase_tracking import PhaseTrackingReceiver
 from repro.receiver.session import HealthState, SessionConfig, SessionSupervisor
 from repro.receiver.sic import SicReceiver
-from repro.receiver.streaming import DedupTable, StreamFrame, StreamingReceiver
+from repro.receiver.streaming import StreamFrame, StreamingReceiver
 from repro.receiver.user_detection import UserDetection, UserDetector
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "DiversityReceiver",
     "StreamFrame",
     "StreamingReceiver",
-    "DedupTable",
     "HealthState",
     "SessionConfig",
     "SessionSupervisor",

@@ -45,16 +45,14 @@ class PhaseTrackingReceiver(CbmaReceiver):
     # The base class's process() calls each decoder's decode_candidates;
     # we intercept at that granularity by swapping the decoders.
 
-    def process(self, iq, round_index: int = 0, skip_energy_gate: bool = False, corr=None):
+    def process(self, iq, *args, **kwargs):
         # Reuse the whole base pipeline but swap the decode function.
         original_decoders = self._decoders
         try:
             self._decoders = {
                 uid: _TrackingAdapter(dec, self.alpha) for uid, dec in original_decoders.items()
             }
-            return super().process(
-                iq, round_index=round_index, skip_energy_gate=skip_energy_gate, corr=corr
-            )
+            return super().process(iq, *args, **kwargs)
         finally:
             self._decoders = original_decoders
 

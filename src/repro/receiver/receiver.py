@@ -256,6 +256,7 @@ class CbmaReceiver:
         round_index: int = 0,
         skip_energy_gate: bool = False,
         corr: Optional[np.ndarray] = None,
+        owned: Optional[int] = None,
     ) -> ReceptionReport:
         """Run the full pipeline over a complex sample buffer.
 
@@ -273,6 +274,9 @@ class CbmaReceiver:
         through untouched; widened, repaired or DC-blocked samples are
         correlated afresh.
 
+        With an *owned* span only candidates in ``[0, owned)`` are
+        ranked and tried (the streaming walk passes one hop).
+
         Degradation contract: this method never raises on malformed or
         pathological input.  Bad samples are sanitised at the front
         end, and a stage that blows up is contained into a
@@ -288,7 +292,7 @@ class CbmaReceiver:
 
         try:
             with tracer.span(S.DETECT):
-                report.detections = self.user_detector.detect(x, corr=corr)
+                report.detections = self.user_detector.detect(x, corr=corr, owned=owned)
         except Exception as exc:
             self._contain(report, DecodeFailure("user_detection", "exception", detail=str(exc)))
         if tracer.enabled:

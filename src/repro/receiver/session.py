@@ -35,16 +35,17 @@ operational machinery such a deployment needs:
 
 - **Automatic re-synchronisation.**  A sustained run of windows where
   a user detects strongly but nothing decodes (the signature of
-  accumulated timing drift) enters RESYNC: the next acquisition re-runs the
-  :class:`~repro.receiver.user_detection.UserDetector` over a window
-  widened by ``resync_widen_factor`` so the correlation search covers
-  offsets far beyond the normal hop.  Corrupt ingest (NaN/Inf samples,
-  wrong rank) is quarantined at the boundary through
+  accumulated timing drift) enters RESYNC.  A RESYNC window decodes
+  as any other; a health probe (:meth:`StreamingReceiver.probe_window`)
+  re-runs the pipeline over a window widened by ``resync_widen_factor``
+  with no owned span, and only its outcome moves the health machine.
+  Corrupt ingest (NaN/Inf samples, wrong rank) is quarantined at the
+  boundary through
   :func:`repro.receiver.failures.sanitize_buffer` and counted.
 
 - **Checkpoint/restore.**  :meth:`checkpoint` serialises the full
-  session state -- stream position, bounded dedup table, health
-  machine, pending frames, counters -- as JSONL behind a validated
+  session state -- stream position, health machine, counters and the
+  previous window's frames -- as JSONL behind a validated
   header line (the same header-validated resume format
   :mod:`repro.sim.sweep` uses for sweep checkpoints).
   :meth:`restore` refuses a checkpoint whose geometry does not match
@@ -52,12 +53,11 @@ operational machinery such a deployment needs:
   from its checkpoint and re-fed from ``position`` emits exactly the
   frames the uninterrupted run would have.
 
-Frames are emitted in globally non-decreasing ``start_sample`` order:
-a decoded frame is held in a small reorder buffer until the walk
-position has passed it, at which point no later window can decode an
-earlier frame.  The chaos-soak harness
+Frames are emitted as each window decodes them, in globally
+non-decreasing ``start_sample`` order: a window owns its first hop
+(:meth:`StreamingReceiver.decode_window`).  The chaos-soak harness
 (:mod:`repro.sim.experiments.soak`) checks that ordering -- along with
-duplicate-freedom, bounded memory and shed/quarantine accounting -- as
+duplicate-freedom, bounded backlog and shed/quarantine accounting -- as
 machine-verifiable invariants over multi-thousand-window fault
 campaigns.
 """
@@ -86,8 +86,9 @@ __all__ = ["HealthState", "SessionConfig", "SessionSupervisor", "CHECKPOINT_FORM
 CHECKPOINT_FORMAT = "cbma-session"
 #: Version 2 added the buffer dtype to the geometry header.  Sessions
 #: buffer ``complex128`` only, so a header naming any other dtype is
-#: refused by the geometry check.
-_CHECKPOINT_VERSION = 2
+#: refused by the geometry check.  Version 3 replaced the ``dedup`` and
+#: ``pending`` records with ``frame`` records.
+_CHECKPOINT_VERSION = 3
 #: The ``dtype`` every checkpoint header carries.
 _CHECKPOINT_DTYPE = "complex128"
 #: ``stats`` keys are the ``session.<key>`` counter names' suffixes.
@@ -123,14 +124,12 @@ class _StateRecord:
     nodecode_streak: int
     resync_attempts: int
     stats: Dict[str, int]
-    peak_dedup: int
-    dedup_evictions: int
     peak_backlog_windows: int
 
 
 @dataclass(frozen=True)
 class _FrameRecord:
-    """One frame: a live dedup entry or a frame held for ordered emission."""
+    """One frame the window before ``pos`` emitted."""
 
     user: int
     payload: str  # hex
@@ -155,8 +154,7 @@ class _HistoryRecord:
 _RECORD_TYPES = {
     "header": _HeaderRecord,
     "state": _StateRecord,
-    "dedup": _FrameRecord,
-    "pending": _FrameRecord,
+    "frame": _FrameRecord,
     "history": _HistoryRecord,
 }
 
@@ -228,7 +226,7 @@ class SessionConfig:
         RESYNC acquisitions allowed (without a successful decode)
         before the session declares FAILED.
     resync_widen_factor:
-        Window-length multiplier for the widened RESYNC acquisition.
+        Window-length multiplier for the widened RESYNC health probe.
     watchdog_budget_s:
         Per-window wall-clock latency budget; a live window exceeding
         it trips the watchdog (``session.watchdog_trips``) and
@@ -314,8 +312,8 @@ class SessionSupervisor:
         #: from the samples, never checkpointed.
         self.gate_pieces = GatePieces()
 
-        self.dedup = streaming.make_dedup()
-        self._pending: List[StreamFrame] = []
+        #: The frames the window before ``_pos`` emitted (repeat checks).
+        self._last_frames: List[StreamFrame] = []
         self._window_index = 0
 
         self._state = HealthState.HEALTHY
@@ -333,7 +331,6 @@ class SessionSupervisor:
             "windows_shed": 0,
             "frames": 0,
             "duplicates": 0,
-            "dedup_evictions": 0,
             "resyncs": 0,
             "watchdog_trips": 0,
             "quarantined": 0,
@@ -390,17 +387,12 @@ class SessionSupervisor:
             return 0
         return 1 + (available - self.streaming.window_samples) // self.streaming.hop_samples
 
-    @property
-    def pending_frames(self) -> int:
-        """Decoded frames held back for ordered emission."""
-        return len(self._pending)
-
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
 
     def feed(self, chunk) -> List[StreamFrame]:
-        """Ingest *chunk* and return the frames whose order is final.
+        """Ingest *chunk* and return the frames it completed.
 
         Corrupt chunks (NaN/Inf, wrong rank, uninterpretable) are
         quarantined through :func:`sanitize_buffer` -- repaired where
@@ -442,7 +434,7 @@ class SessionSupervisor:
         drain_tail: bool = False,
         housekeep: bool = True,
     ) -> List[StreamFrame]:
-        """Process buffered windows; return frames whose order is final.
+        """Process buffered windows; return the frames they decoded.
 
         *max_windows* caps this call (``None`` defers to
         ``config.max_windows_per_feed``; ``0`` processes nothing, which
@@ -470,8 +462,9 @@ class SessionSupervisor:
 
         A view into the internal buffer (do not mutate), exactly the
         slice :meth:`pump` would hand the pre-gate next.  ``None`` when
-        the session is finished, FAILED, or lacks a complete window --
-        the farm uses this to stack gate-ready windows across sessions.
+        the session is finished, FAILED, or lacks the samples the next
+        window needs (in RESYNC, its widened probe's too) -- the farm
+        uses this to stack gate-ready windows across sessions.
         """
         if self._finished or self._state is HealthState.FAILED:
             return None
@@ -479,7 +472,7 @@ class SessionSupervisor:
         if available < self._required_samples():
             return None
         lo = self._pos - self._base
-        return self._buf[lo : lo + self._required_samples()]
+        return self._buf[lo : lo + self.streaming.window_samples]
 
     def prime_gate(self, live: bool, corr: Optional[np.ndarray] = None) -> None:
         """Pre-supply the next window's pre-gate decision and plane.
@@ -499,30 +492,26 @@ class SessionSupervisor:
         self._primed = (bool(live), corr if live else None)
 
     def finish(self) -> List[StreamFrame]:
-        """End of capture: process the truncated tail window (if any)
-        and flush every frame still held for ordering."""
+        """End of capture: process the truncated tail windows (if any)."""
         if self._finished:
             return []
         self._finished = True
-        emitted: List[StreamFrame] = []
-        if self._state is not HealthState.FAILED:
-            emitted.extend(self._process_available(drain_tail=True))
-        remaining = sorted(self._pending, key=lambda f: (f.start_sample, f.user_id))
-        self._pending.clear()
-        return emitted + remaining
+        if self._state is HealthState.FAILED:
+            return []
+        return self._process_available(drain_tail=True)
 
     # ------------------------------------------------------------------
     # The window walk
     # ------------------------------------------------------------------
 
     def _required_samples(self) -> int:
-        """Samples the next acquisition wants available past ``_pos``.
+        """Samples the next window wants available past ``_pos``.
 
-        RESYNC widens the window so the correlation search covers
-        offsets far beyond one hop.  Making the walk wait for the full
-        span (instead of processing whatever happens to be buffered)
-        keeps decode output independent of chunking cadence -- the
-        property checkpoint/restore equality rests on.
+        RESYNC's health probe widens the window so the correlation
+        search covers offsets far beyond one hop.  Making the walk wait
+        for the full span (instead of probing whatever happens to be
+        buffered) keeps the health machine independent of chunking
+        cadence -- the property checkpoint/restore equality rests on.
         """
         widen = self.config.resync_widen_factor if self._state is HealthState.RESYNC else 1
         return self.streaming.window_samples * widen
@@ -542,14 +531,15 @@ class SessionSupervisor:
                 break
             if available <= 0:
                 break
-            self._process_one_window()
+            emitted.extend(self._process_one_window())
             processed += 1
-            emitted.extend(self._release_ordered())
         return emitted
 
-    def _process_one_window(self) -> None:
+    def _process_one_window(self) -> List[StreamFrame]:
+        """Decode the window at ``_pos``, judge health, move on a hop;
+        returns the window's frames."""
         lo = self._pos - self._base
-        window = self._buf[lo : lo + self._required_samples()]
+        window = self._buf[lo : lo + self.streaming.window_samples]
         self._count(C.SESSION_WINDOWS)
         t0 = self.clock()
         if self._primed is not None:
@@ -561,74 +551,70 @@ class SessionSupervisor:
                 window, planes=planes, pos=self._pos, pieces=self.gate_pieces
             )
             corr = planes[0] if planes else None
-        decoded_any = False
-        attempted = False
+        frames: List[StreamFrame] = []
+        report = None
         if live:
             self._count(C.SESSION_WINDOWS_LIVE)
             with self.tracer.span(S.SESSION_WINDOW, index=self._window_index):
-                new_frames, report = self.streaming.decode_window(
-                    window, self._pos, self.dedup, corr=corr
+                frames, report = self.streaming.decode_window(
+                    window, self._pos, self._last_frames, corr=corr
                 )
-            # Health judges the *pipeline*, not emission novelty: a
-            # window that re-decodes a frame already emitted through
-            # the previous (overlapping) window decoded fine -- the
-            # dedup suppressing it is correct operation, not failure.
-            decoded_any = any(f.success for f in report.frames)
-            # And it only counts as a decode *attempt* when some user
-            # looked strongly present (short templates false-alarm on
-            # noise just above the acceptance threshold), at an offset
-            # whose frame fits inside the window (a frame straddling
-            # the trailing edge is the next window's job), and without
-            # a just-decoded frame of the same user still overlapping
-            # this window -- whose payload correlation images would
-            # otherwise read as failures on every healthy decode.
-            fs = self.streaming.frame_samples
-            attempted = any(
-                d.score >= self.config.attempt_score
-                and d.offset + fs <= window.size
-                and not self.dedup.user_active_since(d.user_id, self._pos - fs)
-                for d in report.detections
-            )
-            duplicates = sum(1 for f in report.frames if f.success) - len(new_frames)
-            if duplicates > 0:
-                self._count(C.SESSION_DUPLICATES, duplicates)
-            if new_frames:
-                self._count(C.SESSION_FRAMES, len(new_frames))
-                self._pending.extend(new_frames)
+            repeats = sum(1 for f in report.frames if f.success) - len(frames)
+            if repeats > 0:
+                self._count(C.SESSION_DUPLICATES, repeats)
+            if frames:
+                self._count(C.SESSION_FRAMES, len(frames))
         else:
             self._count(C.SESSION_WINDOWS_SKIPPED)
+        probe_size = window.size
+        if self._state is HealthState.RESYNC:
+            wide = self._buf[lo : lo + self._required_samples()]
+            probe_size = wide.size
+            report = self.streaming.probe_window(wide, self._pos, self.gate_pieces)
+        decoded_any, attempted = self._judge(report, probe_size)
         latency = self.clock() - t0
         watchdog_tripped = live and latency > self.config.watchdog_budget_s
         if watchdog_tripped:
             self._count(C.SESSION_WATCHDOG_TRIPS)
-        if self.tracer.enabled:
-            if live:
-                self.tracer.gauge(G.SESSION_WINDOW_LATENCY_S, latency)
-            self.tracer.gauge(G.SESSION_DEDUP_SIZE, len(self.dedup))
+        if self.tracer.enabled and live:
+            self.tracer.gauge(G.SESSION_WINDOW_LATENCY_S, latency)
 
-        self._advance()
+        self._advance(frames)
         self._update_health(attempted, decoded_any, watchdog_tripped)
+        return frames
 
-    def _advance(self) -> None:
+    def _judge(self, report, window_size: int) -> Tuple[bool, bool]:
+        """``(decoded_any, attempted)`` of a *window_size*-sample
+        window's *report* (``None`` when gated out).
+
+        A repeat decoded fine.  An *attempt* needs a user whose
+        strongest correlation in the window, owned or not, clears
+        ``attempt_score`` (short templates false-alarm just above the
+        threshold) at an offset whose frame fits in the window, and who
+        has no frame from the previous window still overlapping this
+        one (its payload images would read as failures).
+        """
+        if report is None:
+            return False, False
+        fs = self.streaming.frame_samples
+        overlapping = {f.user_id for f in self._last_frames if f.start_sample > self._pos - fs}
+
+        def attempt(d) -> bool:
+            offset, score = d.strongest or (d.offset, d.score)
+            return (
+                score >= self.config.attempt_score
+                and offset + fs <= window_size
+                and d.user_id not in overlapping
+            )
+
+        decoded_any = any(f.success for f in report.frames)
+        return decoded_any, any(attempt(d) for d in report.detections)
+
+    def _advance(self, frames: List[StreamFrame]) -> None:
+        """Move the walk a hop on, past a window that emitted *frames*."""
         self._pos += self.streaming.hop_samples
         self._window_index += 1
-        evicted = self.dedup.evict_before(self._pos - self.streaming.window_samples)
-        if evicted:
-            self._count(C.SESSION_DEDUP_EVICTIONS, evicted)
-
-    def _release_ordered(self) -> List[StreamFrame]:
-        """Frames whose global order is now final (start < ``_pos``).
-
-        Every future decode starts at or after ``_pos``, so releasing
-        the pending frames below it -- sorted -- yields a globally
-        non-decreasing ``start_sample`` emission order.
-        """
-        ready = [f for f in self._pending if f.start_sample < self._pos]
-        if not ready:
-            return []
-        self._pending = [f for f in self._pending if f.start_sample >= self._pos]
-        ready.sort(key=lambda f: (f.start_sample, f.user_id))
-        return ready
+        self._last_frames = frames
 
     # ------------------------------------------------------------------
     # Backlog shedding
@@ -636,16 +622,13 @@ class SessionSupervisor:
 
     def _shed_backlog(self) -> None:
         while self.backlog_windows > self.config.max_backlog_windows:
-            self._pos += self.streaming.hop_samples
-            self._window_index += 1
+            self._advance([])
             self._count(C.SESSION_WINDOWS_SHED)
-            self.dedup.evict_before(self._pos - self.streaming.window_samples)
 
     def _shed_all(self) -> List[StreamFrame]:
         """FAILED state: count every pending window as shed, keep nothing."""
         while self.backlog_windows > 0:
-            self._pos += self.streaming.hop_samples
-            self._window_index += 1
+            self._advance([])
             self._count(C.SESSION_WINDOWS_SHED)
         self._trim_buffer()
         return []
@@ -738,9 +721,9 @@ class SessionSupervisor:
     def checkpoint_records(self) -> List[dict]:
         """The full session state as JSON-serialisable records.
 
-        One ``header``, one ``state``, a ``dedup`` record per live dedup
-        entry, a ``pending`` record per frame held for ordered emission
-        and a ``history`` record per health transition -- the record
+        One ``header``, one ``state``, a ``frame`` record per frame the
+        window before :attr:`position` emitted and a ``history`` record
+        per health transition -- the record
         dataclasses at the top of this module are the schema.  This is
         the farm's migration payload: records travel over a queue and
         rebuild bit-identically on another worker through
@@ -760,19 +743,13 @@ class SessionSupervisor:
                     nodecode_streak=self._nodecode_streak,
                     resync_attempts=self._resync_attempts,
                     stats=dict(self.stats),
-                    peak_dedup=self.dedup.peak_size,
-                    dedup_evictions=self.dedup.evictions,
                     peak_backlog_windows=self.peak_backlog_windows,
                 ),
             ),
         ]
         records.extend(
-            ("dedup", _FrameRecord(user, payload.hex(), start))
-            for (user, payload), start in sorted(self.dedup.entries.items())
-        )
-        records.extend(
-            ("pending", _FrameRecord(f.user_id, f.payload.hex(), f.start_sample))
-            for f in self._pending
+            ("frame", _FrameRecord(f.user_id, f.payload.hex(), f.start_sample))
+            for f in self._last_frames
         )
         records.extend(
             ("history", _HistoryRecord(*entry)) for entry in self.health_history
@@ -837,8 +814,8 @@ class SessionSupervisor:
             )
         if header.get("version") != _CHECKPOINT_VERSION:
             raise ValueError(
-                f"{source} has version {header.get('version')}, "
-                f"expected {_CHECKPOINT_VERSION}"
+                f"{source} has checkpoint version {header.get('version')}; "
+                f"this session reads version {_CHECKPOINT_VERSION} only; refusing to restore"
             )
         by_type: Dict[str, list] = {kind: [] for kind in _RECORD_TYPES}
         for rec in records:
@@ -882,13 +859,7 @@ class SessionSupervisor:
         session.stats = {key: int(state.stats[key]) for key in session.stats}
         session.peak_backlog_windows = int(state.peak_backlog_windows)
 
-        dedup = session.dedup
-        for rec in by_type["dedup"]:
-            f = rec.frame()
-            dedup.entries[(f.user_id, f.payload)] = f.start_sample
-        dedup.evictions = int(state.dedup_evictions)
-        dedup.peak_size = int(state.peak_dedup)
-        session._pending = [rec.frame() for rec in by_type["pending"]]
+        session._last_frames = [rec.frame() for rec in by_type["frame"]]
         session.health_history = [
             (int(rec.window), str(rec.state)) for rec in by_type["history"]
         ]

@@ -55,6 +55,7 @@ class SicReceiver(CbmaReceiver):
         round_index: int = 0,
         skip_energy_gate: bool = False,
         corr: Optional[np.ndarray] = None,
+        owned: Optional[int] = None,
     ) -> ReceptionReport:
         """Iteratively decode and cancel until no new tag decodes.
 
@@ -63,7 +64,8 @@ class SicReceiver(CbmaReceiver):
         a pass that blows up mid-cancellation is contained into a
         ``DecodeFailure`` while the frames already decoded stay on the
         report.  *corr* is used as in :meth:`CbmaReceiver.process`, by
-        the first pass only: later passes detect on the residual.
+        the first pass only: later passes detect on the residual, all
+        within the *owned* span.
         """
         tracer = self.tracer
         report = ReceptionReport(sync=FrameSyncResult(detections=[]))
@@ -79,7 +81,7 @@ class SicReceiver(CbmaReceiver):
             try:
                 residual, progressed = self._run_pass(
                     _pass, residual, succeeded, failed, best_detections, report,
-                    corr if _pass == 0 else None,
+                    corr if _pass == 0 else None, owned,
                 )
             except Exception as exc:
                 # A failed pass ends cancellation but keeps everything
@@ -116,13 +118,14 @@ class SicReceiver(CbmaReceiver):
         best_detections: Dict[int, object],
         report: ReceptionReport,
         corr: Optional[np.ndarray] = None,
+        owned: Optional[int] = None,
     ) -> tuple:
         """One detect-decode-cancel pass; returns ``(residual, progressed)``."""
         tracer = self.tracer
         with tracer.span(S.SIC, sic_pass=_pass):
             tracer.count(C.SIC_PASSES)
             with tracer.span(S.DETECT):
-                detections = self.user_detector.detect(residual, corr=corr)
+                detections = self.user_detector.detect(residual, corr=corr, owned=owned)
             for det in detections:
                 if det.user_id not in succeeded:
                     best_detections[det.user_id] = det

@@ -4,8 +4,9 @@ The round-based simulator hands the receiver one collision at a time,
 but a deployed receiver listens *continuously*: frames from different
 tags start whenever their tags please and overlap partially or not at
 all.  :class:`StreamingReceiver` walks a long buffer with overlapping
-windows, decodes every frame it can, and deduplicates decodes of the
-same frame seen through neighbouring windows.
+windows.  A window is two hops and advances one, but it owns only its
+first hop: its detector ranks, and its decoder tries, only the
+candidates that start there, so each frame belongs to one window.
 
 This is what makes fully **unslotted** CBMA (``repro.sim.unslotted``)
 measurable: the paper's "distributed manner" requirement taken to its
@@ -15,8 +16,10 @@ logical end, where not even round boundaries are shared.
 walk over a complete capture; long-run *supervised* operation (chunked
 ingestion, health state machine, checkpoint/restore) lives in
 :mod:`repro.receiver.session`, which builds on the shared
-:meth:`StreamingReceiver.decode_window` and :class:`DedupTable`
-primitives defined here.
+:meth:`StreamingReceiver.decode_window` defined here.  What a window
+emits depends only on the samples at fixed absolute positions and on
+the previous window's frames, so every entry layer emits the same
+frames, in order, for every window it decodes.
 
 The pre-gate correlates each sample once per stream.  A window is two
 hops long and advances one hop, so half of its lags were already
@@ -33,7 +36,7 @@ planes bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,7 +48,7 @@ from repro.utils.correlation_batch import Windows
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.network import CbmaConfig
 
-__all__ = ["StreamingReceiver", "StreamFrame", "DedupTable", "GatePieces"]
+__all__ = ["StreamingReceiver", "StreamFrame", "GatePieces"]
 
 #: Live-window pre-gate margin: a window is handed to the full
 #: pipeline when any user's batched correlation reaches this fraction
@@ -108,78 +111,20 @@ class StreamFrame:
 
 
 @dataclass
-class DedupTable:
-    """Bounded ``(user, payload) -> last start`` dedup table.
-
-    The same frame decoded through two overlapping windows lands at
-    (nearly) the same absolute start; the table rejects a decode whose
-    key was already seen within *tolerance* samples of its start.
-
-    Unlike the plain dict it replaces, the table is **bounded**: once
-    the window walk has advanced past an entry by more than the
-    eviction horizon, no future window can produce a duplicate of it
-    (every future decode starts at or after the walk position), so
-    :meth:`evict_before` drops it.  ``peak_size`` tracks the high-water
-    mark so long-run memory stays provably flat.
-    """
-
-    tolerance: int
-    """Maximum |start - previous| (samples) still considered the same frame."""
-
-    entries: Dict[Tuple[int, bytes], int] = field(default_factory=dict)
-    evictions: int = 0
-    peak_size: int = 0
-
-    def seen(self, user_id: int, payload: bytes, start: int) -> bool:
-        """True (duplicate) when the frame was already recorded nearby;
-        otherwise records it and returns False."""
-        key = (int(user_id), bytes(payload))
-        prev = self.entries.get(key)
-        if prev is not None and abs(int(start) - prev) < self.tolerance:
-            return True
-        self.entries[key] = int(start)
-        if len(self.entries) > self.peak_size:
-            self.peak_size = len(self.entries)
-        return False
-
-    def user_active_since(self, user_id: int, watermark: int) -> bool:
-        """Whether *user_id* has a recorded frame starting after *watermark*.
-
-        Lets a supervisor tell correlation residue of an
-        already-decoded frame (still overlapping the current window)
-        from a genuinely failed decode attempt.
-        """
-        uid = int(user_id)
-        return any(
-            user == uid and start > watermark
-            for (user, _payload), start in self.entries.items()
-        )
-
-    def evict_before(self, watermark: int) -> int:
-        """Drop entries whose start lies before *watermark*; returns count."""
-        stale = [key for key, start in self.entries.items() if start < watermark]
-        for key in stale:
-            del self.entries[key]
-        self.evictions += len(stale)
-        return len(stale)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass
 class StreamingReceiver:
     """Window-sliding wrapper around a :class:`CbmaReceiver`.
 
     Parameters
     ----------
     receiver:
-        The underlying single-window receiver (plain, SIC...).
+        The underlying single-window receiver: :class:`CbmaReceiver`,
+        :class:`~repro.receiver.sic.SicReceiver` or
+        :class:`~repro.receiver.phase_tracking.PhaseTrackingReceiver`,
+        whose ``process`` takes the owned span.
     max_frame_bits:
         Upper bound on frame length in bits.  It sets the hop, one
         maximum-length frame; a window is always two hops, so every
-        frame lies wholly inside the window that starts in the hop
-        where the frame starts.
+        frame lies wholly inside the window that owns its start.
 
     Samples are ``complex128`` from ingest through the gate to the
     decode, so the gate's plane is handed to the detector as is.
@@ -195,9 +140,6 @@ class StreamingReceiver:
         self._frame_samples = (
             self.max_frame_bits * code_len * self.receiver.samples_per_chip
         )
-        #: Dedup table of the most recent :meth:`process_stream` call
-        #: (exposed so long-stream tests can assert bounded memory).
-        self.last_dedup: Optional[DedupTable] = None
 
     @classmethod
     def from_config(
@@ -234,10 +176,6 @@ class StreamingReceiver:
     def frame_samples(self) -> int:
         """Samples per maximum-length frame (the hop unit)."""
         return self._frame_samples
-
-    def make_dedup(self) -> DedupTable:
-        """A dedup table with this receiver's duplicate tolerance."""
-        return DedupTable(tolerance=self._frame_samples // 2)
 
     def window_is_live(
         self,
@@ -400,35 +338,60 @@ class StreamingReceiver:
         self,
         window: np.ndarray,
         pos: int,
-        dedup: DedupTable,
+        previous: Sequence[StreamFrame] = (),
         corr: Optional[np.ndarray] = None,
     ) -> Tuple[List[StreamFrame], ReceptionReport]:
         """Full-pipeline decode of one live window starting at absolute
-        sample *pos*.
+        sample *pos*, over its owned span, the window's first hop.
 
-        Returns the newly decoded (non-duplicate) frames plus the raw
-        :class:`~repro.receiver.receiver.ReceptionReport`, and records
-        every accepted frame in *dedup*.  Shared by the batch walk
-        (:meth:`process_stream`) and the supervised session
-        (:class:`repro.receiver.session.SessionSupervisor`) so the two
-        paths can never drift apart.  A frame starts at *pos* plus the
-        offset of the candidate that decoded it (``DecodedFrame.offset``).
-        *corr* is the pre-gate's plane
-        for *window* (see :meth:`window_is_live`), passed through to
-        :meth:`CbmaReceiver.process`.
+        Returns the window's frames, in ``(start_sample, user_id)``
+        order, plus the raw
+        :class:`~repro.receiver.receiver.ReceptionReport`.  A frame
+        starts at *pos* plus the offset of the candidate that decoded
+        it (``DecodedFrame.offset``).  A decode is a repeat, and
+        dropped, when one of *previous* (the frames the window a hop
+        earlier returned, the only one that can decode it again, a few
+        samples off) has its user and payload and starts less than half
+        a frame away.  Shared by the batch walk (:meth:`process_stream`)
+        and the supervised session so the two paths can never drift
+        apart.  *corr* is the pre-gate's plane for *window* (see
+        :meth:`window_is_live`).
         """
-        report = self.receiver.process(window, skip_energy_gate=True, corr=corr)
+        report = self.receiver.process(
+            window, skip_energy_gate=True, corr=corr, owned=self.hop_samples
+        )
+        tolerance = self._frame_samples // 2
         frames: List[StreamFrame] = []
         for frame in report.frames:
             if not frame.success:
                 continue
             start = pos + frame.offset
-            if dedup.seen(frame.user_id, frame.payload, start):
+            if any(
+                p.user_id == frame.user_id
+                and p.payload == frame.payload
+                and abs(p.start_sample - start) < tolerance
+                for p in previous
+            ):
                 continue
             frames.append(
                 StreamFrame(user_id=frame.user_id, payload=frame.payload, start_sample=start)
             )
+        frames.sort(key=lambda f: (f.start_sample, f.user_id))
         return frames, report
+
+    def probe_window(
+        self, window: np.ndarray, pos: int, pieces: GatePieces
+    ) -> Optional[ReceptionReport]:
+        """A session's RESYNC health probe: the pipeline over all of a
+        widened *window*, gated from *pieces*; ``None`` when gated out.
+
+        Its frames are not emitted; it only tells the health machine
+        whether the wider search decodes anything.
+        """
+        planes: List[Optional[np.ndarray]] = []
+        if not self.window_is_live(window, planes=planes, pos=pos, pieces=pieces):
+            return None
+        return self.receiver.process(window, skip_energy_gate=True, corr=planes[0])
 
     def process_stream(self, iq: np.ndarray) -> List[StreamFrame]:
         """Decode every recoverable frame in *iq* (absolute positions).
@@ -443,16 +406,13 @@ class StreamingReceiver:
         Tail windows truncated by the capture edge are processed like
         any other (a frame ending at the edge of a short capture is
         still a frame; the pipeline tolerates short buffers, and the
-        pre-gate keeps sub-template tails free).  Cross-window
-        duplicates are tracked in a bounded :class:`DedupTable`:
-        entries more than one window behind the walk are evicted, so
-        memory stays flat however long the stream.
+        pre-gate keeps sub-template tails free).  The frames come out
+        in ``start_sample`` order.
         """
         x = np.asarray(iq)
         tracer = self.receiver.tracer
         frames: List[StreamFrame] = []
-        dedup = self.make_dedup()
-        self.last_dedup = dedup
+        previous: List[StreamFrame] = []
         pieces = GatePieces()
         pos = 0
         while pos < x.size:
@@ -460,13 +420,11 @@ class StreamingReceiver:
             planes: List[Optional[np.ndarray]] = []
             if self.window_is_live(window, planes=planes, pos=pos, pieces=pieces):
                 with tracer.span(S.STREAM_DECODE):
-                    new_frames, _report = self.decode_window(
-                        window, pos, dedup, corr=planes[0] if planes else None
+                    previous, _report = self.decode_window(
+                        window, pos, previous, corr=planes[0] if planes else None
                     )
-                frames.extend(new_frames)
+                frames.extend(previous)
+            else:
+                previous = []
             pos += self.hop_samples
-            # No future decode can start before pos, so entries more
-            # than one window behind it can never match again.
-            dedup.evict_before(pos - self.window_samples)
-        frames.sort(key=lambda f: f.start_sample)
         return frames

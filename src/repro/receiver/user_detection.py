@@ -60,6 +60,10 @@ class UserDetection:
     """Estimated complex channel gain (amplitude of a unit chip)."""
     candidates: tuple = ()
     """((offset, score, channel), ...) alternative alignments, best first."""
+    strongest: Optional[Tuple[int, float]] = None
+    """``(offset, score)`` of the strongest lag of the whole correlated
+    window when an owned span left it out of ``candidates``; ``None``
+    when it is the headline ``(offset, score)``."""
 
 
 class UserDetector:
@@ -137,7 +141,9 @@ class UserDetector:
         for uid, row in self._rows:
             yield uid, corr[row]
 
-    def rank_hypotheses(self, user_id: int, corr: np.ndarray) -> List[int]:
+    def rank_hypotheses(
+        self, user_id: int, corr: np.ndarray, owned: Optional[int] = None
+    ) -> List[int]:
         """Alignment hypotheses of *user_id* in its correlation row *corr*.
 
         Empty when the row's maximum misses the threshold (the user is
@@ -153,18 +159,22 @@ class UserDetector:
         is always among them even when many above-threshold leak peaks
         precede it -- it is usually the true preamble (or a +/-1-bit
         image of it).
+
+        With an *owned* span only the lags ``[0, owned)`` are
+        hypotheses, still judged near-maximal against the whole row;
+        the owned maximum stands in for the global one.
         """
-        if corr.size == 0:
+        span = corr[:owned]
+        if span.size == 0:
             return []
-        best = int(np.argmax(corr))
-        score = float(corr[best])
+        best = int(np.argmax(span))
+        score = float(span[best])
         if score < self.threshold:
             return []
         block = self.samples_per_chip * int(self.codes[user_id].size)
-        peaks = correlation_peaks(
-            corr, threshold=max(self.threshold, 0.5 * score), min_spacing=max(block // 2, 1)
-        )
-        ranked = peaks[: self.max_hypotheses - 1].tolist()
+        near = max(self.threshold, 0.5 * float(corr.max()))
+        peaks = correlation_peaks(corr, threshold=near, min_spacing=max(block // 2, 1))
+        ranked = peaks[peaks < span.size][: self.max_hypotheses - 1].tolist()
         if best not in ranked:
             bisect.insort(ranked, best)
         return ranked
@@ -175,6 +185,7 @@ class UserDetector:
         window: np.ndarray,
         max_users: Optional[int] = None,
         corr: Optional[np.ndarray] = None,
+        owned: Optional[int] = None,
     ) -> List[UserDetection]:
         """Detect users inside *window* (complex samples).
 
@@ -187,6 +198,8 @@ class UserDetector:
         earlier over these very samples (a stacked ``correlate_many``
         row is bit-identical to it); the detector then skips its own
         correlation pass.
+
+        With an *owned* span every candidate starts in ``[0, owned)``.
         """
         x = np.asarray(window)
         out: List[UserDetection] = []
@@ -202,7 +215,7 @@ class UserDetector:
             )
         for uid, bank_row in self._rows:
             corr_u = corr[bank_row]
-            ranked = self.rank_hypotheses(uid, corr_u)
+            ranked = self.rank_hypotheses(uid, corr_u, owned)
             if not ranked:
                 continue
             template = self._bank.template(uid)
@@ -218,11 +231,9 @@ class UserDetector:
             # Report the strongest candidate as the detection's headline
             # offset/score (used for ranking and ghost arbitration).
             peak, score, h = max(candidates, key=lambda c: c[1])
-            out.append(
-                UserDetection(
-                    user_id=uid, offset=peak, score=score, channel=h, candidates=tuple(candidates)
-                )
-            )
+            top = int(np.argmax(corr_u))
+            strongest = None if top == peak else (top, float(corr_u[top]))
+            out.append(UserDetection(uid, peak, score, h, tuple(candidates), strongest))
         out.sort(key=lambda d: d.score, reverse=True)
         if max_users is not None:
             out = out[:max_users]

@@ -12,11 +12,10 @@ The harness is built around **machine-verifiable invariants**
 (:func:`check_invariants`), not expectations about throughput:
 
 - no two emitted :class:`~repro.receiver.streaming.StreamFrame`\\ s are
-  duplicates (same user and payload within the dedup tolerance);
+  duplicates (same user and payload within half a frame);
 - ``start_sample`` is non-decreasing in emission order;
-- the dedup table's high-water mark stays within its bound (memory is
-  provably flat, however long the stream);
 - the ingest backlog never exceeds the configured maximum;
+- every frame the session counted was emitted;
 - every window is accounted for: processed + shed equals the number of
   window positions walked, and live + skipped equals processed.
 
@@ -105,9 +104,6 @@ class SoakConfig:
     """Feed cadence: samples per :meth:`SessionSupervisor.feed` call,
     in hop units (deliberately not a divisor-friendly number, so chunk
     boundaries and window boundaries interleave)."""
-    dedup_bound_factor: int = 2
-    """Invariant: dedup high-water mark must stay within
-    ``dedup_bound_factor * n_tags`` entries."""
 
     def __post_init__(self) -> None:
         if self.n_windows < 1 or self.n_tags < 1:
@@ -149,7 +145,6 @@ class SoakResult:
     stats: Dict[str, int]
     final_state: str
     health_history: List[Tuple[int, str]]
-    peak_dedup: int
     peak_backlog: int
     violations: List[InvariantViolation] = field(default_factory=list)
     wall_time_s: float = 0.0
@@ -317,10 +312,7 @@ def check_frame_stream(
 
 
 def check_invariants(
-    cfg: SoakConfig,
-    stream: StreamingReceiver,
-    session: SessionSupervisor,
-    frames: List[StreamFrame],
+    stream: StreamingReceiver, session: SessionSupervisor, frames: List[StreamFrame]
 ) -> List[InvariantViolation]:
     """Every machine-verifiable invariant of a finished session.
 
@@ -328,14 +320,6 @@ def check_invariants(
     a stricter or deliberately-tripping checker.
     """
     out = check_frame_stream(frames, tolerance=stream.frame_samples // 2)
-    bound = cfg.dedup_bound_factor * cfg.n_tags
-    if session.dedup.peak_size > bound:
-        out.append(
-            InvariantViolation(
-                "dedup_bound",
-                f"dedup high-water mark {session.dedup.peak_size} exceeds bound {bound}",
-            )
-        )
     if session.peak_backlog_windows > session.config.max_backlog_windows:
         out.append(
             InvariantViolation(
@@ -363,12 +347,10 @@ def check_invariants(
                 f"!= processed {s['windows']}",
             )
         )
-    if len(frames) + session.pending_frames != s["frames"]:
+    if len(frames) != s["frames"]:
         out.append(
             InvariantViolation(
-                "frame_accounting",
-                f"emitted {len(frames)} + pending {session.pending_frames} "
-                f"!= decoded {s['frames']}",
+                "frame_accounting", f"emitted {len(frames)} != decoded {s['frames']}"
             )
         )
     return out
@@ -412,7 +394,7 @@ def run_soak(
             outstanding[key] -= 1
             delivered += 1
 
-    violations = check_invariants(cfg, stream, session, frames)
+    violations = check_invariants(stream, session, frames)
     return SoakResult(
         config=cfg,
         frames=frames,
@@ -421,7 +403,6 @@ def run_soak(
         stats=dict(session.stats),
         final_state=session.state.value,
         health_history=list(session.health_history),
-        peak_dedup=session.dedup.peak_size,
         peak_backlog=session.peak_backlog_windows,
         violations=violations,
         wall_time_s=time.perf_counter() - t0,

@@ -7,6 +7,7 @@ to the free list, evict the dead worker's sessions, and raise
 """
 
 import os
+import queue
 import re
 import signal
 import time
@@ -146,6 +147,28 @@ class TestHarvestTimeout:
             ):
                 farm.pump()
             assert time.monotonic() - t0 < 1.0  # one 0.05 s poll, not 120 s
+        finally:
+            farm.close()
+
+
+    def test_stop_reply_read_by_the_liveness_check(self, net_config, monkeypatch):
+        """Each worker's ``stopped`` reply is read only by the liveness
+        check that finds the worker exited: the shutdown still ends
+        cleanly instead of reporting that no worker is running."""
+        farm = DecodeFarm(_specs(net_config, 2), farm=FarmConfig(n_workers=2))
+        replies = farm._replies
+        read = replies.get
+
+        def blocked(timeout=0.0):
+            if timeout:
+                time.sleep(timeout)  # the harvest's own poll never sees a reply
+                raise queue.Empty
+            return read(0.0)
+
+        monkeypatch.setattr(replies, "get", blocked)
+        try:
+            farm._shutdown_workers()
+            assert farm._stopped_workers == {0, 1}
         finally:
             farm.close()
 

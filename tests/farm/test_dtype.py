@@ -20,7 +20,7 @@ def _narrow_header(records):
 class TestSessionDtype:
     def test_checkpoint_geometry_records_dtype(self, net_config):
         header = SessionSupervisor.from_config(net_config).checkpoint_records()[0]
-        assert header["version"] == 2
+        assert header["version"] == 3
         assert header["dtype"] == "complex128"
 
     def test_restore_rejects_dtype_mismatch(self, net_config, tmp_path):

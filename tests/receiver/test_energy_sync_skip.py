@@ -85,9 +85,8 @@ def test_streaming_walk_never_runs_the_detector(detect_calls):
     tags, stream = build_soak_stack(cfg)
     buffer, _offered = build_soak_stream(cfg, None, stream, tags)
     frames = stream.process_stream(buffer)
-    dedup = stream.make_dedup()
     window = buffer[: stream.window_samples]
-    _frames, report = stream.decode_window(window, 0, dedup)
+    _frames, report = stream.decode_window(window, 0)
     assert frames and report.detections
     assert detect_calls == []
     assert not report.sync.detected

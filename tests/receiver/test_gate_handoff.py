@@ -18,7 +18,7 @@ import pytest
 
 from repro.farm import DecodeFarm, FarmConfig
 from repro.receiver.receiver import CbmaReceiver
-from repro.receiver.session import SessionConfig, SessionSupervisor
+from repro.receiver.session import HealthState, SessionConfig, SessionSupervisor
 from repro.receiver.streaming import StreamingReceiver
 from repro.sim.experiments.soak import SoakConfig, build_soak_stack, build_soak_stream, soak_phy_config
 from repro.utils.correlation_batch import TemplateBank, sliding_correlation_batch
@@ -150,15 +150,18 @@ def _spy_samples(monkeypatch):
     return ledger
 
 
-def _spy_windows(monkeypatch):
+def _spy_windows(monkeypatch, probes=None):
     """Record ``(session, position, length)`` of every window a session
-    processes, however its gate decision was made."""
+    processes, however its gate decision was made; in *probes*, those
+    of the widened windows RESYNC's health probe gates too."""
     walked = []
     original = SessionSupervisor._process_one_window
 
     def spied(self):
         available = self._base + self._buf.size - self._pos
-        walked.append((self, self._pos, min(self._required_samples(), available)))
+        walked.append((self, self._pos, min(self.streaming.window_samples, available)))
+        if probes is not None and self._state is HealthState.RESYNC:
+            probes.append((self, self._pos, min(self._required_samples(), available)))
         return original(self)
 
     monkeypatch.setattr(SessionSupervisor, "_process_one_window", spied)
@@ -216,7 +219,8 @@ class TestEachWindowCorrelatedOnce:
         hop, m = stream.hop_samples, stream.receiver.user_detector.bank.template_samples
         config = SessionConfig(max_backlog_windows=2, max_windows_per_feed=4)
         ledger = _spy_samples(monkeypatch)
-        walked = _spy_windows(monkeypatch)
+        probes = []
+        walked = _spy_windows(monkeypatch, probes)
         session = SessionSupervisor(stream, config=config)
         chunk = 5 * hop + 301
         lo = 0
@@ -234,9 +238,12 @@ class TestEachWindowCorrelatedOnce:
         session.finish()
         assert resyncs + session.stats["resyncs"] > 0
         assert shed + session.stats["windows_shed"] > 0
-        assert any(size == 4 * hop for _s, _pos, size in walked)
+        assert probes and all(size == 4 * hop for _s, _pos, size in probes)
         assert len({s for s, _pos, _size in walked}) == 2
-        assert ledger["samples"] == _each_piece_once(walked, hop, m)
+        # The window's own gate drops its first hop slice and seam, so
+        # the probe correlates those two pieces a second time.
+        again = len(probes) * (hop + 2 * m - 2)
+        assert ledger["samples"] == _each_piece_once(walked + probes, hop, m) + again
 
     def test_inline_farm_pump(self, capture, monkeypatch):
         stream, buffer = capture

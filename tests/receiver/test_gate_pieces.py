@@ -135,9 +135,9 @@ def _record_planes(monkeypatch):
     runs = [{}]
     original = StreamingReceiver.decode_window
 
-    def recorded(self, window, pos, dedup, corr=None):
+    def recorded(self, window, pos, previous=(), corr=None):
         runs[-1][(pos, window.size)] = corr
-        return original(self, window, pos, dedup, corr=corr)
+        return original(self, window, pos, previous, corr=corr)
 
     monkeypatch.setattr(StreamingReceiver, "decode_window", recorded)
     return runs

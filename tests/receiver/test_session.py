@@ -25,7 +25,7 @@ from repro.receiver.session import (
     SessionConfig,
     SessionSupervisor,
 )
-from repro.receiver.streaming import DedupTable, StreamFrame
+from repro.receiver.streaming import StreamFrame
 
 HOP = 1_000
 WINDOW = 2_000
@@ -40,11 +40,11 @@ class ScriptedStream:
     - ``fail``: live, user 1 detects strongly but nothing decodes
       (the drift signature; user 1 so the supervisor's residue
       suppression never mistakes it for a just-decoded frame's image).
-    - ``late``: like ``ok``, but the frame starts in the window's
-      second hop, so the session holds it pending until the walk has
-      passed its start.
+    - ``echo``: like ``fail``, but user 0 detects strongly.
 
-    Outcomes past the end of the script are ``dark``.
+    Outcomes past the end of the script are ``dark``.  A RESYNC
+    window's widened health probe sees the same outcome as the
+    window's own decode, and is recorded in ``probes``.
     """
 
     def __init__(self, outcomes=()):
@@ -55,11 +55,9 @@ class ScriptedStream:
         self.max_frame_bits = 8
         self.receiver = SimpleNamespace(codes={0: None, 1: None})
         self.windows_seen = []  # (kind, window_size) per processed window
+        self.probes = []  # (kind, window_size) per RESYNC health probe
         self._n = 0
         self._kind = "dark"
-
-    def make_dedup(self):
-        return DedupTable(tolerance=self.frame_samples // 2)
 
     def window_is_live(self, window, planes=None, pos=None, pieces=None):
         self._kind = self.outcomes[self._n] if self._n < len(self.outcomes) else "dark"
@@ -67,23 +65,28 @@ class ScriptedStream:
         self._n += 1
         return self._kind != "dark"
 
-    def decode_window(self, window, pos, dedup, corr=None):
-        if self._kind == "fail":
-            report = SimpleNamespace(
+    def _report(self):
+        if self._kind in ("fail", "echo"):
+            user = 1 if self._kind == "fail" else 0
+            return SimpleNamespace(
                 frames=[],
-                detections=[SimpleNamespace(user_id=1, score=0.9, offset=0)],
+                detections=[SimpleNamespace(user_id=user, score=0.9, offset=0, strongest=None)],
             )
+        return SimpleNamespace(
+            frames=[SimpleNamespace(success=True)],
+            detections=[SimpleNamespace(user_id=0, score=0.9, offset=10, strongest=None)],
+        )
+
+    def decode_window(self, window, pos, previous, corr=None):
+        report = self._report()
+        if self._kind in ("fail", "echo"):
             return [], report
         payload = self._n.to_bytes(4, "big")
-        offset = HOP + 10 if self._kind == "late" else 10
-        report = SimpleNamespace(
-            frames=[SimpleNamespace(success=True)],
-            detections=[SimpleNamespace(user_id=0, score=0.9, offset=offset)],
-        )
-        frames = []
-        if not dedup.seen(0, payload, pos + offset):
-            frames.append(StreamFrame(user_id=0, payload=payload, start_sample=pos + offset))
-        return frames, report
+        return [StreamFrame(user_id=0, payload=payload, start_sample=pos + 10)], report
+
+    def probe_window(self, window, pos, pieces):
+        self.probes.append((self._kind, window.size))
+        return None if self._kind == "dark" else self._report()
 
 
 def drive(outcomes, config=None, extra_hops=1, **kwargs):
@@ -136,7 +139,7 @@ class TestHealthMachine:
         _, session, emitted = drive(["ok"] * 10)
         assert session.state is HealthState.HEALTHY
         assert session.stats["frames"] == 10
-        assert len(emitted) + session.pending_frames == 10
+        assert len(emitted) == 10
 
     def test_degrade_and_recover_on_failure_rate(self):
         # resync_after pushed out of the way to isolate the rate logic.
@@ -161,19 +164,33 @@ class TestHealthMachine:
         assert session.state is HealthState.HEALTHY
         assert session.stats["resyncs"] == 1
         assert [s for _, s in session.health_history] == ["healthy", "resync", "healthy"]
-        # The acquisition window after entering RESYNC is widened.
+        # The window after entering RESYNC decodes as any other, and
+        # its widened probe, the only one, brings the session back.
         assert stream.windows_seen[7][1] == WINDOW  # streak completes here
-        assert stream.windows_seen[8][1] == WINDOW * SessionConfig().resync_widen_factor
+        assert stream.windows_seen[8][1] == WINDOW
+        assert stream.probes == [("ok", WINDOW * SessionConfig().resync_widen_factor)]
+        assert session.stats["frames"] == 6
 
     def test_resync_exhaustion_fails_terminally(self):
-        outcomes = ["ok"] + ["fail"] * 6  # 3 to enter RESYNC, 3 failed acquisitions
-        _, session, _ = drive(outcomes, config=None, extra_hops=8)
+        outcomes = ["ok"] + ["fail"] * 6  # 3 to enter RESYNC, 3 failed probes
+        stream, session, _ = drive(outcomes, config=None, extra_hops=8)
         assert session.state is HealthState.FAILED
         assert [s for _, s in session.health_history] == ["healthy", "resync", "failed"]
+        assert [kind for kind, _size in stream.probes] == ["fail"] * 3
         # FAILED is terminal: everything fed afterwards is shed, not decoded.
         shed_before = session.stats["windows_shed"]
         assert session.feed(np.zeros(5 * HOP, dtype=np.complex128)) == []
         assert session.stats["windows_shed"] > shed_before
+
+    def test_previous_frame_residue_is_not_an_attempt(self):
+        """A strong detection of the user whose frame the previous
+        window emitted is that frame's correlation residue, not a
+        failed attempt; a window later it is an attempt again."""
+        _, echo, _ = drive(["ok", "echo", "echo", "echo"])
+        _, fail, _ = drive(["ok", "fail", "fail", "fail"])
+        assert echo._nodecode_streak == 2
+        assert echo.health_history == [(0, "healthy")]
+        assert [s for _, s in fail.health_history] == ["healthy", "resync"]
 
     def test_watchdog_degrades_without_touching_decode(self):
         ticks = itertools.count()
@@ -231,18 +248,18 @@ class TestIngestion:
         assert tracer.counters["session.frames"] == session.stats["frames"]
 
     def test_cross_window_duplicate_is_counted(self):
-        """A frame the next overlapping window decodes again is
-        suppressed by the dedup table and counted as a duplicate."""
+        """A frame the next window decodes again is dropped as a repeat
+        of the previous window's frame and counted as a duplicate."""
 
         class RepeatingStream(ScriptedStream):
-            def decode_window(self, window, pos, dedup, corr=None):
+            def decode_window(self, window, pos, previous, corr=None):
                 report = SimpleNamespace(
                     frames=[SimpleNamespace(success=True)],
-                    detections=[SimpleNamespace(user_id=0, score=0.9, offset=0)],
+                    detections=[SimpleNamespace(user_id=0, score=0.9, offset=0, strongest=None)],
                 )
-                if dedup.seen(0, b"same", HOP):
+                if any(f.payload == b"same" for f in previous):
                     return [], report
-                return [StreamFrame(user_id=0, payload=b"same", start_sample=HOP)], report
+                return [StreamFrame(user_id=0, payload=b"same", start_sample=HOP - 1)], report
 
         tracer = Tracer()
         session = SessionSupervisor(RepeatingStream(["ok", "ok"]), tracer=tracer)
@@ -253,14 +270,14 @@ class TestIngestion:
 
 
 class TestCheckpoint:
-    def _run_and_checkpoint(self, tmp_path, outcomes=("ok", "fail", "ok", "late")):
+    def _run_and_checkpoint(self, tmp_path, outcomes=("ok", "fail", "ok", "ok")):
         stream, session, emitted = drive(list(outcomes))
         path = session.checkpoint(tmp_path / "session.jsonl")
         return session, emitted, path
 
     def test_roundtrip_restores_full_state(self, tmp_path):
         session, _, path = self._run_and_checkpoint(tmp_path)
-        assert session.pending_frames == 1  # the last window's frame is held back
+        assert len(session._last_frames) == 1  # the last window's frame
         restored = SessionSupervisor.restore(path, ScriptedStream())
         assert restored.position == session.position
         assert restored.samples_fed == session.samples_fed
@@ -268,9 +285,7 @@ class TestCheckpoint:
         assert restored.stats == session.stats
         assert restored.health_history == session.health_history
         assert restored._recent == session._recent
-        assert restored.dedup.entries == session.dedup.entries
-        assert restored.dedup.peak_size == session.dedup.peak_size
-        assert restored._pending == session._pending
+        assert restored._last_frames == session._last_frames
 
     def test_checkpoint_is_atomic_jsonl_with_header(self, tmp_path):
         _, _, path = self._run_and_checkpoint(tmp_path)
@@ -302,6 +317,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             SessionSupervisor.restore(path, ScriptedStream())
 
+    def test_version_2_rejected_by_name(self, tmp_path):
+        """A checkpoint written before one window owned each frame holds
+        dedup and pending records; it is refused, naming its version."""
+        _, _, path = self._run_and_checkpoint(tmp_path)
+        lines = [json.loads(l) for l in path.read_text().splitlines()]
+        lines[0]["version"] = 2
+        old = [dict(r, type="dedup") if r["type"] == "frame" else r for r in lines]
+        path.write_text("".join(json.dumps(r) + "\n" for r in old))
+        with pytest.raises(ValueError, match="checkpoint version 2; .* version 3 only") as exc:
+            SessionSupervisor.restore(path, ScriptedStream())
+        assert str(path) in str(exc.value)
+
     def test_geometry_mismatch_rejected(self, tmp_path):
         _, _, path = self._run_and_checkpoint(tmp_path)
         other = ScriptedStream()
@@ -322,7 +349,7 @@ class TestCheckpoint:
         lines = [json.loads(l) for l in path.read_text().splitlines()]
         state_at = next(i for i, rec in enumerate(lines) if rec["type"] == "state")
         fields = sorted(set(lines[state_at]) - {"type"})
-        assert len(fields) == 11
+        assert len(fields) == 9
         for key in fields:
             broken = [dict(rec) for rec in lines]
             del broken[state_at][key]
@@ -347,7 +374,7 @@ class TestCheckpoint:
                         broken, ScriptedStream(), source="migration payload"
                     )
                 assert "migration payload" in str(exc.value)
-        assert checked == {"dedup", "pending", "history"}
+        assert checked == {"frame", "history"}
 
     def _records(self, tmp_path):
         _, _, path = self._run_and_checkpoint(tmp_path)
@@ -375,7 +402,7 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="no history records"):
             SessionSupervisor.from_checkpoint_records(lines, ScriptedStream())
 
-    @pytest.mark.parametrize("kind", ["header", "state", "dedup", "pending", "history"])
+    @pytest.mark.parametrize("kind", ["header", "state", "frame", "history"])
     def test_unknown_field_rejected(self, tmp_path, kind):
         lines = self._records(tmp_path)
         next(r for r in lines if r["type"] == kind)["debug_name"] = "x"

@@ -1,5 +1,7 @@
 """Unit tests for repro.receiver.streaming and repro.sim.unslotted."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.channel.noise import NoiseModel
 from repro.codes import twonc_codes
 from repro.phy.modulation import fractional_delay, ook_baseband
 from repro.receiver import CbmaReceiver
-from repro.receiver.streaming import DedupTable, StreamFrame, StreamingReceiver
+from repro.receiver.streaming import StreamFrame, StreamingReceiver
 from repro.sim.unslotted import UnslottedScenario, simulate_unslotted
 from repro.tag import FrameFormat, Tag
 
@@ -81,8 +83,9 @@ class TestStreamingReceiver:
         assert len(hits) == 1
 
     def test_frame_in_last_sample_of_hop_emitted_once(self, stack):
-        # Both windows that hold the frame stamp the candidate that
-        # decoded it, so the second decode is a dedup match.
+        # The window that owns the hop's last sample decodes it; the
+        # next window may decode it again a few samples on, and drops
+        # that decode as a repeat of the previous window's frame.
         codes, fmt, tags, rx, stream = stack
         rng = np.random.default_rng(4)
         start, total = stream.hop_samples - 1, 6 * stream.hop_samples
@@ -133,42 +136,43 @@ class TestStreamingReceiver:
         assert any(f.user_id == 0 and f.payload == b"hi" for f in frames)
 
 
-class TestDedupTable:
-    def test_seen_within_tolerance_only(self):
-        t = DedupTable(tolerance=100)
-        assert not t.seen(0, b"a", 1000)
-        assert t.seen(0, b"a", 1050)  # same frame through the next window
-        assert not t.seen(0, b"a", 1200)  # a genuinely new frame
-        assert not t.seen(1, b"a", 1000)  # different user
+class TestRepeats:
+    def test_repeat_within_tolerance_only(self, stack, monkeypatch):
+        """A decode repeats one of the previous window's frames only
+        with its user and payload and less than half a frame away."""
+        codes, fmt, tags, rx, stream = stack
+        half = stream.frame_samples // 2
+        report = SimpleNamespace(
+            frames=[
+                SimpleNamespace(success=True, user_id=0, payload=b"a", offset=50),
+                SimpleNamespace(success=True, user_id=1, payload=b"a", offset=20),
+                SimpleNamespace(success=False, user_id=2, payload=None, offset=0),
+            ]
+        )
+        monkeypatch.setattr(rx, "process", lambda *a, **k: report)
+        pos = 10 * stream.hop_samples
 
-    def test_evictions_and_peak_tracked(self):
-        t = DedupTable(tolerance=10)
-        for i in range(5):
-            t.seen(0, bytes([i]), i * 100)
-        assert t.peak_size == 5
-        assert t.evict_before(250) == 3
-        assert len(t) == 2
-        assert t.evictions == 3
+        def kept(previous_start, user=0, payload=b"a"):
+            previous = [StreamFrame(user, payload, previous_start)]
+            frames, _report = stream.decode_window(np.zeros(4), pos, previous)
+            return [(f.user_id, f.start_sample) for f in frames]
 
-    def test_user_active_since(self):
-        t = DedupTable(tolerance=10)
-        t.seen(0, b"x", 500)
-        assert t.user_active_since(0, 400)
-        assert not t.user_active_since(0, 500)
-        assert not t.user_active_since(1, 0)
+        assert kept(pos - 3) == [(1, pos + 20)]  # the same frame through the next window
+        assert kept(pos + 50 - half + 1) == [(1, pos + 20)]
+        assert kept(pos + 50 - half) == [(1, pos + 20), (0, pos + 50)]  # a new frame
+        assert kept(pos - 3, payload=b"b") == [(1, pos + 20), (0, pos + 50)]
+        assert kept(pos - 3, user=2) == [(1, pos + 20), (0, pos + 50)]
 
     def test_long_stream_memory_stays_flat(self, stack, monkeypatch):
-        """1000 frames through the walk: the bounded dedup table must
-        evict behind the walk instead of growing without bound."""
+        """1000 frames through the walk: each window is checked against
+        the previous window's frames only, however long the stream."""
         codes, fmt, tags, rx, _ = stack
         stream = StreamingReceiver(rx, max_frame_bits=4)
-        decoded = {"n": 0}
+        seen = []
 
-        def fake_decode(window, pos, dedup, corr=None):
-            decoded["n"] += 1
-            payload = decoded["n"].to_bytes(4, "big")
-            if dedup.seen(0, payload, pos):
-                return [], None
+        def fake_decode(window, pos, previous, corr=None):
+            seen.append(len(previous))
+            payload = len(seen).to_bytes(4, "big")
             return [StreamFrame(user_id=0, payload=payload, start_sample=pos)], None
 
         monkeypatch.setattr(stream, "window_is_live", lambda window, planes=None, pos=None, pieces=None: True)
@@ -177,9 +181,7 @@ class TestDedupTable:
             np.zeros(1000 * stream.hop_samples, dtype=complex)
         )
         assert len(frames) == 1000
-        assert stream.last_dedup.peak_size <= 4
-        assert len(stream.last_dedup) <= 4
-        assert stream.last_dedup.evictions >= 990
+        assert seen == [0] + [1] * 999
 
 
 class TestUnslotted:

@@ -68,8 +68,6 @@ class TestAcceptanceSoak:
         assert states[-1] == "healthy"
 
     def test_memory_stays_bounded(self, acceptance):
-        cfg = acceptance.config
-        assert acceptance.peak_dedup <= cfg.dedup_bound_factor * cfg.n_tags
         assert acceptance.peak_backlog <= 64
 
     def test_traffic_actually_flows(self, acceptance):
@@ -236,8 +234,8 @@ class TestCampaigns:
         clean = run_soak(cfg).stats["frames"]
         real_check = soak_mod.check_invariants
 
-        def strict_check(cfg_, stream, session, frames):
-            out = real_check(cfg_, stream, session, frames)
+        def strict_check(stream, session, frames):
+            out = real_check(stream, session, frames)
             if session.stats["frames"] < clean:
                 out.append(
                     soak_mod.InvariantViolation(

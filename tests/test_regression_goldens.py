@@ -248,7 +248,7 @@ class TestStreamGoldens:
 
     @pytest.mark.parametrize(
         "traffic_rate,n_windows,n_frames,digest",
-        [(0.3, 40, 42, "88264d61a03bf646"), (0.02, 120, 17, "3113ec520f23a777")],
+        [(0.3, 40, 42, "5c603539ca1744ce"), (0.02, 120, 17, "3113ec520f23a777")],
         ids=["dense", "sparse"],
     )
     def test_process_stream_digest(self, traffic_rate, n_windows, n_frames, digest):
@@ -326,22 +326,18 @@ class TestStreamGoldens:
         finally:
             farm.close()
         assert farm.batched_windows > 0
-        assert _frames_digest(frames) == "1ac321ec506c1670"
+        assert _frames_digest(frames) == "0892810b0b90ab58"
 
     @pytest.mark.parametrize(
         "chunk_dtype,digest",
-        [(np.complex128, "0f59c55008529d60"), (np.complex64, "0f59c55008529d60")],
+        [(np.complex128, "189caff86d11a067"), (np.complex64, "189caff86d11a067")],
         ids=["complex128", "complex64"],
     )
     def test_session_checkpoint_digest(self, tmp_path, chunk_dtype, digest):
         """The checkpoint JSONL bytes of a session stopped mid-stream
-        just after it recovered from RESYNC: header, state, dedup and
+        just after it recovered from RESYNC: header, state, frame and
         history records all present, fed chunks of either dtype.  The
-        watchdog clock is frozen so the counters are seed-only.  No
-        frame is pending here: each decoded frame starts in its
-        window's first hop, so it is released as the walk moves on;
-        ``tests/receiver/test_session.py::TestCheckpoint`` checkpoints
-        and restores a session that holds one."""
+        watchdog clock is frozen so the counters are seed-only."""
         from repro.faults.models import OscillatorDrift
         from repro.faults.plan import FaultPlan
         from repro.receiver.session import HealthState, SessionSupervisor
@@ -359,7 +355,7 @@ class TestStreamGoldens:
         path = session.checkpoint(tmp_path / "session.jsonl")
         kinds = [json.loads(line)["type"] for line in path.read_text().splitlines()]
         assert session.stats["resyncs"] == 1 and session.state is HealthState.HEALTHY
-        assert kinds.count("history") == 3 and "dedup" in kinds
+        assert kinds.count("history") == 3 and "frame" in kinds
         assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == digest
         # Restore drops nothing: the restored session checkpoints the same records.
         restored = SessionSupervisor.restore(path, stream)
@@ -415,7 +411,7 @@ class TestSoakGoldens:
         result = run_soak(SoakConfig(n_windows=200, seed=7), random_fault_plan(7, 200, 2))
         m = hashlib.sha256(_frames_digest(result.frames).encode())
         m.update(repr((sorted(result.stats.items()), result.final_state)).encode())
-        assert m.hexdigest()[:16] == "55304edae547e7d6"
+        assert m.hexdigest()[:16] == "fd3306210a4d68a6"
 
     def test_gateway_soak_digest(self):
         from repro.gateway.soak import GatewaySoakConfig, run_gateway_soak
