@@ -23,7 +23,6 @@ from repro.codes.fec import BlockInterleaver, FecPipeline, HammingCode
 from repro.mac.arq import ArqSimulator
 from repro.mac.fairness import RotatingGroupScheduler, ServiceLog
 from repro.receiver import CbmaReceiver, DiversityReceiver
-from repro.receiver.sic import SicReceiver
 from repro.sim.collision import CollisionScenario, simulate_diversity_round, simulate_round
 from repro.sim.network import CbmaConfig, CbmaNetwork
 from repro.sim.traffic import PoissonArrivals
@@ -37,7 +36,7 @@ def test_extension_sic_near_far(run_once, report):
     def sweep():
         codes = twonc_codes(2, 64)
         plain = CbmaReceiver({i: codes[i] for i in range(2)}, samples_per_chip=2)
-        sic = SicReceiver({i: codes[i] for i in range(2)}, samples_per_chip=2)
+        sic = CbmaReceiver({i: codes[i] for i in range(2)}, samples_per_chip=2, max_passes=3)
         rng = np.random.default_rng(3)
         noise = NoiseModel()
         out = {}

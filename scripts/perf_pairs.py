@@ -6,7 +6,13 @@ alternating which side runs first, and prints, per workload and metric,
 each side's median and quartiles and how many pairs the change won.
 That is the comparison a claimed gain has to pass: the change wins at
 least nine pairs in ten (ties count for neither side) and the medians
-differ by more than the parent's interquartile range.
+differ by more than the parent's interquartile range.  A metric whose
+parent runs spread wider than its regression bound (interquartile
+range over median) is ``unresolved`` -- the pairs cannot tell a move
+inside the bound from noise -- unless every change run beats every
+parent run.  Each side's share of failed operations (perfbench's
+``failed`` over ``attempted``, summed over the complete pairs) is
+printed beside its count of correct runs.
 
 Usage, from the repository root, with the parent checked out beside it
 (for example ``git worktree add ../base HEAD~1``)::
@@ -87,7 +93,13 @@ def summarise(runs: List[dict], metrics: List[dict]) -> str:
         out.extend(incomplete)
         for side in SIDES:
             bad = sum(not p[side]["correct"] for p in full)
-            out.append(f"  {side}: {len(full) - bad}/{len(full)} runs correct")
+            failed = sum(p[side].get("failed", 0) for p in full)
+            attempted = sum(p[side].get("attempted", 0) for p in full)
+            share = f" ({failed / attempted:.2%})" if attempted else ""
+            out.append(
+                f"  {side}: {len(full) - bad}/{len(full)} runs correct,"
+                f" {failed}/{attempted} operations failed{share}"
+            )
         out.append(
             f"  {'metric':<32} {'base Q1 / median / Q3':>28} {'change Q1 / median / Q3':>28}"
             f" {'wins':>6} {'vs base':>8}  verdict"
@@ -104,7 +116,7 @@ def summarise(runs: List[dict], metrics: List[dict]) -> str:
             rel = (change_q[1] - base_q[1]) / base_q[1] if base_q[1] else 0.0
             out.append(
                 f"  {name:<32} {_fmt(base_q):>28} {_fmt(change_q):>28}"
-                f" {wins:>3}/{len(rows):<2} {rel:>+8.1%}  {_verdict(spec, sign, rel, wins, len(rows), base_q, change_q)}"
+                f" {wins:>3}/{len(rows):<2} {rel:>+8.1%}  {_verdict(spec, sign, vals, wins)}"
             )
     return "\n".join(out)
 
@@ -126,11 +138,23 @@ def _fmt(q: Sequence[float]) -> str:
     return " / ".join(f"{v:.4g}" for v in q)
 
 
-def _verdict(spec, sign, rel, wins, n, base_q, change_q) -> str:
-    """``gain`` when the change wins >= 9/10 of the pairs and its median
-    beats the parent's by more than the parent's IQR; ``beyond bound``
-    when its median is worse by more than the metric's bound."""
+def _verdict(spec, sign, vals: Dict[str, List[float]], wins: int) -> str:
+    """The verdict on one metric's pairs (*vals*, per side).
+
+    ``unresolved`` when the parent's IQR is wider, relative to its
+    median, than the metric's bound and not every change run beats
+    every parent run; else ``beyond bound`` when the change's median is
+    worse by more than the bound, and ``gain`` when the change wins >=
+    9/10 of the pairs and its median beats the parent's by more than
+    the parent's IQR.
+    """
+    base_q, change_q = quartiles(vals["base"]), quartiles(vals["change"])
+    n = len(vals["base"])
+    rel = (change_q[1] - base_q[1]) / base_q[1] if base_q[1] else 0.0
     bound: Optional[float] = spec.get("bound")
+    if bound is not None and base_q[1] and (base_q[2] - base_q[0]) / abs(base_q[1]) > bound:
+        if min(sign * v for v in vals["change"]) <= max(sign * v for v in vals["base"]):
+            return "unresolved"
     if bound is not None and -sign * rel > bound:
         return "beyond bound"
     if wins >= 0.9 * n and sign * (change_q[1] - base_q[1]) > base_q[2] - base_q[0]:

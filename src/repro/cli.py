@@ -429,7 +429,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import time
 
     from repro.obs import Tracer, jsonl_lines, render_dashboard, write_jsonl
-    from repro.receiver.sic import SicReceiver
 
     tracer = Tracer()
     config = CbmaConfig(n_tags=args.tags, seed=args.seed)
@@ -437,7 +436,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         config,
         Deployment.linear(args.tags, tag_to_rx=args.distance),
         tracer=tracer,
-        receiver_cls=SicReceiver if args.receiver == "sic" else None,
+        receiver_kwargs={"max_passes": 3} if args.receiver == "sic" else None,
     )
     t0 = time.perf_counter()
     metrics = network.run_rounds(args.rounds)

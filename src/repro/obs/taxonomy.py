@@ -76,7 +76,7 @@ CONTAINMENT_STAGES: FrozenSet[str] = frozenset(
 #: Reason slugs of contained pipeline failures
 #: (``errors.pipeline.<stage>.<reason>``).
 PIPELINE_FAILURE_REASONS: FrozenSet[str] = frozenset(
-    {"exception", "non_finite", "not_1d", "uninterpretable", "ghost_suppression"}
+    {"exception", "non_finite", "not_1d", "uninterpretable"}
 )
 
 #: Outcome slugs of one frame decode (``decode.<reason>`` counters and
@@ -195,7 +195,7 @@ class C:
     DECODE_GHOST = decode_outcome("ghost")  # decodes suppressed as another user's frame
     CRC_OK = CounterName("crc.ok")  # CRC checks passed
     CRC_FAIL = CounterName("crc.fail")  # CRC checks failed
-    SIC_PASSES = CounterName("sic.passes")  # SIC detect-decode-cancel passes
+    SIC_PASSES = CounterName("sic.passes")  # decode passes of a max_passes > 1 receiver
     SIC_CANCELLATIONS = CounterName("sic.cancellations")  # frames subtracted by SIC
     # --- loss attribution (the error budget) and fault injections
     ERRORS_NOT_DETECTED = CounterName("errors.not_detected")  # losses at detection
@@ -285,7 +285,7 @@ class S:
     DETECT = SpanName("detect")  # correlation user detection
     DECODE = SpanName("decode")  # one user's chip decode
     CRC = SpanName("crc")  # CRC check of one decoded frame
-    SIC = SpanName("sic")  # one SIC detect-decode-cancel pass
+    SIC = SpanName("sic")  # one decode pass of a max_passes > 1 receiver
     ROUND = SpanName("round")  # one collision round of the network loop
     EPOCH = SpanName("epoch")  # one system epoch
     SYNTHESIZE = SpanName("synthesize")  # waveform synthesis of a capture

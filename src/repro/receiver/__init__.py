@@ -5,9 +5,9 @@
   correlation with timing and channel estimation.
 - :mod:`repro.receiver.decoder` -- coherent chip-correlation decoding.
 - :mod:`repro.receiver.ack` -- acknowledgement broadcast.
-- :mod:`repro.receiver.receiver` -- the composed pipeline.
-- :mod:`repro.receiver.sic` -- successive interference cancellation
-  extension (receiver-side near-far mitigation).
+- :mod:`repro.receiver.receiver` -- the composed pipeline, with
+  optional successive interference cancellation (``max_passes``,
+  receiver-side near-far mitigation).
 - :mod:`repro.receiver.diversity` -- multi-antenna MRC extension.
 - :mod:`repro.receiver.streaming` -- continuous-stream reception.
 - :mod:`repro.receiver.session` -- supervised long-run sessions
@@ -23,7 +23,6 @@ from repro.receiver.diversity import DiversityReceiver
 from repro.receiver.receiver import CbmaReceiver, ReceptionReport
 from repro.receiver.phase_tracking import PhaseTrackingReceiver
 from repro.receiver.session import HealthState, SessionConfig, SessionSupervisor
-from repro.receiver.sic import SicReceiver
 from repro.receiver.streaming import StreamFrame, StreamingReceiver
 from repro.receiver.user_detection import UserDetection, UserDetector
 
@@ -37,7 +36,6 @@ __all__ = [
     "FrameSyncResult",
     "CbmaReceiver",
     "ReceptionReport",
-    "SicReceiver",
     "PhaseTrackingReceiver",
     "DiversityReceiver",
     "StreamFrame",

@@ -18,13 +18,13 @@ at the knee.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.receiver.ack import AckMessage
 from repro.receiver.decoder import ChipDecoder, DecodedFrame
-from repro.receiver.receiver import CbmaReceiver, ReceptionReport
+from repro.receiver.receiver import CbmaReceiver, ReceptionReport, own_payloads
 from repro.receiver.user_detection import UserDetection
 
 __all__ = ["DiversityReceiver"]
@@ -141,6 +141,7 @@ class DiversityReceiver(CbmaReceiver):
             return report
 
         report.detections = self._detect_combined(branches)
+        frames = []
         for det in report.detections:
             decoder = self._decoders[det.user_id]
             frame = None
@@ -150,10 +151,9 @@ class DiversityReceiver(CbmaReceiver):
                     frame = attempt
                 if attempt.success:
                     break
-            report.frames.append(frame)
+            frames.append(frame)
 
-        self._suppress_ghosts(report)
-        report.ack = AckMessage.for_ids(
-            (f.user_id for f in report.frames if f.success), round_index
-        )
+        owners: Dict[bytes, int] = {}
+        own_payloads([(det.score, f) for det, f in zip(report.detections, frames)], owners)
+        self._settle(report, frames, owners, round_index)
         return report

@@ -11,25 +11,39 @@ The receiver owns no ground truth: everything -- timing, channel
 gains, who transmitted -- is estimated from the samples, so simulated
 error rates reflect the real algorithmic weaknesses (asynchrony and
 near-far) the paper sets out to fix.
+
+The paper's receiver decodes every tag against the raw collision and
+leaves near-far to tag-side power control (Sec. IV); that is one
+decode pass, the default.  With ``max_passes > 1`` the same loop adds
+receiver-side successive interference cancellation (SIC): each pass
+re-synthesises the frames it decoded from their bits and channel
+estimates and subtracts them, so the next pass detects and decodes
+the weaker tags underneath.  SIC needs a *successful* decode to
+cancel; when the strong tag itself fails, nothing improves, which is
+where tag-side control still wins.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.taxonomy import C, G, S, decode_outcome
 from repro.obs.tracer import as_tracer
+from repro.phy.modulation import fractional_delay, spread_bits, upsample_chips
 from repro.receiver.ack import AckMessage
 from repro.receiver.decoder import ChipDecoder, DecodedFrame
 from repro.receiver.failures import DecodeFailure, sanitize_buffer
 from repro.receiver.frame_sync import EnergyDetector, FrameSyncResult
 from repro.receiver.user_detection import UserDetection, UserDetector
 from repro.tag.framing import FrameFormat
+from repro.utils.bits import pack_bits
+from repro.utils.contracts import array_contract
 
-__all__ = ["CbmaReceiver", "ReceptionReport"]
+__all__ = ["CbmaReceiver", "ReceptionReport", "own_payloads"]
 
 
 @dataclass
@@ -65,6 +79,36 @@ class ReceptionReport:
         return {f.user_id: f.payload for f in self.frames if f.success}
 
 
+def own_payloads(
+    claims: Sequence[Tuple[float, DecodedFrame]], owners: Dict[bytes, int]
+) -> List[int]:
+    """The ghost rule: record in *owners* who owns each newly decoded payload.
+
+    With antipodal encoding, correlating a strong tag's signal against
+    a *wrong* code is merely a scaled matched filter: both the per-bit
+    statistic and the channel estimate pick up the same
+    cross-correlation factor, so the strong frame decodes bit-exact
+    (CRC and all) under other tags' identities.  So among the
+    successful frames of *claims* (``(detection score, frame)`` pairs)
+    carrying one payload, the highest-scoring claimant owns it, the
+    earliest on a tie; the others are correlation ghosts.  A payload
+    already in *owners* (owned in an earlier pass) stays owned.
+
+    Returns the indices of the winning claims, in the order their
+    payloads first appear.
+    """
+    best: Dict[bytes, int] = {}
+    for i, (score, frame) in enumerate(claims):
+        if not frame.success or frame.payload is None or frame.payload in owners:
+            continue
+        held = best.get(frame.payload)
+        if held is None or score > claims[held][0]:
+            best[frame.payload] = i
+    for payload, i in best.items():
+        owners[payload] = claims[i][1].user_id
+    return list(best.values())
+
+
 class CbmaReceiver:
     """Multi-user backscatter receiver.
 
@@ -91,6 +135,10 @@ class CbmaReceiver:
         Optional :class:`repro.obs.Tracer`; when given, every pipeline
         stage records spans, counters and gauges.  ``None`` (default)
         keeps the hot path free of observation cost.
+    max_passes:
+        Decode passes over one buffer (``>= 1``).  One pass (default)
+        is the paper's receiver; more add successive interference
+        cancellation (see :meth:`process`).
 
     Prefer :meth:`from_config` over passing loose keyword arguments:
     it derives everything from a :class:`~repro.sim.network.CbmaConfig`
@@ -106,7 +154,11 @@ class CbmaReceiver:
         user_threshold: float = 0.12,
         dc_block: bool = False,
         tracer=None,
+        max_passes: int = 1,
     ):
+        if max_passes < 1:
+            raise ValueError("max_passes must be >= 1")
+        self.max_passes = max_passes
         self.dc_block = dc_block
         self.tracer = as_tracer(tracer)
         self.fmt = fmt or FrameFormat()
@@ -140,9 +192,9 @@ class CbmaReceiver:
         oversampling and detection threshold come straight from the
         config instead of being re-typed as loose kwargs at every call
         site.  *codes* defaults to the config's code family over
-        tag ids ``0..n_tags-1``; subclass-specific options (e.g.
-        ``max_passes`` for :class:`~repro.receiver.sic.SicReceiver`)
-        pass through ``**kwargs``.
+        tag ids ``0..n_tags-1``; further options (``max_passes``, or
+        a subclass's own, such as ``n_antennas``) pass through
+        ``**kwargs``.
         """
         if codes is None:
             from repro.codes.registry import make_codes
@@ -169,7 +221,7 @@ class CbmaReceiver:
     def _front_end(
         self, iq, report_failures: List[DecodeFailure], corr: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-        """Input hygiene shared with :class:`~repro.receiver.sic.SicReceiver`.
+        """Input hygiene: sanitised, optionally DC-blocked samples.
 
         Returns the cleaned samples, and *corr* (the caller's
         correlation plane of *iq*) only if it still describes them:
@@ -216,7 +268,7 @@ class CbmaReceiver:
         """Decode one detected user.
 
         Returns the frame and the ``(offset, score, channel)`` candidate
-        that produced it (the one SIC cancels).
+        that produced it (the one cancellation subtracts).
 
         Multi-hypothesis decoding: the alternating preamble has
         +/-k-bit correlation images the detector cannot resolve by
@@ -268,21 +320,37 @@ class CbmaReceiver:
         section").  The energy detector is then not run, and
         ``report.sync`` stays empty.
 
+        After frame sync the receiver runs up to ``max_passes`` decode
+        passes.  Each pass detects users, decodes every detected user
+        that does not yet own a frame, and settles who owns each
+        decoded payload by :func:`own_payloads`: losers stay eligible
+        for the next pass.  When another pass follows, the pass's new
+        owners are cancelled from the samples the next pass detects on,
+        and the loop stops early at a pass that owns nothing new; with
+        ``max_passes > 1`` each pass runs under a ``sic`` span.  A frame still losing its payload
+        at the end is reported as a ``ghost``.  ``report.detections``
+        holds each user's latest detection made before it owned a
+        frame, strongest first.
+
         *corr* is the template bank's correlation plane of *iq*, when
         the caller already computed it (the streaming pre-gate).  It
-        reaches the user detector only when the front end hands *iq*
-        through untouched; widened, repaired or DC-blocked samples are
-        correlated afresh.
+        reaches the first pass's user detector only when the front end
+        hands *iq* through untouched; widened, repaired or DC-blocked
+        samples, and every later pass's residual, are correlated
+        afresh.
 
         With an *owned* span only candidates in ``[0, owned)`` are
-        ranked and tried (the streaming walk passes one hop).
+        ranked and tried, in every pass (the streaming walk passes one
+        hop).
 
         Degradation contract: this method never raises on malformed or
         pathological input.  Bad samples are sanitised at the front
         end, and a stage that blows up is contained into a
         :class:`DecodeFailure` on ``report.failures`` (counted under
         ``errors.pipeline.*``) while the rest of the pipeline carries
-        on with whatever the earlier stages produced.
+        on with whatever the earlier stages produced; a failed
+        cancellation ends the passes, keeping every frame decoded so
+        far.
         """
         tracer = self.tracer
         report = ReceptionReport(sync=FrameSyncResult(detections=[]))
@@ -290,28 +358,86 @@ class CbmaReceiver:
         if not self._frame_sync(x, report, round_index, skip_energy_gate):
             return report
 
+        frames: Dict[int, DecodedFrame] = {}  # each user's latest frame
+        latest: Dict[int, UserDetection] = {}
+        owners: Dict[bytes, int] = {}
+        residual = x
+        cancelling = self.max_passes > 1
+        for index in range(self.max_passes):
+            with tracer.span(S.SIC, sic_pass=index) if cancelling else nullcontext():
+                if cancelling:
+                    tracer.count(C.SIC_PASSES)
+                taken = set(owners.values())
+                decoded = []
+                for det in self._detect(residual, corr if index == 0 else None, owned, report):
+                    if det.user_id in taken:
+                        continue
+                    latest[det.user_id] = det
+                    frame, candidate = self._decode_user(residual, det, report)
+                    frames[det.user_id] = frame
+                    decoded.append((det, frame, candidate))
+                won = own_payloads([(det.score, frame) for det, frame, _c in decoded], owners)
+                if not won or index + 1 == self.max_passes:
+                    break
+                try:
+                    for i in won:
+                        det, frame, (offset, _score, channel) = decoded[i]
+                        residual = self._cancel(residual, det.user_id, frame, offset, channel)
+                        tracer.count(C.SIC_CANCELLATIONS)
+                except Exception as exc:
+                    self._contain(
+                        report, DecodeFailure("sic", "exception", detail=f"pass {index}: {exc}")
+                    )
+                    break
+
+        report.detections = sorted(latest.values(), key=lambda d: d.score, reverse=True)
+        self._settle(report, frames.values(), owners, round_index)
+        return report
+
+    def _detect(
+        self,
+        x: np.ndarray,
+        corr: Optional[np.ndarray],
+        owned: Optional[int],
+        report: ReceptionReport,
+    ) -> List[UserDetection]:
+        """User detection over *x*, strongest first; a blow-up is
+        contained and detects nobody."""
+        tracer = self.tracer
+        detections: List[UserDetection] = []
         try:
             with tracer.span(S.DETECT):
-                report.detections = self.user_detector.detect(x, corr=corr, owned=owned)
+                detections = self.user_detector.detect(x, corr=corr, owned=owned)
         except Exception as exc:
             self._contain(report, DecodeFailure("user_detection", "exception", detail=str(exc)))
         if tracer.enabled:
-            tracer.count(C.DETECT_USERS, len(report.detections))
-            for det in report.detections:
+            tracer.count(C.DETECT_USERS, len(detections))
+            for det in detections:
                 tracer.gauge(G.DETECT_SCORE, det.score)
                 if det.candidates and len(det.candidates) > 1:
                     # Margin of the chosen correlation peak over the
                     # runner-up alignment hypothesis.
                     scores = sorted((s for _o, s, _c in det.candidates), reverse=True)
                     tracer.gauge(G.DETECT_PEAK_MARGIN, scores[0] - scores[1])
-        for det in report.detections:
-            report.frames.append(self._decode_user(x, det, report)[0])
+        return detections
 
-        try:
-            self._suppress_ghosts(report)
-        except Exception as exc:
-            self._contain(report, DecodeFailure("decode", "ghost_suppression", detail=str(exc)))
+    def _settle(
+        self,
+        report: ReceptionReport,
+        frames: Iterable[DecodedFrame],
+        owners: Dict[bytes, int],
+        round_index: int,
+    ) -> None:
+        """Report *frames* and ACK their payloads' *owners*.
 
+        A successful frame whose payload another user owns (see
+        :func:`own_payloads`) is reported as a ``ghost`` instead.
+        """
+        for frame in frames:
+            if frame.success and owners.get(frame.payload) != frame.user_id:
+                self.tracer.count(C.DECODE_GHOST)
+                frame = replace(frame, success=False, payload=None, reason="ghost")
+            report.frames.append(frame)
         try:
             report.ack = AckMessage.for_ids(
                 (f.user_id for f in report.frames if f.success), round_index
@@ -319,40 +445,64 @@ class CbmaReceiver:
         except Exception as exc:
             self._contain(report, DecodeFailure("ack", "exception", detail=str(exc)))
             report.ack = AckMessage.for_ids([], round_index)
-        return report
 
-    def _suppress_ghosts(self, report: ReceptionReport) -> None:
-        """Deduplicate identical frames decoded under several codes.
+    @array_contract(residual="(n) complex128", returns="(n) complex128")
+    def _cancel(
+        self,
+        residual: np.ndarray,
+        user_id: int,
+        frame: DecodedFrame,
+        preamble_offset: int,
+        channel: complex,
+    ) -> np.ndarray:
+        """Subtract the reconstructed frame of *user_id* from *residual*.
 
-        With antipodal encoding, correlating a strong tag's signal
-        against a *wrong* code is merely a scaled matched filter: both
-        the per-bit statistic and the channel estimate pick up the same
-        cross-correlation factor, so the strong frame decodes bit-exact
-        (CRC and all) under other tags' identities.  A real receiver
-        resolves this exactly as done here: frames with identical
-        content are collapsed onto the correlator with the highest
-        detection score, and the rest are rejected as correlation
-        ghosts.
+        The frame is re-encoded exactly as the tag sent it (preamble +
+        decoded body bits, spread, upsampled) and removed by a joint
+        least-squares fit of its chip shape and a local constant over a
+        small grid of sub-sample timing hypotheses -- see the inline
+        comments for why each piece is needed.
         """
-        scores = {d.user_id: d.score for d in report.detections}
-        by_payload: Dict[bytes, List[int]] = {}
-        for idx, frame in enumerate(report.frames):
-            if frame.success and frame.payload is not None:
-                by_payload.setdefault(frame.payload, []).append(idx)
-        for indices in by_payload.values():
-            if len(indices) < 2:
+        fmt: FrameFormat = self.fmt
+        if frame.raw_bits is None or preamble_offset < 0:
+            return residual
+        bits = pack_bits(fmt.preamble, frame.raw_bits)
+        chips = spread_bits(bits, self.codes[user_id])
+        unit = upsample_chips(chips, self.samples_per_chip).astype(np.float64)
+
+        # Fractional-offset refinement: the detector's peak is integer,
+        # but the tag's clock is not.  A residue of a few percent of
+        # the strong tag's power (one fractional chip of rectangular
+        # pulse mismatch) can still bury a 15-20 dB weaker tag, so the
+        # canceller searches sub-sample offsets around the peak and
+        # least-squares-fits the complex gain for each, keeping the
+        # hypothesis with the smallest residual energy.
+        best = None
+        base = max(preamble_offset - 1, 0)
+        for frac in np.arange(0.0, 2.0, 0.25):
+            start = base + frac
+            delayed = fractional_delay(unit, start - base)
+            end = min(base + delayed.size, residual.size)
+            seg = delayed[: end - base]
+            window = residual[base:end]
+            energy = float(np.vdot(seg, seg).real)
+            if energy <= 0 or seg.size == 0:
                 continue
-            keep = max(indices, key=lambda i: scores.get(report.frames[i].user_id, 0.0))
-            for i in indices:
-                if i == keep:
-                    continue
-                self.tracer.count(C.DECODE_GHOST)
-                ghost = report.frames[i]
-                report.frames[i] = DecodedFrame(
-                    user_id=ghost.user_id,
-                    success=False,
-                    payload=None,
-                    reason="ghost",
-                    offset=ghost.offset,
-                    raw_bits=ghost.raw_bits,
-                )
+            # Two-basis least squares: the frame's chip shape plus a
+            # local constant.  The receiver's DC blocker removed the
+            # *global* mean, which included part of this frame's own
+            # unipolar DC; fitting a local offset jointly with the gain
+            # makes the cancellation exact again.
+            ones = np.ones(seg.size)
+            basis = np.stack([seg.astype(np.complex128), ones.astype(np.complex128)], axis=1)
+            coeffs, *_ = np.linalg.lstsq(basis, window, rcond=None)
+            synth = basis @ coeffs
+            resid_energy = float(np.sum(np.abs(window - synth) ** 2))
+            if best is None or resid_energy < best[0]:
+                best = (resid_energy, synth, end)
+        if best is None:
+            return residual
+        _, synth, end = best
+        out = residual.copy()
+        out[base:end] -= synth
+        return out

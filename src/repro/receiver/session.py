@@ -613,6 +613,8 @@ class SessionSupervisor:
     def _advance(self, frames: List[StreamFrame]) -> None:
         """Move the walk a hop on, past a window that emitted *frames*."""
         self._pos += self.streaming.hop_samples
+        # Later windows start at or after the new position.
+        self.gate_pieces.evict_before(self._pos)
         self._window_index += 1
         self._last_frames = frames
 

@@ -82,8 +82,10 @@ class GatePieces:
     it is exact for every later window that contains it, whichever
     path computed it.  This is derived state: it is never checkpointed
     (a restored session starts with an empty cache and recomputes what
-    it lacks), and the gate drops every piece the next window, a hop
-    later, cannot use.
+    it lacks).  The gate only adds pieces; the walk drops those the
+    next window cannot use when it advances (:meth:`evict_before`), so
+    a session's RESYNC probe, gated after its window at the same
+    position, reuses the window's first hop slice and seam.
     """
 
     __slots__ = ("hops", "seams")
@@ -117,8 +119,8 @@ class StreamingReceiver:
     Parameters
     ----------
     receiver:
-        The underlying single-window receiver: :class:`CbmaReceiver`,
-        :class:`~repro.receiver.sic.SicReceiver` or
+        The underlying single-window receiver: a :class:`CbmaReceiver`
+        of any ``max_passes``, or a
         :class:`~repro.receiver.phase_tracking.PhaseTrackingReceiver`,
         whose ``process`` takes the owned span.
     max_frame_bits:
@@ -324,14 +326,12 @@ class StreamingReceiver:
                     table[q] = (plane, float(plane.max()))
         floor = detector.threshold * _PREGATE_MARGIN
         live = np.zeros(len(layouts), dtype=bool)
-        for s, (layout, pos, cache) in enumerate(zip(layouts, positions, caches)):
+        for s, layout in enumerate(layouts):
             parts = [table[q] for table, q in layout]
             live[s] = max(peak for _plane, peak in parts) >= floor
             if planes is not None:
                 joined = np.concatenate([plane for plane, _peak in parts], axis=1) if live[s] else None
                 planes.append(joined)
-            # The next window starts a hop later, or further on after a shed.
-            cache.evict_before(pos + hop)
         return live
 
     def decode_window(
@@ -427,4 +427,5 @@ class StreamingReceiver:
             else:
                 previous = []
             pos += self.hop_samples
+            pieces.evict_before(pos)
         return frames

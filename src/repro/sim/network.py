@@ -132,7 +132,8 @@ class CbmaNetwork:
         Receiver class to instantiate (default
         :class:`~repro.receiver.receiver.CbmaReceiver`); must offer the
         ``from_config`` classmethod.  Extra *receiver_kwargs* pass
-        through (e.g. ``max_passes`` for SIC).
+        through (e.g. ``max_passes=3`` for successive interference
+        cancellation).
     faults:
         Optional :class:`~repro.faults.FaultPlan` injected into every
         round: tag dropout/brownout, oscillator drift, burst

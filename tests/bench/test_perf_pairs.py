@@ -1,4 +1,6 @@
-"""``scripts/perf_pairs.py`` keeps going past a run that prints nothing."""
+"""``scripts/perf_pairs.py`` keeps going past a run that prints nothing,
+prints each side's failed share, and calls a metric whose parent runs
+spread wider than its bound unresolved."""
 
 import importlib.util
 import json
@@ -67,3 +69,43 @@ def test_run_that_prints_nothing_comes_back_failed(perf_pairs, tmp_path):
     assert result == {
         "no_result": True, "exit_code": 3, "stderr_tail": "killed by the harvest timeout",
     }
+
+
+def _runs(base, change, failed=(0, 0), attempted=100):
+    """One complete pair per value, base then change, on seeds 0..n-1."""
+    runs = []
+    for seed, (b, c) in enumerate(zip(base, change)):
+        for side, value, bad in (("base", b, failed[0]), ("change", c, failed[1])):
+            runs.append({
+                "side": side, "workload": "stream_dense", "seed": seed, "correct": True,
+                "failed": bad, "attempted": attempted,
+                "metrics": {"realtime_factor": {"value": value}},
+            })
+    return runs
+
+
+_METRIC = [{"name": "realtime_factor", "better": "higher", "bound": 0.25}]
+
+
+def _verdict_line(summary):
+    (line,) = [l for l in summary.splitlines() if l.strip().startswith("realtime_factor")]
+    return line
+
+
+def test_parent_spread_wider_than_the_bound_is_unresolved(perf_pairs):
+    # Parent IQR 1.0 around a median of 2.5 (40%) against a 25% bound.
+    base = [1.5, 2.0, 2.5, 3.0, 3.5]
+    line = _verdict_line(perf_pairs.summarise(_runs(base, [1.0, 1.5, 2.0, 2.5, 3.0]), _METRIC))
+    assert line.endswith("unresolved")
+    # Unless every change run beats every parent run.
+    line = _verdict_line(perf_pairs.summarise(_runs(base, [4.0, 4.5, 5.0, 5.5, 6.0]), _METRIC))
+    assert line.endswith("gain")
+    # A tight parent still reads the median against the bound.
+    line = _verdict_line(perf_pairs.summarise(_runs([2.0] * 5, [1.4] * 5), _METRIC))
+    assert line.endswith("beyond bound")
+
+
+def test_each_sides_failed_share_is_printed(perf_pairs):
+    summary = perf_pairs.summarise(_runs([2.0] * 3, [2.0] * 3, failed=(0, 5), attempted=200), _METRIC)
+    assert "base: 3/3 runs correct, 0/600 operations failed (0.00%)" in summary
+    assert "change: 3/3 runs correct, 15/600 operations failed (2.50%)" in summary

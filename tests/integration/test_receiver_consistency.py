@@ -6,7 +6,7 @@ import pytest
 
 from repro.codes import twonc_codes
 from repro.phy.modulation import fractional_delay, ook_baseband
-from repro.receiver import CbmaReceiver, DiversityReceiver, SicReceiver
+from repro.receiver import CbmaReceiver, DiversityReceiver
 from repro.tag.framing import FrameFormat
 from repro.tag.tag import Tag
 
@@ -37,7 +37,7 @@ def stack():
     return (
         tags,
         CbmaReceiver(code_map, fmt=fmt, samples_per_chip=SPC),
-        SicReceiver(code_map, fmt=fmt, samples_per_chip=SPC),
+        CbmaReceiver(code_map, fmt=fmt, samples_per_chip=SPC, max_passes=3),
         DiversityReceiver(code_map, fmt=fmt, samples_per_chip=SPC, n_antennas=2),
     )
 

@@ -37,7 +37,7 @@ from repro.mac.arq import ArqSimulator
 from repro.macro.calibration import CalibrationSpec, calibrate, load_or_calibrate
 from repro.macro.engine import MacroConfig, MacroSimulator
 from repro.obs import C, G, S, Tracer
-from repro.receiver import CbmaReceiver, SicReceiver
+from repro.receiver import CbmaReceiver
 from repro.receiver.session import SessionConfig, SessionSupervisor
 from repro.receiver.streaming import StreamingReceiver
 from repro.sim.experiments.soak import (
@@ -97,7 +97,7 @@ def _sic_network_with_faults_and_arq(tracer):
         Deployment.linear(3, tag_to_rx=1.0),
         tracer=tracer,
         faults=plan,
-        receiver_cls=SicReceiver,
+        receiver_kwargs={"max_passes": 3},
     )
     net.run_rounds(6)
     arq = ArqSimulator(

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.codes import twonc_codes
 from repro.obs import Tracer
 from repro.phy.modulation import fractional_delay, ook_baseband, spread_bits, upsample_chips
-from repro.receiver import CbmaReceiver, SicReceiver
+from repro.receiver import CbmaReceiver
 from repro.receiver.decoder import ChipDecoder
 from repro.receiver.user_detection import UserDetector
 from repro.sim.collision import CollisionScenario, simulate_round
@@ -243,7 +243,7 @@ def test_sic_cancels_the_candidate_that_decoded():
     for s in streams:
         iq[: s.size] += s
     iq += 0.01 * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    sic = SicReceiver({i: codes[i] for i in range(3)}, fmt=fmt, samples_per_chip=spc)
+    sic = CbmaReceiver({i: codes[i] for i in range(3)}, fmt=fmt, samples_per_chip=spc, max_passes=3)
     got, want = _reports(sic, iq)
     _assert_same_reports(got, want)
     assert got.decoded_payloads() == want.decoded_payloads()

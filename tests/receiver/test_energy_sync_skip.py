@@ -6,13 +6,15 @@ discards the energy detector's verdict, so the detector does not run:
 absent.  A plain ``process()`` still gates on it.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.codes import twonc_codes
 from repro.obs import Tracer
 from repro.phy.modulation import fractional_delay, ook_baseband
-from repro.receiver import CbmaReceiver, SicReceiver
+from repro.receiver import CbmaReceiver
 from repro.receiver.frame_sync import EnergyDetector
 from repro.sim.experiments.soak import SoakConfig, build_soak_stack, build_soak_stream
 from repro.tag.framing import FrameFormat
@@ -45,12 +47,14 @@ def _buffer():
     return {i: codes[i] for i in range(2)}, fmt, sig
 
 
-@pytest.mark.parametrize("receiver_cls", [CbmaReceiver, SicReceiver])
+@pytest.mark.parametrize(
+    "make_receiver", [CbmaReceiver, partial(CbmaReceiver, max_passes=3)], ids=["CbmaReceiver", "SicReceiver"]
+)
 class TestProcess:
-    def test_skipped_gate_never_runs_the_detector(self, receiver_cls, detect_calls):
+    def test_skipped_gate_never_runs_the_detector(self, make_receiver, detect_calls):
         codes, fmt, buf = _buffer()
         tracer = Tracer()
-        rx = receiver_cls(codes, fmt=fmt, samples_per_chip=SPC, tracer=tracer)
+        rx = make_receiver(codes, fmt=fmt, samples_per_chip=SPC, tracer=tracer)
         report = rx.process(buf, skip_energy_gate=True)
         assert detect_calls == []
         assert report.sync.detections == [] and not report.sync.detected
@@ -58,10 +62,10 @@ class TestProcess:
         assert all(r.name != "frame_sync" for r in tracer.records)
         assert not any(name.startswith("frame_sync.") for name in tracer.counters)
 
-    def test_plain_process_still_syncs(self, receiver_cls, detect_calls):
+    def test_plain_process_still_syncs(self, make_receiver, detect_calls):
         codes, fmt, buf = _buffer()
         tracer = Tracer()
-        rx = receiver_cls(codes, fmt=fmt, samples_per_chip=SPC, tracer=tracer)
+        rx = make_receiver(codes, fmt=fmt, samples_per_chip=SPC, tracer=tracer)
         report = rx.process(buf)
         assert detect_calls == [buf.size]
         expected = EnergyDetector().detect(buf)
@@ -70,10 +74,10 @@ class TestProcess:
         assert any(r.name == "frame_sync" for r in tracer.records)
         assert report.decoded_payloads() == {0: b"sync me"}
 
-    def test_plain_process_still_gates_on_silence(self, receiver_cls, detect_calls):
+    def test_plain_process_still_gates_on_silence(self, make_receiver, detect_calls):
         codes, fmt, _buf = _buffer()
         tracer = Tracer()
-        rx = receiver_cls(codes, fmt=fmt, samples_per_chip=SPC, tracer=tracer)
+        rx = make_receiver(codes, fmt=fmt, samples_per_chip=SPC, tracer=tracer)
         report = rx.process(np.zeros(4096, dtype=complex))
         assert detect_calls == [4096]
         assert not report.sync.detected and report.detections == []

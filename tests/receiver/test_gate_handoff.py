@@ -240,10 +240,8 @@ class TestEachWindowCorrelatedOnce:
         assert shed + session.stats["windows_shed"] > 0
         assert probes and all(size == 4 * hop for _s, _pos, size in probes)
         assert len({s for s, _pos, _size in walked}) == 2
-        # The window's own gate drops its first hop slice and seam, so
-        # the probe correlates those two pieces a second time.
-        again = len(probes) * (hop + 2 * m - 2)
-        assert ledger["samples"] == _each_piece_once(walked + probes, hop, m) + again
+        # The probe reuses its window's first hop slice and seam.
+        assert ledger["samples"] == _each_piece_once(walked + probes, hop, m)
 
     def test_inline_farm_pump(self, capture, monkeypatch):
         stream, buffer = capture

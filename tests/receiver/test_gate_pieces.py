@@ -101,21 +101,56 @@ class TestColdEqualsWarm:
                 assert sorted(held) == sorted(fresh)
                 for start in held:
                     np.testing.assert_array_equal(held[start][0], fresh[start][0])
+            warm.evict_before(pos + hop)  # the walk's advance
         assert 0 < live_windows < (buffer.size - w) // hop + 1
 
     def test_only_pieces_the_next_window_can_use_are_kept(self, capture):
-        """The next window starts a hop later: a two-hop window keeps its
-        second hop slice; a widened (RESYNC) window of four hops and
-        three seams keeps all but its first hop slice and seam."""
+        """The gate keeps every piece of its window, so a widened
+        (RESYNC) probe at the same position reuses them; the walk's
+        advance to the next window, a hop later, keeps only the pieces
+        that window can use: a two-hop window's second hop slice, and
+        all but a four-hop probe's first hop slice and seam."""
         stream, buffer = capture
         hop, w = stream.hop_samples, stream.window_samples
         pieces = GatePieces()
         for pos in range(0, 6 * hop, hop):
             stream.window_is_live(buffer[pos : pos + w], pos=pos, pieces=pieces)
+            assert sorted(pieces.hops) == [pos, pos + hop] and sorted(pieces.seams) == [pos]
+            pieces.evict_before(pos + hop)
             assert sorted(pieces.hops) == [pos + hop] and not pieces.seams
-        stream.window_is_live(buffer[6 * hop : 6 * hop + 2 * w], pos=6 * hop, pieces=pieces)
+        pos = 6 * hop
+        stream.window_is_live(buffer[pos : pos + w], pos=pos, pieces=pieces)
+        stream.window_is_live(buffer[pos : pos + 2 * w], pos=pos, pieces=pieces)
+        assert sorted(pieces.hops) == [pos + j * hop for j in range(4)]
+        assert sorted(pieces.seams) == [pos + j * hop for j in range(3)]
+        pieces.evict_before(pos + hop)
         assert sorted(pieces.hops) == [7 * hop, 8 * hop, 9 * hop]
         assert sorted(pieces.seams) == [7 * hop, 8 * hop]
+
+    def test_walks_drop_pieces_as_they_advance(self, capture):
+        """The batch walk and a session hold, after each window, only
+        the pieces the next window can use."""
+        stream, buffer = capture
+        hop = stream.hop_samples
+        held = []
+        original = GatePieces.evict_before
+
+        def spy(self, pos):
+            original(self, pos)
+            held.append((pos, sorted(self.hops), sorted(self.seams)))
+
+        n = 6 * hop
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(GatePieces, "evict_before", spy)
+            StreamingReceiver(stream.receiver, max_frame_bits=stream.max_frame_bits).process_stream(buffer[:n])
+            walk, held[:] = list(held), []
+            session = SessionSupervisor(stream)
+            session.feed(buffer[:n])
+            session.finish()
+        for advanced in (walk, held):
+            assert [pos for pos, _h, _s in advanced] == list(range(hop, n + 1, hop))
+            for pos, hops, seams in advanced:
+                assert set(hops) <= {pos} and not seams
 
     def test_stack_is_one_whole_hop_window_per_stream(self, capture):
         stream, buffer = capture

@@ -8,6 +8,8 @@ window the same way, and probes a widened window separately for its
 health machine only.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -15,22 +17,26 @@ from repro.codes import twonc_codes
 from repro.faults.models import OscillatorDrift
 from repro.faults.plan import FaultPlan
 from repro.phy.modulation import fractional_delay, ook_baseband
-from repro.receiver import CbmaReceiver, PhaseTrackingReceiver, SicReceiver
+from repro.receiver import CbmaReceiver, PhaseTrackingReceiver
 from repro.receiver.session import SessionSupervisor
 from repro.receiver.streaming import StreamingReceiver
 from repro.sim.experiments.soak import SoakConfig, build_soak_stack, build_soak_stream
 from repro.tag import FrameFormat, Tag
 
 
-@pytest.mark.parametrize("receiver_cls", [CbmaReceiver, SicReceiver, PhaseTrackingReceiver])
-def test_every_receiver_tries_only_owned_candidates(receiver_cls):
+@pytest.mark.parametrize(
+    "make_receiver",
+    [CbmaReceiver, partial(CbmaReceiver, max_passes=3), PhaseTrackingReceiver],
+    ids=["CbmaReceiver", "SicReceiver", "PhaseTrackingReceiver"],
+)
+def test_every_receiver_tries_only_owned_candidates(make_receiver):
     """A frame shorter than a hop that starts in the window's second
     hop decodes over the whole window, but not over its owned span:
     the next window owns it."""
     codes = twonc_codes(2, 32)
     fmt = FrameFormat()
     tag = Tag(0, codes[0], fmt=fmt)
-    rx = receiver_cls({i: codes[i] for i in range(2)}, fmt=fmt)
+    rx = make_receiver({i: codes[i] for i in range(2)}, fmt=fmt)
     stream = StreamingReceiver(rx, max_frame_bits=fmt.frame_bits(12))
     hop = stream.hop_samples
     rng = np.random.default_rng(3)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.codes import twonc_codes
 from repro.phy.modulation import fractional_delay, ook_baseband
-from repro.receiver import CbmaReceiver, SicReceiver
+from repro.receiver import CbmaReceiver
 from repro.receiver.frame_sync import EnergyDetector
 from repro.tag.framing import FrameFormat
 from repro.tag.tag import Tag
@@ -110,14 +110,14 @@ class TestSicEdgeCases:
         codes = twonc_codes(2, 32)
         fmt = FrameFormat()
         tag = Tag(0, codes[0], fmt=fmt)
-        rx = SicReceiver({i: codes[i] for i in range(2)}, fmt=fmt,
-                         samples_per_chip=2, max_passes=1)
+        rx = CbmaReceiver({i: codes[i] for i in range(2)}, fmt=fmt,
+                          samples_per_chip=2, max_passes=1)
         buf = _signal(tag, b"single pass", 1.0, 128, 2)
         assert rx.process(buf).decoded_payloads() == {0: b"single pass"}
 
     def test_empty_buffer(self):
         codes = twonc_codes(1, 32)
-        rx = SicReceiver({0: codes[0]}, samples_per_chip=2)
+        rx = CbmaReceiver({0: codes[0]}, samples_per_chip=2, max_passes=3)
         report = rx.process(np.zeros(0, dtype=complex))
         assert report.frames == []
 
@@ -173,8 +173,8 @@ class TestDegenerateInputs:
         assert any(f.reason == "uninterpretable" for f in report.failures)
 
     def test_sic_survives_nan_buffer(self):
-        rx = SicReceiver(
-            {i: self.codes[i] for i in range(2)}, fmt=self.fmt, samples_per_chip=2
+        rx = CbmaReceiver(
+            {i: self.codes[i] for i in range(2)}, fmt=self.fmt, samples_per_chip=2, max_passes=3
         )
         report = rx.process(np.full(4096, np.nan, dtype=complex))
         assert report.frames == []

@@ -115,9 +115,12 @@ class TestWarmPieceGate:
             if stream.window_is_live(buffer[p : p + w]) == live
         )
         pieces = GatePieces()
-        # Warm the plans (cold: both hop slices in one stack) and the pieces.
+        # Warm the plans (cold: both hop slices in one stack) and the
+        # pieces, advancing as a walk does.
         stream.window_is_live(buffer[pos - 2 * hop : pos], pos=pos - 2 * hop, pieces=pieces)
+        pieces.evict_before(pos - hop)
         stream.window_is_live(buffer[pos - hop : pos + hop], pos=pos - hop, pieces=pieces)
+        pieces.evict_before(pos)
         assert sorted(pieces.hops) == [pos]
         planes = []
         tracemalloc.start()
@@ -127,6 +130,7 @@ class TestWarmPieceGate:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
+        pieces.evict_before(pos + hop)
         assert sorted(pieces.hops) == [pos + hop] and not pieces.seams
         kept = pieces.hops[pos + hop][0].nbytes
         returned = planes[0].nbytes if live else 0
