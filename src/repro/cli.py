@@ -90,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a quick multi-tag simulation")
     run.add_argument("--tags", type=_positive_int, default=5)
-    run.add_argument("--rounds", type=int, default=100)
+    run.add_argument("--rounds", type=_positive_int, default=100)
     run.add_argument("--distance", type=float, default=1.0, help="tag-to-RX metres")
     run.add_argument("--seed", type=int, default=7)
     run.add_argument("--code-family", default="2nc", help="2nc | gold | kasami | walsh")
@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="regenerate one paper table/figure")
     exp.add_argument("artefact", choices=sorted([*_EXPERIMENTS, "headline"]))
-    exp.add_argument("--rounds", type=int, default=60)
+    exp.add_argument("--rounds", type=_positive_int, default=60)
 
     field = sub.add_parser("field", help="print the Fig. 5 signal-strength field")
     field.add_argument("--resolution", type=_positive_int, default=41)
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "profile", help="trace a simulation and print the stage-level profile"
     )
     prof.add_argument("--tags", type=_positive_int, default=4)
-    prof.add_argument("--rounds", type=int, default=20)
+    prof.add_argument("--rounds", type=_positive_int, default=20)
     prof.add_argument("--distance", type=float, default=1.0, help="tag-to-RX metres")
     prof.add_argument("--seed", type=int, default=7)
     prof.add_argument(
@@ -177,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     system.add_argument("--population", type=int, default=12)
     system.add_argument("--group", type=_positive_int, default=4)
     system.add_argument("--epochs", type=int, default=12)
-    system.add_argument("--rounds", type=int, default=12)
+    system.add_argument("--rounds", type=_positive_int, default=12)
     system.add_argument("--seed", type=int, default=17)
     system.add_argument("--mobility", action="store_true", help="tags drift between epochs")
 
@@ -242,8 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     mrun = macro_sub.add_parser("run", help="run one macro fleet and print its stats")
     _surface_args(mrun)
-    mrun.add_argument("--tags", type=int, default=10000)
-    mrun.add_argument("--slots", type=int, default=200)
+    mrun.add_argument("--tags", type=_positive_int, default=10000)
+    mrun.add_argument("--slots", type=_positive_int, default=200)
     mrun.add_argument(
         "--rate",
         type=float,
@@ -262,8 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "load", help="offered-load sweep (delivery/goodput/latency vs rate)"
     )
     _surface_args(mload)
-    mload.add_argument("--tags", type=int, default=1000)
-    mload.add_argument("--slots", type=int, default=300)
+    mload.add_argument("--tags", type=_positive_int, default=1000)
+    mload.add_argument("--slots", type=_positive_int, default=300)
     mload.add_argument(
         "--backoff", choices=["beb", "fibonacci", "eied", "adaptive"], default="beb"
     )
@@ -273,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "fire-ring", help="expanding-event-front spatial stress scenario"
     )
     _surface_args(mfire)
-    mfire.add_argument("--tags", type=int, default=10000)
+    mfire.add_argument("--tags", type=_positive_int, default=10000)
     mfire.add_argument(
         "--backoff", choices=["beb", "fibonacci", "eied", "adaptive"], default="beb"
     )
@@ -347,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rec = trace_sub.add_parser("record", help="record a trace to JSON")
     rec.add_argument("path")
     rec.add_argument("--tags", type=_positive_int, default=3)
-    rec.add_argument("--rounds", type=int, default=50)
+    rec.add_argument("--rounds", type=_positive_int, default=50)
     rec.add_argument("--seed", type=int, default=7)
     rep = trace_sub.add_parser("replay", help="replay a JSON trace")
     rep.add_argument("path")

@@ -62,18 +62,20 @@ class FarmConfig:
     n_workers:
         Worker processes (or inline worker cores).
     ring_slots:
-        Shared-memory ring slots per worker.  The free-slot pool is
+        Shared-memory ring slots per worker process (an inline
+        worker's ring is never full).  The free-slot pool is
         the farm's ingest backpressure: when every slot of a worker's
         ring holds an unconsumed chunk, ``feed`` blocks (counted under
         ``farm.slot_waits``) until the worker frees one.
     ring_slot_samples:
-        Samples per ring slot.  Chunks larger than one slot are split
-        across slots -- safe because session decode output is
-        invariant to chunking cadence -- but per-chunk stats
-        (``session.quarantined``) then follow the split cadence, so
-        size slots to your chunk size when comparing stats against a
-        sequential run.  A single-precision chunk is widened as it is
-        copied into a slot.
+        Samples per ring slot.  On both backends a chunk larger than
+        one slot is split across slots -- safe because session decode
+        output is invariant to chunking cadence -- so per-chunk stats
+        (``session.quarantined``) follow the split cadence.  A
+        sequential :class:`~repro.receiver.session.SessionSupervisor`
+        fed whole chunks does not split them: size slots to your chunk
+        size when comparing stats against one.  A single-precision
+        chunk is widened as it is copied into a shared-memory slot.
 
     Each worker always batches the pre-gate across co-resident
     sessions that share a template bank and window length; the

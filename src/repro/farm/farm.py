@@ -3,37 +3,38 @@
 The farm is the orchestration layer above
 :class:`~repro.receiver.session.SessionSupervisor`: N sessions are
 placed round-robin on W workers, IQ chunks travel through per-worker
-shared-memory rings (:mod:`repro.farm.ring`), the window walk is
-co-scheduled so sessions sharing a template bank gate through one
-stacked FFT (:mod:`repro.farm.worker`), and results flow back as
-ordered :class:`~repro.receiver.streaming.StreamFrame` batches with
-per-session stats.  Checkpoint/restore is the rebalance primitive:
+rings (:mod:`repro.farm.ring`), the window walk is co-scheduled so
+sessions sharing a template bank gate through one stacked FFT
+(:mod:`repro.farm.worker`), and results flow back as ordered
+:class:`~repro.receiver.streaming.StreamFrame` batches with per-session
+stats.  Checkpoint/restore is the rebalance primitive:
 :meth:`DecodeFarm.drain` lifts a session off its worker as checkpoint
 records and :meth:`DecodeFarm.restore` resumes it -- bit-identically
 -- on another.
 
-Two backends share every line of scheduling logic
-(:class:`~repro.farm.worker.WorkerCore`):
+One protocol, two transports.  Every operation sends the same commands
+to :meth:`~repro.farm.worker.WorkerCore.handle` and dispatches the same
+replies; the backend only decides where a command goes:
 
-- ``"process"`` -- one OS process per worker, shared-memory ingest,
-  the real thing;
-- ``"inline"`` -- the same worker cores driven synchronously in the
-  parent: the equivalence oracle for tests, and the sensible choice on
-  a single-core host.
+- ``"process"`` -- one OS process per worker, fed through a
+  shared-memory :class:`~repro.farm.ring.ShmRing`, the real thing;
+- ``"inline"`` -- each command runs in the parent, and a
+  :class:`~repro.farm.ring.RefRing` holds the fed pieces by reference:
+  the equivalence oracle, and the choice on a single-core host.
 
-The feed protocol is cycle-based: :meth:`feed` only *buffers* (it
-writes a ring slot and queues the slot for its worker; nothing
-decodes), and :meth:`pump` runs one co-scheduled decode cycle on every
-worker with dirty sessions.  Per session the cadence is therefore
-ingest-then-pump per chunk -- exactly ``SessionSupervisor.feed`` --
-which is why farm output and stats are byte-identical to a sequential
-run over the same chunks.
+The feed protocol is cycle-based: :meth:`feed` only *buffers* (it puts
+the chunk in ring slots, split at the slot size, and queues them for
+its worker; nothing decodes), and :meth:`pump` runs one co-scheduled
+decode cycle on every worker with dirty sessions.  Per session the
+cadence is therefore ingest-then-pump per piece -- exactly
+``SessionSupervisor.feed`` -- which is why farm output and stats are
+byte-identical to a sequential run over the same pieces.
 
-On the process backend every command to a worker carries that
-worker's queued feeds, which it ingests before running the command,
-and the command's reply hands the ring slots back in bulk: a pump
-cycle costs one message each way per worker.  Only a full ring sends
-its queued feeds on their own (``farm.slot_waits``).
+Every command to a worker carries that worker's queued feeds, which it
+ingests before running the command, and the command's reply hands the
+ring slots back in bulk: a pump cycle costs one message each way per
+worker.  Only a full shared-memory ring sends its queued feeds on
+their own (``farm.slot_waits``).
 """
 
 from __future__ import annotations
@@ -41,18 +42,18 @@ from __future__ import annotations
 import multiprocessing
 import queue
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.codes.registry import make_codes
 from repro.farm.config import FarmConfig, SessionSpec
-from repro.farm.ring import ShmRing
+from repro.farm.ring import RefRing, ShmRing
 from repro.farm.worker import (
     HealthHistory,
+    InlineWorker,
     Record,
     ReplyPipes,
-    WorkerCore,
     poll_get,
     worker_main,
 )
@@ -73,11 +74,10 @@ _HARVEST_TIMEOUT_S = 120.0
 def build_code_families(configs: Iterable[CbmaConfig]) -> None:
     """Build the code family of each distinct config in this process.
 
-    A 2NC family the packaged code book holds costs no search.  Any
-    other one is searched here, and a worker forked afterwards inherits
-    the memo (:func:`repro.codes.twonc._search_family`) and builds its
-    sessions without repeating it, so a farm searches an unbooked
-    family once, not once per worker.
+    A 2NC family the packaged code book lacks is searched here, and a
+    worker forked afterwards inherits the memo
+    (:func:`repro.codes.twonc._search_family`), so a farm searches an
+    unbooked family once, not once per worker.
     """
     for family in {(c.code_family, c.n_tags, c.code_length) for c in configs}:
         make_codes(*family)
@@ -137,8 +137,8 @@ class DecodeFarm:
         Optional tracer; farm-level counters/gauges land under the
         ``farm.*`` taxonomy families.
     backend:
-        ``"process"`` (default) or ``"inline"`` (same scheduling, no
-        processes -- the equivalence oracle).
+        ``"process"`` (default) or ``"inline"`` (the same commands,
+        run in this process -- the equivalence oracle).
     """
 
     def __init__(
@@ -174,7 +174,6 @@ class DecodeFarm:
             w: 0 for w in range(self.config.n_workers)
         }
         self._closed = False
-        self._finished: Dict[int, bool] = {}
 
         #: Full per-session frame streams, in emission order.
         self.frames: Dict[int, List[StreamFrame]] = {sid: [] for sid in sids}
@@ -200,48 +199,28 @@ class DecodeFarm:
         self._last_reply: Dict[int, float] = {}
         self._replies_seen = 0
 
-        if backend == "inline":
-            self._cores = [WorkerCore() for _ in range(self.config.n_workers)]
-            for spec in specs:
-                self._cores[self._placement[spec.session_id]].add(spec)
-        else:
-            build_code_families(spec.config for spec in specs)
-            ctx = multiprocessing.get_context("fork")
-            self._rings: List[ShmRing] = []
-            self._cmd_queues = []
-            self._replies = ReplyPipes()
-            self._procs = []
-            try:
-                for w in range(self.config.n_workers):
-                    ring = ShmRing(self.config.ring_slots, self.config.ring_slot_samples)
+        build_code_families(spec.config for spec in specs)
+        self._rings: List[Union[ShmRing, RefRing]] = []
+        #: Per worker, where its commands go: a worker process's queue,
+        #: or an :class:`InlineWorker` that runs them in this process.
+        self._cmd_queues: List[
+            Union["multiprocessing.queues.Queue[Tuple[object, ...]]", InlineWorker]
+        ] = []
+        self._procs: List["multiprocessing.process.BaseProcess"] = []
+        self._replies = ReplyPipes()
+        try:
+            for w in range(self.config.n_workers):
+                if backend == "inline":
+                    ring = RefRing(self.config.ring_slot_samples)
                     self._rings.append(ring)
-                    cmd_q = ctx.Queue()
-                    self._cmd_queues.append(cmd_q)
-                    reader, writer = ctx.Pipe(duplex=False)
-                    self._replies.add(reader)
-                    proc = ctx.Process(
-                        target=worker_main,
-                        args=(
-                            w,
-                            cmd_q,
-                            writer,
-                            ring.name,
-                            self.config.ring_slots,
-                            self.config.ring_slot_samples,
-                        ),
-                        daemon=True,
-                    )
-                    proc.start()
-                    self._last_reply[w] = time.monotonic()
-                    # Only the worker may hold the write end: a dead
-                    # worker's pipe then reads as EOF, never blocks.
-                    writer.close()
-                    self._procs.append(proc)
-                for spec in specs:
-                    self._send(self._placement[spec.session_id], "add", spec)
-            except Exception:
-                self.close()
-                raise
+                    self._cmd_queues.append(InlineWorker(w, ring, self._replies))
+                else:
+                    self._start_process(w)
+            for spec in specs:
+                self._send(self._placement[spec.session_id], "add", spec)
+        except Exception:
+            self.close()
+            raise
         self._count(C.FARM_SESSIONS_OPENED, len(specs))
         self._gauge(G.FARM_SESSIONS_LIVE, len(self._placement))
 
@@ -272,6 +251,27 @@ class DecodeFarm:
             for i in range(n_sessions)
         ]
         return cls(specs, farm=farm, tracer=tracer, backend=backend)
+
+    def _start_process(self, worker: int) -> None:
+        """Fork *worker*, with its shared-memory ring and reply pipe."""
+        ctx = multiprocessing.get_context("fork")
+        ring = ShmRing(self.config.ring_slots, self.config.ring_slot_samples)
+        self._rings.append(ring)
+        cmd_q = ctx.Queue()
+        self._cmd_queues.append(cmd_q)
+        reader, writer = ctx.Pipe(duplex=False)
+        self._replies.add(reader)
+        proc = ctx.Process(
+            target=worker_main,
+            args=(worker, cmd_q, writer, ring.name, ring.slots, ring.slot_samples),
+            daemon=True,
+        )
+        proc.start()
+        self._last_reply[worker] = time.monotonic()
+        # Only the worker may hold the write end: a dead worker's pipe
+        # then reads as EOF, never blocks.
+        writer.close()
+        self._procs.append(proc)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -318,24 +318,8 @@ class DecodeFarm:
         arriving one at a time still spread evenly.
         """
         self._check_open()
-        sid = spec.session_id
-        if sid in self._placement:
-            raise ValueError(f"session {sid} is already live")
-        if worker is None:
-            worker = self._pick_worker()
-        if not 0 <= worker < self.config.n_workers:
-            raise ValueError(f"worker {worker} out of range")
-        if worker in self._dead_workers:
-            raise ValueError(f"worker {worker} is dead")
-        self._specs[sid] = spec
-        if self.backend == "inline":
-            self._cores[worker].add(spec)
-        else:
-            self._send(worker, "add", spec)
-        self._placement[sid] = worker
-        self.frames.setdefault(sid, [])
-        self._count(C.FARM_SESSIONS_OPENED)
-        self._gauge(G.FARM_SESSIONS_LIVE, len(self._placement))
+        worker = self._place(spec.session_id, worker, "add", spec)
+        self._specs[spec.session_id] = spec
         return worker
 
     def finish_session(self, session_id: int) -> List[StreamFrame]:
@@ -352,20 +336,7 @@ class DecodeFarm:
         if self._dirty_workers:
             for sid, frames in self.pump(wait=True).items():
                 self._fresh.setdefault(sid, []).extend(frames)
-        worker = self._placement[session_id]
-        if self.backend == "inline":
-            frames, stats, history = self._cores[worker].finish(session_id)
-            self._collect(session_id, frames)
-            self.session_stats[session_id] = stats
-            self.session_health[session_id] = history
-        else:
-            self._send(worker, "finish", session_id)
-            self._awaiting[session_id] = "finish"
-            while not self._finished.get(session_id):
-                self._harvest(f"the finish of session {session_id}")
-        del self._placement[session_id]
-        self._count(C.FARM_SESSIONS_CLOSED)
-        self._gauge(G.FARM_SESSIONS_LIVE, len(self._placement))
+        self._lift("finish", [session_id])
         return self._fresh.pop(session_id, [])
 
     # ------------------------------------------------------------------
@@ -375,13 +346,18 @@ class DecodeFarm:
     def feed(self, session_id: int, chunk: np.ndarray) -> None:
         """Ship *chunk* to *session_id*'s worker (buffering only).
 
-        The chunk is written into the worker's shared-memory ring --
-        split across slots when larger than one -- and its slots are
-        queued for the worker's next command, which ingests them into
-        the session's buffer first.  No windows are decoded until
-        :meth:`pump`.  Blocks only when every ring slot is taken
+        The chunk is put in its worker's ring -- split across slots
+        when larger than one -- and its slots are queued for the
+        worker's next command, which ingests them into the session's
+        buffer first.  No windows are decoded until :meth:`pump`.
+        Blocks only when every slot of a shared-memory ring is taken
         (``farm.slot_waits``): the queued feeds then go out on their
         own and their slots come back in one reply.
+
+        The process transport has copied *chunk* when this returns; the
+        inline one holds it by reference until the worker ingests it.
+        So write into *chunk* again only after the next :meth:`pump`,
+        :meth:`finish_session` or :meth:`finish` returns.
         """
         self._check_open()
         worker = self._placement[session_id]
@@ -389,21 +365,18 @@ class DecodeFarm:
         if x.ndim != 1:
             raise ValueError(f"farm feed requires 1-D sample chunks, got ndim={x.ndim}")
         self._count(C.FARM_CHUNKS)
-        if self.backend == "inline":
-            self._cores[worker].ingest(session_id, x)
-        else:
-            ring = self._rings[worker]
-            for lo in range(0, x.size, ring.slot_samples) or [0]:
-                piece = x[lo : lo + ring.slot_samples]
-                while ring.free_slots == 0:
-                    self.slot_waits += 1
-                    self._count(C.FARM_SLOT_WAITS)
-                    if self._feeds[worker]:
-                        self._send(worker, "ingest")
-                    self._harvest(f"a free ring slot on worker {worker}")
-                slot = ring.put(piece)
-                self._feeds[worker].append((session_id, slot, piece.size))
-            self._gauge(G.FARM_RING_OCCUPANCY, ring.occupancy)
+        ring = self._rings[worker]
+        for lo in range(0, x.size, ring.slot_samples) or [0]:
+            piece = x[lo : lo + ring.slot_samples]
+            while ring.full:
+                self.slot_waits += 1
+                self._count(C.FARM_SLOT_WAITS)
+                if self._feeds[worker]:
+                    self._send(worker, "ingest")
+                self._harvest(f"a free ring slot on worker {worker}")
+            slot = ring.put(piece)
+            self._feeds[worker].append((session_id, slot, piece.size))
+        self._gauge(G.FARM_RING_OCCUPANCY, ring.occupancy)
         self._dirty_workers.add(worker)
 
     def pump(self, wait: bool = True) -> Dict[int, List[StreamFrame]]:
@@ -419,14 +392,6 @@ class DecodeFarm:
         self._check_open()
         dirty = sorted(self._dirty_workers - self._dead_workers)
         self._dirty_workers.clear()
-        if self.backend == "inline":
-            for worker in dirty:
-                core = self._cores[worker]
-                before = core.batched_windows
-                for sid, frames in core.pump():
-                    self._collect(sid, frames)
-                self._record_batched(core.batched_windows - before)
-            return self._take_fresh()
         for worker in dirty:
             self._pump_seq += 1
             self._send(worker, "pump", self._pump_seq)
@@ -444,8 +409,7 @@ class DecodeFarm:
     def poll(self) -> Dict[int, List[StreamFrame]]:
         """Harvest whatever workers have reported without blocking."""
         self._check_open()
-        if self.backend == "process":
-            self._harvest_available()
+        self._harvest_available()
         return self._take_fresh()
 
     def finish(self) -> Dict[int, List[StreamFrame]]:
@@ -461,34 +425,11 @@ class DecodeFarm:
         self._check_open()
         if self._dirty_workers:
             self.pump(wait=True)
-        tails: Dict[int, List[StreamFrame]] = {}
-        if self.backend == "inline":
-            for sid in self.session_ids:
-                frames, stats, history = self._cores[self._placement[sid]].finish(sid)
-                self._collect(sid, frames)
-                self.session_stats[sid] = stats
-                self.session_health[sid] = history
-                tails[sid] = frames
-            for w, core in enumerate(self._cores):
-                self.worker_utilization[w] = 1.0
-            self._count(C.FARM_SESSIONS_CLOSED, len(tails))
-            self._gauge(G.FARM_SESSIONS_LIVE, 0)
-            self._placement.clear()
-            self._closed = True
-            return tails
-        pending = list(self.session_ids)
-        for sid in pending:
-            self._send(self._placement[sid], "finish", sid)
-            self._awaiting[sid] = "finish"
-        while not all(self._finished.get(sid) for sid in pending):
-            self._harvest(f"the finish of sessions {pending}")
-        for sid in pending:
-            tails[sid] = self._fresh.pop(sid, [])
-            del self._placement[sid]
-        self._count(C.FARM_SESSIONS_CLOSED, len(pending))
-        self._gauge(G.FARM_SESSIONS_LIVE, 0)
+        pending = self.session_ids
+        self._lift("finish", pending)
+        tails = {sid: self._fresh.pop(sid, []) for sid in pending}
         self._shutdown_workers()
-        self._closed = True
+        self.close()
         return tails
 
     # ------------------------------------------------------------------
@@ -505,42 +446,15 @@ class DecodeFarm:
         part of the records, exactly like an on-disk checkpoint.
         """
         self._check_open()
-        worker = self._placement[session_id]
-        if self.backend == "inline":
-            records = self._cores[worker].drain(session_id)
-        else:
-            self._send(worker, "drain", session_id)
-            self._awaiting[session_id] = "drain"
-            while session_id not in self._drained:
-                self._harvest(f"the drain of session {session_id}")
-            records = self._drained.pop(session_id)
-        del self._placement[session_id]
-        self._count(C.FARM_SESSIONS_CLOSED)
-        self._gauge(G.FARM_SESSIONS_LIVE, len(self._placement))
-        return records
+        self._lift("drain", [session_id])
+        return self._drained.pop(session_id)
 
     def restore(
         self, session_id: int, records: List[Record], worker: Optional[int] = None
     ) -> None:
-        """Resume a drained session on *worker* (default: round-robin)."""
+        """Resume a drained session on *worker* (default: the least-loaded)."""
         self._check_open()
-        if session_id in self._placement:
-            raise ValueError(f"session {session_id} is already live")
-        spec = self._specs[session_id]
-        if worker is None:
-            worker = self._pick_worker()
-        if not 0 <= worker < self.config.n_workers:
-            raise ValueError(f"worker {worker} out of range")
-        if worker in self._dead_workers:
-            raise ValueError(f"worker {worker} is dead")
-        if self.backend == "inline":
-            self._cores[worker].restore(spec, records)
-        else:
-            self._send(worker, "restore", spec, records)
-        self._placement[session_id] = worker
-        self.frames.setdefault(session_id, [])
-        self._count(C.FARM_SESSIONS_OPENED)
-        self._gauge(G.FARM_SESSIONS_LIVE, len(self._placement))
+        self._place(session_id, worker, "restore", self._specs[session_id], records)
 
     def migrate(self, session_id: int, worker: int) -> List[Record]:
         """Drain a session and resume it on another worker.
@@ -566,15 +480,14 @@ class DecodeFarm:
         if self._closed:
             return
         self._closed = True
-        if self.backend == "process":
-            for proc in getattr(self, "_procs", []):
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in getattr(self, "_procs", []):
-                proc.join(timeout=5.0)
-            for ring in getattr(self, "_rings", []):
-                ring.close()
-            self._replies.close()
+        for w, proc in enumerate(self._procs):
+            if w not in self._stopped_workers and proc.is_alive():
+                proc.terminate()
+        for proc in self._procs:
+            proc.join(timeout=5.0)
+        for ring in self._rings:
+            ring.close()
+        self._replies.close()
 
     def __enter__(self) -> "DecodeFarm":
         return self
@@ -583,7 +496,7 @@ class DecodeFarm:
         self.close()
 
     # ------------------------------------------------------------------
-    # Result harvesting (process backend)
+    # Result harvesting
     # ------------------------------------------------------------------
 
     def _check_open(self) -> None:
@@ -598,14 +511,8 @@ class DecodeFarm:
         self._count(C.FARM_FRAMES, len(frames))
 
     def _take_fresh(self) -> Dict[int, List[StreamFrame]]:
-        fresh = {sid: frames for sid, frames in self._fresh.items() if frames}
-        self._fresh = {}
+        fresh, self._fresh = self._fresh, {}
         return fresh
-
-    def _record_batched(self, n: int) -> None:
-        if n:
-            self.batched_windows += n
-            self._count(C.FARM_BATCHED_WINDOWS, n)
 
     def _harvest_available(self) -> None:
         while True:
@@ -619,6 +526,37 @@ class DecodeFarm:
         """Queue one command for *worker*, carrying its queued feeds."""
         feeds, self._feeds[worker] = self._feeds[worker], []
         self._cmd_queues[worker].put((op, feeds, *args))
+
+    def _place(self, sid: int, worker: Optional[int], op: str, *args: object) -> int:
+        """Send ``"add"`` or ``"restore"`` for session *sid* to *worker*
+        (default: the least-loaded live one) and place it there."""
+        if sid in self._placement:
+            raise ValueError(f"session {sid} is already live")
+        if worker is None:
+            worker = self._pick_worker()
+        if not 0 <= worker < self.config.n_workers:
+            raise ValueError(f"worker {worker} out of range")
+        if worker in self._dead_workers:
+            raise ValueError(f"worker {worker} is dead")
+        self._send(worker, op, *args)
+        self._placement[sid] = worker
+        self.frames.setdefault(sid, [])
+        self._count(C.FARM_SESSIONS_OPENED)
+        self._gauge(G.FARM_SESSIONS_LIVE, len(self._placement))
+        return worker
+
+    def _lift(self, op: str, sids: List[int]) -> None:
+        """Send ``"finish"`` or ``"drain"`` for each of *sids*, harvest
+        until every one is answered, and unplace them."""
+        for sid in sids:
+            self._send(self._placement[sid], op, sid)
+            self._awaiting[sid] = op
+        while any(sid in self._awaiting for sid in sids):
+            self._harvest(f"the {op} of sessions {sids}")
+        for sid in sids:
+            del self._placement[sid]
+        self._count(C.FARM_SESSIONS_CLOSED, len(sids))
+        self._gauge(G.FARM_SESSIONS_LIVE, len(self._placement))
 
     def _harvest(self, waiting_for: str) -> None:
         """Block until one worker reply arrives, then dispatch it.
@@ -661,7 +599,8 @@ class DecodeFarm:
                 f"{self._outstanding_pumps[w]} outstanding pump(s), "
                 f"{len(self._feeds[w])} queued feed(s), "
                 f"sessions awaiting finish {finish} and drain {drain}, "
-                f"ring {self._rings[w].free_slots}/{self.config.ring_slots} slots free, "
+                f"ring {self.config.ring_slots - self._rings[w].occupancy}/"
+                f"{self.config.ring_slots} slots free, "
                 f"last reply {now - self._last_reply[w]:.1f}s ago)"
             )
         return f"waiting for {waiting_for} on " + "; ".join(parts)
@@ -690,6 +629,7 @@ class DecodeFarm:
 
     def _recover_worker(self, worker: int, exitcode: Optional[int]) -> None:
         ring = self._rings[worker]
+        assert isinstance(ring, ShmRing)  # only a process worker dies
         leaked = ring.reclaim()
         lost = sorted(
             sid for sid, placed in self._placement.items() if placed == worker
@@ -717,13 +657,14 @@ class DecodeFarm:
             self._outstanding_pumps[worker] -= 1
             for sid, frames in results:
                 self._collect(sid, frames)
-            self._record_batched(batched)
+            if batched:
+                self.batched_windows += batched
+                self._count(C.FARM_BATCHED_WINDOWS, batched)
         elif tag == "finished":
             sid, frames, stats, history = msg[3], msg[4], msg[5], msg[6]
             self._collect(sid, frames)
             self.session_stats[sid] = stats
             self.session_health[sid] = history
-            self._finished[sid] = True
             self._awaiting.pop(sid, None)
         elif tag == "drained":
             self._drained[msg[3]] = msg[4]
@@ -740,17 +681,13 @@ class DecodeFarm:
             raise RuntimeError(f"unknown farm worker reply {tag!r}")
 
     def _shutdown_workers(self) -> None:
+        """Stop every live worker and harvest its ``stopped`` reply."""
         for w in range(len(self._cmd_queues)):
             if w not in self._dead_workers:
                 self._send(w, "stop")
-        expected = len(self._procs) - len(self._dead_workers)
+        expected = len(self._cmd_queues) - len(self._dead_workers)
         while len(self._stopped_workers) < expected:
             self._harvest("stop replies")
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-        for ring in self._rings:
-            ring.close()
-        self._replies.close()
 
     def _count(self, counter: CounterName, n: int = 1) -> None:
         if self.tracer.enabled:

@@ -31,16 +31,19 @@ When no slot is free the parent sends the queued feeds on their own
 harvesting worker results: that is the farm's ingest backpressure,
 counted under ``farm.slot_waits``.  Teardown is one :meth:`ShmRing.close`, which
 also unlinks the segment on the owning side.
+
+The inline transport runs the same lifecycle on a :class:`RefRing`,
+which holds each fed piece by reference: never full, no copy.
 """
 
 from __future__ import annotations
 
 from multiprocessing import shared_memory
-from typing import List, Set
+from typing import Dict, List, Set
 
 import numpy as np
 
-__all__ = ["ShmRing"]
+__all__ = ["RefRing", "ShmRing"]
 
 #: The sample dtype of every slot.
 _DTYPE = np.dtype(np.complex128)
@@ -86,6 +89,10 @@ class ShmRing:
     @property
     def free_slots(self) -> int:
         return len(self._free)
+
+    @property
+    def full(self) -> bool:
+        return not self._free
 
     @property
     def occupancy(self) -> int:
@@ -156,3 +163,37 @@ class ShmRing:
         self._shm.close()
         if self._owner:
             self._shm.unlink()
+
+
+class RefRing:
+    """The inline transport's ring: each slot holds a fed piece by reference.
+
+    :class:`ShmRing`'s ``put`` / ``view`` / ``release`` over a dict, with
+    no shared memory; a piece must stay unchanged until its worker
+    ingests it (:meth:`repro.farm.DecodeFarm.feed`).
+    """
+
+    full = False
+
+    def __init__(self, slot_samples: int) -> None:
+        self.slot_samples = int(slot_samples)
+        self._pieces: Dict[int, np.ndarray] = {}
+        self._next = 0
+
+    @property
+    def occupancy(self) -> int:
+        return len(self._pieces)
+
+    def put(self, chunk: np.ndarray) -> int:
+        slot, self._next = self._next, self._next + 1
+        self._pieces[slot] = chunk
+        return slot
+
+    def view(self, slot: int, n: int) -> np.ndarray:
+        return self._pieces[slot]
+
+    def release(self, slot: int) -> None:
+        del self._pieces[slot]
+
+    def close(self) -> None:
+        self._pieces.clear()

@@ -1,11 +1,12 @@
 """Farm worker: co-scheduled session execution on one process.
 
-:class:`WorkerCore` is the scheduling logic, deliberately free of any
-process machinery: the process backend runs it behind a command queue
-(:func:`worker_main`), and the inline backend -- the equivalence
-oracle and the 1-core fallback -- calls the same methods directly in
-the parent.  One code path, two transports, so the backends cannot
-drift apart.
+:class:`WorkerCore` is the scheduling logic and the farm's command
+interpreter (:meth:`WorkerCore.handle`), free of any process
+machinery.  One protocol, two transports: a worker process feeds it
+from a command queue (:func:`worker_main`), and an
+:class:`InlineWorker` -- the equivalence oracle and the 1-core fallback
+-- runs each command in the parent.  Both put the replies where the
+farm harvests them, so the backends cannot drift apart.
 
 The co-scheduled pump is where cross-session batching happens.  Each
 pump cycle:
@@ -40,20 +41,21 @@ produces are byte-identical to running it alone through
 
 from __future__ import annotations
 
+import collections
 import multiprocessing
 import queue
 import time
 from multiprocessing.connection import Connection, wait
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
 from repro.farm.config import SessionSpec
-from repro.farm.ring import ShmRing
+from repro.farm.ring import RefRing, ShmRing
 from repro.receiver.session import SessionSupervisor
 from repro.receiver.streaming import StreamFrame, StreamingReceiver
 
-__all__ = ["WorkerCore", "worker_main", "poll_get", "Record"]
+__all__ = ["InlineWorker", "WorkerCore", "worker_main", "poll_get", "Record"]
 
 #: One checkpoint record, as produced by
 #: :meth:`SessionSupervisor.checkpoint_records` -- the migration
@@ -98,26 +100,33 @@ def poll_get(
 
 
 class ReplyPipes:
-    """The parent's ends of the workers' reply pipes, read as one queue.
+    """The parent's ends of the workers' replies, read as one queue.
 
-    Each worker writes its replies into a pipe of its own, so every
-    pipe has one writer and needs no lock.  A shared
+    Each worker process writes its replies into a pipe of its own, so
+    every pipe has one writer and needs no lock.  A shared
     ``multiprocessing.Queue`` would not do: a worker SIGKILLed in the
     middle of a reply could die holding the queue's writer lock and
     silence every other worker.  A pipe can only be torn by its own
-    writer; it then reads as EOF and is dropped.  :meth:`get` raises
+    writer; it then reads as EOF and is dropped.  An inline worker hands
+    its replies in through :meth:`put`.  :meth:`get` raises
     ``queue.Empty`` like ``Queue.get``, so :func:`poll_get` serves both
     ends of the farm.
     """
 
     def __init__(self) -> None:
         self._conns: List[Connection] = []
+        self._inline: Deque[Tuple[object, ...]] = collections.deque()
 
     def add(self, conn: Connection) -> None:
         self._conns.append(conn)
 
+    def put(self, msg: Tuple[object, ...]) -> None:
+        self._inline.append(msg)
+
     def get(self, timeout: float = 0.0) -> Tuple[object, ...]:
         """Next reply from any worker, waiting up to *timeout* seconds."""
+        if self._inline:
+            return self._inline.popleft()
         ready = wait(self._conns, timeout)
         for conn in [c for c in self._conns if c in ready]:
             try:
@@ -133,6 +142,7 @@ class ReplyPipes:
         return self.get(0.0)
 
     def close(self) -> None:
+        self._inline.clear()
         for conn in list(self._conns):
             self._drop(conn)
 
@@ -147,50 +157,77 @@ def _parent_alive() -> bool:
 
 
 class WorkerCore:
-    """Sessions resident on one worker, plus the co-scheduled pump."""
+    """Sessions resident on one worker, the co-scheduled pump, and the
+    command interpreter (:meth:`handle`) that both transports drive."""
 
     def __init__(self) -> None:
         self.sessions: Dict[int, SessionSupervisor] = {}
         self._dirty: Set[int] = set()
         #: Windows gated through a cross-session batch (lifetime total).
         self.batched_windows = 0
+        self._started = time.perf_counter()
+        self._busy_s = 0.0
 
-    # --- session lifecycle ----------------------------------------------
+    def handle(
+        self, cmd: Tuple[Any, ...], view: Callable[[int, int], np.ndarray]
+    ) -> Optional[Tuple[object, ...]]:
+        """Run one farm command; returns its reply, or ``None``.
 
-    def add(self, spec: SessionSpec) -> None:
-        if spec.session_id in self.sessions:
-            raise ValueError(f"session {spec.session_id} already on this worker")
-        self.sessions[spec.session_id] = SessionSupervisor.from_config(
-            spec.config, session=spec.session
-        )
+        *cmd* is ``(op, feeds, *args)``: *feeds* is the ``(sid, slot,
+        n)`` list of ring slots the parent wrote since its last command
+        to this worker, read through ``view(slot, n)``.  They are
+        ingested first, in order, so no command can overtake a feed,
+        and the reply ``(tag, freed_slots, *payload)`` hands their
+        slots back in bulk:
 
-    def restore(self, spec: SessionSpec, records: List[Record]) -> None:
-        """Resume a drained session from its checkpoint records."""
-        if spec.session_id in self.sessions:
-            raise ValueError(f"session {spec.session_id} already on this worker")
-        streaming = StreamingReceiver.from_config(spec.config)
-        self.sessions[spec.session_id] = SessionSupervisor.from_checkpoint_records(
-            records, streaming, config=spec.session,
-            source=f"migration records for session {spec.session_id}",
-        )
+        - ``("add", feeds, spec)``, ``("restore", feeds, spec, records)``
+          -> ``("free",)`` if *feeds* is non-empty, else no reply
+        - ``("ingest", feeds)``      -> ``("free",)`` (the parent's ring is full)
+        - ``("pump", feeds, seq)``   -> ``("pumped", seq, results, batched)``
+        - ``("finish", feeds, sid)`` -> ``("finished", sid, frames, stats, history)``
+        - ``("drain", feeds, sid)``  -> ``("drained", sid, checkpoint records)``
+        - ``("stop", feeds)``        -> ``("stopped", busy_s, wall_s)``: seconds
+          spent in :meth:`handle`, and since construction
 
-    def drain(self, session_id: int) -> List[Record]:
-        """Checkpoint a session's state and remove it from this worker.
-
-        The records are the migration payload: re-create the session
-        elsewhere with :meth:`restore` and re-feed the stream from its
-        checkpointed ``position``.
+        ``finish`` and ``drain`` remove the session from this worker.
         """
-        session = self.sessions.pop(session_id)
-        self._dirty.discard(session_id)
-        return session.checkpoint_records()
-
-    def finish(self, session_id: int) -> Tuple[List[StreamFrame], Dict[str, int], HealthHistory]:
-        """End one session; returns (tail frames, stats, health history)."""
-        session = self.sessions.pop(session_id)
-        self._dirty.discard(session_id)
-        frames = session.finish()
-        return frames, dict(session.stats), list(session.health_history)
+        t0 = time.perf_counter()
+        op, feeds = cmd[0], cmd[1]
+        for sid, slot, n in feeds:
+            self.ingest(sid, view(slot, n))
+        freed = [slot for _sid, slot, _n in feeds]
+        out: Optional[Tuple[object, ...]] = ("free",) if freed else None
+        if op in ("add", "restore"):
+            spec: SessionSpec = cmd[2]
+            if spec.session_id in self.sessions:
+                raise ValueError(f"session {spec.session_id} already on this worker")
+            if op == "add":
+                session = SessionSupervisor.from_config(spec.config, session=spec.session)
+            else:
+                session = SessionSupervisor.from_checkpoint_records(
+                    cmd[3], StreamingReceiver.from_config(spec.config), config=spec.session,
+                    source=f"migration records for session {spec.session_id}",
+                )
+            self.sessions[spec.session_id] = session
+        elif op == "pump":
+            before = self.batched_windows
+            results = self.pump()
+            out = ("pumped", cmd[2], results, self.batched_windows - before)
+        elif op in ("finish", "drain"):
+            sid = cmd[2]
+            session = self.sessions.pop(sid)
+            self._dirty.discard(sid)
+            if op == "finish":
+                frames = session.finish()
+                out = ("finished", sid, frames, dict(session.stats), list(session.health_history))
+            else:
+                out = ("drained", sid, session.checkpoint_records())
+        elif op not in ("ingest", "stop"):
+            raise ValueError(f"unknown farm worker command {op!r}")
+        self._busy_s += time.perf_counter() - t0
+        if op == "stop":
+            out = ("stopped", self._busy_s, time.perf_counter() - self._started)
+        return None if out is None else (out[0], freed, *out[1:])
 
     # --- the data path --------------------------------------------------
 
@@ -265,73 +302,53 @@ def worker_main(
     ring_slots: int,
     ring_slot_samples: int,
 ) -> None:
-    """Process entry point: drive a :class:`WorkerCore` from a queue.
+    """Process entry point: feed a :class:`WorkerCore` from a queue.
 
-    Every command arrives as ``(op, feeds, *args)``: *feeds* is the
-    ``(sid, slot, n)`` list of ring slots the parent wrote since its
-    last command to this worker.  The worker ingests them first, in
-    order, so no command can overtake a feed, and the reply to the
-    command hands their slots back in bulk.  Replies go out on
-    *replies*, the write end of this worker's own pipe
+    Each command goes to :meth:`WorkerCore.handle`, which reads its
+    feeds out of this worker's shared-memory ring, and each reply goes
+    out on *replies*, the write end of this worker's own pipe
     (:class:`ReplyPipes`), as ``(worker_id, tag, freed_slots,
-    *payload)``; any exception is reported as ``("error", repr)``
+    *payload)``.  Any exception is reported as ``("error", repr)``
     before the worker exits -- a farm never hangs on a dead worker
     silently.  Commands are awaited through :func:`poll_get`, which
     re-checks the parent process on each idle tick, so a worker
     orphaned by a crashed farm shuts itself down instead of waiting on
     a queue nobody will ever fill again (the symmetric guarantee -- a
     dead farm never strands a live worker).
-
-    Replies per command (after *worker_id*, *tag* and the freed slots):
-
-    - ``("add"|"restore", feeds, sid, ...)`` -> ``("free",)`` when
-      *feeds* is non-empty, else nothing (errors only)
-    - ``("ingest", feeds)``      -> ``("free",)`` (the parent's ring is full)
-    - ``("pump", feeds, seq)``   -> ``("pumped", seq, results, batched)``
-    - ``("finish", feeds, sid)`` -> ``("finished", sid, frames, stats, history)``
-    - ``("drain", feeds, sid)``  -> ``("drained", sid, records)``
-    - ``("stop", feeds)``        -> ``("stopped", busy_s, wall_s)``
     """
     ring = ShmRing.attach(ring_name, ring_slots, ring_slot_samples)
     core = WorkerCore()
-    started = time.perf_counter()
-    busy = 0.0
     try:
         while True:
             cmd = poll_get(cmd_queue, _parent_alive)
             if cmd is None:
                 break  # orphaned: the farm died without sending "stop"
-            t0 = time.perf_counter()
-            op, feeds = cmd[0], cmd[1]
-            for sid, slot, n in feeds:
-                core.ingest(sid, ring.view(slot, n))
-            freed = [slot for _sid, slot, _n in feeds]
-            # The slots go back with the command's own reply; a command
-            # that has none answers ``("free",)`` when it carried feeds.
-            out: Optional[Tuple[object, ...]] = ("free",) if freed else None
-            if op == "stop":
-                busy += time.perf_counter() - t0
-                wall = time.perf_counter() - started
-                replies.send((worker_id, "stopped", freed, busy, wall))
+            reply = core.handle(cmd, ring.view)
+            if reply is not None:
+                replies.send((worker_id, *reply))
+            if cmd[0] == "stop":
                 break
-            elif op == "add":
-                core.add(cmd[2])
-            elif op == "restore":
-                core.restore(cmd[2], cmd[3])
-            elif op == "pump":
-                before = core.batched_windows
-                results = core.pump()
-                out = ("pumped", cmd[2], results, core.batched_windows - before)
-            elif op == "finish":
-                out = ("finished", cmd[2], *core.finish(cmd[2]))
-            elif op == "drain":
-                out = ("drained", cmd[2], core.drain(cmd[2]))
-            elif op != "ingest":
-                raise ValueError(f"unknown farm worker command {op!r}")
-            if out is not None:
-                replies.send((worker_id, out[0], freed, *out[1:]))
-            busy += time.perf_counter() - t0
     except Exception as exc:  # pragma: no cover - exercised via process backend
         replies.send((worker_id, "error", [], repr(exc)))
     finally:
         ring.close()
+
+
+class InlineWorker:
+    """The inline transport's end of one worker.
+
+    :meth:`put` stands where a worker process's command queue stands:
+    it runs the command on a :class:`WorkerCore` in this process,
+    reading feeds from *ring*, and puts the reply on *replies*.
+    """
+
+    def __init__(self, worker_id: int, ring: RefRing, replies: ReplyPipes) -> None:
+        self.core = WorkerCore()
+        self._worker_id = worker_id
+        self._ring = ring
+        self._replies = replies
+
+    def put(self, cmd: Tuple[object, ...]) -> None:
+        reply = self.core.handle(cmd, self._ring.view)
+        if reply is not None:
+            self._replies.put((self._worker_id, *reply))

@@ -206,13 +206,12 @@ class Gateway:
         The one construction path from PHY config to service: streams
         opened without an explicit config share *config* (hence one
         memoised template bank per worker, so the farm's cross-session
-        batched gate engages across streams).  A process-backend
-        gateway builds *config*'s code family here, before its farm
-        forks, so the workers inherit it even when the first stream
-        opens with another config.
+        batched gate engages across streams).  *config*'s code family
+        is built here, before the farm forks any worker, so the workers
+        inherit it even when the first stream opens with another
+        config.
         """
-        if backend == "process":
-            build_code_families([config])
+        build_code_families([config])
         return cls(
             config,
             gateway=gateway,
@@ -449,7 +448,7 @@ class Gateway:
                 if stream_s > 0.0:
                     a = self.config.rtf_alpha
                     self.rtf = (1.0 - a) * self.rtf + a * (dt / stream_s)
-            elif self.farm is not None and self.backend == "process":
+            elif self.farm is not None:
                 fresh = self.farm.poll()
             else:
                 fresh = {}

@@ -118,12 +118,36 @@ def _load_checkpoint(
     results: List[Any],
     retry_errors: bool,
 ) -> None:
-    """Fill *results* slots from a prior run's JSONL checkpoint."""
+    """Fill *results* slots from a prior run's JSONL checkpoint.
+
+    A run killed mid-append leaves a torn last line (unterminated or
+    unreadable): it is dropped, so its point runs again, and the file is
+    cut back to the line before it so later appends start clean.  An
+    unreadable line before the last raises ``ValueError``.
+    """
     if not path.exists() or path.stat().st_size == 0:
         return
-    with open(path, "r") as fh:
-        lines = [line for line in fh if line.strip()]
-    header = json.loads(lines[0])
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    records = []
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            if not line.endswith(b"\n"):
+                raise ValueError("unterminated line")
+            records.append(json.loads(line))
+        except ValueError as exc:
+            if lineno < len(lines):
+                raise ValueError(
+                    f"checkpoint {path} line {lineno} is not a JSON record "
+                    f"(corrupt write: {exc}); refusing to resume"
+                ) from None
+            with open(path, "r+b") as fh:
+                fh.truncate(sum(len(kept) for kept in lines[:-1]))
+    if not records:
+        return
+    header = records[0]
     if header.get("type") != "header":
         raise ValueError(f"checkpoint {path} has no header line; refusing to resume")
     if header.get("n_points") != n_points or header.get("seed") != seed:
@@ -132,8 +156,7 @@ def _load_checkpoint(
             f"(n_points={header.get('n_points')}, seed={header.get('seed')}; "
             f"this sweep has n_points={n_points}, seed={seed})"
         )
-    for line in lines[1:]:
-        rec = json.loads(line)
+    for rec in records[1:]:
         if rec.get("type") != "point":
             continue
         i = int(rec["index"])

@@ -6,8 +6,9 @@ into feed chunks.  The equivalence oracle is the sequential
 contract is that its output is byte-identical to that run.
 
 The chunk size doubles as ``ring_slot_samples`` so a feed never
-splits across ring slots: ``session.quarantined`` counts sanitiser
-calls, whose cadence follows ingest boundaries.
+splits across ring slots, on either backend: ``session.quarantined``
+counts sanitiser calls, whose cadence follows ingest boundaries, so a
+split feed would no longer match the oracle's one ingest per chunk.
 """
 
 import numpy as np

@@ -7,6 +7,7 @@ emission order) and final stats dicts must be *equal*, not similar:
 the farm is a scheduler, never a decoder variant.
 """
 
+import numpy as np
 import pytest
 
 from repro.farm import DecodeFarm, FarmConfig
@@ -63,6 +64,45 @@ class TestProcessBackend:
         run_farm(farm, chunks)
         assert set(farm.worker_utilization) == {0, 1}
         assert all(0.0 <= u <= 1.0 for u in farm.worker_utilization.values())
+
+
+class TestBackendsAgree:
+    def test_nan_chunks_split_across_slots_through_a_migration(self, net_config, soak_capture):
+        """Each chunk spans two ring slots and every other one carries a
+        NaN in each half, so ``session.quarantined`` counts the pieces
+        each transport ingests; session 1 is drained and restored on
+        the other worker halfway through."""
+        buffer, _chunks, chunk = soak_capture
+        slot = chunk // 2
+        dirty = buffer.copy()
+        for lo in range(0, dirty.size, 2 * chunk):
+            dirty[lo + 7 : lo + chunk : slot] = np.nan
+
+        def run(backend):
+            farm = DecodeFarm.from_config(
+                net_config, n_sessions=2,
+                farm=FarmConfig(n_workers=2, ring_slot_samples=slot), backend=backend,
+            )
+            try:
+                starts = range(0, dirty.size, chunk)
+                for lo in starts:
+                    if lo == starts[len(starts) // 2]:
+                        records = farm.drain(1)
+                        farm.restore(1, records, worker=0)
+                        state = next(r for r in records if r["type"] == "state")
+                        farm.feed(1, dirty[state["pos"] : state["samples_fed"]])
+                    for sid in farm.session_ids:
+                        farm.feed(sid, dirty[lo : lo + chunk])
+                    farm.pump()
+                farm.finish()
+            finally:
+                farm.close()
+            return farm.frames, farm.session_stats, farm.session_health
+
+        inline = run("inline")
+        assert any(inline[0].values())
+        assert all(stats["quarantined"] > 0 for stats in inline[1].values())
+        assert inline == run("process")
 
 
 class TestMigration:

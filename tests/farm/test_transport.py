@@ -1,10 +1,12 @@
-"""The process backend's messages: one each way per worker per cycle.
+"""The farm's messages: one each way per worker per cycle.
 
-Feeds send no message of their own.  Each command to a worker carries
+Both transports carry the same commands and replies.  Feeds send no
+message of their own.  Each command to a worker carries
 the ring slots written for it since its previous command, and the
-command's reply returns those slots in bulk.  Only a full ring sends
-its queued feeds alone, and one ``free`` reply brings all of their
-slots back.
+command's reply returns those slots in bulk.  Only a full
+shared-memory ring sends its queued feeds alone, and one ``free`` reply
+brings all of their slots back; the inline transport's ring is never
+full.
 """
 
 from collections import defaultdict
@@ -39,10 +41,16 @@ def traffic():
     return watch
 
 
-def test_one_command_and_one_reply_per_worker_per_cycle(net_config, soak_capture, traffic):
+@pytest.mark.parametrize("backend", ["process", "inline"])
+def test_one_command_and_one_reply_per_worker_per_cycle(
+    net_config, soak_capture, traffic, backend
+):
     _, chunks, chunk = soak_capture
     farm = DecodeFarm.from_config(
-        net_config, n_sessions=4, farm=FarmConfig(n_workers=2, ring_slot_samples=chunk)
+        net_config,
+        n_sessions=4,
+        farm=FarmConfig(n_workers=2, ring_slot_samples=chunk),
+        backend=backend,
     )
     try:
         for sid in farm.session_ids:

@@ -1,5 +1,7 @@
 """Unit tests for repro.sim.sweep."""
 
+import re
+
 import pytest
 
 from repro.sim.sweep import PointError, grid, sweep
@@ -187,6 +189,30 @@ class TestCheckpoint:
                        checkpoint=path, retry_errors=True)
         assert healed == [0, 1, 20]  # 0 and 20 come from the checkpoint
         assert _CALLS == [1]
+
+    def test_torn_last_record_is_dropped_and_rerun(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        points = grid(k=[0, 1, 2])
+        sweep(_counting_point, points, seed=4, checkpoint=path)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-7])  # killed inside the last record
+        _CALLS.clear()
+        assert sweep(_counting_point, points, seed=4, checkpoint=path) == [0, 1, 2]
+        assert _CALLS == [2]
+        assert path.read_bytes() == whole  # cut back, then appended cleanly
+        _CALLS.clear()
+        sweep(_counting_point, points, seed=4, checkpoint=path)
+        assert _CALLS == []
+
+    def test_unreadable_earlier_record_names_file_and_line(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        points = grid(k=[0, 1, 2])
+        sweep(_counting_point, points, seed=4, checkpoint=path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][:9] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"checkpoint {re.escape(str(path))} line 3 "):
+            sweep(_counting_point, points, seed=4, checkpoint=path)
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "sweep.jsonl"

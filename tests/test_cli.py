@@ -194,6 +194,16 @@ _USAGE_ERRORS = {
     "adapt --epochs 0": "must be >= 1",
     "system --group 0": "must be >= 1",
     "trace record x.json --tags 0": "must be >= 1",
+    "trace record x.json --rounds 0": "must be >= 1",
+    "run --rounds 0": "must be >= 1",
+    "experiment fig8b --rounds 0": "must be >= 1",
+    "profile --rounds -1": "must be >= 1",
+    "system --rounds 0": "must be >= 1",
+    "macro run --tags 0": "must be >= 1",
+    "macro run --slots 0": "must be >= 1",
+    "macro load --tags 0": "must be >= 1",
+    "macro load --slots 0": "must be >= 1",
+    "macro fire-ring --tags 0": "must be >= 1",
     "field --resolution 0": "must be >= 1",
     "run --code-length 3": "2NC length must be even",
     "run --code-family gold --code-length 32": "length 32 is not 2^n - 1",
