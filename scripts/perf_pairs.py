@@ -23,6 +23,9 @@ Usage, from the repository root, with the parent checked out beside it
 ``make perf-pairs BASE=../base`` runs every workload.  The metrics, their
 direction and their regression bounds come from the change's
 ``BENCHMARK.json``; ``--out runs.jsonl`` keeps every run's JSON line.
+``--record benchmarks/BENCH_0010.json`` appends one record per side to
+the committed speed trajectory (:func:`make_records`): the checkout's
+commit, the seeds, and each end-to-end metric's quartiles per workload.
 A run that prints nothing (a crash, a farm harvest timeout) is recorded
 with its exit code and the tail of its stderr and the pairs go on; the
 summary lists each incomplete pair and the script exits 1.  Neither
@@ -37,9 +40,11 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 SIDES = ("base", "change")
+#: Schema of the speed-trajectory file ``--record`` appends to.
+RECORD_SCHEMA = "repro.perf_record/1"
 #: Enough lines to keep a traceback's frames, not only its last line.
 STDERR_TAIL_LINES = 40
 
@@ -74,21 +79,28 @@ def quartiles(values: Sequence[float]) -> List[float]:
     return [q1, med, q3]
 
 
+def _pairs(runs: List[dict], workload: str) -> Tuple[List[Dict[str, dict]], List[str]]:
+    """*workload*'s complete pairs (``side -> run``, by seed), and a line
+    naming each incomplete one."""
+    pairs: Dict[int, Dict[str, dict]] = {}
+    for r in runs:
+        if r["workload"] == workload:
+            pairs.setdefault(r["seed"], {})[r["side"]] = r
+    full, incomplete = [], []
+    for seed, p in sorted(pairs.items()):
+        whole = len(p) == len(SIDES) and not any(r.get("no_result") for r in p.values())
+        if whole:
+            full.append(p)
+        else:
+            incomplete.append(f"  incomplete pair, seed {seed}: {_incomplete(p)}")
+    return full, incomplete
+
+
 def summarise(runs: List[dict], metrics: List[dict]) -> str:
     """The per-workload, per-metric table of paired runs."""
     out = []
     for workload in sorted({r["workload"] for r in runs}):
-        pairs: Dict[int, Dict[str, dict]] = {}
-        for r in runs:
-            if r["workload"] == workload:
-                pairs.setdefault(r["seed"], {})[r["side"]] = r
-        full, incomplete = [], []
-        for seed, p in sorted(pairs.items()):
-            whole = len(p) == len(SIDES) and not any(r.get("no_result") for r in p.values())
-            if whole:
-                full.append(p)
-            else:
-                incomplete.append(f"  incomplete pair, seed {seed}: {_incomplete(p)}")
+        full, incomplete = _pairs(runs, workload)
         out.append(f"\n{workload}: {len(full)} pairs, {len(incomplete)} incomplete")
         out.extend(incomplete)
         for side in SIDES:
@@ -119,6 +131,57 @@ def summarise(runs: List[dict], metrics: List[dict]) -> str:
                 f" {wins:>3}/{len(rows):<2} {rel:>+8.1%}  {_verdict(spec, sign, vals, wins)}"
             )
     return "\n".join(out)
+
+
+def make_records(
+    runs: List[dict], metrics: List[dict], checkouts: Dict[str, Path], seconds: float
+) -> List[dict]:
+    """One speed-trajectory record per side, from the complete pairs.
+
+    A record holds the checkout's commit (``dirty`` when tracked files
+    differ from it), ``--seconds``, and per workload the seeds, the
+    count of correct runs and each metric's ``[Q1, median, Q3]``.
+    """
+    complete = {w: _pairs(runs, w)[0] for w in sorted({r["workload"] for r in runs})}
+    records = []
+    for side in SIDES:
+        workloads = {
+            workload: {
+                "seeds": [p[side]["seed"] for p in full],
+                "correct": sum(bool(p[side]["correct"]) for p in full),
+                "metrics": {
+                    spec["name"]: quartiles([p[side]["metrics"][spec["name"]]["value"] for p in full])
+                    for spec in metrics
+                    if all(spec["name"] in p[side]["metrics"] for p in full)
+                },
+            }
+            for workload, full in complete.items()
+            if full
+        }
+        records.append({"side": side, **_commit(checkouts[side]), "seconds": seconds, "workloads": workloads})
+    return records
+
+
+def _commit(checkout: Path) -> Dict[str, object]:
+    """``commit`` (``git rev-parse HEAD``) and ``dirty`` of *checkout*."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-C", str(checkout), *args], capture_output=True, text=True, check=True
+        ).stdout.strip()
+
+    return {
+        "commit": git("rev-parse", "HEAD"),
+        "dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+    }
+
+
+def append_records(path: Path, records: List[dict]) -> None:
+    """Append *records* to the trajectory file *path* (created if absent)."""
+    doc = json.loads(path.read_text()) if path.exists() else {"schema": RECORD_SCHEMA, "records": []}
+    if doc.get("schema") != RECORD_SCHEMA:
+        raise ValueError(f"{path} is not a {RECORD_SCHEMA} file")
+    doc["records"].extend(records)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _incomplete(pair: Dict[str, dict]) -> str:
@@ -172,7 +235,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=8.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, help="append every run's JSON line here")
+    parser.add_argument(
+        "--record", type=Path, help="append one end-to-end record per side to this trajectory file"
+    )
     args = parser.parse_args(argv)
+    if args.record is not None and args.trace:
+        parser.error("--record keeps end-to-end metrics; run it with --trace 0")
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = bench["per_layer"] if args.trace else bench["end_to_end"]
@@ -195,6 +263,8 @@ def main(argv=None) -> int:
                     with args.out.open("a") as fh:
                         fh.write(json.dumps(result) + "\n")
     print(summarise(runs, metrics))
+    if args.record is not None:
+        append_records(args.record, make_records(runs, metrics, checkouts, args.seconds))
     ok = all(not r.get("no_result") and r["correct"] for r in runs)
     return 0 if ok else 1
 

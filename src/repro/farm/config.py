@@ -8,8 +8,8 @@ Two small, picklable records cross the process boundary at startup:
   IQ samples never travel this way (they go through the shared-memory
   ring); specs do, once, at placement time.
 - :class:`FarmConfig` -- the farm's own knobs: worker count and ring
-  geometry.  Ring slots hold ``complex128`` samples, the one dtype of
-  the sample path.
+  geometry (starting slots, samples per slot).  Ring slots hold
+  ``complex128`` samples, the one dtype of the sample path.
 """
 
 from __future__ import annotations
@@ -62,11 +62,15 @@ class FarmConfig:
     n_workers:
         Worker processes (or inline worker cores).
     ring_slots:
-        Shared-memory ring slots per worker process (an inline
-        worker's ring is never full).  The free-slot pool is
-        the farm's ingest backpressure: when every slot of a worker's
-        ring holds an unconsumed chunk, ``feed`` blocks (counted under
-        ``farm.slot_waits``) until the worker frees one.
+        Starting capacity, in slots, of each worker process's
+        shared-memory ring (an inline worker's ring is never full).
+        A ``feed`` that finds every slot taken does not wait for the
+        worker: the ring maps one more segment of this many slots
+        (counted under ``farm.slot_waits``).  A ring never shrinks
+        while the farm is open, so its size is the most slots ever in
+        flight to that worker between two commands -- which the
+        caller's own dispatch bounds, e.g. the gateway's step budget
+        (``dispatch_budget`` = 96 chunks in its soak).
     ring_slot_samples:
         Samples per ring slot.  On both backends a chunk larger than
         one slot is split across slots -- safe because session decode

@@ -30,11 +30,12 @@ cadence is therefore ingest-then-pump per piece -- exactly
 ``SessionSupervisor.feed`` -- which is why farm output and stats are
 byte-identical to a sequential run over the same pieces.
 
-Every command to a worker carries that worker's queued feeds, which it
-ingests before running the command, and the command's reply hands the
-ring slots back in bulk: a pump cycle costs one message each way per
-worker.  Only a full shared-memory ring sends its queued feeds on
-their own (``farm.slot_waits``).
+Every answered command to a worker carries that worker's queued
+feeds, which it ingests before running the command, and the command's
+reply hands the ring slots back in bulk: a pump cycle costs one message
+each way per worker, however many chunks it dispatched.  A feed never
+waits on a worker: a full shared-memory ring grows by one segment
+instead (``farm.slot_waits``).
 """
 
 from __future__ import annotations
@@ -86,10 +87,11 @@ def build_code_families(configs: Iterable[CbmaConfig]) -> None:
 class WorkerCrash(RuntimeError):
     """A farm worker process died without reporting ``stopped``.
 
-    Raised from the parent's harvest loop.  By the time it propagates
+    Raised from the parent's harvest loop, or from a feed that found
+    the dead worker's ring full.  By the time it propagates
     the farm has already reclaimed the dead worker's in-flight ring
-    slots (they would otherwise stay claimed forever and strangle
-    ingest) and evicted its sessions from the placement map.
+    slots (they would otherwise stay claimed forever) and evicted its
+    sessions from the placement map.
 
     Attributes
     ----------
@@ -185,9 +187,8 @@ class DecodeFarm:
         self.worker_utilization: Dict[int, float] = {}
         #: Windows gated through a cross-session batch (lifetime).
         self.batched_windows = 0
-        #: Feeds that blocked on a full ring (the backpressure signal
-        #: consumers such as the gateway watch; mirrors
-        #: ``farm.slot_waits``).
+        #: Feeds that found their worker's ring full and grew it
+        #: (mirrors ``farm.slot_waits``).
         self.slot_waits = 0
         self._fresh: Dict[int, List[StreamFrame]] = {}
         self._drained: Dict[int, List[Record]] = {}
@@ -263,7 +264,7 @@ class DecodeFarm:
         self._replies.add(reader)
         proc = ctx.Process(
             target=worker_main,
-            args=(worker, cmd_q, writer, ring.name, ring.slots, ring.slot_samples),
+            args=(worker, cmd_q, writer, ring.name, ring.segment_slots, ring.slot_samples),
             daemon=True,
         )
         proc.start()
@@ -350,9 +351,10 @@ class DecodeFarm:
         when larger than one -- and its slots are queued for the
         worker's next command, which ingests them into the session's
         buffer first.  No windows are decoded until :meth:`pump`.
-        Blocks only when every slot of a shared-memory ring is taken
-        (``farm.slot_waits``): the queued feeds then go out on their
-        own and their slots come back in one reply.
+        Never waits on the worker: when every slot of a shared-memory
+        ring is taken, the ring grows (``farm.slot_waits``), once the
+        worker is known to be alive -- a dead one raises
+        :class:`WorkerCrash` here, its claimed slots reclaimed.
 
         The process transport has copied *chunk* when this returns; the
         inline one holds it by reference until the worker ingests it.
@@ -368,12 +370,10 @@ class DecodeFarm:
         ring = self._rings[worker]
         for lo in range(0, x.size, ring.slot_samples) or [0]:
             piece = x[lo : lo + ring.slot_samples]
-            while ring.full:
+            if ring.full:
                 self.slot_waits += 1
                 self._count(C.FARM_SLOT_WAITS)
-                if self._feeds[worker]:
-                    self._send(worker, "ingest")
-                self._harvest(f"a free ring slot on worker {worker}")
+                self._workers_alive()
             slot = ring.put(piece)
             self._feeds[worker].append((session_id, slot, piece.size))
         self._gauge(G.FARM_RING_OCCUPANCY, ring.occupancy)
@@ -523,8 +523,12 @@ class DecodeFarm:
             self._dispatch(msg)
 
     def _send(self, worker: int, op: str, *args: object) -> None:
-        """Queue one command for *worker*, carrying its queued feeds."""
-        feeds, self._feeds[worker] = self._feeds[worker], []
+        """Queue one command for *worker*.  A command that gets a reply
+        carries the worker's queued feeds; ``add`` and ``restore`` get
+        none, so they leave the feeds queued for the next command."""
+        feeds: List[Tuple[int, int, int]] = []
+        if op not in ("add", "restore"):
+            feeds, self._feeds[worker] = self._feeds[worker], []
         self._cmd_queues[worker].put((op, feeds, *args))
 
     def _place(self, sid: int, worker: Optional[int], op: str, *args: object) -> int:
@@ -591,6 +595,8 @@ class DecodeFarm:
         for w, proc in enumerate(self._procs):
             if w in self._stopped_workers or w in self._dead_workers:
                 continue
+            ring = self._rings[w]
+            assert isinstance(ring, ShmRing)  # only process workers are listed
             owed = sorted(sid for sid in self._awaiting if self._placement.get(sid) == w)
             finish = [sid for sid in owed if self._awaiting[sid] == "finish"]
             drain = [sid for sid in owed if self._awaiting[sid] == "drain"]
@@ -599,8 +605,7 @@ class DecodeFarm:
                 f"{self._outstanding_pumps[w]} outstanding pump(s), "
                 f"{len(self._feeds[w])} queued feed(s), "
                 f"sessions awaiting finish {finish} and drain {drain}, "
-                f"ring {self.config.ring_slots - self._rings[w].occupancy}/"
-                f"{self.config.ring_slots} slots free, "
+                f"ring {ring.free_slots}/{ring.capacity} slots free, "
                 f"last reply {now - self._last_reply[w]:.1f}s ago)"
             )
         return f"waiting for {waiting_for} on " + "; ".join(parts)
@@ -608,9 +613,10 @@ class DecodeFarm:
     def _workers_alive(self) -> bool:
         """Surface dead workers as :class:`WorkerCrash` (slots reclaimed).
 
-        Only consulted once the reply pipes have drained empty, so a
-        worker that exited normally has had its ``stopped`` reply
-        dispatched (it is written before the worker exits) and is
+        Consulted before a feed grows a full ring, and by a harvest once
+        the reply pipes have drained empty.  A worker that exited
+        normally has had its ``stopped`` reply dispatched (it is written
+        before the worker exits, and a final drain reads it) and is
         skipped here.  Returns ``True`` when every running worker
         is alive, and ``False`` when no worker is running at all:
         nothing can answer the harvest that asked.
@@ -677,7 +683,7 @@ class DecodeFarm:
             self._gauge(G.FARM_WORKER_UTILIZATION, util)
         elif tag == "error":
             raise RuntimeError(f"farm worker {worker} failed: {msg[3]}")
-        elif tag != "free":  # pragma: no cover - defensive
+        else:  # pragma: no cover - defensive
             raise RuntimeError(f"unknown farm worker reply {tag!r}")
 
     def _shutdown_workers(self) -> None:

@@ -180,9 +180,8 @@ class WorkerCore:
         and the reply ``(tag, freed_slots, *payload)`` hands their
         slots back in bulk:
 
-        - ``("add", feeds, spec)``, ``("restore", feeds, spec, records)``
-          -> ``("free",)`` if *feeds* is non-empty, else no reply
-        - ``("ingest", feeds)``      -> ``("free",)`` (the parent's ring is full)
+        - ``("add", [], spec)``, ``("restore", [], spec, records)``
+          -> no reply, so these carry no feeds
         - ``("pump", feeds, seq)``   -> ``("pumped", seq, results, batched)``
         - ``("finish", feeds, sid)`` -> ``("finished", sid, frames, stats, history)``
         - ``("drain", feeds, sid)``  -> ``("drained", sid, checkpoint records)``
@@ -196,8 +195,10 @@ class WorkerCore:
         for sid, slot, n in feeds:
             self.ingest(sid, view(slot, n))
         freed = [slot for _sid, slot, _n in feeds]
-        out: Optional[Tuple[object, ...]] = ("free",) if freed else None
+        out: Optional[Tuple[object, ...]] = None
         if op in ("add", "restore"):
+            if freed:
+                raise ValueError(f"a {op!r} command gets no reply, so it carries no feeds")
             spec: SessionSpec = cmd[2]
             if spec.session_id in self.sessions:
                 raise ValueError(f"session {spec.session_id} already on this worker")
@@ -222,7 +223,7 @@ class WorkerCore:
                 out = ("finished", sid, frames, dict(session.stats), list(session.health_history))
             else:
                 out = ("drained", sid, session.checkpoint_records())
-        elif op not in ("ingest", "stop"):
+        elif op != "stop":
             raise ValueError(f"unknown farm worker command {op!r}")
         self._busy_s += time.perf_counter() - t0
         if op == "stop":
@@ -299,13 +300,15 @@ def worker_main(
     cmd_queue: "multiprocessing.queues.Queue[Tuple[object, ...]]",
     replies: Connection,
     ring_name: str,
-    ring_slots: int,
+    segment_slots: int,
     ring_slot_samples: int,
 ) -> None:
     """Process entry point: feed a :class:`WorkerCore` from a queue.
 
     Each command goes to :meth:`WorkerCore.handle`, which reads its
-    feeds out of this worker's shared-memory ring, and each reply goes
+    feeds out of this worker's shared-memory ring (mapping each segment
+    the parent grew it by when a feed first names one of its slots;
+    *segment_slots* is the slots per segment), and each reply goes
     out on *replies*, the write end of this worker's own pipe
     (:class:`ReplyPipes`), as ``(worker_id, tag, freed_slots,
     *payload)``.  Any exception is reported as ``("error", repr)``
@@ -316,7 +319,7 @@ def worker_main(
     a queue nobody will ever fill again (the symmetric guarantee -- a
     dead farm never strands a live worker).
     """
-    ring = ShmRing.attach(ring_name, ring_slots, ring_slot_samples)
+    ring = ShmRing.attach(ring_name, segment_slots, ring_slot_samples)
     core = WorkerCore()
     try:
         while True:

@@ -228,7 +228,7 @@ class C:
     FARM_SESSIONS_CLOSED = CounterName("farm.sessions_closed")  # sessions finished or drained away
     FARM_MIGRATIONS = CounterName("farm.migrations")  # sessions drained and resumed on another worker
     FARM_BATCHED_WINDOWS = CounterName("farm.batched_windows")  # windows pre-gated through a cross-session batch
-    FARM_SLOT_WAITS = CounterName("farm.slot_waits")  # feeds that blocked for a free ring slot
+    FARM_SLOT_WAITS = CounterName("farm.slot_waits")  # feeds that found their ring full and grew it
     # --- async ingestion gateway (repro.gateway)
     GATEWAY_STREAMS_OPENED = CounterName("gateway.streams_opened")  # capture streams admitted by the gateway
     GATEWAY_STREAMS_CLOSED = CounterName("gateway.streams_closed")  # capture streams finished or evicted

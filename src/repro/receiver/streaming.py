@@ -317,9 +317,10 @@ class StreamingReceiver:
             layouts.append(layout)
         for jobs in missing:
             if jobs:
-                # Every plane clears a floor of -inf, so each comes back
-                # as its own array: a kept piece holds no stacked
-                # neighbours alive, and no stack-sized array is made.
+                # Every plane clears a floor of -inf, so each is written
+                # into its own array: a kept piece holds no stacked
+                # neighbours alive, no stack-sized array is made, and
+                # its max is taken once, here.
                 kept = bank.correlate_many([samples for _t, _q, samples in jobs], -np.inf)
                 for (table, q, _samples), plane in zip(jobs, kept):
                     assert plane is not None

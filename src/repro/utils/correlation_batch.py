@@ -143,6 +143,11 @@ def _kernel_spectrum(templates: np.ndarray, nfft: int, real: bool) -> np.ndarray
     return np.fft.fft(kernels, nfft, axis=1)
 
 
+#: A block's planes: an ``(b, U, n - m + 1)`` array, or a sequence of
+#: ``b`` arrays of ``(U, n - m + 1)`` each.
+Planes = Union[np.ndarray, Sequence[np.ndarray]]
+
+
 def _fft_magnitudes(
     block: np.ndarray,
     m: int,
@@ -150,15 +155,17 @@ def _fft_magnitudes(
     real: bool,
     nfft: int,
     ws: _Workspace,
-    planes: np.ndarray,
+    planes: Planes,
 ) -> None:
     """``|valid cross-correlation|`` of every template row against every
     row of *block* ``(b, n)``, via one *nfft*-point signal FFT per row,
-    into *planes* ``(b, U, n - m + 1)``.  Every temporary lives in *ws*.
+    into *planes*.  Every temporary lives in *ws*; a complex product is
+    transformed back in place.
 
-    The product and the magnitudes loop over template rows and planes:
-    a broadcast or strided multi-row ufunc makes numpy allocate an
-    iteration buffer of up to 128 KiB on every call.
+    The product and the magnitudes are computed one (row, template)
+    pair at a time, on contiguous rows: a broadcast or strided
+    multi-row ufunc makes numpy allocate an iteration buffer of up to
+    128 KiB on every call, and runs slower.
     """
     b, n = block.shape
     n_templates, n_spec = kspec.shape
@@ -168,17 +175,18 @@ def _fft_magnitudes(
         np.fft.rfft(block, nfft, axis=1, out=spec)
     else:
         np.fft.fft(block, nfft, axis=1, out=spec)
-    for u in range(n_templates):
-        np.multiply(spec, kspec[u], out=prod[:, u])
+    for i in range(b):
+        for u in range(n_templates):
+            np.multiply(spec[i], kspec[u], out=prod[i, u])
     if real:
         full = ws.take("full", (b, n_templates, nfft), prod.real.dtype)
         np.fft.irfft(prod, nfft, axis=2, out=full)
     else:
-        full = ws.take("full", (b, n_templates, nfft), prod.dtype)
-        np.fft.ifft(prod, axis=2, out=full)
+        full = np.fft.ifft(prod, axis=2, out=prod)
     # "valid" slice of the full linear convolution.
-    for row, plane in zip(full.reshape(-1, nfft), planes.reshape(-1, n - m + 1)):
-        np.abs(row[m - 1 : n], out=plane)
+    for i in range(b):
+        for u in range(n_templates):
+            np.abs(full[i, u, m - 1 : n], out=planes[i][u])
 
 
 def _overlap_save_magnitudes(
@@ -200,12 +208,22 @@ def _overlap_save_magnitudes(
         _fft_magnitudes(chunk[None], m, kspec, real, nfft, ws, valid)
 
 
+def _denominator_norms(templates: np.ndarray) -> np.ndarray:
+    """Each template row's norm, or one norm when every row's is equal
+    (every bipolar bank): :func:`_normalise` then builds one
+    denominator row per window for all templates."""
+    norms = np.linalg.norm(templates, axis=1)
+    return norms[:1] if norms.size and (norms == norms[0]).all() else norms
+
+
 def _normalise(
-    block: np.ndarray, m: int, norms: np.ndarray, ws: _Workspace, planes: np.ndarray
+    block: np.ndarray, m: int, norms: np.ndarray, ws: _Workspace, planes: Planes
 ) -> None:
     """Divide *planes* in place by the local window energy of each row of
     *block* (one cumsum shared by every template row) times each
-    template's norm, through :func:`guard_denominator`."""
+    template's norm, through :func:`guard_denominator`.  *norms* holds
+    one norm per template, or a single one shared by all
+    (:func:`_denominator_norms`)."""
     b, n = block.shape
     n_valid = n - m + 1
     power = np.abs(block, out=ws.take("power", (b, n), block.real.dtype))
@@ -219,14 +237,16 @@ def _normalise(
     np.subtract(csum[:, m:], csum[:, :-m], out=energy, dtype=np.float64)
     guard_denominator(energy, out=energy)
     np.sqrt(energy, out=energy)
-    denom = ws.take("denom", planes.shape, np.float64)
+    denom = ws.take("denom", (b, norms.size, n_valid), np.float64)
     # Row by row and template by template: the broadcast product makes
     # numpy allocate an iteration buffer at some lengths (2,048 lags).
     for row, out in zip(energy, denom):
         for u, norm in enumerate(norms):
             np.multiply(row, norm, out=out[u])
     guard_denominator(denom, out=denom)
-    np.divide(planes, denom, out=planes)
+    for plane, rows in zip(planes, denom):
+        for u, corr in enumerate(plane):
+            np.divide(corr, rows[u if norms.size > 1 else 0], out=corr)
 
 
 #: A stack of equal-length windows: a 2-D ``(S, n)`` array, or a
@@ -268,13 +288,14 @@ def _planes(
     templates: np.ndarray,
     norms: np.ndarray,
     plan: PlanFn,
-    out: Optional[np.ndarray] = None,
-) -> Iterator[Tuple[int, np.ndarray]]:
+    out: Optional[Planes] = None,
+) -> Iterator[Tuple[int, Planes]]:
     """Yield ``(first_row, planes)`` for each block of up to
     :data:`_BLOCK_ROWS` rows of *stack*: *planes* is the block's
     ``(b, U, n - m + 1)`` normalised correlation, written into the
-    matching rows of *out* when given, otherwise held in the workspace
-    until the next block overwrites it.  Each row is computed
+    matching rows of *out* (one array, or one array per row) when
+    given, otherwise held in the workspace until the next block
+    overwrites it.  Each row is computed
     independently of the others, so a plane does not depend on the
     block it was computed in."""
     rows, n, dtype = stack
@@ -320,7 +341,7 @@ def _correlate_stack(
     template norms, spectra and buffers are made for this call alone."""
     stack = _as_stack(windows, templates)
     if norms is None:
-        norms = np.linalg.norm(templates, axis=1)
+        norms = _denominator_norms(templates)
     n_templates, m = templates.shape
     out = np.empty((len(stack.rows), n_templates, max(stack.n - m + 1, 0)), dtype=np.float64)
     for _block in _planes(stack, templates, norms, plan or _fresh_plan(templates), out):
@@ -418,7 +439,7 @@ class TemplateBank:
         self.matrix = matrix
         self.samples_per_chip = samples_per_chip
         self._rows = {uid: matrix[i] for i, uid in enumerate(user_ids)}
-        self._norms = np.linalg.norm(matrix, axis=1)
+        self._norms = _denominator_norms(matrix)
         self._plans: Dict[Tuple[int, bool], Tuple[np.ndarray, _Workspace]] = {}
 
     @property
@@ -477,13 +498,24 @@ class TemplateBank:
         ``None`` for every other window (and for a window shorter than
         the templates).  The stacked planes are then never
         materialised, which is what a gate over mostly idle windows
-        wants.
+        wants.  A floor of ``-inf`` keeps every plane, so each is
+        written straight into an array of its own, with no copy and no
+        max taken: what the piece gate keeps
+        (:class:`~repro.receiver.streaming.GatePieces`).
         """
         if min_peak is None:
             return _correlate_stack(windows, self.matrix, self._norms, self._plan)
         stack = _as_stack(windows, self.matrix)
+        m = self.template_samples
+        if min_peak == -np.inf and stack.n >= m:
+            own = [np.empty((self.n_users, stack.n - m + 1)) for _row in stack.rows]
+            for _block in _planes(stack, self.matrix, self._norms, self._plan, own):
+                pass
+            every: List[Optional[np.ndarray]] = list(own)
+            return every
         kept: List[Optional[np.ndarray]] = [None] * len(stack.rows)
         for lo, planes in _planes(stack, self.matrix, self._norms, self._plan):
+            assert isinstance(planes, np.ndarray)  # the workspace's block
             for i, peak in enumerate(planes.max(axis=(1, 2))):
                 if peak >= min_peak:
                     kept[lo + i] = planes[i].copy()

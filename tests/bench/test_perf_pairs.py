@@ -109,3 +109,41 @@ def test_each_sides_failed_share_is_printed(perf_pairs):
     summary = perf_pairs.summarise(_runs([2.0] * 3, [2.0] * 3, failed=(0, 5), attempted=200), _METRIC)
     assert "base: 3/3 runs correct, 0/600 operations failed (0.00%)" in summary
     assert "change: 3/3 runs correct, 15/600 operations failed (2.50%)" in summary
+
+
+def test_record_appends_one_record_per_side(perf_pairs, monkeypatch, tmp_path):
+    monkeypatch.setattr(
+        perf_pairs, "run_once",
+        lambda checkout, workload, seed, seconds, trace: _result(2.0 if checkout.name == "base" else 2.0 + seed),
+    )
+    monkeypatch.setattr(perf_pairs, "_commit", lambda checkout: {"commit": checkout.name, "dirty": False})
+    (tmp_path / "base").mkdir()
+    change = tmp_path / "change"
+    change.mkdir()
+    bench = {"end_to_end": [
+        {"name": "realtime_factor", "better": "higher", "bound": 0.25},
+        {"name": "cycle_p50_ms", "better": "lower", "bound": 0.25},
+    ]}
+    (change / "BENCHMARK.json").write_text(json.dumps(bench))
+    trajectory = tmp_path / "BENCH.json"
+    args = ["--base", str(tmp_path / "base"), "--change", str(change), "--workload", "gateway_spike",
+            "--pairs", "3", "--seed", "1", "--seconds", "4", "--record", str(trajectory)]
+
+    assert perf_pairs.main(args) == 0
+    assert perf_pairs.main(args) == 0  # a second call appends
+
+    doc = json.loads(trajectory.read_text())
+    assert doc["schema"] == perf_pairs.RECORD_SCHEMA
+    assert [r["side"] for r in doc["records"]] == ["base", "change"] * 2
+    base, change_rec = doc["records"][:2]
+    assert change_rec["commit"] == "change" and change_rec["seconds"] == 4.0
+    spike = change_rec["workloads"]["gateway_spike"]
+    assert spike["seeds"] == [1, 2, 3] and spike["correct"] == 3
+    assert spike["metrics"]["realtime_factor"] == [3.5, 4.0, 4.5]
+    assert base["workloads"]["gateway_spike"]["metrics"]["cycle_p50_ms"] == [10.0, 10.0, 10.0]
+
+
+def test_record_refuses_traced_runs(perf_pairs, tmp_path):
+    with pytest.raises(SystemExit):
+        perf_pairs.main(["--base", str(tmp_path), "--workload", "stream_dense", "--seed", "1",
+                         "--trace", "1", "--record", str(tmp_path / "BENCH.json")])

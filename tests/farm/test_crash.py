@@ -131,6 +131,27 @@ class TestHarvestTimeout:
                 os.kill(farm._procs[victim].pid, signal.SIGCONT)
             farm.close()
 
+    def test_timeout_counts_a_grown_ring(self, net_config, soak_capture, monkeypatch):
+        """Three feeds grew a stopped worker's 2-slot ring to 4 slots;
+        the timeout reads free slots off the grown ring."""
+        monkeypatch.setattr(farm_mod, "_HARVEST_TIMEOUT_S", 0.5)
+        _, chunks, chunk_samples = soak_capture
+        cfg = FarmConfig(n_workers=1, ring_slots=2, ring_slot_samples=chunk_samples)
+        farm = DecodeFarm(_specs(net_config, 1), farm=cfg)
+        stopped = False
+        try:
+            os.kill(farm._procs[0].pid, signal.SIGSTOP)
+            stopped = True
+            for piece in chunks[:3]:
+                farm.feed(0, piece)
+            assert farm.slot_waits == 1
+            with pytest.raises(RuntimeError, match="sent nothing for 0.5s") as exc:
+                farm.pump()
+            assert "ring 1/4 slots free" in str(exc.value)
+        finally:
+            if stopped:
+                os.kill(farm._procs[0].pid, signal.SIGCONT)
+            farm.close()
 
     def test_harvest_with_no_running_worker_fails_fast(self, net_config):
         """Every worker has stopped but a pump reply is still owed: the

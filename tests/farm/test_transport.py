@@ -3,10 +3,10 @@
 Both transports carry the same commands and replies.  Feeds send no
 message of their own.  Each command to a worker carries
 the ring slots written for it since its previous command, and the
-command's reply returns those slots in bulk.  Only a full
-shared-memory ring sends its queued feeds alone, and one ``free`` reply
-brings all of their slots back; the inline transport's ring is never
-full.
+command's reply returns those slots in bulk.  A full shared-memory
+ring grows instead of sending anything, so however many chunks a
+worker is fed between two commands, the next command carries them all;
+the inline transport's ring is never full.
 """
 
 from collections import defaultdict
@@ -69,7 +69,7 @@ def test_one_command_and_one_reply_per_worker_per_cycle(
         farm.close()
 
 
-def test_full_ring_sends_its_feeds_alone_and_frees_them_in_bulk(
+def test_full_ring_grows_and_one_pump_carries_every_feed(
     net_config, soak_capture, traffic
 ):
     _, chunks, chunk = soak_capture
@@ -82,10 +82,49 @@ def test_full_ring_sends_its_feeds_alone_and_frees_them_in_bulk(
         sent, received = traffic(farm)
         for piece in chunks[:5]:
             farm.feed(0, piece)
+        assert not sent and not received  # growing the ring sends nothing
         farm.pump()
-        assert sent[0] == [("ingest", 2), ("ingest", 2), ("pump", 1)]
-        assert received[0] == [("free", 2), ("free", 2), ("pumped", 1)]
-        assert farm.slot_waits == 2
+        assert sent[0] == [("pump", 5)]
+        assert received[0] == [("pumped", 5)]
+        assert farm.slot_waits == 2  # 2 -> 4 -> 6 slots
+        assert farm._rings[0].capacity == 6
         farm.finish()
     finally:
         farm.close()
+
+
+def test_grown_rings_through_a_migration_match_inline(net_config, soak_capture):
+    """Three chunks per session between pumps overfill every 2-slot
+    ring, and session 1 moves to the other worker halfway: the process
+    farm's frames, stats and health equal the inline farm's."""
+    buffer, chunks, chunk = soak_capture
+    per_pump = 3
+
+    def run(backend):
+        farm = DecodeFarm.from_config(
+            net_config, n_sessions=4,
+            farm=FarmConfig(n_workers=2, ring_slots=2, ring_slot_samples=chunk),
+            backend=backend,
+        )
+        try:
+            starts = range(0, len(chunks), per_pump)
+            for k in starts:
+                if k == starts[len(starts) // 2]:
+                    records = farm.migrate(1, worker=1 - farm.worker_of(1))
+                    state = next(r for r in records if r["type"] == "state")
+                    farm.feed(1, buffer[state["pos"] : state["samples_fed"]])
+                for sid in farm.session_ids:
+                    for piece in chunks[k : k + per_pump]:
+                        farm.feed(sid, piece)
+                farm.pump()
+            grown = farm.slot_waits
+            farm.finish()
+        finally:
+            farm.close()
+        return (farm.frames, farm.session_stats, farm.session_health), grown
+
+    inline, _ = run("inline")
+    assert any(inline[0].values())
+    process, grown = run("process")
+    assert grown > 0
+    assert process == inline
